@@ -6,7 +6,7 @@
 //! 1. **quiesced** — the full membership at epoch 0, no maintenance.
 //!    Replays the exact workload stream `bench_replay` uses, so its
 //!    HIERAS routing summary is byte-identical to the replay bench's
-//!    (CI asserts this); timed as min/median/max ns per lookup over
+//!    (`cache_off_identity` asserts it in-process); timed as min/median/max ns per lookup over
 //!    several repetitions after a discarded warm-up, which is what the
 //!    `scripts/live_budget_ns` throughput gate reads.
 //! 2. **live_deterministic** — the executor arbitrates the
@@ -39,15 +39,14 @@
 //! hop traces to a `.slow.jsonl` sibling — all renderable with
 //! `hieras-timeline`.
 //!
-//! Two incremental-maintenance comparisons ride along:
+//! One incremental-maintenance comparison rides along:
 //! `maintenance_full` vs `maintenance_incremental` replay the same
 //! deterministic schedule with the delta rebuild path off and on,
 //! reporting exact publish-latency percentiles side by side
 //! (`incremental_publish_ratio` is the p50 quotient the
 //! `scripts/incremental_publish_ratio` gate budgets, and
 //! `delta_identity` asserts both runs published byte-identical
-//! snapshots); `live_batched` re-runs the free-running row with
-//! epoch-pinned batched readers (`batched_vs_single_ratio`).
+//! snapshots).
 //!
 //! The churn scenario turns over well above 5% of the initial
 //! population inside the horizon, so the live rows measure serving
@@ -207,7 +206,7 @@ fn timed_quiesced(
     exec: &Executor,
     requests: usize,
     rounds: usize,
-) -> (hieras_serve::QuiescedReport, u64) {
+) -> (WorkloadReport, u64) {
     let mut ns = 0u64;
     let mut report = engine.run_quiesced(exec, requests);
     ns += report.wall_ns;
@@ -353,17 +352,11 @@ fn main() {
     );
 
     // Free-running, telemetry off for the throughput baseline, then
-    // on — the reported rows — then once more with batched readers.
+    // on — the reported rows.
     let base = engine.run_live();
     let live = engine_tel.run_live();
-    let mut cfg_batched = sc.serve_config(TelemetryConfig::on());
-    cfg_batched.pace = pace;
-    cfg_batched.batched = true;
-    let batched = ServeEngine::new(&exp, cfg_batched).run_live();
     let off_rate = base.lookups_per_sec();
     let on_rate = live.lookups_per_sec();
-    let batched_rate = batched.lookups_per_sec();
-    let batched_ratio = if on_rate > 0.0 { batched_rate / on_rate } else { 1.0 };
     let ls = live.metrics.summary();
     println!(
         "live ({} rdr)  | {:>9.0} lookups/s | hieras {:.2} hops {:.0} ms (p99.9 {} ms) | \
@@ -374,10 +367,6 @@ fn main() {
         ls.avg_latency_ms,
         ls.latency_tail.p999_ms,
         100.0 * live.turnover
-    );
-    println!(
-        "batched ({} rdr)| {:>9.0} lookups/s | {:.2}x single-lookup readers",
-        sc.readers, batched_rate, batched_ratio
     );
     println!(
         "telemetry     | {:>9.0} ns/lookup off | {:>9.0} on | overhead {:+.1}% (min/min) | {} windows",
@@ -394,9 +383,10 @@ fn main() {
     // the hot-key cache off and on (in verify mode, so every hit is
     // cross-checked against the authoritative route). Cached and
     // uncached runs must answer every request with the same owner
-    // (`digest_identity`), and the uniform uncached run must be
-    // byte-identical to the quiesced baseline (`cache_off_identity` —
-    // the cache-off no-perturbation proof CI greps for).
+    // (`digest_identity`), and every uncached run must be
+    // byte-identical to the replay of the same workload
+    // (`cache_off_identity` — the cache-off no-perturbation proof CI
+    // greps for).
     let mut cfg_cache = sc.serve_config(TelemetryConfig::off());
     cfg_cache.cache = CacheConfig::on().verified();
     let engine_cached = ServeEngine::new(&exp, cfg_cache);
@@ -408,7 +398,7 @@ fn main() {
         ("zipf_1.2", WorkloadModel::Skew(SkewParams::zipf(1.2))),
         ("flash", WorkloadModel::Skew(SkewParams::flash_crowd())),
     ];
-    let mut cache_off_identity = false;
+    let mut cache_off_identity = true;
     let mut zipf_smoke_hit_rate = 0.0;
     let mut cached_hot_p50_ratio = 1.0;
     let mut sweep_rows: Vec<Json> = Vec::with_capacity(skew_points.len());
@@ -425,10 +415,8 @@ fn main() {
             cached.owner_digest, uncached.owner_digest,
             "{label}: the cache changed a lookup's answer"
         );
-        if matches!(model, WorkloadModel::Uniform) {
-            cache_off_identity = uncached.metrics == quiesced.metrics;
-            assert!(cache_off_identity, "cache-off uniform replay diverged from quiesced");
-        }
+        cache_off_identity &= uncached.metrics == cmp.hieras;
+        assert!(cache_off_identity, "{label}: cache-off serving diverged from the replay");
         let hit_rate = cached.cache.hit_rate();
         let hot = |r: &WorkloadReport| {
             (r.hot.requests > 0).then(|| r.hot.summary().latency_tail.p50_ms)
@@ -511,7 +499,6 @@ fn main() {
         ("delta_max_ring_fraction", DELTA_FRACTION.to_json()),
         ("delta_identity", delta_identity.to_json()),
         ("incremental_publish_ratio", publish_ratio.to_json()),
-        ("batched_vs_single_ratio", batched_ratio.to_json()),
         ("telemetry_overhead_pct", overhead_pct.to_json()),
         ("telemetry_off_min_ns", min_ns.to_json()),
         ("telemetry_on_min_ns", tel_min_ns.to_json()),
@@ -519,17 +506,17 @@ fn main() {
         ("telemetry_off_ns_per_lookup", per_lookup_ns.to_json()),
         ("telemetry_on_ns_per_lookup", tel_lookup_ns.to_json()),
         // Cache gates: every cached run re-verified each hit against
-        // the authoritative route (`cache_verified`), the cache-off
-        // uniform replay matched the quiesced baseline byte for byte,
-        // and the Zipf(0.99) point supplies the hit-rate floor and the
+        // the authoritative route (`cache_verified`), every cache-off
+        // run matched the replay of its workload byte for byte, and
+        // the Zipf(0.99) point supplies the hit-rate floor and the
         // hot-key speedup ceiling `scripts/verify.sh` budgets.
         ("cache_verified", true.to_json()),
         ("cache_off_identity", cache_off_identity.to_json()),
         ("zipf_smoke_hit_rate", zipf_smoke_hit_rate.to_json()),
         ("cached_hot_p50_ratio", cached_hot_p50_ratio.to_json()),
-        // The quiesced block must stay the first `"hieras"` object in
-        // the file: CI extracts it by position to compare against
-        // `BENCH_replay.json`'s replayed summary byte for byte.
+        // The quiesced block must stay the first to carry a
+        // `median_ns_per_lookup`: the `live_budget_ns` gate reads it
+        // by position.
         (
             "quiesced",
             Json::obj([
@@ -547,14 +534,13 @@ fn main() {
         // Full-vs-incremental maintenance over the same deterministic
         // schedule: wall-clock publish profiles side by side. No
         // `hieras` key — the delta-identity assertion above already
-        // proved both runs' routing equal, and position-sensitive
-        // extraction must not see one.
+        // proved both runs' routing equal.
         ("maintenance_full", maint_full.maint.to_json()),
         ("maintenance_incremental", maint_incr.maint.to_json()),
         // Throughput baseline for the overhead gate: same free-running
         // scenario, telemetry off. No `hieras` key — its routing
-        // numbers are a concurrent race, the `live` row already has
-        // them, and position-sensitive extraction must not see it.
+        // numbers are a concurrent race and the `live` row already
+        // has them.
         (
             "live_baseline",
             Json::obj([
@@ -566,11 +552,9 @@ fn main() {
             ]),
         ),
         ("live_deterministic", live_json(&det, serve_spec, obs)),
+        // `live` must stay the last row with `timeseries_windows`:
+        // the window-density gate reads it by position.
         ("live", live_json(&live, serve_spec, obs)),
-        ("live_batched", live_json(&batched, serve_spec, obs)),
-        // The skew sweep rows carry their own `hieras` summaries, so
-        // they must trail everything the position-sensitive quiesced
-        // extraction could see.
         ("workload_sweep", Json::Arr(sweep_rows)),
     ]);
 

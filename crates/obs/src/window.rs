@@ -305,9 +305,9 @@ impl TelemetryShard {
     }
 
     /// Records one successful lookup and reports whether it would
-    /// enter the window's slow top-K — [`TelemetryShard::lookup`] and
-    /// [`TelemetryShard::slow_qualifies`] fused into a single window
-    /// roll, for the per-lookup hot path.
+    /// enter the window's slow top-K — the cheap pre-check before
+    /// [`TelemetryShard::admit_slow`]. Exact: the current top-K is
+    /// rank-sorted, so its last entry is the floor.
     #[inline]
     pub fn lookup_qualifies(&mut self, window: u64, latency_ms: u64) -> bool {
         self.roll(window);
@@ -316,23 +316,6 @@ impl TelemetryShard {
         self.k != 0
             && (self.cur_slow.len() < self.k
                 || latency_ms > self.cur_slow.last().expect("k > 0").latency_ms)
-    }
-
-    /// Records a batch of successful lookups that all completed in
-    /// `window`: one window roll for the whole batch instead of one
-    /// per lookup. Produces exactly the state `latencies_ms.len()`
-    /// calls to [`TelemetryShard::lookup`] would — the batched reader
-    /// path stays merge-identical to the single-lookup path.
-    #[inline]
-    pub fn lookup_bulk(&mut self, window: u64, latencies_ms: &[u64]) {
-        if latencies_ms.is_empty() {
-            return;
-        }
-        self.roll(window);
-        self.cur.lookups += latencies_ms.len() as u64;
-        for &ms in latencies_ms {
-            self.cur.latency.record(ms);
-        }
     }
 
     /// Records one failed lookup (counted, not observed into the
@@ -356,19 +339,6 @@ impl TelemetryShard {
         &mut self.cur.health
     }
 
-    /// Whether a lookup of `latency_ms` would enter `window`'s top-K —
-    /// the cheap pre-check before paying for a hop capture. Exact: the
-    /// current top-K is rank-sorted, so its last entry is the floor.
-    #[inline]
-    pub fn slow_qualifies(&mut self, window: u64, latency_ms: u64) -> bool {
-        if self.k == 0 {
-            return false;
-        }
-        self.roll(window);
-        self.cur_slow.len() < self.k
-            || latency_ms > self.cur_slow.last().expect("k > 0").latency_ms
-    }
-
     /// The open window's top-K admission floor: the latency of its
     /// K-th slowest entry, once the set is full (`None` until then).
     ///
@@ -383,7 +353,10 @@ impl TelemetryShard {
             .then(|| self.cur_slow.last().expect("k > 0").latency_ms)
     }
 
-    /// Admits a captured slow lookup into its window's top-K.
+    /// Admits a slow lookup into its window's top-K. A producer may
+    /// admit it with an empty `path` and fill the hop traces of the
+    /// entries that survive later, through
+    /// [`TelemetryShard::slow_mut`].
     pub fn admit_slow(&mut self, rec: SlowLookup) {
         if self.k == 0 {
             return;
@@ -392,6 +365,15 @@ impl TelemetryShard {
         self.cur_slow.push(rec);
         self.cur_slow.sort_by(slow_rank);
         self.cur_slow.truncate(self.k);
+    }
+
+    /// `window`'s flight-recorder entries held so far, for a producer
+    /// to complete in place. Rank ([`slow_rank`]) never reads `path`,
+    /// so filling it cannot reorder the top-K.
+    pub fn slow_mut(&mut self, window: u64) -> impl Iterator<Item = &mut SlowLookup> {
+        let open: &mut [SlowLookup] =
+            if self.started && self.cur_index == window { &mut self.cur_slow } else { &mut [] };
+        self.slow_done.get_mut(&window).into_iter().flatten().chain(open)
     }
 
     /// Folds another shard into this one. Window contents merge
@@ -745,8 +727,7 @@ mod tests {
     fn shard_merge_is_order_invariant() {
         let feed = |s: &mut TelemetryShard, obs: &[(u64, u64)]| {
             for &(w, ms) in obs {
-                s.lookup(w, ms);
-                if s.slow_qualifies(w, ms) {
+                if s.lookup_qualifies(w, ms) {
                     s.admit_slow(slow(w, ms, ms));
                 }
             }
@@ -782,8 +763,7 @@ mod tests {
         ];
         for (n, &(w, ms, seq)) in obs.iter().enumerate() {
             let s = &mut shards[n % 3];
-            s.lookup(w, ms);
-            if s.slow_qualifies(w, ms) {
+            if s.lookup_qualifies(w, ms) {
                 s.admit_slow(slow(w, ms, seq));
             }
         }
@@ -804,36 +784,52 @@ mod tests {
     }
 
     #[test]
-    fn bulk_lookups_match_single_lookups_exactly() {
-        let obs: Vec<(u64, u64)> = (0..60u64).map(|i| (i / 20, (i * 13) % 97)).collect();
-        let mut single = TelemetryShard::new(2);
-        let mut bulk = TelemetryShard::new(2);
-        for &(w, ms) in &obs {
-            single.lookup(w, ms);
-            if single.slow_qualifies(w, ms) {
-                single.admit_slow(slow(w, ms, ms));
-            }
-        }
-        for w in 0..3u64 {
-            let batch: Vec<u64> = obs.iter().filter(|o| o.0 == w).map(|o| o.1).collect();
-            bulk.lookup_bulk(w, &batch);
-            for &ms in &batch {
-                if bulk.slow_qualifies(w, ms) {
-                    bulk.admit_slow(slow(w, ms, ms));
+    fn path_less_admission_filled_through_slow_mut_equals_eager_capture() {
+        // (window, latency, seq) per shard; window 0 ends up flushed,
+        // window 1 stays open in shard `a`.
+        let feeds: [&[(u64, u64, u64)]; 2] =
+            [&[(0, 50, 1), (0, 70, 2), (0, 5, 3), (1, 10, 4)], &[(0, 60, 5), (1, 99, 6)]];
+        let shards = |eager: bool| {
+            feeds.map(|obs| {
+                let mut s = TelemetryShard::new(2);
+                for &(w, ms, seq) in obs {
+                    if s.lookup_qualifies(w, ms) {
+                        let mut rec = slow(w, ms, seq);
+                        if !eager {
+                            rec.path.clear();
+                        }
+                        s.admit_slow(rec);
+                    }
                 }
+                s
+            })
+        };
+        let fill = |s: &mut TelemetryShard, w: u64| {
+            let mut n = 0;
+            for rec in s.slow_mut(w) {
+                rec.path = slow(rec.window, rec.latency_ms, rec.seq).path;
+                n += 1;
             }
-        }
-        bulk.lookup_bulk(9, &[]); // empty batches touch nothing
-        let rs = single.into_report("sim", 10, None);
-        let rb = bulk.into_report("sim", 10, None);
-        assert_eq!(rs, rb, "bulk feed must be indistinguishable from singles");
+            n
+        };
+        let [mut a, b] = shards(false);
+        assert_eq!(fill(&mut a, 1), 1, "the open window's entries are reachable");
+        assert_eq!(fill(&mut a, 7), 0, "an untouched window has none");
+        let mut lazy = a.merged(b);
+        assert_eq!(fill(&mut lazy, 0), 2, "only the merged top-K is left to fill");
+        assert_eq!(fill(&mut lazy, 1), 2);
+        let [ea, eb] = shards(true);
+        assert_eq!(
+            lazy.into_report("sim", 10, None),
+            ea.merged(eb).into_report("sim", 10, None),
+            "filling survivors late must equal capturing every candidate early"
+        );
     }
 
     #[test]
     fn slow_k_zero_disables_the_recorder() {
         let mut s = TelemetryShard::new(0);
-        s.lookup(0, 1000);
-        assert!(!s.slow_qualifies(0, 1000));
+        assert!(!s.lookup_qualifies(0, 1000));
         s.admit_slow(slow(0, 1000, 1));
         assert!(s.into_report("sim", 10, None).slow.is_empty());
     }
@@ -896,9 +892,8 @@ mod tests {
     fn full_report_round_trips_through_json() {
         let mut s = TelemetryShard::new(2);
         s.lookup(0, 10);
-        s.lookup(0, 900);
         s.lookup_failed(0);
-        if s.slow_qualifies(0, 900) {
+        if s.lookup_qualifies(0, 900) {
             s.admit_slow(slow(0, 900, 7));
         }
         let spec = SloSpec { p99_ms: 1, max_failure_ppm: 1 };
@@ -913,8 +908,7 @@ mod tests {
     #[test]
     fn slow_trace_replays_spans_per_hop() {
         let mut s = TelemetryShard::new(1);
-        s.lookup(2, 30);
-        if s.slow_qualifies(2, 30) {
+        if s.lookup_qualifies(2, 30) {
             let mut rec = slow(2, 30, 0);
             rec.path = vec![
                 HopRecord { from: 0, to: 4, layer: 2, ms: 10 },

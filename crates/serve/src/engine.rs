@@ -7,26 +7,46 @@
 //! carries each rebuilt hierarchy from the maintenance thread to the
 //! readers without ever blocking a lookup.
 //!
-//! Three run modes, one lookup path:
+//! Every served lookup takes one path, whatever the mode:
 //!
-//! * [`ServeEngine::run_quiesced`] — no churn; the full membership at
-//!   epoch 0. Replays the *exact* workload stream `hieras-sim`'s
-//!   parallel replay uses (same seed derivation, same chunking), so
-//!   its routing metrics are byte-identical to `bench_replay`'s — the
+//! 1. **evaluator** — `ServeEngine::lookup`: probe the reader cache
+//!    (a no-op when disabled), else route + cost on the pinned
+//!    snapshot through `hieras-sim`'s shared
+//!    [`Experiment::eval_hieras_on`];
+//! 2. **recorder** — `ReaderAcc::record`: feed the telemetry window
+//!    and admit flight-recorder candidates *path-less*; the hop traces
+//!    of the entries that survive are captured once per batch
+//!    (`ServeEngine::close_batch`), before the snapshot they were
+//!    costed on is released;
+//! 3. **accumulator** — `ReaderAcc`, folded with one
+//!    `ReaderAcc::merged` across executor chunks, rounds and reader
+//!    threads alike.
+//!
+//! What differs between the modes is who drives that step and which
+//! clock cuts the telemetry windows:
+//!
+//! * [`ServeEngine::run_quiesced`] / [`ServeEngine::run_quiesced_workload`]
+//!   — no churn; the full membership at epoch 0, one executor fold
+//!   over an explicit [`Workload`]. On the uniform replay stream its
+//!   routing metrics are byte-identical to `hieras-sim`'s replay — the
 //!   CI identity that proves the snapshot path is faithful.
-//! * [`ServeEngine::run_deterministic`] — lock-step arbitration: each
-//!   round serves a fixed quota of lookups against the pinned snapshot
-//!   via the deterministic executor (chunk-ordered merge), then the
-//!   maintainer applies one event batch and publishes. Metrics are
-//!   bit-identical at any executor width — 1, 2, or 8 "readers".
-//! * [`ServeEngine::run_live`] — free-running: real reader threads
-//!   refresh/lookup as fast as they can while the maintenance thread
-//!   (this thread) churns and publishes at full rate. Wall-clock
-//!   throughput and reclaim lag are real; routing metrics depend on
+//! * [`ServeEngine::run_deterministic`] — the executor drives, in lock
+//!   step: each round folds a fixed quota of lookups against the
+//!   pinned snapshot (chunk-ordered merge), then the maintainer
+//!   applies one event batch and publishes. Windows follow the sim
+//!   clock; everything is bit-identical at any executor width.
+//! * [`ServeEngine::run_live`] — reader threads drive, free-running,
+//!   one refresh batch at a time, while the maintenance thread (this
+//!   thread) churns and publishes. Windows follow the wall clock;
+//!   throughput and reclaim lag are real, routing metrics depend on
 //!   the race and are reported, not asserted.
+//!
+//! The two churning modes share one set-up and tear-down
+//! (`ServeEngine::start` / `ServeEngine::finish`) and one
+//! maintenance round (`ServeEngine::maintain`).
 
 use crate::cache::{CacheConfig, CacheStats, LookupCache};
-use crate::epoch::{epoch_pair, EpochStats, Publisher};
+use crate::epoch::{epoch_pair, EpochHandle, EpochStats, Publisher, Reader};
 use crate::snapshot::ServeSnapshot;
 use crate::telemetry::{MaintStats, TelemetryConfig};
 use hieras_chord::PathBuf;
@@ -39,6 +59,7 @@ use hieras_sim::{
     ChurnConfig, Experiment, Metrics, Sample, SkewParams, Workload, WorkloadModel, HOT_RANK_MAX,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// Knobs of one serving run.
@@ -81,12 +102,9 @@ pub struct ServeConfig {
     /// rebuild. `0.0` disables the delta path entirely, `1.0` never
     /// falls back.
     pub delta_max_ring_fraction: f64,
-    /// Free-running readers serve lookups in epoch-pinned batches of
-    /// `refresh_batch`: telemetry feeds the window shard in bulk and
-    /// slow-lookup qualification runs once per batch after the routing
-    /// work, instead of interleaving per lookup. The reported metrics
-    /// and flight-recorder top-K are identical either way; only the
-    /// per-lookup overhead moves.
+    /// Inert: the batched reader fork it selected is gone (DESIGN.md
+    /// removal log). The field stays only because the frozen
+    /// `benchmark/src/spec.rs` names every field of this struct.
     pub batched: bool,
     /// Free-running maintainer pacing, in sim-milliseconds of schedule
     /// time per wall-millisecond. At `0.0` the maintainer replays
@@ -99,11 +117,11 @@ pub struct ServeConfig {
     pub pace: f64,
     /// Reader-side hot-key result cache ([`crate::cache`]). Disabled
     /// by default; with the cache off every serving path is
-    /// byte-identical to the pre-cache engine. In the deterministic
-    /// modes the cache lives in the executor-chunk accumulator (fresh
-    /// per chunk — bit-identical at any width); free-running readers
-    /// each keep one across their whole run, invalidated wholesale on
-    /// every epoch adoption.
+    /// byte-identical to the pre-cache engine. In the executor-driven
+    /// modes the cache lives in the chunk accumulator (fresh per chunk
+    /// — bit-identical at any width); free-running readers each keep
+    /// one across their whole run, invalidated wholesale on every
+    /// epoch adoption.
     pub cache: CacheConfig,
     /// Draw model of the serving request streams. `Uniform` keeps the
     /// historical derivation bit-exactly; `Skew` draws Zipf-popular
@@ -115,8 +133,8 @@ pub struct ServeConfig {
     pub workload: WorkloadModel,
 }
 
-/// A quiesced replay of one explicit [`Workload`] — the measurement
-/// unit of the skew/caching sweep.
+/// A quiesced replay of one explicit [`Workload`]: full membership,
+/// epoch 0, no maintenance.
 #[derive(Debug, Clone)]
 pub struct WorkloadReport {
     /// HIERAS routing metrics over every request.
@@ -138,21 +156,15 @@ pub struct WorkloadReport {
     /// request identically iff these match — the per-request
     /// correctness identity the cache tests and CI assert.
     pub owner_digest: u64,
-}
-
-/// The quiesced baseline: full membership, epoch 0, no maintenance.
-#[derive(Debug, Clone)]
-pub struct QuiescedReport {
-    /// HIERAS routing metrics over the replayed workload.
-    pub metrics: Metrics,
-    /// Lookups served.
-    pub lookups: u64,
-    /// Wall-clock duration of the replay, ns.
-    pub wall_ns: u64,
     /// Windowed telemetry (one sim window — quiesced time never
-    /// advances), when `cfg.telemetry.enabled`.
+    /// advances) from [`ServeEngine::run_quiesced`] with
+    /// `cfg.telemetry.enabled`; `None` otherwise.
     pub timeseries: Option<TimeSeriesReport>,
 }
+
+/// The report of [`ServeEngine::run_quiesced`] — the same type as any
+/// other quiesced replay's.
+pub type QuiescedReport = WorkloadReport;
 
 /// What a live (churning) run did and measured.
 #[derive(Debug, Clone)]
@@ -193,37 +205,20 @@ impl LiveReport {
     }
 }
 
-/// Maintenance-side telemetry state, one per run: the window clock,
-/// the health shard the maintainer publishes gauges into, and the
-/// wall-clock [`MaintStats`] every mode reports.
-struct MaintCtx {
-    enabled: bool,
-    /// Wall windows (free-running) vs sim windows (deterministic).
+/// The clock that cuts a churning run's telemetry windows: the
+/// replay's sim clock (deterministic) or wall time since the run
+/// started (free-running). `Copy`, so reader threads cut windows on
+/// the very clock the maintainer does and both sides' health lands in
+/// the same windows.
+#[derive(Clone, Copy)]
+struct WindowClock {
     wall: bool,
-    window_ms: u64,
     t0: Instant,
-    /// Publish time of the current snapshot on the window clock, ms —
-    /// the baseline of the snapshot-age gauge.
-    last_pub_ms: u64,
-    shard: TelemetryShard,
-    stats: MaintStats,
+    window_ms: u64,
 }
 
-impl MaintCtx {
-    fn new(tel: TelemetryConfig, wall: bool) -> Self {
-        MaintCtx {
-            enabled: tel.enabled,
-            wall,
-            window_ms: if wall { tel.wall_window_ms } else { tel.window_ms }.max(1),
-            t0: Instant::now(),
-            last_pub_ms: 0,
-            shard: TelemetryShard::new(tel.slow_k),
-            stats: MaintStats::default(),
-        }
-    }
-
-    /// Now on the window clock: wall ms since the run started, or the
-    /// replay's sim clock.
+impl WindowClock {
+    /// Now, given the replay's sim time (ignored on the wall clock).
     fn now_ms(&self, sim_now: u64) -> u64 {
         if self.wall {
             self.t0.elapsed().as_millis() as u64
@@ -231,35 +226,138 @@ impl MaintCtx {
             sim_now
         }
     }
+
+    fn window(&self, sim_now: u64) -> u64 {
+        self.now_ms(sim_now) / self.window_ms
+    }
 }
 
-/// Maintainer-private rebuild state, one per churning run: the oracle
-/// of the latest published snapshot (the base every delta applies
-/// onto), the arena recycling pool, and the per-batch delta scratch.
-struct MaintState {
-    /// The published hierarchy — shares its ring `Arc`s with the
-    /// snapshot readers hold, so a delta copies only touched rings.
+/// The telemetry window a reader is recording into, plus the window's
+/// capture-pruning floor: the largest [`TelemetryShard::slow_floor`]
+/// any shard of the **same window** has published. A lookup strictly
+/// below it is outranked by ≥ K same-window lookups, so it skips
+/// flight-recorder admission. Relaxed and racy by design — a stale
+/// floor only readmits work, never drops a qualifying lookup, and the
+/// final union-truncate merge keeps the reported top-K exact at any
+/// thread count.
+struct Window {
+    /// Telemetry enabled — off, recording is one predictable branch.
+    on: bool,
+    index: u64,
+    floor: AtomicU64,
+}
+
+impl Window {
+    fn new(on: bool) -> Self {
+        Window { on, index: 0, floor: AtomicU64::new(0) }
+    }
+
+    /// Moves to window `index`; a change starts a fresh floor.
+    fn enter(&mut self, index: u64) {
+        if index != self.index {
+            self.index = index;
+            *self.floor.get_mut() = 0;
+        }
+    }
+}
+
+/// Everything a reader accumulates while serving — one per executor
+/// chunk in the folded modes, one per thread free-running — merged by
+/// the one [`ReaderAcc::merged`] across chunks, rounds and readers.
+struct ReaderAcc {
+    metrics: Metrics,
+    /// Hot-key-subset metrics (quiesced workloads only).
+    hot: Metrics,
+    /// Path scratch of the allocation-free route; dropped at merge
+    /// time, so it cannot influence any result.
+    scratch: PathBuf,
+    shard: TelemetryShard,
+    /// Chunk-fresh in the folded modes (the cache state a lookup sees
+    /// is a function of its chunk alone, so the fold is bit-identical
+    /// at any width); one persistent cache per free-running reader.
+    cache: LookupCache,
+    /// Chain over answered owners (quiesced workloads only).
+    owner_digest: u64,
+}
+
+impl ReaderAcc {
+    fn new(cfg: &ServeConfig) -> Self {
+        ReaderAcc {
+            metrics: Metrics::default(),
+            hot: Metrics::default(),
+            scratch: PathBuf::new(),
+            shard: TelemetryShard::new(cfg.telemetry.slow_k),
+            cache: LookupCache::new(cfg.cache),
+            owner_digest: 0,
+        }
+    }
+
+    fn merged(mut self, o: ReaderAcc) -> ReaderAcc {
+        self.cache.stats = self.cache.stats.merged(o.cache.stats);
+        ReaderAcc {
+            metrics: self.metrics.merged(o.metrics),
+            hot: self.hot.merged(o.hot),
+            scratch: self.scratch,
+            shard: self.shard.merged(o.shard),
+            cache: self.cache,
+            owner_digest: splitmix64(self.owner_digest ^ o.owner_digest),
+        }
+    }
+
+    /// The one telemetry recorder: counts the lookup into `win` and,
+    /// if it ranks among the window's slowest, admits it to the flight
+    /// recorder **path-less** ([`ServeEngine::close_batch`] captures
+    /// the hop traces of the survivors). A cache hit's latency is a
+    /// direct hop, not a routed path, so hits are recorded but never
+    /// admitted — a re-routed path would not reconcile with it.
+    #[inline]
+    fn record(&mut self, win: &Window, src: u32, key: Key, latency_ms: u64, seq: u64, hit: bool) {
+        if hit || latency_ms < win.floor.load(Ordering::Relaxed) {
+            self.shard.lookup(win.index, latency_ms);
+        } else if self.shard.lookup_qualifies(win.index, latency_ms) {
+            self.shard.admit_slow(SlowLookup {
+                window: win.index,
+                latency_ms,
+                src,
+                key: key.0,
+                seq,
+                path: Vec::new(),
+            });
+            if let Some(f) = self.shard.slow_floor() {
+                win.floor.fetch_max(f, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// The state one churning run threads from [`ServeEngine::start`]
+/// through its maintenance rounds to [`ServeEngine::finish`].
+struct ChurnRun {
+    /// Executor of the maintainer's rebuilds.
+    exec: Executor,
+    turnover: f64,
+    replay: MembershipReplay,
+    /// The maintainer's private ring orders, which re-binning mutates.
+    orders: Vec<LandmarkOrder>,
+    pb: Publisher<ServeSnapshot>,
+    reg: Registry,
+    /// Maintenance rounds run so far.
+    round: u64,
+    /// The published hierarchy — the base every delta applies onto. It
+    /// shares its ring `Arc`s with the snapshot readers hold, so a
+    /// delta copies only touched rings.
     cur: HierasOracle,
     pool: RingArenaPool,
     joined: Vec<u32>,
     departed: Vec<u32>,
     rebinned: Vec<u32>,
-}
-
-impl MaintState {
-    /// Retired arenas a maintainer plausibly holds between epochs:
-    /// a few rings per layer, three buffers each.
-    const POOL_CAP: usize = 64;
-
-    fn new(cur: HierasOracle) -> Self {
-        MaintState {
-            cur,
-            pool: RingArenaPool::new(Self::POOL_CAP),
-            joined: Vec::new(),
-            departed: Vec::new(),
-            rebinned: Vec::new(),
-        }
-    }
+    clock: WindowClock,
+    /// Publish time of the current snapshot on the window clock, ms —
+    /// the baseline of the snapshot-age gauge.
+    last_pub_ms: u64,
+    /// The health shard the maintainer publishes gauges into.
+    shard: TelemetryShard,
+    stats: MaintStats,
 }
 
 /// The serving engine over one experiment's world.
@@ -270,11 +368,9 @@ pub struct ServeEngine<'a> {
 }
 
 impl<'a> ServeEngine<'a> {
-    /// Requests per executor chunk. Matches the replay fold in
-    /// `hieras-sim` (`Experiment::run_requests_on`) — the chunking
-    /// defines the metric merge order, and the quiesced mode's
-    /// byte-identity with `bench_replay` depends on it.
-    const CHUNK: usize = 256;
+    /// Retired arenas a maintainer plausibly holds between epochs:
+    /// a few rings per layer, three buffers each.
+    const POOL_CAP: usize = 64;
 
     /// Creates the engine.
     ///
@@ -308,51 +404,23 @@ impl<'a> ServeEngine<'a> {
         &self.cfg
     }
 
-    /// One HIERAS lookup against a snapshot, allocation-free, costed
-    /// with the experiment's latency oracle — the exact evaluation the
-    /// replay bench performs, so quiesced metrics reconcile.
-    fn eval(&self, snap: &ServeSnapshot, src: u32, key: Key, scratch: &mut PathBuf) -> Sample {
-        self.eval_owner(snap, src, key, scratch).0
-    }
-
-    /// [`Self::eval`] plus the key's owner — the answer the cache
-    /// learns.
-    fn eval_owner(
-        &self,
-        snap: &ServeSnapshot,
-        src: u32,
-        key: Key,
-        scratch: &mut PathBuf,
-    ) -> (Sample, u32) {
-        let c = snap.oracle.eval(src, key, scratch, |a, b| self.exp.peer_latency(a, b));
-        #[allow(clippy::cast_possible_truncation)] // ms sums fit u32 (replay invariant)
-        let s = Sample {
-            hops: c.hops,
-            lower_hops: c.lower_hops,
-            latency_ms: c.latency_ms as u32,
-            lower_latency_ms: c.lower_latency_ms as u32,
-        };
-        (s, c.destination)
-    }
-
-    /// The cached lookup path. A probe hit answers with the cached
+    /// The one evaluator. A cache probe hit answers with the cached
     /// owner — one direct hop, costed with the same latency oracle
     /// (shortest-path RTTs, so never dearer than the routed path); a
-    /// miss routes normally and offers the learned owner to the
-    /// cache's admission policy. Entries bind to `snap.checksum`, so
-    /// an epoch advance invalidates them wholesale before any probe;
-    /// in [`CacheConfig::verify`] mode every hit is re-routed and the
+    /// miss, or a disabled cache, routes on the snapshot through the
+    /// evaluation the replay bench performs
+    /// ([`Experiment::eval_hieras_on`] — which is why quiesced metrics
+    /// reconcile) and offers the learned owner to the cache's
+    /// admission policy. Entries bind to `snap.checksum`, so an epoch
+    /// advance invalidates them wholesale before any probe; in
+    /// [`CacheConfig::verify`] mode every hit is re-routed and the
     /// cached owner (and its lowest-layer ring) asserted against the
     /// authoritative answer.
     ///
-    /// With the cache disabled this is exactly [`Self::eval_owner`] —
-    /// the byte-identity the cache-off CI gates rest on. The third
-    /// element flags a cache hit: a hit's latency is the direct hop,
-    /// not a routed path, so callers keep hits out of the
-    /// flight-recorder capture (whose hop traces must reconcile with
-    /// the recorded latency).
+    /// Returns the sample, the key's owner, and whether the cache
+    /// answered.
     #[inline]
-    fn eval_cached(
+    fn lookup(
         &self,
         snap: &ServeSnapshot,
         src: u32,
@@ -360,34 +428,123 @@ impl<'a> ServeEngine<'a> {
         scratch: &mut PathBuf,
         cache: &mut LookupCache,
     ) -> (Sample, u32, bool) {
-        if !cache.enabled() {
-            let (s, owner) = self.eval_owner(snap, src, key, scratch);
-            return (s, owner, false);
-        }
-        cache.bind(snap.checksum);
-        if let Some((owner, ring)) = cache.get(key.0) {
-            if cache.verify() {
-                let (_, routed) = self.eval_owner(snap, src, key, scratch);
-                assert_eq!(routed, owner, "stale cache hit: owner diverged from the route");
-                assert_eq!(
-                    snap.owner_ring(owner),
-                    ring,
-                    "stale cache hit: owner ring diverged from the snapshot"
-                );
+        let cached = if cache.enabled() {
+            cache.bind(snap.checksum);
+            cache.get(key.0)
+        } else {
+            None
+        };
+        let Some((owner, ring)) = cached else {
+            let (s, owner) = self.exp.eval_hieras_on(&snap.oracle, src, key, scratch);
+            if cache.enabled() {
+                cache.insert(key.0, owner, snap.owner_ring(owner));
             }
-            let latency_ms =
-                if src == owner { 0 } else { u32::from(self.exp.peer_latency(src, owner)) };
-            let s = Sample {
-                hops: u32::from(src != owner),
-                lower_hops: 0,
-                latency_ms,
-                lower_latency_ms: 0,
-            };
-            return (s, owner, true);
+            return (s, owner, false);
+        };
+        if cache.verify() {
+            let routed = snap.oracle.route_with(src, key, scratch, |_, _, _| {});
+            assert_eq!(routed, owner, "stale cache hit: owner diverged from the route");
+            assert_eq!(
+                snap.owner_ring(owner),
+                ring,
+                "stale cache hit: owner ring diverged from the snapshot"
+            );
         }
-        let (s, owner) = self.eval_owner(snap, src, key, scratch);
-        cache.insert(key.0, owner, snap.owner_ring(owner));
-        (s, owner, false)
+        let latency_ms =
+            if src == owner { 0 } else { u32::from(self.exp.peer_latency(src, owner)) };
+        let s = Sample {
+            hops: u32::from(src != owner),
+            lower_hops: 0,
+            latency_ms,
+            lower_latency_ms: 0,
+        };
+        (s, owner, true)
+    }
+
+    /// The reader step every mode runs per lookup: evaluate, record
+    /// (`seq` is the flight recorder's tie-break), accumulate. Returns
+    /// the sample and the answered owner.
+    #[inline]
+    fn serve(
+        &self,
+        snap: &ServeSnapshot,
+        acc: &mut ReaderAcc,
+        win: &Window,
+        src: u32,
+        key: Key,
+        seq: u64,
+    ) -> (Sample, u32) {
+        let (s, owner, hit) = self.lookup(snap, src, key, &mut acc.scratch, &mut acc.cache);
+        if win.on {
+            acc.record(win, src, key, u64::from(s.latency_ms), seq, hit);
+        }
+        acc.metrics.record(s);
+        (s, owner)
+    }
+
+    /// Closes a batch of lookups served against `snap` in `win`, while
+    /// `snap` is still pinned: captures the hop traces of the batch's
+    /// flight-recorder entries (`seq >= since`) that are still in the
+    /// window's top-K, and publishes the batch's cache probes (the
+    /// counters' growth over `before`) into the window's health.
+    ///
+    /// The capture re-routes through the same `route_with` core the
+    /// evaluator costs through, and a path is a pure function of
+    /// (snapshot, source, key), so each captured path's summed link
+    /// milliseconds equal the lookup's recorded latency exactly — the
+    /// reconciliation the telemetry identity tests assert.
+    fn close_batch(
+        &self,
+        snap: &ServeSnapshot,
+        acc: &mut ReaderAcc,
+        win: &Window,
+        since: u64,
+        before: CacheStats,
+    ) {
+        if !win.on {
+            return;
+        }
+        for rec in acc.shard.slow_mut(win.index).filter(|r| r.seq >= since) {
+            let path = &mut rec.path;
+            let _owner =
+                snap.oracle.route_with(rec.src, Id(rec.key), &mut acc.scratch, |from, to, layer| {
+                    path.push(HopRecord { from, to, layer, ms: self.exp.peer_latency(from, to) });
+                });
+        }
+        if acc.cache.enabled() {
+            let now = acc.cache.stats;
+            let h = acc.shard.health(win.index);
+            h.inc_by(names::SERVE_CACHE_WINDOW_HITS, now.hits - before.hits);
+            h.inc_by(
+                names::SERVE_CACHE_WINDOW_LOOKUPS,
+                (now.hits + now.misses) - (before.hits + before.misses),
+            );
+        }
+    }
+
+    /// A churning reader's refresh: adopts the newest snapshot
+    /// (checksum-verified against its epoch), observes how stale the
+    /// pinned one is, and enters telemetry window `index`.
+    ///
+    /// # Panics
+    /// Panics if the adopted snapshot fails its epoch checksum — the
+    /// torn-read invariant.
+    fn pin(
+        &self,
+        rd: &mut Reader<ServeSnapshot>,
+        reg: &mut Registry,
+        acc: &mut ReaderAcc,
+        win: &mut Window,
+        index: u64,
+    ) {
+        if let Some(e) = rd.refresh() {
+            assert!(rd.snapshot().value.verify(e), "torn snapshot adopted at epoch {e}");
+        }
+        reg.observe(names::SERVE_STALE_EPOCHS, rd.lag());
+        win.enter(index);
+        if win.on {
+            acc.shard.health(index).gauge_set(names::SERVE_EPOCH_READER_LAG, rd.lag() as i64);
+        }
     }
 
     /// The skewed serving workload over `live_len` live peers, or
@@ -427,115 +584,8 @@ impl<'a> ServeEngine<'a> {
         }
     }
 
-    /// Re-routes a lookup that qualified for the flight recorder,
-    /// capturing every hop with its link latency. The hop visitor is
-    /// the same `route_with` core `eval` costs through, so the
-    /// captured path's summed link milliseconds equal the lookup's
-    /// recorded latency exactly — the reconciliation the telemetry
-    /// identity tests assert.
-    fn capture(
-        &self,
-        snap: &ServeSnapshot,
-        src: u32,
-        key: Key,
-        scratch: &mut PathBuf,
-        window: u64,
-        latency_ms: u64,
-        seq: u64,
-    ) -> SlowLookup {
-        let mut path = Vec::new();
-        let _owner = snap.oracle.route_with(src, key, scratch, |from, to, layer| {
-            path.push(HopRecord { from, to, layer, ms: self.exp.peer_latency(from, to) });
-        });
-        SlowLookup { window, latency_ms, src, key: key.0, seq, path }
-    }
-
-    /// Records one served lookup into `shard` (and its hop trace, if
-    /// it ranks among the window's slowest). A no-op unless telemetry
-    /// is enabled — and even then it never touches the routing
-    /// metrics.
-    ///
-    /// `floor` is a capture-pruning hint shared by every shard of the
-    /// **same window** (callers reset it on a window change): the
-    /// largest [`TelemetryShard::slow_floor`] any of them has
-    /// published. A lookup strictly below it is outranked by ≥ K
-    /// same-window lookups, so it skips the hop-capture re-route and
-    /// takes the cheap record path. Relaxed and racy by design — a
-    /// stale floor only readmits work, never drops a qualifying
-    /// lookup, and the final union-truncate merge keeps the reported
-    /// top-K exact at any thread count.
-    #[allow(clippy::too_many_arguments)] // the full lookup identity
-    #[inline]
-    fn telemetry_lookup(
-        &self,
-        shard: &mut TelemetryShard,
-        snap: &ServeSnapshot,
-        src: u32,
-        key: Key,
-        scratch: &mut PathBuf,
-        window: u64,
-        latency_ms: u64,
-        seq: u64,
-        floor: &AtomicU64,
-    ) {
-        if !self.cfg.telemetry.enabled {
-            return;
-        }
-        if latency_ms < floor.load(Ordering::Relaxed) {
-            shard.lookup(window, latency_ms);
-            return;
-        }
-        if shard.lookup_qualifies(window, latency_ms) {
-            shard.admit_slow(self.capture(snap, src, key, scratch, window, latency_ms, seq));
-            if let Some(f) = shard.slow_floor() {
-                floor.fetch_max(f, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// [`Self::telemetry_lookup`] with the hop capture deferred: a
-    /// qualifying lookup is admitted with an *empty* path, and the
-    /// caller re-routes only the entries that survive the final top-K
-    /// merge — off the timed path. Valid whenever the serving snapshot
-    /// outlives the whole fold (the quiesced mode), so the deferred
-    /// re-route still walks the exact snapshot the lookup was costed
-    /// against.
-    #[inline]
-    fn telemetry_lookup_deferred(
-        &self,
-        shard: &mut TelemetryShard,
-        src: u32,
-        key: Key,
-        window: u64,
-        latency_ms: u64,
-        seq: u64,
-        floor: &AtomicU64,
-    ) {
-        if !self.cfg.telemetry.enabled {
-            return;
-        }
-        if latency_ms < floor.load(Ordering::Relaxed) {
-            shard.lookup(window, latency_ms);
-            return;
-        }
-        if shard.lookup_qualifies(window, latency_ms) {
-            shard.admit_slow(SlowLookup {
-                window,
-                latency_ms,
-                src,
-                key: key.0,
-                seq,
-                path: Vec::new(),
-            });
-            if let Some(f) = shard.slow_floor() {
-                floor.fetch_max(f, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Builds the snapshot of `epoch` over `members` with the given
-    /// ring orders (the maintainer's private copy, which re-binning
-    /// mutates).
+    /// ring orders.
     fn snapshot(
         &self,
         exec: &Executor,
@@ -598,46 +648,36 @@ impl<'a> ServeEngine<'a> {
     ///
     /// When the batch touches at most `delta_max_ring_fraction` of the
     /// hierarchy's rings, the rebuild applies the recorded membership
-    /// delta onto `st.cur` — structurally sharing every untouched ring
-    /// with the previous epoch and recycling retired arenas through
-    /// `st.pool` — and falls back to a full rebuild otherwise. Both
-    /// paths produce byte-identical snapshots (the CI-gated delta
-    /// identity), so the choice is purely a cost decision.
+    /// delta onto `run.cur` — structurally sharing every untouched
+    /// ring with the previous epoch and recycling retired arenas
+    /// through `run.pool` — and falls back to a full rebuild
+    /// otherwise. Both paths produce byte-identical snapshots (the
+    /// CI-gated delta identity), so the choice is purely a cost
+    /// decision.
     ///
-    /// `ctx` collects the round's telemetry: wall-clock phase
-    /// durations always flow into [`MaintStats`]; when telemetry is
-    /// enabled the round also publishes `serve.epoch.*` health
-    /// counters and gauges into its window (and, on the wall clock
-    /// only, the duration histograms — wall values never enter sim
-    /// windows, which must stay deterministic).
-    #[allow(clippy::too_many_arguments)] // the full maintenance round state
-    fn maintain(
-        &self,
-        exec: &Executor,
-        round: u64,
-        replay: &mut MembershipReplay,
-        orders: &mut [LandmarkOrder],
-        st: &mut MaintState,
-        pb: &mut Publisher<ServeSnapshot>,
-        reg: &mut Registry,
-        ctx: &mut MaintCtx,
-    ) -> bool {
-        ctx.stats.rounds += 1;
-        let delta = replay.apply_next_recording(
+    /// Wall-clock phase durations always flow into [`MaintStats`];
+    /// when telemetry is enabled the round also publishes
+    /// `serve.epoch.*` health counters and gauges into its window
+    /// (and, on the wall clock only, the duration histograms — wall
+    /// values never enter sim windows, which must stay deterministic).
+    fn maintain(&self, run: &mut ChurnRun) -> bool {
+        run.round += 1;
+        run.stats.rounds += 1;
+        let delta = run.replay.apply_next_recording(
             self.cfg.events_per_epoch,
-            &mut st.joined,
-            &mut st.departed,
+            &mut run.joined,
+            &mut run.departed,
         );
         let mut rebin_us = 0u64;
-        st.rebinned.clear();
-        let rebinned = if self.cfg.rebin_every > 0 && round % self.cfg.rebin_every == 0 {
+        run.rebinned.clear();
+        let rebinned = if self.cfg.rebin_every > 0 && run.round % self.cfg.rebin_every == 0 {
             let tr = Instant::now();
-            let changed =
-                self.rebin(round, &replay.live_members(), orders, &mut st.rebinned);
+            let live = run.replay.live_members();
+            let changed = self.rebin(run.round, &live, &mut run.orders, &mut run.rebinned);
             rebin_us = tr.elapsed().as_micros() as u64;
-            ctx.stats.rebin_rounds += 1;
-            ctx.stats.rebinned_peers += changed;
-            ctx.stats.rebin_us.record(rebin_us);
+            run.stats.rebin_rounds += 1;
+            run.stats.rebinned_peers += changed;
+            run.stats.rebin_us.record(rebin_us);
             changed
         } else {
             0
@@ -650,14 +690,14 @@ impl<'a> ServeEngine<'a> {
             // A peer that joined this very batch is not a member of the
             // base hierarchy yet — its (possibly re-binned) order rides
             // in with the join, not as a re-bin.
-            st.rebinned.retain(|m| !st.joined.contains(m));
-            let members = replay.live_members();
-            let next = pb.published_epoch() + 1;
+            run.rebinned.retain(|m| !run.joined.contains(m));
+            let members = run.replay.live_members();
+            let next = run.pb.published_epoch() + 1;
             let tp = Instant::now();
             let hdelta = HierasDelta {
-                joined: &st.joined,
-                departed: &st.departed,
-                rebinned: &st.rebinned,
+                joined: &run.joined,
+                departed: &run.departed,
+                rebinned: &run.rebinned,
             };
             // Note: the touched fraction can exceed 1.0 — born rings
             // count as touched but not as existing — so 1.0 is handled
@@ -665,52 +705,47 @@ impl<'a> ServeEngine<'a> {
             let frac = self.cfg.delta_max_ring_fraction;
             used_delta = frac >= 1.0
                 || (frac > 0.0
-                    && st.cur.delta_touch_stats(&hdelta, orders).fraction() <= frac);
+                    && run.cur.delta_touch_stats(&hdelta, &run.orders).fraction() <= frac);
             let oracle = if used_delta {
-                st.cur
-                    .apply_delta_on(exec, &hdelta, orders, &mut st.pool)
+                run.cur
+                    .apply_delta_on(&run.exec, &hdelta, &run.orders, &mut run.pool)
                     .expect("a recorded churn delta over the live membership is valid")
             } else {
                 self.exp
-                    .subset_hieras_on(exec, &members, Some(orders), None)
+                    .subset_hieras_on(&run.exec, &members, Some(&run.orders), None)
                     .expect("live membership is a valid non-empty subset")
             };
             let snap = ServeSnapshot::new(next, oracle.clone(), members.into());
             rebuild_us = tp.elapsed().as_micros() as u64;
-            pb.publish(snap);
+            run.pb.publish(snap);
             publish_us = tp.elapsed().as_micros() as u64;
-            st.cur = oracle;
+            run.cur = oracle;
             // Chained off the timed path: proves, run against run, that
             // the delta and full paths publish byte-identical state.
-            ctx.stats.snapshot_digest =
-                splitmix64(ctx.stats.snapshot_digest ^ st.cur.hierarchy_digest());
-            ctx.stats.rebuilds += 1;
+            run.stats.snapshot_digest =
+                splitmix64(run.stats.snapshot_digest ^ run.cur.hierarchy_digest());
+            run.stats.rebuilds += 1;
             if used_delta {
-                ctx.stats.delta_rebuilds += 1;
+                run.stats.delta_rebuilds += 1;
             } else {
-                ctx.stats.full_rebuilds += 1;
+                run.stats.full_rebuilds += 1;
             }
-            ctx.stats.rebuild_us.record(rebuild_us);
-            ctx.stats.publish_us.record(publish_us);
-            ctx.stats.publish_samples.push(publish_us);
-            reg.inc(names::SERVE_EPOCHS_PUBLISHED);
-            reg.inc_by(names::SERVE_JOINS, u64::from(delta.joins));
-            reg.inc_by(names::SERVE_LEAVES, u64::from(delta.leaves));
-            reg.inc_by(names::SERVE_FAILS, u64::from(delta.fails));
-            reg.inc_by(names::SERVE_REBINNED, rebinned);
+            run.stats.rebuild_us.record(rebuild_us);
+            run.stats.publish_us.record(publish_us);
+            run.stats.publish_samples.push(publish_us);
+            run.reg.inc(names::SERVE_EPOCHS_PUBLISHED);
+            run.reg.inc_by(names::SERVE_JOINS, u64::from(delta.joins));
+            run.reg.inc_by(names::SERVE_LEAVES, u64::from(delta.leaves));
+            run.reg.inc_by(names::SERVE_FAILS, u64::from(delta.fails));
+            run.reg.inc_by(names::SERVE_REBINNED, rebinned);
         }
-        // Salvage retired snapshots this publisher solely owns back
-        // into the arena pool — the next delta builds from them.
-        let pool = &mut st.pool;
-        let freed = pb.reclaim_with(|snap| snap.oracle.recycle_into(pool));
-        reg.inc_by(names::SERVE_SNAPSHOTS_RECLAIMED, freed as u64);
-        if ctx.enabled {
-            let now = ctx.now_ms(replay.now_ms());
-            let win = now / ctx.window_ms;
-            let wall = ctx.wall;
-            let age = now.saturating_sub(ctx.last_pub_ms);
-            let backlog = pb.stats().retired;
-            let h = ctx.shard.health(win);
+        self.reclaim(run);
+        if self.cfg.telemetry.enabled {
+            let now = run.clock.now_ms(run.replay.now_ms());
+            let wall = run.clock.wall;
+            let age = now.saturating_sub(run.last_pub_ms);
+            let backlog = run.pb.stats().retired;
+            let h = run.shard.health(now / run.clock.window_ms);
             h.inc_by(names::SERVE_EPOCH_JOINS, u64::from(delta.joins));
             h.inc_by(names::SERVE_EPOCH_LEAVES, u64::from(delta.leaves));
             h.inc_by(names::SERVE_EPOCH_FAILS, u64::from(delta.fails));
@@ -729,7 +764,7 @@ impl<'a> ServeEngine<'a> {
                     h.observe(names::SERVE_EPOCH_PUBLISH_US, publish_us);
                     h.observe(names::SERVE_EPOCH_REBUILD_US, rebuild_us);
                 }
-                ctx.last_pub_ms = now;
+                run.last_pub_ms = now;
             }
             if wall && rebin_us > 0 {
                 h.observe(names::SERVE_EPOCH_REBIN_US, rebin_us);
@@ -738,37 +773,107 @@ impl<'a> ServeEngine<'a> {
         delta.done
     }
 
-    /// Publishes the run's arena-recycling counters into `reg`
-    /// (`serve.epoch.arena_reuse.*`) and folds them into the
-    /// maintenance profile — called once per churning run, after the
-    /// maintainer loop drains.
-    fn finish_maint(&self, st: &MaintState, reg: &mut Registry, ctx: &mut MaintCtx) {
-        let ps = st.pool.stats();
-        ctx.stats.arena = ps;
-        reg.inc_by(names::SERVE_EPOCH_ARENA_REUSED, ps.reused);
-        reg.inc_by(names::SERVE_EPOCH_ARENA_RETURNED, ps.returned);
-        reg.inc_by(names::SERVE_EPOCH_ARENA_DROPPED, ps.dropped);
+    /// Salvages the retired snapshots the publisher solely owns back
+    /// into the arena pool — the next delta builds from them.
+    fn reclaim(&self, run: &mut ChurnRun) {
+        let pool = &mut run.pool;
+        let freed = run.pb.reclaim_with(|snap| snap.oracle.recycle_into(pool));
+        run.reg.inc_by(names::SERVE_SNAPSHOTS_RECLAIMED, freed as u64);
     }
 
-    /// Finalizes a run's telemetry: folds the maintenance shard into
-    /// the reader shard, assembles the [`TimeSeriesReport`], and
-    /// publishes the run-level `telemetry.*` rollups into `reg` —
-    /// deterministic values only, so the deterministic mode's registry
-    /// identity holds at any width.
-    fn finish_telemetry(
+    /// Sets a churning run up: the schedule's replay, the maintainer's
+    /// private orders, the verified epoch-0 snapshot over the initial
+    /// membership and its epoch pair. `wall` picks the window clock.
+    fn start(&self, exec: Executor, wall: bool) -> (ChurnRun, EpochHandle<ServeSnapshot>) {
+        let schedule = self.cfg.churn.schedule();
+        let turnover = schedule.turnover(self.cfg.churn.initial_nodes);
+        let replay = MembershipReplay::new(self.cfg.churn.initial_nodes, schedule);
+        let orders: Vec<LandmarkOrder> = self.exp.orders.clone();
+        let snap0 = self.snapshot(&exec, 0, replay.live_members(), &orders);
+        assert!(snap0.verify(0), "initial snapshot failed verification");
+        let cur = snap0.oracle.clone();
+        let (pb, handle) = epoch_pair(snap0);
+        let tel = self.cfg.telemetry;
+        let window_ms = if wall { tel.wall_window_ms } else { tel.window_ms }.max(1);
+        let run = ChurnRun {
+            exec,
+            turnover,
+            replay,
+            orders,
+            pb,
+            reg: Registry::new(),
+            round: 0,
+            cur,
+            pool: RingArenaPool::new(Self::POOL_CAP),
+            joined: Vec::new(),
+            departed: Vec::new(),
+            rebinned: Vec::new(),
+            clock: WindowClock { wall, t0: Instant::now(), window_ms },
+            last_pub_ms: 0,
+            shard: TelemetryShard::new(tel.slow_k),
+            stats: MaintStats::default(),
+        };
+        (run, handle)
+    }
+
+    /// Tears a churning run down once every reader handle is dropped:
+    /// folds the readers (ascending order) and their registries into
+    /// the run's, reclaims what is left, and assembles the report.
+    /// Only deterministic values enter the registry, so the
+    /// deterministic mode's registry identity holds at any width.
+    fn finish(
         &self,
-        readers: TelemetryShard,
-        ctx: MaintCtx,
-        reg: &mut Registry,
-    ) -> Option<TimeSeriesReport> {
-        if !ctx.enabled {
-            return None;
+        mut run: ChurnRun,
+        readers: Vec<(ReaderAcc, Registry)>,
+        wall_ns: u64,
+    ) -> LiveReport {
+        let mut total = ReaderAcc::new(&self.cfg);
+        for (acc, local) in readers {
+            run.reg.merge(&local);
+            run.reg.inc_by(names::SERVE_LOOKUPS, acc.metrics.requests);
+            run.reg.observe(names::SERVE_READER_LOOKUPS, acc.metrics.requests);
+            total = total.merged(acc);
         }
-        let mode = if ctx.wall { "wall" } else { "sim" };
-        let merged = readers.merged(ctx.shard);
-        let mut ts = merged.into_report(mode, ctx.window_ms, self.cfg.telemetry.slo);
-        // Derive each window's cache hit-rate gauge from its counters
-        // (counters sum across shards; a ratio could not).
+        if self.cfg.cache.enabled {
+            let c = total.cache.stats;
+            run.reg.inc_by(names::SERVE_CACHE_HITS, c.hits);
+            run.reg.inc_by(names::SERVE_CACHE_MISSES, c.misses);
+            run.reg.inc_by(names::SERVE_CACHE_ADMITS, c.admits);
+            run.reg.inc_by(names::SERVE_CACHE_INVALIDATIONS, c.invalidations);
+        }
+        self.reclaim(&mut run);
+        run.stats.arena = run.pool.stats();
+        run.reg.inc_by(names::SERVE_EPOCH_ARENA_REUSED, run.stats.arena.reused);
+        run.reg.inc_by(names::SERVE_EPOCH_ARENA_RETURNED, run.stats.arena.returned);
+        run.reg.inc_by(names::SERVE_EPOCH_ARENA_DROPPED, run.stats.arena.dropped);
+        let epochs = run.pb.stats();
+        run.reg.gauge_set(names::SERVE_RECLAIM_LAG_PEAK, epochs.lag_peak as i64);
+        let timeseries = self.cfg.telemetry.enabled.then(|| {
+            let mode = if run.clock.wall { "wall" } else { "sim" };
+            let ts = self.report(total.shard.merged(run.shard), mode, run.clock.window_ms);
+            run.reg.gauge_set(names::TELEMETRY_WINDOWS, ts.window_count() as i64);
+            run.reg.inc_by(names::TELEMETRY_SLOW_LOOKUPS, ts.slow.len() as u64);
+            run.reg.inc_by(names::TELEMETRY_SLO_BREACHES, ts.breaches.len() as u64);
+            ts
+        });
+        LiveReport {
+            lookups: total.metrics.requests,
+            metrics: total.metrics,
+            wall_ns,
+            epochs,
+            registry: run.reg,
+            final_live: run.replay.live_count(),
+            turnover: run.turnover,
+            maint: run.stats,
+            timeseries,
+        }
+    }
+
+    /// Assembles a run's merged shard into its [`TimeSeriesReport`],
+    /// deriving each window's cache hit-rate gauge from its counters
+    /// (counters sum across shards; a ratio could not).
+    fn report(&self, shard: TelemetryShard, mode: &str, window_ms: u64) -> TimeSeriesReport {
+        let mut ts = shard.into_report(mode, window_ms, self.cfg.telemetry.slo);
         for w in &mut ts.windows {
             let probes = w.health.counter(names::SERVE_CACHE_WINDOW_LOOKUPS);
             if probes > 0 {
@@ -778,86 +883,73 @@ impl<'a> ServeEngine<'a> {
                     .gauge_set(names::SERVE_CACHE_HIT_RATE_PPM, (hits * 1_000_000 / probes) as i64);
             }
         }
-        reg.gauge_set(names::TELEMETRY_WINDOWS, ts.window_count() as i64);
-        reg.inc_by(names::TELEMETRY_SLOW_LOOKUPS, ts.slow.len() as u64);
-        reg.inc_by(names::TELEMETRY_SLO_BREACHES, ts.breaches.len() as u64);
-        Some(ts)
+        ts
     }
 
-    /// The quiesced baseline: the full membership served at epoch 0,
-    /// replaying the same `(source, key)` stream as
-    /// `Experiment::run_requests_on` with the same chunked merge — the
-    /// resulting HIERAS metrics are byte-identical to the replay
-    /// bench's at any executor width.
-    #[must_use]
-    pub fn run_quiesced(&self, exec: &Executor, requests: usize) -> QuiescedReport {
+    /// The quiesced fold behind both public entry points: `w` replayed
+    /// against the full membership at epoch 0 with `hieras-sim`'s
+    /// chunking ([`Experiment::REPLAY_CHUNK`] — it fixes the metric
+    /// merge order). The cache, like every accumulator, is chunk-fresh,
+    /// so the whole report is bit-identical at any executor width.
+    /// Flight-recorder `seq` is the request index; hop captures run
+    /// after the clock stops — the snapshot outlives the fold.
+    fn quiesced(&self, exec: &Executor, w: &Workload, telemetry: bool) -> WorkloadReport {
         let n = self.exp.config.nodes;
+        assert!(w.nodes as usize <= n, "workload sources exceed the experiment's peers");
         let members: Vec<u32> = (0..n as u32).collect();
         let snap = self.snapshot(exec, 0, members, &self.exp.orders);
         assert!(snap.verify(0), "freshly built snapshot failed verification");
-        let w = Workload::new(n as u32, requests, self.exp.config.seed ^ 0x517c_c1b7);
-        let tel = self.cfg.telemetry;
         // Quiesced time never advances — one sim window, so one
         // capture-pruning floor spans every chunk of the run.
-        let floor = AtomicU64::new(0);
+        let win = Window::new(telemetry);
         let t0 = Instant::now();
-        let (metrics, _, shard) = exec.par_fold(
-            requests,
-            Self::CHUNK,
-            || (Metrics::default(), PathBuf::new(), TelemetryShard::new(tel.slow_k)),
+        let mut acc = exec.par_fold(
+            w.requests,
+            Experiment::REPLAY_CHUNK,
+            || ReaderAcc::new(&self.cfg),
             |acc, i| {
-                let (src, key) = w.request(i);
-                let s = self.eval(&snap, src, key, &mut acc.1);
-                // seq = the request index. Hop captures are deferred:
-                // the snapshot outlives the fold, so only the final
-                // top-K pays the capture re-route, after the clock
-                // stops.
-                self.telemetry_lookup_deferred(
-                    &mut acc.2,
-                    src,
-                    key,
-                    0,
-                    u64::from(s.latency_ms),
-                    i as u64,
-                    &floor,
-                );
-                acc.0.record(s);
+                let (src, key, rank) = w.request_detail(i);
+                let (s, owner) = self.serve(&snap, acc, &win, src, key, i as u64);
+                acc.owner_digest = splitmix64(acc.owner_digest ^ (u64::from(owner) + 1));
+                if rank.map_or(false, |r| r <= HOT_RANK_MAX) {
+                    acc.hot.record(s);
+                }
             },
-            |a, b| (a.0.merged(b.0), a.1, a.2.merged(b.2)),
+            ReaderAcc::merged,
         );
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        let timeseries = tel.enabled.then(|| {
-            let mut ts = shard.into_report("sim", tel.window_ms.max(1), tel.slo);
-            let mut scratch = PathBuf::new();
-            for rec in &mut ts.slow {
-                *rec = self.capture(
-                    &snap,
-                    rec.src,
-                    Id(rec.key),
-                    &mut scratch,
-                    rec.window,
-                    rec.latency_ms,
-                    rec.seq,
-                );
-            }
-            ts
-        });
-        QuiescedReport { metrics, lookups: requests as u64, wall_ns, timeseries }
+        self.close_batch(&snap, &mut acc, &win, 0, CacheStats::default());
+        let window_ms = self.cfg.telemetry.window_ms.max(1);
+        WorkloadReport {
+            metrics: acc.metrics,
+            hot: acc.hot,
+            lookups: w.requests as u64,
+            wall_ns,
+            cache: acc.cache.stats,
+            owner_digest: acc.owner_digest,
+            timeseries: telemetry.then(|| self.report(acc.shard, "sim", window_ms)),
+        }
+    }
+
+    /// The quiesced baseline: the uniform replay stream
+    /// ([`Experiment::replay_workload`], exactly what
+    /// `Experiment::run_requests_on` replays) served at epoch 0, with
+    /// `cfg.telemetry` riding along — the resulting HIERAS metrics are
+    /// byte-identical to the replay bench's at any executor width.
+    #[must_use]
+    pub fn run_quiesced(&self, exec: &Executor, requests: usize) -> QuiescedReport {
+        self.quiesced(exec, &self.exp.replay_workload(requests), self.cfg.telemetry.enabled)
     }
 
     /// Replays an explicit [`Workload`] against the quiesced epoch-0
-    /// snapshot through the cached lookup path ([`Self::eval_cached`])
-    /// — the measurement mode of the skew/caching sweep. Telemetry
-    /// does not ride along (the timed skew rows run lean; windowed
-    /// cache telemetry comes from the churning modes); what it reports
-    /// instead is the hot-key-subset metrics, the merged cache
-    /// counters, and the per-request owner digest.
-    ///
-    /// With the cache disabled and the uniform workload at the replay
-    /// seed derivation, `metrics` is byte-identical to
-    /// [`Self::run_quiesced`]'s — the CI cache-off identity.
-    /// Determinism: the cache lives in the chunk accumulator, so the
-    /// whole report is bit-identical at any executor width.
+    /// snapshot — the measurement mode of the skew/caching sweep.
+    /// Telemetry does not ride along whatever `cfg.telemetry` says
+    /// (the timed skew rows run lean; windowed cache telemetry comes
+    /// from the churning modes); what it reports is the hot-key-subset
+    /// metrics, the merged cache counters, and the per-request owner
+    /// digest. With the cache disabled, `metrics` is byte-identical to
+    /// `Experiment::run_workload_on(..).hieras` — the CI cache-off
+    /// identity.
     ///
     /// # Panics
     /// Panics if the workload draws sources outside the experiment's
@@ -865,57 +957,7 @@ impl<'a> ServeEngine<'a> {
     /// hit disagrees with the authoritative route.
     #[must_use]
     pub fn run_quiesced_workload(&self, exec: &Executor, w: &Workload) -> WorkloadReport {
-        let n = self.exp.config.nodes;
-        assert!(w.nodes as usize <= n, "workload sources exceed the experiment's peers");
-        let members: Vec<u32> = (0..n as u32).collect();
-        let snap = self.snapshot(exec, 0, members, &self.exp.orders);
-        assert!(snap.verify(0), "freshly built snapshot failed verification");
-        let ccfg = self.cfg.cache;
-        let t0 = Instant::now();
-        let (metrics, hot, _, cache, owner_digest) = exec.par_fold(
-            w.requests,
-            Self::CHUNK,
-            || {
-                (
-                    Metrics::default(),
-                    Metrics::default(),
-                    PathBuf::new(),
-                    LookupCache::new(ccfg),
-                    0u64,
-                )
-            },
-            |acc, i| {
-                let (src, key, rank) = w.request_detail(i);
-                let (s, owner, _) = self.eval_cached(&snap, src, key, &mut acc.2, &mut acc.3);
-                acc.4 = splitmix64(acc.4 ^ (u64::from(owner) + 1));
-                acc.0.record(s);
-                if rank.map_or(false, |r| r <= HOT_RANK_MAX) {
-                    acc.1.record(s);
-                }
-            },
-            |a, b| {
-                (
-                    a.0.merged(b.0),
-                    a.1.merged(b.1),
-                    a.2,
-                    {
-                        let mut c = a.3;
-                        c.stats = c.stats.merged(b.3.stats);
-                        c
-                    },
-                    splitmix64(a.4 ^ b.4),
-                )
-            },
-        );
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        WorkloadReport {
-            metrics,
-            hot,
-            lookups: w.requests as u64,
-            wall_ns,
-            cache: cache.stats,
-            owner_digest,
-        }
+        self.quiesced(exec, w, false)
     }
 
     /// Deterministic serving: the executor arbitrates the
@@ -923,168 +965,63 @@ impl<'a> ServeEngine<'a> {
     /// `lookups_per_epoch` requests against the pinned snapshot
     /// (chunk-ordered parallel fold — bit-identical at any executor
     /// width), then runs one maintenance round, until the schedule is
-    /// exhausted; the final snapshot serves a round too. Every adopted
-    /// snapshot is checksum-verified against its epoch.
+    /// exhausted; the final snapshot serves a round too. Every lookup
+    /// of a round lands in the window the sim clock sits in — a
+    /// round-level constant — with `seq = (round << 32) | i`.
+    ///
+    /// # Panics
+    /// Panics if an adopted snapshot fails its epoch checksum.
     #[must_use]
     pub fn run_deterministic(&self, exec: &Executor) -> LiveReport {
-        let schedule = self.cfg.churn.schedule();
-        let turnover = schedule.turnover(self.cfg.churn.initial_nodes);
-        let mut replay = MembershipReplay::new(self.cfg.churn.initial_nodes, schedule);
-        let mut orders: Vec<LandmarkOrder> = self.exp.orders.clone();
-        let snap0 = self.snapshot(exec, 0, replay.live_members(), &orders);
-        let mut st = MaintState::new(snap0.oracle.clone());
-        let (mut pb, handle) = epoch_pair(snap0);
-        let mut reader = handle.reader();
-        assert!(reader.snapshot().value.verify(0), "initial snapshot failed verification");
-        let mut reg = Registry::new();
-        let mut metrics = Metrics::default();
-        let mut series = TelemetryShard::new(self.cfg.telemetry.slow_k);
-        let mut ctx = MaintCtx::new(self.cfg.telemetry, false);
-        let mut lookups = 0u64;
-        let mut round = 0u64;
-        let mut cache_total = CacheStats::default();
-        // Capture-pruning floor, shared by every chunk of a round and
-        // carried across rounds until the sim window advances.
-        let floor = AtomicU64::new(0);
-        let mut floor_win = 0u64;
+        let (mut run, handle) = self.start(*exec, false);
+        let mut rd = handle.reader();
+        let mut total = ReaderAcc::new(&self.cfg);
+        let mut local = Registry::new();
+        let mut win = Window::new(self.cfg.telemetry.enabled);
         let t0 = Instant::now();
         loop {
-            if let Some(e) = reader.refresh() {
-                assert!(reader.snapshot().value.verify(e), "torn snapshot adopted at epoch {e}");
-            }
-            reg.observe(names::SERVE_STALE_EPOCHS, reader.lag());
-            let v = reader.snapshot();
-            let stream =
-                splitmix64(self.cfg.seed ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let sw = self.serve_workload(v.value.live_count(), stream);
-            // Every lookup of a round lands in the window the sim
-            // clock sits in — a round-level constant, so the windowed
-            // fold is identical at any executor width.
-            let win = replay.now_ms() / ctx.window_ms;
-            if win != floor_win {
-                floor.store(0, Ordering::Relaxed);
-                floor_win = win;
-            }
-            if ctx.enabled {
-                let h = series.health(win);
-                h.gauge_set(names::SERVE_EPOCH_READER_LAG, reader.lag() as i64);
-            }
-            let (m, _, shard, rcache) = exec.par_fold(
+            let index = run.clock.window(run.replay.now_ms());
+            self.pin(&mut rd, &mut local, &mut total, &mut win, index);
+            let snap = &rd.snapshot().value;
+            let round = run.round;
+            let stream = splitmix64(self.cfg.seed ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let sw = self.serve_workload(snap.live_count(), stream);
+            let mut acc = exec.par_fold(
                 self.cfg.lookups_per_epoch,
-                Self::CHUNK,
-                || {
-                    (
-                        Metrics::default(),
-                        PathBuf::new(),
-                        TelemetryShard::new(self.cfg.telemetry.slow_k),
-                        // Chunk-fresh: the cache state a lookup sees is
-                        // a function of its chunk alone, so the fold is
-                        // bit-identical at any executor width.
-                        LookupCache::new(self.cfg.cache),
-                    )
-                },
+                Experiment::REPLAY_CHUNK,
+                || ReaderAcc::new(&self.cfg),
                 |acc, i| {
-                    let (src, key) = self.draw(&v.value, &sw, stream, i as u64);
-                    let (s, _, hit) =
-                        self.eval_cached(&v.value, src, key, &mut acc.1, &mut acc.3);
-                    if hit {
-                        // A hit's latency is a direct hop — recorded,
-                        // but never flight-captured (a re-route would
-                        // not reconcile with it).
-                        if self.cfg.telemetry.enabled {
-                            acc.2.lookup(win, u64::from(s.latency_ms));
-                        }
-                    } else {
-                        self.telemetry_lookup(
-                            &mut acc.2,
-                            &v.value,
-                            src,
-                            key,
-                            &mut acc.1,
-                            win,
-                            u64::from(s.latency_ms),
-                            (round << 32) | i as u64,
-                            &floor,
-                        );
-                    }
-                    acc.0.record(s);
+                    let (src, key) = self.draw(snap, &sw, stream, i as u64);
+                    self.serve(snap, acc, &win, src, key, (round << 32) | i as u64);
                 },
-                |a, b| {
-                    (a.0.merged(b.0), a.1, a.2.merged(b.2), {
-                        let mut c = a.3;
-                        c.stats = c.stats.merged(b.3.stats);
-                        c
-                    })
-                },
+                ReaderAcc::merged,
             );
-            metrics = metrics.merged(m);
-            series = series.merged(shard);
-            if self.cfg.cache.enabled {
-                cache_total = cache_total.merged(rcache.stats);
-                if ctx.enabled {
-                    let h = series.health(win);
-                    h.inc_by(names::SERVE_CACHE_WINDOW_HITS, rcache.stats.hits);
-                    h.inc_by(
-                        names::SERVE_CACHE_WINDOW_LOOKUPS,
-                        rcache.stats.hits + rcache.stats.misses,
-                    );
-                }
-            }
-            lookups += self.cfg.lookups_per_epoch as u64;
-            reg.inc_by(names::SERVE_LOOKUPS, self.cfg.lookups_per_epoch as u64);
-            if replay.is_done() {
+            self.close_batch(snap, &mut acc, &win, 0, CacheStats::default());
+            total = total.merged(acc);
+            if run.replay.is_done() {
                 break;
             }
-            round += 1;
-            self.maintain(
-                exec,
-                round,
-                &mut replay,
-                &mut orders,
-                &mut st,
-                &mut pb,
-                &mut reg,
-                &mut ctx,
-            );
+            self.maintain(&mut run);
         }
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        reg.observe(names::SERVE_READER_LOOKUPS, lookups);
-        if self.cfg.cache.enabled {
-            reg.inc_by(names::SERVE_CACHE_HITS, cache_total.hits);
-            reg.inc_by(names::SERVE_CACHE_MISSES, cache_total.misses);
-            reg.inc_by(names::SERVE_CACHE_ADMITS, cache_total.admits);
-            reg.inc_by(names::SERVE_CACHE_INVALIDATIONS, cache_total.invalidations);
-        }
-        drop(reader);
-        let pool = &mut st.pool;
-        let freed = pb.reclaim_with(|snap| snap.oracle.recycle_into(pool));
-        reg.inc_by(names::SERVE_SNAPSHOTS_RECLAIMED, freed as u64);
-        self.finish_maint(&st, &mut reg, &mut ctx);
-        let stats = pb.stats();
-        reg.gauge_set(names::SERVE_RECLAIM_LAG_PEAK, stats.lag_peak as i64);
-        let maint = std::mem::take(&mut ctx.stats);
-        let timeseries = self.finish_telemetry(series, ctx, &mut reg);
-        LiveReport {
-            metrics,
-            lookups,
-            wall_ns,
-            epochs: stats,
-            registry: reg,
-            final_live: replay.live_count(),
-            turnover,
-            maint,
-            timeseries,
-        }
+        drop(rd);
+        self.finish(run, vec![(total, local)], wall_ns)
     }
 
     /// Free-running serving: `cfg.readers` real reader threads
-    /// refresh/verify/lookup continuously while this thread — the one
+    /// refresh/verify/lookup continuously, one `refresh_batch` per
+    /// pinned snapshot and wall window, while this thread — the one
     /// maintenance thread of the epoch contract — replays the whole
-    /// schedule at full rate, publishing and reclaiming per batch.
-    /// Readers stop once the schedule is exhausted; their metrics and
-    /// registries merge in ascending reader order (a deterministic
-    /// order over nondeterministic contents — throughput is a
-    /// measurement, not a reproducible figure).
+    /// schedule (at full rate, or paced by `cfg.pace`), publishing and
+    /// reclaiming per batch. The maintainer starts only once every
+    /// reader thread is running, and a reader checks the stop flag
+    /// *after* a batch, so every reader serves at least one batch and
+    /// `wall_ns` never closes before a reader has started. Each reader
+    /// draws stream
+    /// `splitmix64(seed ^ (r+1)·0xd134_2543_de82_ef95)` with its
+    /// lookup counter as `seq`; readers merge in ascending order (a
+    /// deterministic order over nondeterministic contents —
+    /// throughput is a measurement, not a reproducible figure).
     ///
     /// Maintenance builds run on a single-thread executor by design:
     /// one maintainer, N readers, exactly the production shape.
@@ -1095,253 +1032,73 @@ impl<'a> ServeEngine<'a> {
     /// invariant.
     #[must_use]
     pub fn run_live(&self) -> LiveReport {
-        let schedule = self.cfg.churn.schedule();
-        let turnover = schedule.turnover(self.cfg.churn.initial_nodes);
-        let mut replay = MembershipReplay::new(self.cfg.churn.initial_nodes, schedule);
-        let mut orders: Vec<LandmarkOrder> = self.exp.orders.clone();
-        let maint_exec = Executor::new(1);
-        let snap0 = self.snapshot(&maint_exec, 0, replay.live_members(), &orders);
-        let mut st = MaintState::new(snap0.oracle.clone());
-        let (mut pb, handle) = epoch_pair(snap0);
+        let (mut run, handle) = self.start(Executor::new(1), true);
+        let clock = run.clock;
         let stop = AtomicBool::new(false);
-        let mut reg = Registry::new();
-        let mut ctx = MaintCtx::new(self.cfg.telemetry, true);
-        let t0 = Instant::now();
-        // Readers cut wall windows on the same clock the maintainer
-        // does, so both sides' health lands in the same windows.
-        let win_t0 = ctx.t0;
-        let win_ms = ctx.window_ms;
-        let (wall_ns, mut per_reader) = std::thread::scope(|scope| {
-            let stop = &stop;
-            let workers: Vec<_> = (0..self.cfg.readers)
+        let ready = Barrier::new(self.cfg.readers + 1);
+        let (wall_ns, readers) = std::thread::scope(|scope| {
+            let (stop, ready) = (&stop, &ready);
+            let workers: Vec<_> = (0..self.cfg.readers as u64)
                 .map(|r| {
                     let mut rd = handle.reader();
                     scope.spawn(move || {
-                        let mut m = Metrics::default();
+                        let mut acc = ReaderAcc::new(&self.cfg);
                         let mut local = Registry::new();
-                        let mut shard = TelemetryShard::new(self.cfg.telemetry.slow_k);
-                        let tel_on = self.cfg.telemetry.enabled;
-                        // One persistent cache per reader: entries are
-                        // checksum-bound, so every epoch adoption below
-                        // invalidates it wholesale.
-                        let mut cache = LookupCache::new(self.cfg.cache);
-                        let cache_on = cache.enabled();
-                        // Reader-local capture-pruning floor (the
-                        // shard is reader-local too); reset when the
-                        // wall window rolls.
-                        let floor = AtomicU64::new(0);
-                        let mut floor_win = 0u64;
-                        let mut scratch = PathBuf::new();
-                        // Batched-path scratch, reused across batches:
-                        // the batch's latencies and its slow-candidate
-                        // lookups `(src, key, latency, seq)`.
-                        let mut lats: Vec<u64> = Vec::new();
-                        let mut cands: Vec<(u32, u64, u64, u64)> = Vec::new();
+                        let mut win = Window::new(self.cfg.telemetry.enabled);
                         let stream = splitmix64(
-                            self.cfg.seed ^ (r as u64 + 1).wrapping_mul(0xd134_2543_de82_ef95),
+                            self.cfg.seed ^ (r + 1).wrapping_mul(0xd134_2543_de82_ef95),
                         );
                         let mut i = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
-                            if let Some(e) = rd.refresh() {
-                                assert!(
-                                    rd.snapshot().value.verify(e),
-                                    "reader {r} adopted a torn snapshot at epoch {e}"
-                                );
-                            }
-                            local.observe(names::SERVE_STALE_EPOCHS, rd.lag());
-                            let v = rd.snapshot();
-                            let sw = self.serve_workload(v.value.live_count(), stream);
-                            let batch_stats = cache.stats;
+                        ready.wait();
+                        loop {
                             // One window probe per refresh batch keeps
                             // the per-lookup telemetry cost to a
                             // cached-window fast path.
-                            let win = win_t0.elapsed().as_millis() as u64 / win_ms;
-                            if tel_on {
-                                if win != floor_win {
-                                    floor.store(0, Ordering::Relaxed);
-                                    floor_win = win;
-                                }
-                                shard
-                                    .health(win)
-                                    .gauge_set(names::SERVE_EPOCH_READER_LAG, rd.lag() as i64);
+                            self.pin(&mut rd, &mut local, &mut acc, &mut win, clock.window(0));
+                            let snap = &rd.snapshot().value;
+                            let sw = self.serve_workload(snap.live_count(), stream);
+                            let (since, before) = (i, acc.cache.stats);
+                            for _ in 0..self.cfg.refresh_batch {
+                                let (src, key) = self.draw(snap, &sw, stream, i);
+                                self.serve(snap, &mut acc, &win, src, key, i);
+                                i += 1;
                             }
-                            if self.cfg.batched {
-                                // Batched serving: route the whole
-                                // epoch-pinned batch allocation-free,
-                                // then feed telemetry once — one window
-                                // roll for N lookups, slow-lookup
-                                // qualification and capture deferred
-                                // behind the routing work. The admitted
-                                // top-K is identical to the per-lookup
-                                // path: the floor pre-check only skips
-                                // lookups ≥ K same-window entries
-                                // already outrank.
-                                lats.clear();
-                                cands.clear();
-                                for _ in 0..self.cfg.refresh_batch {
-                                    let (src, key) = self.draw(&v.value, &sw, stream, i);
-                                    let (s, _, hit) = self.eval_cached(
-                                        &v.value,
-                                        src,
-                                        key,
-                                        &mut scratch,
-                                        &mut cache,
-                                    );
-                                    if tel_on {
-                                        let lat = u64::from(s.latency_ms);
-                                        lats.push(lat);
-                                        // Hits never flight-capture: a
-                                        // re-routed path would not
-                                        // reconcile with the direct-hop
-                                        // latency.
-                                        if !hit && lat >= floor.load(Ordering::Relaxed) {
-                                            cands.push((src, key.0, lat, i));
-                                        }
-                                    }
-                                    i += 1;
-                                    m.record(s);
-                                }
-                                if tel_on {
-                                    shard.lookup_bulk(win, &lats);
-                                    for &(src, key, lat, seq) in &cands {
-                                        if shard.slow_qualifies(win, lat) {
-                                            shard.admit_slow(self.capture(
-                                                &v.value,
-                                                src,
-                                                Id(key),
-                                                &mut scratch,
-                                                win,
-                                                lat,
-                                                seq,
-                                            ));
-                                            if let Some(f) = shard.slow_floor() {
-                                                floor.fetch_max(f, Ordering::Relaxed);
-                                            }
-                                        }
-                                    }
-                                }
-                            } else {
-                                for _ in 0..self.cfg.refresh_batch {
-                                    let (src, key) = self.draw(&v.value, &sw, stream, i);
-                                    let (s, _, hit) = self.eval_cached(
-                                        &v.value,
-                                        src,
-                                        key,
-                                        &mut scratch,
-                                        &mut cache,
-                                    );
-                                    if tel_on {
-                                        if hit {
-                                            shard.lookup(win, u64::from(s.latency_ms));
-                                        } else {
-                                            self.telemetry_lookup(
-                                                &mut shard,
-                                                &v.value,
-                                                src,
-                                                key,
-                                                &mut scratch,
-                                                win,
-                                                u64::from(s.latency_ms),
-                                                i,
-                                                &floor,
-                                            );
-                                        }
-                                    }
-                                    i += 1;
-                                    m.record(s);
-                                }
-                            }
-                            if cache_on && tel_on {
-                                let h = shard.health(win);
-                                h.inc_by(
-                                    names::SERVE_CACHE_WINDOW_HITS,
-                                    cache.stats.hits - batch_stats.hits,
-                                );
-                                h.inc_by(
-                                    names::SERVE_CACHE_WINDOW_LOOKUPS,
-                                    (cache.stats.hits + cache.stats.misses)
-                                        - (batch_stats.hits + batch_stats.misses),
-                                );
+                            self.close_batch(snap, &mut acc, &win, since, before);
+                            if stop.load(Ordering::Acquire) {
+                                break;
                             }
                         }
-                        local.inc_by(names::SERVE_LOOKUPS, i);
-                        local.observe(names::SERVE_READER_LOOKUPS, i);
-                        if cache_on {
-                            local.inc_by(names::SERVE_CACHE_HITS, cache.stats.hits);
-                            local.inc_by(names::SERVE_CACHE_MISSES, cache.stats.misses);
-                            local.inc_by(names::SERVE_CACHE_ADMITS, cache.stats.admits);
-                            local.inc_by(
-                                names::SERVE_CACHE_INVALIDATIONS,
-                                cache.stats.invalidations,
-                            );
-                        }
-                        (m, local, shard)
+                        (acc, local)
                     })
                 })
                 .collect();
-            let mut round = 0u64;
+            // The clock starts before the barrier releases anyone, so
+            // no lookup predates it; the churn starts after.
+            let t0 = Instant::now();
+            ready.wait();
             loop {
                 // Pace the maintainer against the schedule: sleep until
                 // the next batch's sim time maps onto the wall clock at
                 // `pace` sim-ms per wall-ms. At 0.0, replay flat out.
                 if self.cfg.pace > 0.0 {
-                    if let Some(at) = replay.next_event_at() {
+                    if let Some(at) = run.replay.next_event_at() {
                         let target = Duration::from_secs_f64(at as f64 / 1000.0 / self.cfg.pace);
-                        let elapsed = t0.elapsed();
-                        if target > elapsed {
-                            std::thread::sleep(target - elapsed);
-                        }
+                        std::thread::sleep(target.saturating_sub(t0.elapsed()));
                     }
                 }
-                round += 1;
-                if self.maintain(
-                    &maint_exec,
-                    round,
-                    &mut replay,
-                    &mut orders,
-                    &mut st,
-                    &mut pb,
-                    &mut reg,
-                    &mut ctx,
-                ) {
+                if self.maintain(&mut run) {
                     break;
                 }
             }
             stop.store(true, Ordering::Release);
             let wall_ns = t0.elapsed().as_nanos() as u64;
-            let per_reader: Vec<_> = workers
+            let readers: Vec<_> = workers
                 .into_iter()
                 .map(|w| w.join().expect("reader thread panicked"))
                 .collect();
-            (wall_ns, per_reader)
+            (wall_ns, readers)
         });
-        let mut metrics = Metrics::default();
-        let mut series = TelemetryShard::new(self.cfg.telemetry.slow_k);
-        for (m, local, shard) in per_reader.drain(..) {
-            metrics = metrics.merged(m);
-            reg.merge(&local);
-            series = series.merged(shard);
-        }
-        let lookups = reg.counter(names::SERVE_LOOKUPS);
-        let pool = &mut st.pool;
-        let freed = pb.reclaim_with(|snap| snap.oracle.recycle_into(pool));
-        reg.inc_by(names::SERVE_SNAPSHOTS_RECLAIMED, freed as u64);
-        self.finish_maint(&st, &mut reg, &mut ctx);
-        let stats = pb.stats();
-        reg.gauge_set(names::SERVE_RECLAIM_LAG_PEAK, stats.lag_peak as i64);
-        let maint = std::mem::take(&mut ctx.stats);
-        let timeseries = self.finish_telemetry(series, ctx, &mut reg);
-        LiveReport {
-            metrics,
-            lookups,
-            wall_ns,
-            epochs: stats,
-            registry: reg,
-            final_live: replay.live_count(),
-            turnover,
-            maint,
-            timeseries,
-        }
+        self.finish(run, readers, wall_ns)
     }
 }
 
@@ -1516,14 +1273,46 @@ mod tests {
     fn cache_off_uniform_workload_replay_is_the_quiesced_identity() {
         let (exp, cfg) = tiny();
         let exec = Executor::new(2);
-        let engine = ServeEngine::new(&exp, cfg);
-        let base = engine.run_quiesced(&exec, 200);
         let w = Workload::new(60, 200, exp.config.seed ^ 0x517c_c1b7);
-        let r = engine.run_quiesced_workload(&exec, &w);
-        assert_eq!(r.metrics, base.metrics, "cache off + uniform stream is the quiesced path");
+        let replay = exp.run_workload_on(&exec, &w).hieras;
+        let r = ServeEngine::new(&exp, cfg).run_quiesced_workload(&exec, &w);
+        assert_eq!(r.metrics, replay, "cache off, the snapshot path is the replay path");
         assert_eq!(r.cache, CacheStats::default(), "a disabled cache counts nothing");
         assert_eq!(r.hot.requests, 0, "uniform keys carry no popularity ranks");
         assert_eq!(r.lookups, 200);
+        assert!(r.timeseries.is_none());
+    }
+
+    #[test]
+    fn quiesced_fold_with_telemetry_and_cache_is_identical_at_any_width() {
+        let (exp, mut cfg) = tiny();
+        cfg.cache = CacheConfig::on().verified();
+        cfg.telemetry = TelemetryConfig::on();
+        let engine = ServeEngine::new(&exp, cfg);
+        let w = Workload::with_model(60, 4096, 99, WorkloadModel::Skew(SkewParams::zipf(0.99)));
+        let base = engine.quiesced(&Executor::new(1), &w, true);
+        assert!(base.cache.hits > 0, "hot keys repeat within a chunk");
+        let ts = base.timeseries.as_ref().expect("telemetry rides along");
+        assert_eq!(ts.total_lookups(), 4096, "hits and misses both land in the window");
+        assert_eq!(
+            ts.windows[0].health.counter(names::SERVE_CACHE_WINDOW_HITS),
+            base.cache.hits,
+            "the window's cache counters are the run's"
+        );
+        assert_eq!(ts.slow.len(), cfg.telemetry.slow_k, "one window's top-K");
+        for s in &ts.slow {
+            let sum: u64 = s.path.iter().map(|h| u64::from(h.ms)).sum();
+            assert_eq!(sum, s.latency_ms, "deferred captures reconcile with the latency");
+        }
+        for width in [2, 8] {
+            let r = engine.quiesced(&Executor::new(width), &w, true);
+            assert_eq!(r.metrics, base.metrics, "width {width}");
+            assert_eq!(r.owner_digest, base.owner_digest, "width {width}");
+            assert_eq!(r.cache, base.cache, "width {width}");
+            let rts = r.timeseries.expect("telemetry rides along");
+            assert_eq!(rts.to_jsonl(), ts.to_jsonl(), "width {width}");
+            assert_eq!(rts.slow, ts.slow, "width {width}: captured paths included");
+        }
     }
 
     #[test]
@@ -1540,7 +1329,7 @@ mod tests {
         assert_eq!(cold.cache, CacheStats::default());
         assert!(cold.hot.requests > 0, "a Zipf stream must draw hot-rank keys");
         // Verify mode: every hit is re-routed and cross-checked against
-        // the authoritative answer inside eval_cached.
+        // the authoritative answer inside the evaluator.
         cfg.cache = CacheConfig::on().verified();
         let warm = ServeEngine::new(&exp, cfg).run_quiesced_workload(&exec, &w);
         assert_eq!(
@@ -1610,7 +1399,7 @@ mod tests {
     fn live_readers_verify_cached_hits_across_epoch_flips() {
         let (exp, mut cfg) = tiny();
         // Verified hits under real churn: a stale cached answer served
-        // after an epoch flip would panic inside eval_cached.
+        // after an epoch flip would panic inside the evaluator.
         cfg.cache = CacheConfig::on().verified();
         cfg.workload = WorkloadModel::Skew(SkewParams {
             key_universe: 128,

@@ -18,12 +18,13 @@
 //!   allocation-free lookups against their pinned snapshot while the
 //!   maintenance thread replays a churn schedule
 //!   ([`hieras_churn::MembershipReplay`]) onto a private membership
-//!   copy, rebuilds the hierarchy, and publishes. Three run modes:
-//!   quiesced (no churn — the replay-bench baseline), deterministic
-//!   (the `hieras-rt` executor arbitrates reader/maintainer
-//!   interleaving in lock step, so metrics are bit-identical at any
-//!   reader count), and free-running (real reader threads, wall-clock
-//!   throughput).
+//!   copy, rebuilds the hierarchy, and publishes. One lookup path
+//!   (evaluator → telemetry recorder → reader accumulator), three
+//!   drivers: quiesced (no churn — one executor fold, the replay-bench
+//!   baseline), deterministic (the `hieras-rt` executor arbitrates
+//!   reader/maintainer interleaving in lock step, so metrics are
+//!   bit-identical at any reader count), and free-running (real
+//!   reader threads, wall-clock throughput).
 //!
 //! Observability flows through `hieras-obs` under the `serve.*`
 //! namespace: published epochs, reclaim lag, the stale-read window,

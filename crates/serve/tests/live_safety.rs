@@ -52,8 +52,9 @@ fn free_running_readers_never_adopt_a_torn_snapshot() {
             // Telemetry on under fire: wall windows + flight captures
             // must survive the same stress the lookups do.
             telemetry: TelemetryConfig::on(),
-            // Delta and batched paths both on: the stress covers the
-            // incremental maintainer and the bulk-fed reader shards.
+            // Delta path on: the stress covers the incremental
+            // maintainer. (`batched` is inert — any value serves the
+            // same way.)
             delta_max_ring_fraction: 0.5,
             batched: true,
             pace: 0.0,
@@ -75,6 +76,62 @@ fn free_running_readers_never_adopt_a_torn_snapshot() {
     for s in &ts.slow {
         let sum: u64 = s.path.iter().map(|h| u64::from(h.ms)).sum();
         assert_eq!(sum, s.latency_ms, "flight-recorded paths reconcile under churn");
+    }
+}
+
+/// `run_live` starts the maintainer only once every reader thread is
+/// running, and a reader checks the stop flag after a batch, not before
+/// its first: even on a schedule the maintainer drains before a
+/// spawned thread gets its first time slice, every reader serves at
+/// least one full batch. The world is `bench_live --smoke`'s, unpaced;
+/// its 60 s horizon (where, before the start-up barrier, 4 release
+/// runs in 10 ended with a reader that had served nothing) is cut to
+/// 3 s so the race is just as sure to bite an unoptimised build.
+#[test]
+fn every_live_reader_serves_at_least_one_batch() {
+    const SEED: u64 = 20030415;
+    let mut world = ExperimentConfig::paper(500, SEED);
+    world.requests = 2000;
+    let exp = Experiment::build(world);
+    let cfg = ServeConfig {
+        churn: ChurnConfig {
+            initial_nodes: 450,
+            arrivals: 50,
+            inter_arrival: Lifetime::Fixed { ms: 1_000 },
+            lifetime: Lifetime::Exponential { mean_ms: 300_000.0 },
+            graceful_fraction: 0.5,
+            horizon_ms: 3_000,
+            seed: SEED,
+        },
+        readers: 4,
+        events_per_epoch: 4,
+        lookups_per_epoch: 2000,
+        refresh_batch: 64,
+        seed: SEED ^ 0xb1e5_5e1f,
+        rebin_every: 8,
+        rebin_noise: 0.2,
+        telemetry: TelemetryConfig::on(),
+        delta_max_ring_fraction: 0.6,
+        batched: false,
+        pace: 0.0,
+        cache: hieras_serve::CacheConfig::off(),
+        workload: hieras_sim::WorkloadModel::Uniform,
+    };
+    let engine = ServeEngine::new(&exp, cfg);
+    for run in 0..25 {
+        let r = engine.run_live();
+        assert!(
+            r.lookups >= (cfg.readers * cfg.refresh_batch) as u64,
+            "run {run}: {} lookups from {} readers — one started after the maintainer finished",
+            r.lookups,
+            cfg.readers
+        );
+        let per_reader = r
+            .registry
+            .hist(hieras_obs::names::SERVE_READER_LOOKUPS)
+            .expect("every reader reports its lookups");
+        assert_eq!(per_reader.total(), cfg.readers as u64);
+        assert!(per_reader.min() >= cfg.refresh_batch as u64, "run {run}: a reader served no batch");
     }
 }
 

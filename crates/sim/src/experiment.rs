@@ -240,10 +240,12 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Requests per work chunk. Each request is a pair of table
-    /// lookups (microseconds), so a few hundred per claim amortizes
-    /// the atomic increment without starving the workers.
-    const REPLAY_CHUNK: usize = 256;
+    /// Requests per work chunk, here and in the serving engine's
+    /// folds. Each request is a pair of table lookups (microseconds),
+    /// so a few hundred per claim amortizes the atomic increment
+    /// without starving the workers; the chunking also fixes the
+    /// metric merge order, so replay and serving must share it.
+    pub const REPLAY_CHUNK: usize = 256;
 
     /// Assembles the experiment: generates the topology, places peers,
     /// measures landmark RTTs, bins, and builds both DHTs.
@@ -439,31 +441,21 @@ impl Experiment {
         self.run_requests_on(&Executor::default(), requests)
     }
 
+    /// The uniform replay stream of `requests` lookups: the workload
+    /// every `run_requests*` entry point (and the serving engine's
+    /// quiesced baseline) replays.
+    #[must_use]
+    pub fn replay_workload(&self, requests: usize) -> Workload {
+        Workload::new(self.config.nodes as u32, requests, self.config.seed ^ 0x517c_c1b7)
+    }
+
     /// Like [`Experiment::run_requests`] but on a caller-supplied
     /// executor — used to pin the thread count (determinism tests, the
-    /// bench harness). The chunk size is fixed independently of the
-    /// executor, so the merged metrics — including the order of
-    /// `latency_samples` — are bit-identical at any parallelism level.
+    /// bench harness): [`Experiment::run_workload_on`] over
+    /// [`Experiment::replay_workload`].
     #[must_use]
     pub fn run_requests_on(&self, exec: &Executor, requests: usize) -> ComparisonResult {
-        let w = Workload::new(self.config.nodes as u32, requests, self.config.seed ^ 0x517c_c1b7);
-        // Each chunk accumulator carries its own path scratch, so the
-        // hot loop never touches the heap; the scratch is dropped at
-        // merge time and cannot influence the metrics.
-        let (chord, hieras, _) = exec.par_fold(
-            requests,
-            Self::REPLAY_CHUNK,
-            || (Metrics::default(), Metrics::default(), PathBuf::new()),
-            |acc, i| {
-                let (src, key) = w.request(i);
-                let cs = self.eval_chord(src, key, &mut acc.2);
-                let hs = self.eval_hieras(src, key, &mut acc.2);
-                acc.0.record(cs);
-                acc.1.record(hs);
-            },
-            |a, b| (a.0.merged(b.0), a.1.merged(b.1), a.2),
-        );
-        ComparisonResult { chord, hieras }
+        self.run_workload_on(exec, &self.replay_workload(requests))
     }
 
     /// Replays the configured number of requests.
@@ -473,34 +465,16 @@ impl Experiment {
     }
 
     /// Replays an arbitrary [`Workload`] — uniform or skewed — through
-    /// both algorithms. With `Workload::new(nodes, requests,
-    /// seed ^ 0x517c_c1b7)` this reproduces [`Experiment::run_requests_on`]
-    /// bit-exactly; skewed models reuse the same chunked merge, so
-    /// they are equally thread-invariant.
+    /// both algorithms. The chunk size is fixed independently of the
+    /// executor, so the merged metrics — including the order of
+    /// `latency_samples` — are bit-identical at any parallelism level.
     ///
     /// # Panics
     /// Panics if the workload draws sources outside this experiment's
     /// peer range.
     #[must_use]
     pub fn run_workload_on(&self, exec: &Executor, w: &Workload) -> ComparisonResult {
-        assert!(
-            w.nodes as usize <= self.config.nodes,
-            "workload sources exceed the peer range"
-        );
-        let (chord, hieras, _) = exec.par_fold(
-            w.requests,
-            Self::REPLAY_CHUNK,
-            || (Metrics::default(), Metrics::default(), PathBuf::new()),
-            |acc, i| {
-                let (src, key) = w.request(i);
-                let cs = self.eval_chord(src, key, &mut acc.2);
-                let hs = self.eval_hieras(src, key, &mut acc.2);
-                acc.0.record(cs);
-                acc.1.record(hs);
-            },
-            |a, b| (a.0.merged(b.0), a.1.merged(b.1), a.2),
-        );
-        ComparisonResult { chord, hieras }
+        self.replay(exec, w, || (), |(), _, _| (), |(), ()| ()).0
     }
 
     /// Like [`Experiment::run_requests_on`] but additionally folds a
@@ -515,27 +489,54 @@ impl Experiment {
         exec: &Executor,
         requests: usize,
     ) -> (ComparisonResult, Registry) {
-        let w = Workload::new(self.config.nodes as u32, requests, self.config.seed ^ 0x517c_c1b7);
-        let (chord, hieras, reg, _) = exec.par_fold(
-            requests,
+        self.replay(
+            exec,
+            &self.replay_workload(requests),
+            Registry::new,
+            |reg, cs, hs| {
+                reg.inc(names::REPLAY_REQUESTS);
+                reg.observe(names::REPLAY_CHORD_HOPS, u64::from(cs.hops));
+                reg.observe(names::REPLAY_CHORD_LATENCY_MS, u64::from(cs.latency_ms));
+                reg.observe(names::REPLAY_HIERAS_HOPS, u64::from(hs.hops));
+                reg.observe(names::REPLAY_HIERAS_LOWER_HOPS, u64::from(hs.lower_hops));
+                reg.observe(names::REPLAY_HIERAS_LATENCY_MS, u64::from(hs.latency_ms));
+            },
+            Registry::merged,
+        )
+    }
+
+    /// The one replay fold: both algorithms over `w`, `on_sample`
+    /// seeing each request's (Chord, HIERAS) samples beside a
+    /// per-chunk `T`. Each chunk accumulator carries its own path
+    /// scratch, so the hot loop never touches the heap; the scratch is
+    /// dropped at merge time and cannot influence the metrics.
+    fn replay<T: Send + Sync>(
+        &self,
+        exec: &Executor,
+        w: &Workload,
+        init: impl Fn() -> T + Sync,
+        on_sample: impl Fn(&mut T, Sample, Sample) + Sync,
+        merge: impl Fn(T, T) -> T,
+    ) -> (ComparisonResult, T) {
+        assert!(
+            w.nodes as usize <= self.config.nodes,
+            "workload sources exceed the peer range"
+        );
+        let (chord, hieras, extra, _) = exec.par_fold(
+            w.requests,
             Self::REPLAY_CHUNK,
-            || (Metrics::default(), Metrics::default(), Registry::new(), PathBuf::new()),
+            || (Metrics::default(), Metrics::default(), init(), PathBuf::new()),
             |acc, i| {
                 let (src, key) = w.request(i);
                 let cs = self.eval_chord(src, key, &mut acc.3);
-                let hs = self.eval_hieras(src, key, &mut acc.3);
-                acc.2.inc(names::REPLAY_REQUESTS);
-                acc.2.observe(names::REPLAY_CHORD_HOPS, u64::from(cs.hops));
-                acc.2.observe(names::REPLAY_CHORD_LATENCY_MS, u64::from(cs.latency_ms));
-                acc.2.observe(names::REPLAY_HIERAS_HOPS, u64::from(hs.hops));
-                acc.2.observe(names::REPLAY_HIERAS_LOWER_HOPS, u64::from(hs.lower_hops));
-                acc.2.observe(names::REPLAY_HIERAS_LATENCY_MS, u64::from(hs.latency_ms));
+                let (hs, _) = self.eval_hieras_on(&self.hieras, src, key, &mut acc.3);
+                on_sample(&mut acc.2, cs, hs);
                 acc.0.record(cs);
                 acc.1.record(hs);
             },
-            |a, b| (a.0.merged(b.0), a.1.merged(b.1), a.2.merged(b.2), a.3),
+            |a, b| (a.0.merged(b.0), a.1.merged(b.1), merge(a.2, b.2), a.3),
         );
-        (ComparisonResult { chord, hieras }, reg)
+        (ComparisonResult { chord, hieras }, extra)
     }
 
     /// One Chord lookup, evaluated allocation-free: the path lands in
@@ -555,16 +556,23 @@ impl Experiment {
         }
     }
 
-    /// One HIERAS route, evaluated allocation-free via
-    /// [`HierasOracle::eval`] — no `RouteTrace` is materialized.
-    fn eval_hieras(&self, src: u32, key: Id, scratch: &mut PathBuf) -> Sample {
-        let c = self.hieras.eval(src, key, scratch, |a, b| self.peer_latency(a, b));
-        Sample {
-            hops: c.hops,
-            lower_hops: c.lower_hops,
-            latency_ms: c.latency_ms as u32,
-            lower_latency_ms: c.lower_latency_ms as u32,
-        }
+    /// One HIERAS route on `oracle` — this experiment's own hierarchy
+    /// or a serving snapshot's — costed with this experiment's peer
+    /// latencies, allocation-free via [`HierasOracle::eval`]: the
+    /// sample (millisecond sums saturating, see `Sample::from`) and
+    /// the key's owner. Replay and serving share this one evaluation,
+    /// which is why their metrics reconcile byte for byte.
+    #[inline]
+    #[must_use]
+    pub fn eval_hieras_on(
+        &self,
+        oracle: &HierasOracle,
+        src: u32,
+        key: Id,
+        scratch: &mut PathBuf,
+    ) -> (Sample, u32) {
+        let c = oracle.eval(src, key, scratch, |a, b| self.peer_latency(a, b));
+        (c.into(), c.destination)
     }
 
     /// Publishes the latency oracle's state into `reg`: the

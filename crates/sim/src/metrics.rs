@@ -4,6 +4,7 @@
 //! accumulators and reduce them at the end — no shared mutable state on
 //! the hot path (hpc-parallel guide idiom).
 
+use hieras_core::RouteCost;
 use hieras_rt::{FromJson, Json, JsonError, ToJson};
 
 /// A dense histogram over small non-negative integers (hop counts).
@@ -189,6 +190,22 @@ pub struct Sample {
     pub latency_ms: u32,
     /// Portion of the latency spent in lower-layer hops, ms.
     pub lower_latency_ms: u32,
+}
+
+impl From<RouteCost> for Sample {
+    /// The one `RouteCost → Sample` conversion replay and serving
+    /// share. A route's millisecond sums fit `u32` by orders of
+    /// magnitude; one that ever did not saturates at `u32::MAX`
+    /// instead of wrapping to a small (fast-looking) value.
+    fn from(c: RouteCost) -> Sample {
+        let ms = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+        Sample {
+            hops: c.hops,
+            lower_hops: c.lower_hops,
+            latency_ms: ms(c.latency_ms),
+            lower_latency_ms: ms(c.lower_latency_ms),
+        }
+    }
 }
 
 /// A mergeable metric accumulator for one routing algorithm.
@@ -460,6 +477,17 @@ impl FromJson for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn route_cost_milliseconds_saturate_instead_of_wrapping() {
+        let over = u64::from(u32::MAX) + 1;
+        let c = RouteCost { hops: 3, lower_hops: 2, latency_ms: over, lower_latency_ms: over, destination: 9 };
+        let s = Sample::from(c);
+        assert_eq!((s.latency_ms, s.lower_latency_ms), (u32::MAX, u32::MAX), "not 0");
+        assert_eq!((s.hops, s.lower_hops), (3, 2));
+        let exact = Sample::from(RouteCost { latency_ms: u64::from(u32::MAX), ..c });
+        assert_eq!(exact.latency_ms, u32::MAX, "the largest representable sum is exact");
+    }
 
     #[test]
     fn histogram_basics() {
