@@ -118,8 +118,11 @@ fn bench_one(exec: &Executor, point: &SizePoint, obs: &ObsOpts) -> Json {
         // message-level probe for the per-message-type breakdown. Both
         // run after the timed reps and do not touch their figures.
         prof.start("obs_replay");
-        let (_, replay_reg) = e.run_requests_traced(exec, point.requests);
+        let (_, mut replay_reg) = e.run_requests_traced(exec, point.requests);
         prof.end();
+        // The oracle's side of the build: how many rows were searched
+        // vs. composed, what is resident, the ring arena's footprint.
+        e.record_cache_stats(&mut replay_reg);
         prof.start("obs_probe");
         let probe = message_probe(&e, PROBE_LOOKUPS, PROBE_TRACE_CAP);
         prof.end();

@@ -3,8 +3,8 @@
 //! Sweeps the experiment over {1k, 5k, 20k, 100k, 1M} peers and, per
 //! size, over the latency-oracle backends: the row cache (`rows`) and
 //! the exact 2-hop hub labels (`labels`). Rows is skipped past 20k —
-//! its O(N²) precompute is the 20-minute / 20 GB wall the labels
-//! backend exists to remove — and each skip leaves an explicit
+//! its O(N²) residency (20 GB at 100k) is the wall the labels backend
+//! exists to remove — and each skip leaves an explicit
 //! `"skipped": "row budget"` entry, so 100k and 1M are labels-only.
 //! Per run it records:
 //!
@@ -22,6 +22,10 @@
 //!   metrics are byte-identical to the rows run of the same size
 //!   (labels are exact, so anything but `true` is a bug);
 //! * **label_stats** — hub count, label lengths, build ms, bytes;
+//! * **oracle_registry** — `Experiment::record_cache_stats`: on rows,
+//!   `latency_cache.rows_searched` / `rows_composed` / `pinned_rows`
+//!   (why the build cost what it did); on labels, `latency_labels.*`
+//!   and `label_memo.*`; `ring_arena.*` on both;
 //! * **cache probe** (labels entry, once per size) — a third,
 //!   memory-*bounded* row oracle
 //!   ([`hieras_topology::LatencyOracle::with_row_budget`]) driven by a
@@ -55,8 +59,10 @@ const REPS: usize = 5;
 /// every probe miss is a fresh Dijkstra.
 const PROBE_REQUESTS: usize = 500;
 
-/// Peer count above which the rows backend is not swept: its build is
-/// quadratic in routers and would dominate the whole sweep.
+/// Peer count above which the rows backend is not swept. The wall is
+/// memory, not build time: rows are N² `u16`s (0.8 GB at 20k, 20 GB at
+/// 100k), while on the Transit-Stub worlds this sweeps a row is
+/// composed in microseconds (`latency_cache.rows_composed`).
 const ROWS_CEILING: usize = 20_000;
 
 struct SizePoint {
@@ -177,6 +183,12 @@ fn bench_one(
     // runs everywhere, rows does not).
     let probe = (oracle == OracleBackend::Labels).then(|| cache_probe(&e, PROBE_REQUESTS));
 
+    // What the build left behind, by name: rows searched vs. composed
+    // and resident (rows), label sizes and memo tallies (labels), the
+    // ring arena — enough to explain `build_ms` without a re-run.
+    let mut oracle_reg = Registry::new();
+    e.record_cache_stats(&mut oracle_reg);
+
     let cs = result.chord.summary();
     let hs = result.hieras.summary();
     println!(
@@ -216,6 +228,7 @@ fn bench_one(
         ("peak_rss_bytes", rss.map_or(Json::Null, |b| b.to_json())),
         ("metrics_match_rows", metrics_match.map_or(Json::Null, |m| m.to_json())),
         ("label_stats", label_stats.unwrap_or(Json::Null)),
+        ("oracle_registry", oracle_reg.to_json()),
         ("cache_probe", probe.unwrap_or(Json::Null)),
         ("chord", cs.to_json()),
         ("hieras", hs.to_json()),

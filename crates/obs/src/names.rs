@@ -36,6 +36,11 @@ pub const LATENCY_CACHE_PINNED_ROWS: &str = "latency_cache.pinned_rows";
 pub const LATENCY_CACHE_RESIDENT_ROWS: &str = "latency_cache.resident_rows";
 /// Configured row budget of a bounded oracle (gauge).
 pub const LATENCY_CACHE_ROW_BUDGET: &str = "latency_cache.row_budget";
+/// Pinned rows built by a full-graph Dijkstra (gauge).
+pub const LATENCY_CACHE_ROWS_SEARCHED: &str = "latency_cache.rows_searched";
+/// Pinned rows composed through a bridge: cell-local search plus a
+/// vector add over the bridge parent's row (gauge).
+pub const LATENCY_CACHE_ROWS_COMPOSED: &str = "latency_cache.rows_composed";
 
 /// Hub count of the label index (gauge).
 pub const LATENCY_LABELS_HUBS: &str = "latency_labels.hubs";

@@ -576,8 +576,8 @@ impl Experiment {
     }
 
     /// Publishes the latency oracle's state into `reg`: the
-    /// [`hieras_topology::CacheStats`] as `latency_cache.*` on the row
-    /// backends, and the [`hieras_topology::LabelStats`] plus query
+    /// [`hieras_topology::CacheStats`] and [`hieras_topology::RowStats`]
+    /// as `latency_cache.*` on the row backends, and the [`hieras_topology::LabelStats`] plus query
     /// counter as `latency_labels.*` on the labels backend. The packed
     /// routing-state footprint goes out as `ring_arena.*` on every
     /// backend, and the per-thread memo tallies as `label_memo.*`
@@ -612,6 +612,9 @@ impl Experiment {
         if let Some(b) = s.budget {
             reg.gauge_set(names::LATENCY_CACHE_ROW_BUDGET, b as i64);
         }
+        let built = self.lat.row_stats();
+        reg.gauge_set(names::LATENCY_CACHE_ROWS_SEARCHED, built.searched as i64);
+        reg.gauge_set(names::LATENCY_CACHE_ROWS_COMPOSED, built.composed as i64);
     }
 }
 
@@ -793,6 +796,14 @@ mod tests {
         // Rows backend: no memo counters.
         assert_eq!(reg.counter(names::LABEL_MEMO_HITS), 0);
         assert_eq!(reg.counter(names::LABEL_MEMO_MISSES), 0);
+        // How the warmed rows were built: every peer sits on a stub
+        // router, so its row is composed; only transit rows are
+        // searched, and the two add up to what is pinned.
+        let searched = reg.gauge(names::LATENCY_CACHE_ROWS_SEARCHED).expect("published");
+        let composed = reg.gauge(names::LATENCY_CACHE_ROWS_COMPOSED).expect("published");
+        assert!(composed >= 120, "{composed} composed rows for 120 peers");
+        assert!((1..=4).contains(&searched), "{searched} searched rows");
+        assert_eq!(Some(searched + composed), reg.gauge(names::LATENCY_CACHE_PINNED_ROWS));
     }
 
     #[test]

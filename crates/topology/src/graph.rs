@@ -1,4 +1,6 @@
-//! Undirected weighted router graph and single-source shortest paths.
+//! Undirected weighted router graph, single-source shortest paths, and
+//! the bridge decomposition that lets a row be composed instead of
+//! searched.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -72,6 +74,73 @@ impl DijkstraScratch {
         if self.buckets.len() < nb {
             self.buckets.resize_with(nb, Vec::new);
         }
+    }
+}
+
+/// "No such node": an unvisited router, a DFS root's parent, a router
+/// outside every cell.
+const NONE: u32 = u32::MAX;
+
+/// Converts a tentative `u32` distance into a row entry: `u16::MAX`
+/// for unseen, everything reachable clamped to `u16::MAX - 1`.
+pub(crate) fn clamp_ms(d: u32) -> u16 {
+    if d == u32::MAX {
+        u16::MAX
+    } else {
+        d.min(u32::from(u16::MAX - 1)) as u16
+    }
+}
+
+/// One cell of a [`BridgeCells`] decomposition: the DFS subtree below a
+/// bridge, which that bridge alone connects to the rest of the graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cell {
+    /// The router across the bridge, outside the cell.
+    pub(crate) parent: u32,
+    /// Delay of the bridge.
+    pub(crate) bridge_ms: u16,
+    /// Preorder position of the cell's router on the bridge (its DFS
+    /// subtree root); the cell is `order[lo..lo + len]`.
+    lo: u32,
+    /// Routers in the cell.
+    len: u32,
+}
+
+/// The bridge decomposition of a graph ([`Graph::bridge_cells`]).
+///
+/// Every router outside the 2-edge-connected core of its component
+/// sits in a *cell*: the DFS subtree below its nearest ancestor-or-self
+/// whose tree edge to its parent is a bridge with at most half the
+/// routers under it. The bridge is the cell's only exit, so no shortest
+/// path between two of its routers leaves it, and every shortest path
+/// to the outside crosses the bridge — which is what lets
+/// [`crate::LatencyOracle`] fill a row from a cell-local search plus
+/// the row of the router across the bridge. Cells nest (a cell's
+/// members include the cells hanging below it); routers with no such
+/// ancestor — the core, and a DFS root's side of any bridge — have no
+/// cell.
+#[derive(Debug)]
+pub(crate) struct BridgeCells {
+    /// Routers in DFS preorder; a cell is a contiguous run of it.
+    order: Vec<u32>,
+    /// Preorder position of each router (the inverse of `order`).
+    pre: Vec<u32>,
+    /// Index into `cells` of each router's cell, `NONE` outside them.
+    cell_of: Vec<u32>,
+    cells: Vec<Cell>,
+}
+
+impl BridgeCells {
+    /// The cell router `v` sits in, if any.
+    pub(crate) fn cell(&self, v: u32) -> Option<&Cell> {
+        // `NONE` indexes past any cell list.
+        self.cells.get(self.cell_of[v as usize] as usize)
+    }
+
+    /// The routers of `cell` in DFS preorder, the one on the bridge
+    /// first.
+    pub(crate) fn members(&self, cell: &Cell) -> &[u32] {
+        &self.order[cell.lo as usize..(cell.lo + cell.len) as usize]
     }
 }
 
@@ -217,33 +286,71 @@ impl Graph {
     /// # Panics
     /// Panics if `out.len() != self.node_count()`.
     pub fn dijkstra_into(&self, src: u32, out: &mut [u16], scratch: &mut DijkstraScratch) {
-        const UNSEEN: u32 = u32::MAX;
         let n = self.node_count();
         assert_eq!(out.len(), n, "output row must cover every node");
         if n == 0 {
             return;
         }
+        self.dial(src, n, |v| Some(v as usize), scratch);
+        for (o, d) in out.iter_mut().zip(&scratch.dist) {
+            *o = clamp_ms(*d);
+        }
+    }
+
+    /// Shortest paths from `src` to the routers of its `cell`, never
+    /// leaving the cell: the unclamped distances by preorder slot
+    /// (`cells.members(cell)[i]` is at slot `i`; slot 0 is the cell
+    /// root). Exact, not an approximation — the bridge is the only way
+    /// out, so no shortest path between two members crosses it.
+    pub(crate) fn dijkstra_cell<'s>(
+        &self,
+        src: u32,
+        cells: &BridgeCells,
+        cell: &Cell,
+        scratch: &'s mut DijkstraScratch,
+    ) -> &'s [u32] {
+        let slot = |v: u32| {
+            let s = cells.pre[v as usize].wrapping_sub(cell.lo);
+            (s < cell.len).then_some(s as usize)
+        };
+        self.dial(src, cell.len as usize, slot, scratch);
+        &scratch.dist
+    }
+
+    /// The one Dial loop: shortest paths from `src` over the routers
+    /// `slot` maps to `Some(index below slots)`, left unclamped in
+    /// `scratch.dist` by slot (`u32::MAX` = unseen). Edges into routers
+    /// mapped to `None` are not followed.
+    fn dial(
+        &self,
+        src: u32,
+        slots: usize,
+        slot: impl Fn(u32) -> Option<usize>,
+        scratch: &mut DijkstraScratch,
+    ) {
         // One bucket per distinct distance residue; max edge weight C
         // bounds every queued tentative distance to [d, d + C], so
         // C + 1 buckets suffice.
         let nb = usize::from(self.max_delay) + 1;
-        scratch.reset(n, nb);
+        scratch.reset(slots, nb);
         let (dist, buckets) = (&mut scratch.dist, &mut scratch.buckets);
         let mut pending = 1usize;
-        dist[src as usize] = 0;
+        dist[slot(src).expect("source inside the searched set")] = 0;
         buckets[0].push(src);
         let mut d = 0usize;
         while pending > 0 {
             let b = d % nb;
             while let Some(u) = buckets[b].pop() {
                 pending -= 1;
-                if dist[u as usize] != d as u32 {
+                let at = slot(u).expect("only routers inside the search are queued");
+                if dist[at] != d as u32 {
                     continue; // superseded entry
                 }
                 for e in &self.adj[u as usize] {
+                    let Some(to) = slot(e.to) else { continue };
                     let nd = d as u32 + u32::from(e.delay_ms);
-                    if nd < dist[e.to as usize] {
-                        dist[e.to as usize] = nd;
+                    if nd < dist[to] {
+                        dist[to] = nd;
                         buckets[nd as usize % nb].push(e.to);
                         pending += 1;
                     }
@@ -251,9 +358,73 @@ impl Graph {
             }
             d += 1;
         }
-        for (o, d) in out.iter_mut().zip(dist.iter()) {
-            *o = if *d == UNSEEN { u16::MAX } else { (*d).min(u32::from(u16::MAX - 1)) as u16 };
+    }
+
+    /// Finds the bridges with one iterative DFS and groups the routers
+    /// below them into cells (see [`BridgeCells`]). `O(nodes + edges)`.
+    pub(crate) fn bridge_cells(&self) -> BridgeCells {
+        let n = self.node_count();
+        let mut pre = vec![NONE; n];
+        // Lowest preorder position reachable from the subtree by tree
+        // edges plus one back edge; `low == pre` at a non-root router
+        // means the tree edge above it is a bridge (parallel links are
+        // coalesced on insertion, so skipping the parent skips exactly
+        // the tree edge).
+        let mut low = vec![0u32; n];
+        let mut up = vec![(NONE, 0u16); n];
+        let mut order = Vec::with_capacity(n);
+        let mut cell_of = vec![NONE; n];
+        let mut cells = Vec::new();
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for start in 0..n as u32 {
+            if pre[start as usize] != NONE {
+                continue;
+            }
+            pre[start as usize] = order.len() as u32;
+            low[start as usize] = order.len() as u32;
+            order.push(start);
+            stack.push((start, 0));
+            while let Some(&mut (u, ref mut next)) = stack.last_mut() {
+                if let Some(e) = self.adj[u as usize].get(*next) {
+                    *next += 1;
+                    let v = e.to as usize;
+                    if pre[v] == NONE {
+                        pre[v] = order.len() as u32;
+                        low[v] = order.len() as u32;
+                        up[v] = (u, e.delay_ms);
+                        order.push(e.to);
+                        stack.push((e.to, 0));
+                    } else if e.to != up[u as usize].0 {
+                        low[u as usize] = low[u as usize].min(pre[v]);
+                    }
+                    continue;
+                }
+                stack.pop();
+                let (parent, bridge_ms) = up[u as usize];
+                if parent == NONE {
+                    continue;
+                }
+                low[parent as usize] = low[parent as usize].min(low[u as usize]);
+                let (lo, len) = (pre[u as usize], order.len() as u32 - pre[u as usize]);
+                // The larger side of a bridge is not a cell: searching
+                // it would cost more than half a full search, and a DFS
+                // rooted inside a stub would otherwise make one cell of
+                // everything else.
+                if low[u as usize] == lo && 2 * len as usize <= n {
+                    cell_of[u as usize] = cells.len() as u32;
+                    cells.push(Cell { parent, bridge_ms, lo, len });
+                }
+            }
         }
+        // Preorder visits a parent before its children, so one pass
+        // hands every router its nearest enclosing cell.
+        for &v in &order {
+            let (parent, _) = up[v as usize];
+            if cell_of[v as usize] == NONE && parent != NONE {
+                cell_of[v as usize] = cell_of[parent as usize];
+            }
+        }
+        BridgeCells { order, pre, cell_of, cells }
     }
 
     /// The original binary-heap Dijkstra, kept as the reference
@@ -427,6 +598,59 @@ mod tests {
             let dbc = u32::from(g.shortest_delay(b, c));
             let dac = u32::from(g.shortest_delay(a, c));
             assert!(dac <= dab + dbc);
+        }
+    }
+
+    /// A triangle with a branching tail: the tail is cut at its first
+    /// bridge, its twigs are cells of their own nested inside it, and
+    /// the triangle is the core.
+    #[test]
+    fn bridge_cells_nest_below_the_core() {
+        let mut g = Graph::with_nodes(7);
+        for (u, v) in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (3, 5)] {
+            g.add_edge(u, v, 1);
+        }
+        let cells = g.bridge_cells();
+        for core in [0, 1, 2, 6] {
+            assert_eq!(cells.cell(core), None, "router {core}");
+        }
+        let tail = cells.cell(3).expect("below the bridge 2-3");
+        assert_eq!((tail.parent, cells.members(tail)), (2, &[3, 4, 5][..]));
+        for twig in [4, 5] {
+            let cell = cells.cell(twig).expect("a leaf is its own cell");
+            assert_eq!((cell.parent, cells.members(cell)), (3, &[twig][..]));
+        }
+    }
+
+    /// The larger side of a bridge is never a cell, wherever the DFS
+    /// happens to start: a path rooted at one end cuts only its far
+    /// half.
+    #[test]
+    fn bridge_cells_skip_the_larger_side() {
+        let cells = line(6, 1).bridge_cells();
+        let celled: Vec<u32> = (0..6).filter(|&v| cells.cell(v).is_some()).collect();
+        assert_eq!(celled, [3, 4, 5]);
+        assert_eq!(cells.members(cells.cell(3).unwrap()), &[3, 4, 5]);
+    }
+
+    /// On a Transit-Stub world no stub router's cell reaches past its
+    /// own stub domain — the row search below a bridge is bounded by
+    /// the domain size, whatever the world size.
+    #[test]
+    fn transit_stub_cells_stay_inside_their_stub_domain() {
+        for seed in [1, 2, 3] {
+            let cfg = crate::TransitStubConfig::for_peers(2000, seed);
+            let topo = cfg.generate();
+            let cells = topo.graph.bridge_cells();
+            for &c in &topo.attach_candidates {
+                let cell = cells.cell(c).expect("every stub router sits below a bridge");
+                let members = cells.members(cell);
+                assert!(members.len() <= cfg.stub_nodes_per_domain, "seed {seed}: router {c}");
+                assert!(
+                    members.iter().all(|&m| topo.domain_of(m) == topo.domain_of(c)),
+                    "seed {seed}: router {c}'s cell leaves its stub domain"
+                );
+            }
         }
     }
 

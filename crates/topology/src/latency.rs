@@ -6,11 +6,16 @@
 //! `latency(u, v)` identically under all backends — they trade build
 //! time, memory, and per-query cost, never values:
 //!
-//! * **Rows** ([`LatencyOracle::new`]) — lazily cached full Dijkstra
+//! * **Rows** ([`LatencyOracle::new`]) — lazily cached full distance
 //!   rows (`u16` milliseconds), memoized behind `OnceLock`s so
-//!   concurrent readers race benignly. O(1) queries, but N distinct
-//!   sources cost N Dijkstras and N×N `u16`s of residency: 20 GB and
-//!   ~20 CPU-minutes at 10⁵ routers.
+//!   concurrent readers race benignly. O(1) queries and N×N `u16`s of
+//!   residency for N distinct sources (20 GB at 10⁵ routers). A source
+//!   in the 2-edge-connected core costs a full Dijkstra; a source
+//!   below a bridge (`graph::BridgeCells` — every stub router of a
+//!   Transit-Stub world, the tree fringe of an Inet world, nothing on
+//!   BRITE) costs a search of its cell plus one saturating vector add
+//!   over the row of the router across the bridge, and yields the same
+//!   bytes ([`RowStats`] counts which way each row was built).
 //! * **Bounded** ([`LatencyOracle::with_row_budget`]) — Rows with a cap
 //!   on resident rows: the first `budget/2` distinct sources pin
 //!   permanently into the lock-free `OnceLock` segment, the remainder
@@ -26,16 +31,20 @@
 //!   sorted label merge. The backend that takes a 10⁵-router build
 //!   from ~20 minutes / 20 GB to seconds / tens of MB.
 
-use crate::graph::DijkstraScratch;
+use crate::graph::{clamp_ms, BridgeCells, DijkstraScratch};
 use crate::{Graph, HubLabels, LabelStats};
 use hieras_rt::Executor;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Sources per work chunk for parallel row precomputation. One
-/// Dijkstra over a 10⁴-router graph takes milliseconds, so small
-/// chunks keep the workers balanced without scheduling overhead.
+/// Sources per work chunk for parallel row precomputation. Sized for
+/// the expensive case — a full search is a fraction of a millisecond
+/// at 10⁴ routers, and four of them balance any worker count — and
+/// harmless in the cheap one: claiming a chunk is one atomic add and
+/// one slot write against ≥ 40 µs of composed rows (~10 µs each).
+/// Measured at 4 / 32 / 256 on 2 threads: no difference beyond noise
+/// on Transit-Stub 10k, Inet 5k or BRITE 5k, so the value stays.
 const PRECOMPUTE_CHUNK: usize = 4;
 
 /// Slots in the per-thread direct-mapped `(u, v)` memo on the labels
@@ -130,6 +139,19 @@ pub struct CacheStats {
     pub resident: usize,
     /// The row budget, if bounded.
     pub budget: Option<usize>,
+}
+
+/// How the rows resident in the lock-free segment were built
+/// ([`LatencyOracle::row_stats`]); `searched + composed` is
+/// [`LatencyOracle::cached_rows`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowStats {
+    /// Rows filled by a full-graph Dijkstra: sources in the
+    /// 2-edge-connected core, and every row of a bounded oracle.
+    pub searched: usize,
+    /// Rows filled by a cell-local search plus a vector add over the
+    /// bridge parent's row.
+    pub composed: usize,
 }
 
 /// One slot of a CLOCK shard: a materialized row plus its
@@ -304,12 +326,18 @@ impl Bound {
 /// Storage strategy behind a [`LatencyOracle`].
 #[derive(Debug)]
 enum Backend {
-    /// Cached full Dijkstra rows, optionally budget-bounded.
+    /// Cached full distance rows, optionally budget-bounded.
     Rows {
         rows: Vec<OnceLock<Box<[u16]>>>,
         /// Rows resident in `rows` — maintained at row-init time so
         /// [`LatencyOracle::cached_rows`] is O(1), not a scan.
         materialized: AtomicUsize,
+        /// How many of those were composed through a bridge rather
+        /// than searched (always 0 on a bounded oracle).
+        composed: AtomicUsize,
+        /// The graph's bridge decomposition, found on the first row an
+        /// unbounded oracle materialises.
+        cells: OnceLock<BridgeCells>,
         bound: Option<Bound>,
     },
     /// Exact 2-hop hub labels, optionally memoized per thread.
@@ -336,12 +364,20 @@ impl LatencyOracle {
         rows.resize_with(n, OnceLock::new);
         LatencyOracle {
             graph,
-            backend: Backend::Rows { rows, materialized: AtomicUsize::new(0), bound: None },
+            backend: Backend::Rows {
+                rows,
+                materialized: AtomicUsize::new(0),
+                composed: AtomicUsize::new(0),
+                cells: OnceLock::new(),
+                bound: None,
+            },
         }
     }
 
     /// Wraps a router graph with at most `budget_rows` rows resident
-    /// (clamped to ≥ 1). The first `budget_rows / 2` distinct sources
+    /// (clamped to ≥ 1), each filled by a plain full search — composing
+    /// would pin bridge parents nobody asked for against the budget.
+    /// The first `budget_rows / 2` distinct sources
     /// pin into the lock-free segment and keep the `OnceLock` fast
     /// path; later sources share the remaining budget through sharded
     /// CLOCK caches whose capacities sum exactly to the rest of the
@@ -421,7 +457,7 @@ impl LatencyOracle {
     /// oracle whose pinned segment is full and does not hold `src`.
     #[must_use]
     pub fn row(&self, src: u32) -> &[u16] {
-        let Backend::Rows { rows, materialized, bound } = &self.backend else {
+        let Backend::Rows { rows, materialized, bound, .. } = &self.backend else {
             panic!("row({src}): labels backend holds no rows; use latency()");
         };
         let slot = &rows[src as usize];
@@ -429,10 +465,7 @@ impl LatencyOracle {
             return row;
         }
         match bound {
-            None => slot.get_or_init(|| {
-                materialized.fetch_add(1, Ordering::Relaxed);
-                self.graph.dijkstra(src)
-            }),
+            None => self.fill(src),
             Some(b) => {
                 assert!(
                     b.try_claim_pin(),
@@ -446,6 +479,68 @@ impl LatencyOracle {
                 slot.get().expect("row just pinned")
             }
         }
+    }
+
+    /// Materialises `src`'s row on the unbounded backend.
+    ///
+    /// A router in a cell gets `d_cell(src, v)` inside the cell and
+    /// `d_cell(src, root) + bridge + row(parent)[v]` everywhere else —
+    /// every path out crosses the bridge, so both are exact, and the
+    /// unreachable mark and the reachable clamp are applied as
+    /// [`Graph::dijkstra`] applies them: the rows are byte-identical.
+    /// A router outside every cell gets the full search.
+    ///
+    /// Kept out of line: inlined into [`LatencyOracle::row`] it grows
+    /// the frame every resident-row query sets up (six saved registers
+    /// against three — 5 % on a cache-resident `latency()`).
+    #[cold]
+    #[inline(never)]
+    fn fill(&self, src: u32) -> &[u16] {
+        let Backend::Rows { rows, materialized, composed, cells, .. } = &self.backend else {
+            unreachable!("fill() is only reached from the rows backend");
+        };
+        let cells = cells.get_or_init(|| self.graph.bridge_cells());
+        let fill_one = move |src: u32| {
+            rows[src as usize].get_or_init(|| {
+                materialized.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.cell(src) else {
+                    return self.graph.dijkstra(src);
+                };
+                composed.fetch_add(1, Ordering::Relaxed);
+                let outside = rows[cell.parent as usize].get().expect("bridge parent filled first");
+                let mut scratch = DijkstraScratch::new();
+                let inside = self.graph.dijkstra_cell(src, cells, cell, &mut scratch);
+                let exit = clamp_ms(inside[0].saturating_add(u32::from(cell.bridge_ms)));
+                let mut row: Box<[u16]> = outside
+                    .iter()
+                    .map(|&d| match d {
+                        u16::MAX => d,
+                        _ => d.saturating_add(exit).min(u16::MAX - 1),
+                    })
+                    .collect();
+                for (&v, &d) in cells.members(cell).iter().zip(inside) {
+                    row[v as usize] = clamp_ms(d);
+                }
+                row
+            })
+        };
+        // Bridge parents still missing their rows, nearest first. Each
+        // step crosses a bridge towards the DFS root, so the climb ends
+        // at a resident row or in the core; filling top-down means a
+        // row's parent is always there when it is built, on any thread.
+        let mut missing = Vec::new();
+        let mut at = src;
+        while let Some(cell) = cells.cell(at) {
+            if rows[cell.parent as usize].get().is_some() {
+                break;
+            }
+            missing.push(cell.parent);
+            at = cell.parent;
+        }
+        for &parent in missing.iter().rev() {
+            fill_one(parent);
+        }
+        fill_one(src)
     }
 
     /// Shortest-path delay in milliseconds between routers `u` and `v`.
@@ -472,7 +567,7 @@ impl LatencyOracle {
                     None => labels.latency(u, v),
                 }
             }
-            Backend::Rows { rows, materialized, bound } => {
+            Backend::Rows { rows, materialized, bound, .. } => {
                 let Some(b) = bound else {
                     return self.row(u)[v as usize];
                 };
@@ -526,13 +621,30 @@ impl LatencyOracle {
     }
 
     /// Number of rows resident in the lock-free segment (0 on the
-    /// labels backend). O(1): the count is maintained at row-init
-    /// time, not by scanning.
+    /// labels backend): every source asked for, plus the bridge parents
+    /// their rows were composed through. O(1): the count is maintained
+    /// at row-init time, not by scanning.
     #[must_use]
     pub fn cached_rows(&self) -> usize {
         match &self.backend {
             Backend::Rows { materialized, .. } => materialized.load(Ordering::Relaxed),
             Backend::Labels { .. } => 0,
+        }
+    }
+
+    /// How the resident rows were built: full searches vs. rows
+    /// composed through a bridge. Counted at row-init time only —
+    /// [`LatencyOracle::latency`] never touches these — so a slow world
+    /// build can be read off the two numbers. All zero on the labels
+    /// backend.
+    #[must_use]
+    pub fn row_stats(&self) -> RowStats {
+        match &self.backend {
+            Backend::Rows { composed, .. } => {
+                let composed = composed.load(Ordering::Relaxed);
+                RowStats { searched: self.cached_rows().saturating_sub(composed), composed }
+            }
+            Backend::Labels { .. } => RowStats::default(),
         }
     }
 
@@ -628,7 +740,7 @@ impl LatencyOracle {
     /// Pins `src`'s row if the cache has room for it; a no-op once the
     /// pinned segment is full on a bounded oracle.
     fn warm(&self, src: u32) {
-        let Backend::Rows { rows, materialized, bound } = &self.backend else {
+        let Backend::Rows { rows, materialized, bound, .. } = &self.backend else {
             return;
         };
         let slot = &rows[src as usize];

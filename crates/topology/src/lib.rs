@@ -39,6 +39,6 @@ pub use brite::BriteConfig;
 pub use graph::{DijkstraScratch, Edge, Graph};
 pub use inet::InetConfig;
 pub use labels::{HubLabels, LabelStats};
-pub use latency::{CacheStats, LatencyOracle};
+pub use latency::{CacheStats, LatencyOracle, RowStats};
 pub use topo::{NodeKind, Topology};
 pub use transit_stub::TransitStubConfig;

@@ -296,9 +296,12 @@ awk -v w="$live_windows" -v ns="$live_wall_ns" 'BEGIN {
     }
     printf "live run populated %d windows over %.1f s wall\n", w, ns / 1e9
 }'
-# Telemetry overhead gate: free-running throughput with telemetry on
-# must stay within the checked-in budget
-# (scripts/telemetry_overhead_pct) of the telemetry-off baseline.
+# Telemetry overhead gate: the quiesced per-lookup cost with telemetry
+# on (fastest rep) must stay within the checked-in budget
+# (scripts/telemetry_overhead_pct) of the telemetry-off fastest rep.
+# bench_live times that pair on a one-thread executor at any
+# HIERAS_THREADS — on a wider one par_fold's thread spawn outweighs a
+# 2 000-request rep and the gate measured the scheduler.
 overhead_budget=$(cat scripts/telemetry_overhead_pct)
 overhead=$(awk -F': ' '/"telemetry_overhead_pct"/ { v = $2; sub(/,.*/, "", v); print v; exit }' BENCH_live.json)
 awk -v o="$overhead" -v b="$overhead_budget" 'BEGIN {
