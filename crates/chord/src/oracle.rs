@@ -20,7 +20,7 @@
 use crate::{PathBuf, RingArenaPool};
 use hieras_id::{Id, IdSpace, Key};
 use hieras_rt::Executor;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors constructing a ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,6 +100,9 @@ pub struct RingView {
     seek: Vec<u32>,
     /// `bits - log2(buckets)`: right-shift mapping an id to its bucket.
     seek_shift: u32,
+    /// [`RingView::arena_digest`], computed on first use. A ring is
+    /// immutable, so the value lives and dies with these arenas.
+    digest: OnceLock<u64>,
 }
 
 /// Packed-state equality: two rings are equal when every routing-
@@ -146,9 +149,11 @@ impl RingView {
     }
 
     /// [`RingView::build`] on a caller-supplied executor: the id arena
-    /// and seek index of large rings are filled in parallel. Each entry
-    /// is a pure function of its index, so the packed state is
-    /// bit-identical at any thread count.
+    /// of a large ring is filled in parallel. Each entry is a pure
+    /// function of its index, so the packed state is bit-identical at
+    /// any thread count. (The seek index is one serial counting pass:
+    /// measured 11–20× faster than a parallel per-bucket binary search
+    /// on 2 threads at 10⁵–10⁶ members, DESIGN.md §5.)
     ///
     /// # Errors
     /// See [`RingBuildError`].
@@ -187,60 +192,56 @@ impl RingView {
                 *slot = id_entry(j);
             }
         }
-        let (seek, seek_shift) = Self::seek_index(exec, space, &member_ids, Vec::new());
-        Ok(RingView { space, ids, members, member_ids, seek, seek_shift })
+        let (seek, seek_shift) = Self::seek_index(space, &member_ids, Vec::new());
+        Ok(RingView { space, ids, members, member_ids, seek, seek_shift, digest: OnceLock::new() })
+    }
+
+    /// log2 of the seek-bucket count of a `len`-member ring: about one
+    /// bucket per member.
+    fn seek_bits(space: IdSpace, len: usize) -> u32 {
+        len.next_power_of_two().trailing_zeros().min(space.bits()).min(Self::MAX_SEEK_BITS)
+    }
+
+    /// Seek bucket of an in-space `id` (a one-bucket grid over the full
+    /// 64-bit space shifts by 64: everything is bucket 0).
+    fn bucket(id: Id, seek_shift: u32) -> usize {
+        id.0.checked_shr(seek_shift).unwrap_or(0) as usize
     }
 
     /// Builds the radix seek index over a sorted id arena into `seek`
-    /// (reusing its allocation when large enough). The one seek
-    /// builder every construction path shares — full builds and delta
-    /// applications produce the index from the same formula, so their
-    /// packed state is byte-identical by construction.
-    ///
-    /// Each entry is the partition point of the bucket's id floor — a
-    /// pure function of the bucket number, hence deterministic under
-    /// `par_fill` at any thread count.
-    fn seek_index(
-        exec: &Executor,
-        space: IdSpace,
-        member_ids: &[Id],
-        mut seek: Vec<u32>,
-    ) -> (Vec<u32>, u32) {
-        let len = member_ids.len();
-        let s = len
-            .next_power_of_two()
-            .trailing_zeros()
-            .min(space.bits())
-            .min(Self::MAX_SEEK_BITS);
+    /// (reusing its allocation when large enough): `seek[b]` is the
+    /// number of members in buckets below `b`, so one branch-free pass
+    /// counts each member into the entry after its bucket and a
+    /// running sum finishes the table. The one seek builder — full
+    /// builds call it, and a delta application either derives its
+    /// index from an index built here or calls it.
+    fn seek_index(space: IdSpace, member_ids: &[Id], mut seek: Vec<u32>) -> (Vec<u32>, u32) {
+        let s = Self::seek_bits(space, member_ids.len());
         let seek_shift = space.bits() - s;
-        let buckets = 1usize << s;
         seek.clear();
-        seek.resize(buckets + 1, 0);
-        let seek_entry = |b: usize| -> u32 {
-            if b == 0 {
-                return 0;
-            }
-            let floor = Id((b as u64) << seek_shift);
-            member_ids.partition_point(|&m| m < floor) as u32
-        };
-        if buckets >= Self::PAR_ARENA_THRESHOLD && exec.threads() > 1 {
-            exec.par_fill(&mut seek[..buckets], Self::PAR_ARENA_CHUNK, seek_entry);
-        } else {
-            for (b, slot) in seek.iter_mut().take(buckets).enumerate() {
-                *slot = seek_entry(b);
-            }
+        seek.resize((1usize << s) + 1, 0);
+        for &id in member_ids {
+            seek[Self::bucket(id, seek_shift) + 1] += 1;
         }
-        seek[buckets] = len as u32;
+        let mut below = 0u32;
+        for entry in &mut seek {
+            below += *entry;
+            *entry = below;
+        }
         (seek, seek_shift)
     }
 
     /// Applies a membership delta to this ring, producing a new ring
     /// **byte-identical** to a full [`RingView::build_on`] over the
     /// post-delta membership — without re-sorting or re-validating the
-    /// surviving members. Cost is `O(len + |delta| log len)` (one merge
-    /// pass plus the seek-index refresh) versus the full build's
-    /// `O(len log len)` sort, and the arenas come out of `pool` when a
-    /// recycled buffer fits, so steady-state epochs stop allocating.
+    /// surviving members. The survivors are copied run by run between
+    /// the delta's change points (two `memcpy`s per run) and, while the
+    /// ring's size stays between the same two powers of two, the seek
+    /// index is the old one shifted by the running insert/remove
+    /// balance: `O(|delta| log len)` decisions around an `O(len)`
+    /// streaming copy, versus the full build's `O(len log len)` sort.
+    /// The arenas come out of `pool` when a recycled buffer fits, so
+    /// steady-state epochs stop allocating.
     ///
     /// `remove` lists current member nodes to drop; `insert` lists
     /// non-member nodes to add. A node may appear in both (drop then
@@ -253,22 +254,16 @@ impl RingView {
     /// for invalid insertions, [`RingBuildError::Empty`] when the delta
     /// would empty the ring.
     pub fn apply_delta(&self, remove: &[u32], insert: &[u32]) -> Result<Self, RingBuildError> {
-        self.apply_delta_on(
-            &Executor::new(1),
-            remove,
-            insert,
-            &mut RingArenaPool::disabled(),
-        )
+        self.apply_delta_on(remove, insert, &mut RingArenaPool::disabled())
     }
 
-    /// [`RingView::apply_delta`] on a caller-supplied executor and
-    /// arena pool (the serving maintainer's form).
+    /// [`RingView::apply_delta`] drawing its arenas from a caller-
+    /// supplied pool (the serving maintainer's form).
     ///
     /// # Errors
     /// See [`RingView::apply_delta`].
     pub fn apply_delta_on(
         &self,
-        exec: &Executor,
         remove: &[u32],
         insert: &[u32],
         pool: &mut RingArenaPool,
@@ -304,37 +299,58 @@ impl RingView {
         if new_len == 0 {
             return Err(RingBuildError::Empty);
         }
-        // Single merge-splice pass: surviving members stream through in
-        // id order, insertions interleave at their sorted slots. The
-        // result is exactly the id-sorted member array a full build's
-        // sort would produce.
+        // Each insertion's slot: the old position it goes in front of.
+        let slots: Vec<usize> =
+            ins.iter().map(|&(id, _)| self.member_ids.partition_point(|&m| m < id)).collect();
+        let seek_len = (1usize << Self::seek_bits(self.space, new_len)) + 1;
+        let same_grid = seek_len == self.seek.len();
         let mut members = pool.take_u32(new_len);
         let mut member_ids = pool.take_ids(new_len);
+        let mut seek = pool.take_u32(seek_len);
+        // Walk the change points in id order. Up to each one the
+        // survivors are one contiguous run of the old arenas — exactly
+        // the id-sorted arrays a full build's sort would produce — and,
+        // on an unchanged bucket grid, the seek entries up to the
+        // change's bucket are the old ones plus `shift`, the inserts
+        // minus the removals so far (`seek[b]` counts the members in
+        // buckets below `b`).
+        let (mut from, mut shift) = (0usize, 0u32);
         let (mut ri, mut ii) = (0usize, 0usize);
-        for pos in 0..len {
-            let id = self.member_ids[pos];
-            while ii < ins.len() && ins[ii].0 < id {
-                member_ids.push(ins[ii].0);
+        while ri < rem_pos.len() || ii < ins.len() {
+            // An insertion goes before a removal at the same slot.
+            let inserting =
+                ii < ins.len() && rem_pos.get(ri).is_none_or(|&r| slots[ii] <= r as usize);
+            let to = if inserting { slots[ii] } else { rem_pos[ri] as usize };
+            let id = if inserting { ins[ii].0 } else { self.member_ids[to] };
+            members.extend_from_slice(&self.members[from..to]);
+            member_ids.extend_from_slice(&self.member_ids[from..to]);
+            let (done, b) = (seek.len(), Self::bucket(id, self.seek_shift));
+            if same_grid && b >= done {
+                seek.extend(self.seek[done..=b].iter().map(|&v| v.wrapping_add(shift)));
+            }
+            if inserting {
+                // The slot's old occupant may share the id only if it
+                // is the next removal (a drop-then-re-add).
+                if self.member_ids.get(to) == Some(&id) && rem_pos.get(ri) != Some(&(to as u32)) {
+                    return Err(RingBuildError::DuplicateId(id));
+                }
                 members.push(ins[ii].1);
-                ii += 1;
+                member_ids.push(id);
+                (from, shift, ii) = (to, shift.wrapping_add(1), ii + 1);
+            } else {
+                (from, shift, ri) = (to + 1, shift.wrapping_sub(1), ri + 1);
             }
-            if ri < rem_pos.len() && rem_pos[ri] as usize == pos {
-                ri += 1;
-                continue;
-            }
-            if ii < ins.len() && ins[ii].0 == id {
-                return Err(RingBuildError::DuplicateId(id));
-            }
-            member_ids.push(id);
-            members.push(self.members[pos]);
         }
-        for &(id, m) in &ins[ii..] {
-            member_ids.push(id);
-            members.push(m);
-        }
+        members.extend_from_slice(&self.members[from..]);
+        member_ids.extend_from_slice(&self.member_ids[from..]);
         debug_assert_eq!(members.len(), new_len);
-        let (seek, seek_shift) =
-            Self::seek_index(exec, self.space, &member_ids, pool.take_u32(0));
+        let (seek, seek_shift) = if same_grid {
+            let done = seek.len();
+            seek.extend(self.seek[done..].iter().map(|&v| v.wrapping_add(shift)));
+            (seek, self.seek_shift)
+        } else {
+            Self::seek_index(self.space, &member_ids, seek)
+        };
         Ok(RingView {
             space: self.space,
             ids: Arc::clone(&self.ids),
@@ -342,29 +358,36 @@ impl RingView {
             member_ids,
             seek,
             seek_shift,
+            digest: OnceLock::new(),
         })
     }
 
     /// Order-sensitive digest of the packed routing state (member
-    /// indices, id arena, seek index, seek shift) — a cheap fingerprint
-    /// the delta-vs-full identity gates chain across whole hierarchies.
+    /// indices, id arena, seek index, seek shift) — a fingerprint the
+    /// delta-vs-full identity gates chain across whole hierarchies.
+    /// Hashed once per ring: a ring shared by many epochs answers from
+    /// its cache.
     #[must_use]
     pub fn arena_digest(&self) -> u64 {
-        let mut h = hieras_rt::splitmix64(
-            0x5ee4_a12e_5000_0000 ^ u64::from(self.space.bits()) ^ (self.members.len() as u64) << 8,
-        );
-        let mut mix = |v: u64| h = hieras_rt::splitmix64(h ^ v);
-        for &m in &self.members {
-            mix(u64::from(m));
-        }
-        for &id in &self.member_ids {
-            mix(id.0);
-        }
-        for &s in &self.seek {
-            mix(u64::from(s));
-        }
-        mix(u64::from(self.seek_shift));
-        h
+        *self.digest.get_or_init(|| {
+            let mut h = hieras_rt::splitmix64(
+                0x5ee4_a12e_5000_0000
+                    ^ u64::from(self.space.bits())
+                    ^ (self.members.len() as u64) << 8,
+            );
+            let mut mix = |v: u64| h = hieras_rt::splitmix64(h ^ v);
+            for &m in &self.members {
+                mix(u64::from(m));
+            }
+            for &id in &self.member_ids {
+                mix(id.0);
+            }
+            for &s in &self.seek {
+                mix(u64::from(s));
+            }
+            mix(u64::from(self.seek_shift));
+            h
+        })
     }
 
     /// Dismantles this ring into `pool`, handing back its arena
@@ -384,11 +407,7 @@ impl RingView {
         // Ids past the space (possible only for out-of-space queries)
         // clamp to the last bucket and resolve to position len → 0,
         // matching a plain wrapped binary search.
-        let b = if self.seek_shift >= 64 {
-            0
-        } else {
-            ((target.0 >> self.seek_shift) as usize).min(self.seek.len() - 2)
-        };
+        let b = Self::bucket(target, self.seek_shift).min(self.seek.len() - 2);
         let lo = self.seek[b] as usize;
         let hi = self.seek[b + 1] as usize;
         let p = lo + self.member_ids[lo..hi].partition_point(|&m| m < target);
@@ -969,13 +988,105 @@ mod tests {
         assert_eq!(same, r);
     }
 
+    /// Applies `(remove, insert)` to `ring` and holds the result — the
+    /// offset-derived seek index included — against a from-scratch
+    /// build of the post-delta membership at 1, 2 and 8 threads.
+    fn delta_vs_scratch(ring: &RingView, remove: &[u32], insert: &[u32]) -> RingView {
+        let delta = ring.apply_delta(remove, insert).unwrap();
+        let after: Vec<u32> = ring
+            .members()
+            .iter()
+            .copied()
+            .filter(|m| !remove.contains(m))
+            .chain(insert.iter().copied())
+            .collect();
+        for threads in [1, 2, 8] {
+            let exec = Executor::new(threads);
+            let full = RingView::build_on(&exec, ring.space(), Arc::clone(&ring.ids), &after);
+            // (not assert_eq: a mismatch would dump whole arenas)
+            assert!(delta == full.unwrap(), "-{remove:?} +{insert:?} at {threads} threads");
+        }
+        delta
+    }
+
+    /// The seek index a delta derives by offsetting the old one is the
+    /// index `seek_index` builds from scratch: one member at a time
+    /// across every power-of-two size crossing in both directions
+    /// (where the bucket grid changes and the sweep takes over), on
+    /// 1- and 2-member rings (a 64-bit shift: one bucket), and for the
+    /// batches that stress the offsets' ends.
+    #[test]
+    fn offset_seek_matches_seek_index_from_scratch() {
+        let mut rng = hieras_rt::Rng::seed_from_u64(0x5ee4_0ff5);
+        let mut raw: Vec<u64> = (0..1_100).map(|_| rng.next_u64()).collect();
+        raw.sort_unstable();
+        raw.dedup();
+        let n = raw.len() as u32;
+        let ids = ids_of(&raw);
+        // Node indices are id-ordered: 0 holds the minimum id, n-1 the
+        // maximum. Grow 1 → 6 from the middle, then shrink back.
+        let mut ring = RingView::build(IdSpace::full(), Arc::clone(&ids), &[500]).unwrap();
+        assert!(ring.seek_shift >= 64);
+        ring = delta_vs_scratch(&ring, &[500], &[501]); // swap on a 1-member ring
+        for m in [400, 600, 300, 700, 200] {
+            ring = delta_vs_scratch(&ring, &[], &[m]);
+        }
+        for m in [400, 200, 700, 501, 600] {
+            ring = delta_vs_scratch(&ring, &[m], &[]);
+        }
+        assert_eq!(ring.members(), &[300]);
+        // 1 023 ↔ 1 025, by ones through 1 024 and in one batch.
+        let base: Vec<u32> = (10..1_033).collect();
+        ring = RingView::build(IdSpace::full(), Arc::clone(&ids), &base).unwrap();
+        assert_eq!(ring.len(), 1_023);
+        ring = delta_vs_scratch(&ring, &[], &[5]);
+        ring = delta_vs_scratch(&ring, &[], &[1_050]);
+        ring = delta_vs_scratch(&ring, &[700], &[]);
+        ring = delta_vs_scratch(&ring, &[5], &[]);
+        ring = delta_vs_scratch(&ring, &[], &[700, 5]);
+        ring = delta_vs_scratch(&ring, &[1_050, 10], &[]);
+        assert_eq!(ring.len(), 1_023);
+        // Drop-and-re-add of one node, alone and beside other changes.
+        ring = delta_vs_scratch(&ring, &[300], &[300]);
+        ring = delta_vs_scratch(&ring, &[300, 11], &[300, 10]);
+        // Below the minimum id and above the maximum.
+        ring = delta_vs_scratch(&ring, &[], &[0, n - 1]);
+        ring = delta_vs_scratch(&ring, &[0, n - 1], &[1, n - 2]);
+        // A batch that empties a whole run of buckets, then refills it.
+        let run: Vec<u32> = (400..520).collect();
+        ring = delta_vs_scratch(&ring, &run, &[]);
+        ring = delta_vs_scratch(&ring, &[], &run);
+        // Random batches around the 1 024 boundary.
+        for _ in 0..200 {
+            let members = ring.members().to_vec();
+            let out = rng.random_range(0usize..6);
+            let remove: Vec<u32> =
+                (0..out).map(|_| members[rng.random_range(0..members.len())]).collect();
+            let insert: Vec<u32> = (0..rng.random_range(0u32..6))
+                .map(|_| rng.random_range(0..n))
+                .filter(|m| !members.contains(m))
+                .collect();
+            let (mut remove, mut insert) = (remove, insert);
+            remove.sort_unstable();
+            remove.dedup();
+            insert.sort_unstable();
+            insert.dedup();
+            // Steer the size back towards the boundary.
+            if ring.len() > 1_030 {
+                insert.clear();
+            } else if ring.len() < 1_018 {
+                remove.clear();
+            }
+            ring = delta_vs_scratch(&ring, &remove, &insert);
+        }
+    }
+
     /// Seeded fuzz: arbitrary remove/insert batches against a full
     /// rebuild of the post-delta membership — byte identity (members,
     /// arena, seek) must hold, including via the pooled path.
     #[test]
     fn apply_delta_fuzz_identity() {
         let mut rng = hieras_rt::Rng::seed_from_u64(0xde17a);
-        let exec = Executor::new(1);
         let mut pool = RingArenaPool::new(16);
         for case in 0..200 {
             let n = rng.random_range(4usize..80);
@@ -1014,7 +1125,7 @@ mod tests {
             if after.is_empty() {
                 continue;
             }
-            let delta = ring.apply_delta_on(&exec, &remove, &insert, &mut pool).unwrap();
+            let delta = ring.apply_delta_on(&remove, &insert, &mut pool).unwrap();
             let full = RingView::build(IdSpace::full(), Arc::clone(&ids), &after).unwrap();
             assert_eq!(delta, full, "case {case}");
             assert_eq!(delta.arena_digest(), full.arena_digest(), "case {case}");

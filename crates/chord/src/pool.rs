@@ -6,8 +6,9 @@
 //! the same size for the next delta application. [`RingArenaPool`] is a
 //! bounded free-list the maintenance thread owns exclusively (no
 //! locks): dismantled rings deposit their buffers, delta builds
-//! withdraw the first one large enough, and anything past the bound is
-//! dropped to keep the pool from hoarding a whole history of arenas.
+//! withdraw the smallest one large enough, and past the bound the
+//! oldest buffer is dropped, so the pool neither hoards a whole
+//! history of arenas nor stays full of ones nothing asks for.
 
 use hieras_id::Id;
 
@@ -17,9 +18,10 @@ use hieras_id::Id;
 pub struct ArenaPoolStats {
     /// Withdrawals served by a recycled buffer (no allocation).
     pub reused: u64,
-    /// Buffers deposited and retained for reuse.
+    /// Buffers deposited while the pool had room.
     pub returned: u64,
-    /// Buffers refused because the pool was at capacity.
+    /// Deposits that cost a buffer: the pool was at capacity (its
+    /// oldest buffer made way) or the buffer was not worth keeping.
     pub dropped: u64,
 }
 
@@ -52,24 +54,26 @@ impl RingArenaPool {
     /// Withdraws a cleared `u32` buffer with capacity ≥ `min`, or
     /// allocates one.
     pub fn take_u32(&mut self, min: usize) -> Vec<u32> {
-        match self.u32s.iter().rposition(|b| b.capacity() >= min) {
-            Some(i) => {
-                self.stats.reused += 1;
-                let mut b = self.u32s.swap_remove(i);
-                b.clear();
-                b
-            }
-            None => Vec::with_capacity(min),
-        }
+        Self::take(&mut self.u32s, &mut self.stats, min)
     }
 
     /// Withdraws a cleared `Id` buffer with capacity ≥ `min`, or
     /// allocates one.
     pub fn take_ids(&mut self, min: usize) -> Vec<Id> {
-        match self.ids.iter().rposition(|b| b.capacity() >= min) {
+        Self::take(&mut self.ids, &mut self.stats, min)
+    }
+
+    /// Best fit: the smallest held buffer that takes `min` entries, so
+    /// a ring's member arena never strands the (larger) seek-index
+    /// request that follows it.
+    fn take<T>(held: &mut Vec<Vec<T>>, stats: &mut ArenaPoolStats, min: usize) -> Vec<T> {
+        let fit = (0..held.len())
+            .filter(|&i| held[i].capacity() >= min)
+            .min_by_key(|&i| held[i].capacity());
+        match fit {
             Some(i) => {
-                self.stats.reused += 1;
-                let mut b = self.ids.swap_remove(i);
+                stats.reused += 1;
+                let mut b = held.remove(i);
                 b.clear();
                 b
             }
@@ -77,26 +81,31 @@ impl RingArenaPool {
         }
     }
 
-    /// Deposits a `u32` buffer for reuse (dropped if at capacity or
-    /// capacity-less).
+    /// Deposits a `u32` buffer for reuse (see [`RingArenaPool::put_ids`]).
     pub fn put_u32(&mut self, buf: Vec<u32>) {
-        if buf.capacity() > 0 && self.u32s.len() < self.cap {
-            self.stats.returned += 1;
-            self.u32s.push(buf);
-        } else {
-            self.stats.dropped += 1;
-        }
+        Self::put(&mut self.u32s, &mut self.stats, self.cap, buf);
     }
 
-    /// Deposits an `Id` buffer for reuse (dropped if at capacity or
-    /// capacity-less).
+    /// Deposits an `Id` buffer for reuse. A capacity-less buffer is
+    /// dropped; at the bound the oldest held buffer makes way, so what
+    /// a full rebuild retired with nothing drawn against it ages out
+    /// instead of occupying the pool for good.
     pub fn put_ids(&mut self, buf: Vec<Id>) {
-        if buf.capacity() > 0 && self.ids.len() < self.cap {
-            self.stats.returned += 1;
-            self.ids.push(buf);
-        } else {
-            self.stats.dropped += 1;
+        Self::put(&mut self.ids, &mut self.stats, self.cap, buf);
+    }
+
+    fn put<T>(held: &mut Vec<Vec<T>>, stats: &mut ArenaPoolStats, cap: usize, buf: Vec<T>) {
+        if buf.capacity() == 0 || cap == 0 {
+            stats.dropped += 1;
+            return;
         }
+        if held.len() == cap {
+            stats.dropped += 1;
+            held.remove(0);
+        } else {
+            stats.returned += 1;
+        }
+        held.push(buf);
     }
 
     /// Buffers currently held, across both free-lists.
@@ -121,17 +130,59 @@ mod tests {
         let mut pool = RingArenaPool::new(2);
         pool.put_u32(Vec::with_capacity(64));
         pool.put_u32(Vec::with_capacity(16));
-        pool.put_u32(Vec::with_capacity(32)); // over cap: dropped
+        pool.put_u32(Vec::with_capacity(32)); // over cap: the 64 goes
         assert_eq!(pool.stats(), ArenaPoolStats { reused: 0, returned: 2, dropped: 1 });
-        // Wants 20 slots: the 16-cap buffer is skipped, the 64 serves.
+        // Wants 20 slots: the 16-cap buffer is skipped, the 32 serves.
         let b = pool.take_u32(20);
-        assert!(b.capacity() >= 20 && b.is_empty());
+        assert!(b.capacity() == 32 && b.is_empty());
         assert_eq!(pool.stats().reused, 1);
         // Nothing big enough left: fresh allocation, no reuse counted.
         let c = pool.take_u32(999);
         assert!(c.capacity() >= 999);
         assert_eq!(pool.stats().reused, 1);
         assert_eq!(pool.held(), 1);
+    }
+
+    /// A ring's delta draws a member arena, an id arena and then the
+    /// (larger) seek index. Whatever order the retired buffers came
+    /// back in, each request must get the buffer that fits it, not a
+    /// bigger one a later request needs, and nothing may reallocate.
+    #[test]
+    fn seek_sized_request_gets_the_fitting_buffer_without_reallocating() {
+        let (members, seek) = (5_000usize, 8_193usize);
+        for seek_first in [false, true] {
+            let mut pool = RingArenaPool::new(4);
+            let mut retired = [Vec::<u32>::with_capacity(members), Vec::with_capacity(seek)];
+            if seek_first {
+                retired.reverse();
+            }
+            let seek_ptr = retired.iter().find(|b| b.capacity() == seek).unwrap().as_ptr();
+            pool.put_u32(Vec::with_capacity(16));
+            retired.into_iter().for_each(|b| pool.put_u32(b));
+            let m = pool.take_u32(members - 2);
+            assert_eq!(m.capacity(), members, "the member request took the seek buffer");
+            let mut s = pool.take_u32(seek);
+            assert_eq!((s.as_ptr(), s.capacity()), (seek_ptr, seek));
+            s.resize(seek, 0);
+            assert_eq!(s.as_ptr(), seek_ptr, "filling the seek index reallocated");
+            assert_eq!(pool.stats().reused, 2);
+            assert_eq!(pool.held(), 1, "the 16-slot buffer fits neither request");
+        }
+    }
+
+    #[test]
+    fn a_full_pool_lets_its_oldest_buffer_go() {
+        let mut pool = RingArenaPool::new(2);
+        pool.put_ids(Vec::with_capacity(64));
+        pool.put_ids(Vec::with_capacity(4));
+        pool.put_ids(Vec::with_capacity(8)); // the 64 makes way
+        assert_eq!(pool.stats(), ArenaPoolStats { reused: 0, returned: 2, dropped: 1 });
+        assert_eq!(pool.take_ids(9).capacity(), 9, "nothing held fits: allocated");
+        assert_eq!(pool.take_ids(3).capacity(), 4);
+        pool.put_ids(Vec::with_capacity(16)); // room again: nothing goes
+        assert_eq!(pool.take_ids(5).capacity(), 8);
+        assert_eq!(pool.take_ids(5).capacity(), 16);
+        assert_eq!(pool.held(), 0);
     }
 
     #[test]

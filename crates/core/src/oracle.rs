@@ -13,7 +13,7 @@ use hieras_chord::{PathBuf, RingArenaPool, RingBuildError, RingView};
 use hieras_id::{Id, IdSpace, Key};
 use hieras_rt::{splitmix64, Executor};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors building a [`HierasOracle`].
 #[derive(Debug, Clone, PartialEq)]
@@ -172,6 +172,41 @@ pub struct FingerRow {
     pub successors: Vec<u32>,
 }
 
+/// The per-node landmark orders with their lazily computed digest:
+/// every epoch sharing the table shares the one hashing of it.
+#[derive(Debug)]
+struct OrderTable {
+    list: Vec<LandmarkOrder>,
+    digest: OnceLock<u64>,
+}
+
+impl OrderTable {
+    /// Order-sensitive digest of every entry's length and digits.
+    fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut h = splitmix64(0x0a4d_e45a_7ab1_e000 ^ self.list.len() as u64);
+            for o in &self.list {
+                h = splitmix64(h ^ o.0.len() as u64);
+                for &d in &o.0 {
+                    h = splitmix64(h ^ u64::from(d));
+                }
+            }
+            h
+        })
+    }
+}
+
+/// Records `ring` in `table` from the two ends of its id-sorted arena.
+/// A table keeps the two smallest and two largest ids it has seen, so
+/// these (at most four) members are all of the ring it can ever hold —
+/// the same table as observing every member.
+fn observe_ends(table: &mut RingTable, ring: &RingView) {
+    let last = ring.len() as u32 - 1;
+    for pos in [0, 1.min(last), last.saturating_sub(1), last] {
+        table.observe(ring.id_at(pos));
+    }
+}
+
 /// HIERAS over a known membership: every peer's ring memberships and
 /// per-layer finger tables, plus the ring tables, built centrally.
 #[derive(Debug, Clone)]
@@ -182,7 +217,7 @@ pub struct HierasOracle {
     /// Per-node landmark orders; shared across epochs whose binning
     /// did not move (delta applications clone-and-patch only when a
     /// join or re-bin changed an entry).
-    orders: Arc<[LandmarkOrder]>,
+    orders: Arc<OrderTable>,
     /// `layers[j-1]` is layer `j`; `layers[0]` is the global ring.
     layers: Vec<Layer>,
     /// Ring tables of every non-global ring, keyed by ring name.
@@ -396,20 +431,18 @@ impl HierasOracle {
                 ring_of_node: proto.ring_of_node.into(),
             });
         }
-        // Ring tables for every non-global ring (§3.1): record all
-        // members; the table itself keeps only the four extreme ids.
+        // Ring tables for every non-global ring (§3.1).
         let mut ring_tables = HashMap::new();
         for layer in layers.iter().skip(1) {
             for (name, ring) in layer.rings() {
                 let table = ring_tables
                     .entry(name.name())
                     .or_insert_with(|| RingTable::new(name));
-                for &m in ring.members() {
-                    table.observe(ids[m as usize]);
-                }
+                observe_ends(table, ring);
             }
         }
-        Ok(HierasOracle { space, ids, config, orders: orders.into(), layers, ring_tables })
+        let orders = Arc::new(OrderTable { list: orders, digest: OnceLock::new() });
+        Ok(HierasOracle { space, ids, config, orders, layers, ring_tables })
     }
 
     /// Convenience: builds from raw landmark RTT vectors using the
@@ -460,7 +493,7 @@ impl HierasOracle {
     /// Landmark order of node `node`.
     #[must_use]
     pub fn order_of(&self, node: u32) -> &LandmarkOrder {
-        &self.orders[node as usize]
+        &self.orders.list[node as usize]
     }
 
     /// The layers, top (global, layer 1) first.
@@ -656,13 +689,13 @@ impl HierasOracle {
     ) -> BTreeMap<LandmarkOrder, (Vec<u32>, Vec<u32>)> {
         let mut changes: BTreeMap<LandmarkOrder, (Vec<u32>, Vec<u32>)> = BTreeMap::new();
         for &m in delta.departed {
-            changes.entry(self.orders[m as usize].prefix(plen)).or_default().0.push(m);
+            changes.entry(self.orders.list[m as usize].prefix(plen)).or_default().0.push(m);
         }
         for &m in delta.joined {
             changes.entry(orders[m as usize].prefix(plen)).or_default().1.push(m);
         }
         for &m in delta.rebinned {
-            let old = self.orders[m as usize].prefix(plen);
+            let old = self.orders.list[m as usize].prefix(plen);
             let new = orders[m as usize].prefix(plen);
             if old != new {
                 changes.entry(old).or_default().0.push(m);
@@ -695,13 +728,22 @@ impl HierasOracle {
     /// Applies one epoch's membership/binning delta, producing a new
     /// hierarchy **byte-identical** to
     /// [`HierasOracle::build_members_on`] over the post-delta
-    /// membership and `orders` — at a cost proportional to the delta,
-    /// not the network. Untouched rings are structurally shared with
-    /// `self` (their [`Arc`]s are cloned); only rings whose membership
-    /// or binning moved are copied, via [`RingView::apply_delta_on`]
-    /// (with arenas recycled through `pool`), born rings are built
-    /// fresh, and emptied rings disappear. Ring tables are recomputed
-    /// for touched ring names only.
+    /// membership and `orders`. Untouched rings are structurally shared
+    /// with `self` (their [`Arc`]s are cloned); only rings whose
+    /// membership or binning moved are copied, via
+    /// [`RingView::apply_delta_on`] (with arenas recycled through
+    /// `pool`), born rings are built fresh, and emptied rings
+    /// disappear. Ring tables are recomputed for touched ring names
+    /// only, from the ends of their rings' arenas.
+    ///
+    /// What is decided per epoch is proportional to the delta; what is
+    /// *copied* is not: each touched ring's arenas and every touched
+    /// layer's node→ring map are streamed once (`memcpy` speed), and
+    /// the check that no live member's order moved undeclared reads
+    /// the whole order table. At 5 000 peers a 4-event epoch costs
+    /// ≈ 0.2× what it did with a per-member merge, a seek index
+    /// rebuilt by binary search and per-member table observations
+    /// (EXPERIMENTS.md § Incremental maintenance has the stack).
     ///
     /// `orders` is the caller's full (global-sized) order table after
     /// this epoch's re-binning; entries may differ from the builder's
@@ -750,7 +792,7 @@ impl HierasOracle {
         // its rings would silently diverge from a full rebuild.
         let mut orders_changed = false;
         for (i, o) in orders.iter().enumerate() {
-            if *o != self.orders[i] {
+            if *o != self.orders.list[i] {
                 let node = i as u32;
                 let declared = delta.rebinned.contains(&node)
                     || delta.joined.contains(&node)
@@ -761,8 +803,8 @@ impl HierasOracle {
                 orders_changed = true;
             }
         }
-        let new_orders: Arc<[LandmarkOrder]> = if orders_changed {
-            orders.to_vec().into()
+        let new_orders = if orders_changed {
+            Arc::new(OrderTable { list: orders.to_vec(), digest: OnceLock::new() })
         } else {
             Arc::clone(&self.orders)
         };
@@ -831,7 +873,7 @@ impl HierasOracle {
                                 continue; // the ring emptied and disappears
                             }
                         }
-                        let ring = old.apply_delta_on(exec, rem, ins, pool)?;
+                        let ring = old.apply_delta_on(rem, ins, pool)?;
                         old_to_new[oi] = new_names.len() as u32;
                         new_names.push(name.clone());
                         new_rings.push(Arc::new(ring));
@@ -845,12 +887,18 @@ impl HierasOracle {
             if new_rings.is_empty() {
                 return Err(HierasBuildError::Ring(RingBuildError::Empty));
             }
-            // Re-point every node at its (possibly renumbered) ring.
-            let mut map: Vec<u32> = layer
-                .ring_of_node
-                .iter()
-                .map(|&r| if r == u32::MAX { u32::MAX } else { old_to_new[r as usize] })
-                .collect();
+            // Re-point every node at its ring: a straight copy unless
+            // a birth or death renumbered the surviving rings.
+            let renumbered = old_to_new.iter().enumerate().any(|(oi, &ni)| ni != oi as u32);
+            let mut map: Vec<u32> = if renumbered {
+                layer
+                    .ring_of_node
+                    .iter()
+                    .map(|&r| if r == u32::MAX { u32::MAX } else { old_to_new[r as usize] })
+                    .collect()
+            } else {
+                layer.ring_of_node.to_vec()
+            };
             for &m in delta.departed {
                 map[m as usize] = u32::MAX;
             }
@@ -868,8 +916,8 @@ impl HierasOracle {
                 ring_of_node: map.into(),
             });
         }
-        // Ring tables: recompute touched names only, replaying the
-        // full build's layer-ordered observation sequence for each.
+        // Ring tables: recompute touched names only, from the same
+        // arena ends in the same layer order as the full build.
         let mut ring_tables = self.ring_tables.clone();
         touched_names.sort();
         touched_names.dedup();
@@ -882,9 +930,7 @@ impl HierasOracle {
                     let table = ring_tables
                         .entry(name.name())
                         .or_insert_with(|| RingTable::new(name));
-                    for &m in layer.rings[ri].members() {
-                        table.observe(self.ids[m as usize]);
-                    }
+                    observe_ends(table, &layer.rings[ri]);
                 }
             }
         }
@@ -902,7 +948,10 @@ impl HierasOracle {
     /// names, packed arenas, node→ring maps, ring tables (sorted by
     /// name), and the order table. Two oracles with equal digests
     /// route identically; the delta-vs-full identity gates chain this
-    /// across whole runs.
+    /// across whole runs. Rings and the order table enter through
+    /// their own cached digests, so an epoch re-hashes only the rings
+    /// it copied, its node→ring maps and ring tables, and the order
+    /// table when binning moved.
     #[must_use]
     pub fn hierarchy_digest(&self) -> u64 {
         let mut h = splitmix64(0x48ae_5a11_d161_57a1 ^ self.layers.len() as u64);
@@ -930,13 +979,7 @@ impl HierasOracle {
                 h = splitmix64(h ^ m.0);
             }
         }
-        for o in self.orders.iter() {
-            h = splitmix64(h ^ o.0.len() as u64);
-            for &d in &o.0 {
-                h = splitmix64(h ^ u64::from(d));
-            }
-        }
-        h
+        splitmix64(h ^ self.orders.digest())
     }
 
     /// Dismantles this hierarchy into `pool`, salvaging the arena
@@ -1387,6 +1430,69 @@ mod tests {
             .apply_delta_on(&exec, &HierasDelta::default(), &orders, &mut pool)
             .unwrap();
         assert_same(&same, &o);
+    }
+
+    /// Every lower ring's table against the definition: a fresh table
+    /// that observed every member of the ring.
+    fn assert_tables_observe_everyone(o: &HierasOracle) {
+        let mut rings = 0;
+        for layer in o.layers().iter().skip(1) {
+            for (name, ring) in layer.rings() {
+                let mut want = RingTable::new(name);
+                for &m in ring.members() {
+                    want.observe(o.id_of(m));
+                }
+                assert_eq!(o.ring_table(&name.name()), Some(&want), "ring {name}");
+                rings += 1;
+            }
+        }
+        assert_eq!(o.ring_tables().len(), rings);
+    }
+
+    /// A ring table filled from the ends of the ring's sorted arena is
+    /// the table that observed every member — for every ring size
+    /// around the four slots, from full builds and from deltas that
+    /// take an extreme member away or add a new one.
+    #[test]
+    fn ring_tables_from_arena_ends_match_observing_every_member() {
+        let (space, ids, _, config) = two_bin_inputs();
+        let exec = Executor::new(1);
+        let all: Vec<u32> = (0..12u32).collect();
+        let by_id = |ring: &RingView| (ring.node_at(0), ring.node_at(ring.len() as u32 - 1));
+        for small in 1..=6usize {
+            // Ring "00" holds `small` nodes, ring "22" the other 12 - small.
+            let orders: Vec<LandmarkOrder> = (0..12)
+                .map(|i| LandmarkOrder(if i < small { vec![0, 0] } else { vec![2, 2] }))
+                .collect();
+            let mut o = HierasOracle::build_members_on(
+                &exec,
+                space,
+                Arc::clone(&ids),
+                orders.clone(),
+                &all,
+                config.clone(),
+            )
+            .unwrap();
+            assert_eq!(o.layers()[1].ring_of(0).len(), small);
+            assert_tables_observe_everyone(&o);
+            // Shrink "22" from both ends down to one member, then hand
+            // the departed back one by one.
+            let mut gone: Vec<u32> = Vec::new();
+            while o.layers()[1].ring_of(11).len() > 1 {
+                let (lo, hi) = by_id(o.layers()[1].ring_of(11));
+                let out = if gone.len() % 2 == 0 { lo } else { hi };
+                let out = if out == 11 { lo + hi - 11 } else { out };
+                let delta = HierasDelta { departed: &[out], ..HierasDelta::default() };
+                o = o.apply_delta_on(&exec, &delta, &orders, &mut RingArenaPool::disabled()).unwrap();
+                assert_tables_observe_everyone(&o);
+                gone.push(out);
+            }
+            for &back in &gone {
+                let delta = HierasDelta { joined: &[back], ..HierasDelta::default() };
+                o = o.apply_delta_on(&exec, &delta, &orders, &mut RingArenaPool::disabled()).unwrap();
+                assert_tables_observe_everyone(&o);
+            }
+        }
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //! at any executor width. This harness drives a long random churn
 //! history (joins, leaves, re-bins, whole-stub-domain removals) both
 //! ways at 1, 2 and 8 threads and asserts the identity at every step.
+//! Superseded hierarchies are retired into the delta path's arena pool
+//! two epochs late, as the serving engine's publisher does, so every
+//! later delta builds in recycled arenas: a ring's cached digest must
+//! die with the ring, never follow its buffers into the next one.
 
 use hieras_core::{
     Binning, HierasConfig, HierasDelta, HierasOracle, LandmarkOrder, RingArenaPool,
 };
 use hieras_id::{Id, IdSpace};
 use hieras_rt::{splitmix64, Executor};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 const NODES: u32 = 64;
@@ -77,6 +82,8 @@ fn run_history(exec: &Executor, seed: u64) -> Vec<u64> {
     )
     .expect("seed membership builds");
     let mut pool = RingArenaPool::new(64);
+    // Epochs a reader may still pin: retired, not yet reclaimed.
+    let mut lagging: VecDeque<HierasOracle> = VecDeque::new();
     let mut digests = vec![cur.hierarchy_digest()];
     for round in 0..ROUNDS {
         let r = |n: u64| rng(seed ^ 0xf00d ^ (round << 16), n);
@@ -171,8 +178,12 @@ fn run_history(exec: &Executor, seed: u64) -> Vec<u64> {
             assert_eq!(a.destination(), b.destination());
         }
         digests.push(full.hierarchy_digest());
-        cur = inc;
+        lagging.push_back(std::mem::replace(&mut cur, inc));
+        if lagging.len() > 2 {
+            lagging.pop_front().expect("non-empty").recycle_into(&mut pool);
+        }
     }
+    assert!(pool.stats().reused > 0, "no delta ever built in a recycled arena");
     digests
 }
 

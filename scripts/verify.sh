@@ -187,8 +187,10 @@ fi
 echo "delta rebuilds byte-identical to full rebuilds"
 # Publish-latency gate: at smoke sizes (tiny per-epoch ring turnover)
 # the incremental publish p50 must come in at or under the checked-in
-# fraction of the full-rebuild p50 (scripts/incremental_publish_ratio
-# — 0.5 means "at least 2x faster").
+# fraction of the full-rebuild p50 (scripts/incremental_publish_ratio:
+# twice the ratio measured when the delta path last changed — 0.14 to
+# 0.18 over six smoke runs at PR 14 — so a delta path that goes back
+# to rebuilding its seek index per bucket, 0.32 then, fails here).
 ratio_budget=$(cat scripts/incremental_publish_ratio)
 ratio=$(awk -F': ' '/"incremental_publish_ratio"/ { v = $2; sub(/,.*/, "", v); print v; exit }' BENCH_live.json)
 if [ -z "$ratio" ]; then
