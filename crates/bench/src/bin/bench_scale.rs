@@ -1,10 +1,9 @@
 //! Scale sweep — how far the replay engine stretches.
 //!
 //! Sweeps the experiment over {1k, 5k, 20k, 100k, 1M} peers and, per
-//! size, over the latency-oracle backends: the row cache (`rows`) and
-//! the exact 2-hop hub labels (`labels`). Rows is skipped past 20k —
-//! its O(N²) residency (20 GB at 100k) is the wall the labels backend
-//! exists to remove — and each skip leaves an explicit
+//! size, over the latency-oracle backends: lazily built rows (`rows`)
+//! and the exact 2-hop hub labels (`labels`). Rows is not swept past
+//! 20k (see `ROWS_CEILING`) and each skip leaves an explicit
 //! `"skipped": "row budget"` entry, so 100k and 1M are labels-only.
 //! Per run it records:
 //!
@@ -23,14 +22,10 @@
 //!   (labels are exact, so anything but `true` is a bug);
 //! * **label_stats** — hub count, label lengths, build ms, bytes;
 //! * **oracle_registry** — `Experiment::record_cache_stats`: on rows,
-//!   `latency_cache.rows_searched` / `rows_composed` / `pinned_rows`
-//!   (why the build cost what it did); on labels, `latency_labels.*`
-//!   and `label_memo.*`; `ring_arena.*` on both;
-//! * **cache probe** (labels entry, once per size) — a third,
-//!   memory-*bounded* row oracle
-//!   ([`hieras_topology::LatencyOracle::with_row_budget`]) driven by a
-//!   sample of the same workload, reporting hit/miss/eviction counters
-//!   through a [`hieras_obs::Registry`];
+//!   `latency_cache.rows_searched` / `rows_composed` / `resident_rows`
+//!   / `bytes` (why the build cost what it did, and what it left
+//!   resident); on labels, `latency_labels.*` and `label_memo.*`;
+//!   `ring_arena.*` on both;
 //! * the replayed Chord/HIERAS routing summaries, including the
 //!   lower-layer hop and latency shares the paper's §4.3 tracks.
 //!
@@ -38,14 +33,11 @@
 //! CI-sized point (500 peers, 2000 requests, both backends) only;
 //! `HIERAS_THREADS=n` pins the executor width.
 
-use hieras_chord::PathBuf;
-use hieras_obs::{names, Profiler, Registry};
+use hieras_obs::{Profiler, Registry};
 use hieras_rt::{Executor, Json, ToJson};
 use hieras_sim::{
-    BuildOptions, ComparisonResult, Experiment, ExperimentConfig, OracleBackend, Workload,
-    WorkloadSpec,
+    BuildOptions, ComparisonResult, Experiment, ExperimentConfig, OracleBackend, WorkloadSpec,
 };
-use hieras_topology::LatencyOracle;
 use std::time::Instant;
 
 /// Master seed shared with the figure harness (paper publication date).
@@ -55,14 +47,14 @@ const SEED: u64 = 20030415;
 /// scheduler warm-up without needing criterion's statistics.
 const REPS: usize = 5;
 
-/// Requests driven through the bounded-cache probe. Small on purpose:
-/// every probe miss is a fresh Dijkstra.
-const PROBE_REQUESTS: usize = 500;
-
-/// Peer count above which the rows backend is not swept. The wall is
-/// memory, not build time: rows are N² `u16`s (0.8 GB at 20k, 20 GB at
-/// 100k), while on the Transit-Stub worlds this sweeps a row is
-/// composed in microseconds (`latency_cache.rows_composed`).
+/// Peer count above which the rows backend is not swept. The wall was
+/// memory, N² `u16`s (0.8 GB at 20k, 20 GB at 100k). On the
+/// Transit-Stub worlds this sweeps it no longer stands: at 20k the
+/// rows backend holds 8.4 MB (`latency_cache.bytes`: 7 full rows,
+/// 20 013 cell tables) and warms in 0.2 s. What grows now is the cell
+/// table — peers × stub-domain routers × 2 B, ≤ 313 MB at 100k
+/// (computed, not run). The value stays until a rows point past it has
+/// a measured row of its own.
 const ROWS_CEILING: usize = 20_000;
 
 struct SizePoint {
@@ -77,49 +69,6 @@ fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-/// Replays a workload sample against a *budget-bounded* latency oracle
-/// and reports the cache counters through a [`Registry`]. The probe
-/// shares the experiment's routing structures — only the link-cost
-/// source differs — so its hit pattern is the real workload's.
-fn cache_probe(e: &Experiment, requests: usize) -> Json {
-    let distinct = {
-        let mut r = e.router_of.clone();
-        r.sort_unstable();
-        r.dedup();
-        r.len()
-    };
-    let budget = (distinct / 8).max(32);
-    let bounded = LatencyOracle::with_row_budget(e.topo.graph.clone(), budget);
-    let w = Workload::new(e.config.nodes as u32, requests, e.config.seed ^ 0x517c_c1b7);
-    let mut scratch = PathBuf::new();
-    for i in 0..requests {
-        let (src, key) = w.request(i);
-        let _ = e.hieras.eval(src, key, &mut scratch, |a, b| {
-            bounded.latency(e.router_of[a as usize], e.router_of[b as usize])
-        });
-    }
-    let s = bounded.cache_stats();
-    let mut reg = Registry::new();
-    reg.inc_by(names::LATENCY_CACHE_HITS, s.hits);
-    reg.inc_by(names::LATENCY_CACHE_MISSES, s.misses);
-    reg.inc_by(names::LATENCY_CACHE_EVICTIONS, s.evictions);
-    reg.gauge_set(names::LATENCY_CACHE_PINNED_ROWS, s.pinned as i64);
-    reg.gauge_set(names::LATENCY_CACHE_RESIDENT_ROWS, s.resident as i64);
-    reg.gauge_set(names::LATENCY_CACHE_ROW_BUDGET, budget as i64);
-    let hit_rate = if s.hits + s.misses > 0 {
-        s.hits as f64 / (s.hits + s.misses) as f64
-    } else {
-        0.0
-    };
-    Json::obj([
-        ("requests", requests.to_json()),
-        ("distinct_routers", distinct.to_json()),
-        ("row_budget", budget.to_json()),
-        ("hit_rate", hit_rate.to_json()),
-        ("registry", reg.to_json()),
-    ])
 }
 
 /// One (size, backend) run. `rows_baseline` carries the rows-backend
@@ -162,8 +111,6 @@ fn bench_one(
     let median_ns = per_lookup_ns[per_lookup_ns.len() / 2];
     let max_ns = per_lookup_ns[per_lookup_ns.len() - 1];
 
-    // Read the high-water mark before the probe so the entry reflects
-    // build + replay, not the probe's own bounded row cache.
     let rss = peak_rss_bytes();
     let rss_mb = rss.map(|b| b as f64 / (1024.0 * 1024.0));
 
@@ -178,11 +125,6 @@ fn bench_one(
             ("bytes", e.lat.cache_bytes().to_json()),
         ])
     });
-    // The probe depends only on structures identical across backends;
-    // attaching it to the labels run keeps it once per size (labels
-    // runs everywhere, rows does not).
-    let probe = (oracle == OracleBackend::Labels).then(|| cache_probe(&e, PROBE_REQUESTS));
-
     // What the build left behind, by name: rows searched vs. composed
     // and resident (rows), label sizes and memo tallies (labels), the
     // ring arena — enough to explain `build_ms` without a re-run.
@@ -229,7 +171,6 @@ fn bench_one(
         ("metrics_match_rows", metrics_match.map_or(Json::Null, |m| m.to_json())),
         ("label_stats", label_stats.unwrap_or(Json::Null)),
         ("oracle_registry", oracle_reg.to_json()),
-        ("cache_probe", probe.unwrap_or(Json::Null)),
         ("chord", cs.to_json()),
         ("hieras", hs.to_json()),
     ]);

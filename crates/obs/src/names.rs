@@ -24,23 +24,16 @@ pub const REPLAY_HIERAS_LOWER_HOPS: &str = "replay.hieras.lower_hops";
 /// HIERAS end-to-end latency per request, ms (histogram).
 pub const REPLAY_HIERAS_LATENCY_MS: &str = "replay.hieras.latency_ms";
 
-/// Latency queries served from a resident row (counter).
-pub const LATENCY_CACHE_HITS: &str = "latency_cache.hits";
-/// Latency queries that recomputed a Dijkstra row (counter).
-pub const LATENCY_CACHE_MISSES: &str = "latency_cache.misses";
-/// Rows evicted from the bounded overflow shards (counter).
-pub const LATENCY_CACHE_EVICTIONS: &str = "latency_cache.evictions";
-/// Rows pinned in the lock-free segment (gauge).
-pub const LATENCY_CACHE_PINNED_ROWS: &str = "latency_cache.pinned_rows";
-/// Rows currently resident, pinned + overflow (gauge).
+/// Rows resident in the rows backend (gauge).
 pub const LATENCY_CACHE_RESIDENT_ROWS: &str = "latency_cache.resident_rows";
-/// Configured row budget of a bounded oracle (gauge).
-pub const LATENCY_CACHE_ROW_BUDGET: &str = "latency_cache.row_budget";
-/// Pinned rows built by a full-graph Dijkstra (gauge).
+/// Resident rows built by a full-graph Dijkstra (gauge).
 pub const LATENCY_CACHE_ROWS_SEARCHED: &str = "latency_cache.rows_searched";
-/// Pinned rows composed through a bridge: cell-local search plus a
-/// vector add over the bridge parent's row (gauge).
+/// Resident rows composed through a bridge: a cell-local table plus
+/// the delay to the bridge parent, whose row answers for the rest
+/// (gauge).
 pub const LATENCY_CACHE_ROWS_COMPOSED: &str = "latency_cache.rows_composed";
+/// Bytes of distance entries the resident rows hold (gauge).
+pub const LATENCY_CACHE_BYTES: &str = "latency_cache.bytes";
 
 /// Hub count of the label index (gauge).
 pub const LATENCY_LABELS_HUBS: &str = "latency_labels.hubs";

@@ -167,25 +167,23 @@ pub enum AlgoStats {
 /// memory, and per-query cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OracleBackend {
-    /// Unbounded lazy Dijkstra rows ([`LatencyOracle::new`]). O(1)
-    /// queries; O(N²) residency once every source has been touched.
+    /// Lazily built rows ([`LatencyOracle::new`]): a full Dijkstra row
+    /// per core router, a cell-sized table per router below a bridge.
+    /// Queries are a short walk up the bridges; residency is O(N²)
+    /// only on a graph with no bridges.
     #[default]
     Rows,
-    /// Row cache capped at this many resident rows
-    /// ([`LatencyOracle::with_row_budget`]).
-    Bounded(usize),
     /// Exact 2-hop hub labels ([`LatencyOracle::with_labels_on`]):
     /// sub-quadratic build and memory, label-merge queries.
     Labels,
 }
 
 impl OracleBackend {
-    /// Short name used in bench output ("rows", "bounded", "labels").
+    /// Short name used in bench output ("rows", "labels").
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             OracleBackend::Rows => "rows",
-            OracleBackend::Bounded(_) => "bounded",
             OracleBackend::Labels => "labels",
         }
     }
@@ -195,8 +193,7 @@ impl OracleBackend {
 /// an experiment is assembled: the executor every parallel build phase
 /// runs on, the latency-oracle backend, and whether to warm the
 /// latency cache up front. All combinations produce identical routing
-/// structures; with an unbounded or labels oracle the replay metrics
-/// are bit-identical too.
+/// structures and bit-identical replay metrics.
 #[derive(Debug, Clone, Copy)]
 pub struct BuildOptions {
     /// Executor for ring construction, label builds, and latency
@@ -296,12 +293,11 @@ impl Experiment {
         let router_of = topo.place_peers(config.nodes, &mut rng);
         prof.end();
         // The oracle build is the dominant cost at scale for the
-        // labels backend (the row backends defer theirs to
+        // labels backend (the rows backend defers its own to
         // latency_precompute / query time), so it gets its own phase.
         prof.start("latency_oracle");
         let lat = match opts.oracle {
             OracleBackend::Rows => LatencyOracle::new(topo.graph.clone()),
-            OracleBackend::Bounded(b) => LatencyOracle::with_row_budget(topo.graph.clone(), b),
             OracleBackend::Labels => LatencyOracle::with_labels_on(&opts.exec, topo.graph.clone()),
         };
         prof.end();
@@ -575,10 +571,11 @@ impl Experiment {
         (c.into(), c.destination)
     }
 
-    /// Publishes the latency oracle's state into `reg`: the
-    /// [`hieras_topology::CacheStats`] and [`hieras_topology::RowStats`]
-    /// as `latency_cache.*` on the row backends, and the [`hieras_topology::LabelStats`] plus query
-    /// counter as `latency_labels.*` on the labels backend. The packed
+    /// Publishes the latency oracle's state into `reg`: resident rows,
+    /// their [`hieras_topology::RowStats`] and the bytes they hold as
+    /// `latency_cache.*` on the rows backend, and the
+    /// [`hieras_topology::LabelStats`] plus query counter as
+    /// `latency_labels.*` on the labels backend. The packed
     /// routing-state footprint goes out as `ring_arena.*` on every
     /// backend, and the per-thread memo tallies as `label_memo.*`
     /// where the labels backend has one.
@@ -603,15 +600,8 @@ impl Experiment {
             reg.inc_by(names::LATENCY_LABELS_QUERIES, queries);
             return;
         }
-        let s = self.lat.cache_stats();
-        reg.inc_by(names::LATENCY_CACHE_HITS, s.hits);
-        reg.inc_by(names::LATENCY_CACHE_MISSES, s.misses);
-        reg.inc_by(names::LATENCY_CACHE_EVICTIONS, s.evictions);
-        reg.gauge_set(names::LATENCY_CACHE_PINNED_ROWS, s.pinned as i64);
-        reg.gauge_set(names::LATENCY_CACHE_RESIDENT_ROWS, s.resident as i64);
-        if let Some(b) = s.budget {
-            reg.gauge_set(names::LATENCY_CACHE_ROW_BUDGET, b as i64);
-        }
+        reg.gauge_set(names::LATENCY_CACHE_RESIDENT_ROWS, self.lat.cached_rows() as i64);
+        reg.gauge_set(names::LATENCY_CACHE_BYTES, self.lat.cache_bytes() as i64);
         let built = self.lat.row_stats();
         reg.gauge_set(names::LATENCY_CACHE_ROWS_SEARCHED, built.searched as i64);
         reg.gauge_set(names::LATENCY_CACHE_ROWS_COMPOSED, built.composed as i64);
@@ -798,12 +788,18 @@ mod tests {
         assert_eq!(reg.counter(names::LABEL_MEMO_MISSES), 0);
         // How the warmed rows were built: every peer sits on a stub
         // router, so its row is composed; only transit rows are
-        // searched, and the two add up to what is pinned.
+        // searched, and the two add up to what is resident.
         let searched = reg.gauge(names::LATENCY_CACHE_ROWS_SEARCHED).expect("published");
         let composed = reg.gauge(names::LATENCY_CACHE_ROWS_COMPOSED).expect("published");
         assert!(composed >= 120, "{composed} composed rows for 120 peers");
         assert!((1..=4).contains(&searched), "{searched} searched rows");
-        assert_eq!(Some(searched + composed), reg.gauge(names::LATENCY_CACHE_PINNED_ROWS));
+        assert_eq!(Some(searched + composed), reg.gauge(names::LATENCY_CACHE_RESIDENT_ROWS));
+        // What those rows hold is the searched rows in full and a
+        // stub-sized table for each of the others — not rows × routers.
+        let bytes = reg.gauge(names::LATENCY_CACHE_BYTES).expect("published");
+        let n = e.topo.graph.node_count() as i64;
+        assert!(bytes >= searched * n * 2 + composed * 2, "{bytes} bytes");
+        assert!(bytes < (searched + composed) * n * 2 / 4, "{bytes} bytes for {n} routers");
     }
 
     #[test]
@@ -828,30 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_latency_cache_leaves_metrics_unchanged() {
-        let cfg = ExperimentConfig { nodes: 200, ..small_cfg() };
-        let free = Experiment::build(cfg.clone()).run_requests(1000);
-        let tight = Experiment::build_with(
-            cfg,
-            &mut Profiler::new(),
-            BuildOptions {
-                oracle: OracleBackend::Bounded(24),
-                precompute: false,
-                ..BuildOptions::default()
-            },
-        );
-        // Single-threaded replay: a bounded cache is slower, not wrong.
-        assert_eq!(tight.run_requests_on(&Executor::new(1), 1000), free);
-        let mut reg = Registry::new();
-        tight.record_cache_stats(&mut reg);
-        let (hits, misses) =
-            (reg.counter(names::LATENCY_CACHE_HITS), reg.counter(names::LATENCY_CACHE_MISSES));
-        assert!(hits > 0 && misses > 0, "a tight budget must both hit and miss");
-        assert!(reg.counter(names::LATENCY_CACHE_EVICTIONS) <= misses);
-        assert_eq!(reg.gauge(names::LATENCY_CACHE_ROW_BUDGET), Some(24));
-    }
-
-    #[test]
     fn labels_oracle_leaves_metrics_unchanged() {
         let cfg = ExperimentConfig { nodes: 200, ..small_cfg() };
         let rows = Experiment::build(cfg.clone()).run_requests_on(&Executor::new(1), 1000);
@@ -873,7 +845,7 @@ mod tests {
         assert!(reg.gauge(names::LATENCY_LABELS_MAX_LEN).unwrap() > 0);
         assert!(reg.gauge(names::LATENCY_LABELS_BYTES).unwrap() > 0);
         assert!(reg.counter(names::LATENCY_LABELS_QUERIES) > 0);
-        assert_eq!(reg.counter(names::LATENCY_CACHE_HITS), 0, "no cache metrics on labels");
+        assert_eq!(reg.gauge(names::LATENCY_CACHE_BYTES), None, "no cache metrics on labels");
     }
 
     #[test]

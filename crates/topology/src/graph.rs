@@ -45,9 +45,8 @@ fn pair_key(u: u32, v: u32) -> u64 {
 /// Reusable working memory for [`Graph::dijkstra_into`]: the tentative
 /// `u32` distance array and the Dial bucket ring. One scratch serves
 /// any number of consecutive runs (even across graphs of different
-/// sizes — the buffers regrow as needed), so steady-state callers like
-/// the bounded latency cache's miss path and the hub-label builder
-/// never allocate per Dijkstra.
+/// sizes — the buffers regrow as needed), so a steady-state caller like
+/// the hub-label builder never allocates per Dijkstra.
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     /// Tentative distances; `u32::MAX` = unseen. Reset lazily per run.
@@ -100,8 +99,9 @@ pub(crate) struct Cell {
     /// Delay of the bridge.
     pub(crate) bridge_ms: u16,
     /// Preorder position of the cell's router on the bridge (its DFS
-    /// subtree root); the cell is `order[lo..lo + len]`.
-    lo: u32,
+    /// subtree root); the cell is the routers at preorder positions
+    /// `lo..lo + len`.
+    pub(crate) lo: u32,
     /// Routers in the cell.
     len: u32,
 }
@@ -121,9 +121,8 @@ pub(crate) struct Cell {
 /// cell.
 #[derive(Debug)]
 pub(crate) struct BridgeCells {
-    /// Routers in DFS preorder; a cell is a contiguous run of it.
-    order: Vec<u32>,
-    /// Preorder position of each router (the inverse of `order`).
+    /// DFS preorder position of each router; a cell is a contiguous
+    /// run of positions.
     pre: Vec<u32>,
     /// Index into `cells` of each router's cell, `NONE` outside them.
     cell_of: Vec<u32>,
@@ -137,10 +136,12 @@ impl BridgeCells {
         self.cells.get(self.cell_of[v as usize] as usize)
     }
 
-    /// The routers of `cell` in DFS preorder, the one on the bridge
-    /// first.
-    pub(crate) fn members(&self, cell: &Cell) -> &[u32] {
-        &self.order[cell.lo as usize..(cell.lo + cell.len) as usize]
+    /// DFS preorder position of router `v`: `pre(v) - cell.lo` is its
+    /// slot in a cell-local search of `cell`, below `cell.len` exactly
+    /// when `v` is in the cell.
+    #[inline]
+    pub(crate) fn pre(&self, v: u32) -> u32 {
+        self.pre[v as usize]
     }
 }
 
@@ -279,9 +280,8 @@ impl Graph {
     ///
     /// The row written into `out` is byte-identical to what
     /// [`Graph::dijkstra`] returns, for any prior state of `out` and
-    /// `scratch` — steady-state callers (the bounded latency cache's
-    /// miss path, the hub-label builder) recycle both and never touch
-    /// the allocator.
+    /// `scratch` — a steady-state caller recycles both and never
+    /// touches the allocator.
     ///
     /// # Panics
     /// Panics if `out.len() != self.node_count()`.
@@ -299,9 +299,9 @@ impl Graph {
 
     /// Shortest paths from `src` to the routers of its `cell`, never
     /// leaving the cell: the unclamped distances by preorder slot
-    /// (`cells.members(cell)[i]` is at slot `i`; slot 0 is the cell
-    /// root). Exact, not an approximation — the bridge is the only way
-    /// out, so no shortest path between two members crosses it.
+    /// (`cells.pre(v) - cell.lo`; slot 0 is the cell root). Exact, not
+    /// an approximation — the bridge is the only way out, so no
+    /// shortest path between two members crosses it.
     pub(crate) fn dijkstra_cell<'s>(
         &self,
         src: u32,
@@ -424,7 +424,7 @@ impl Graph {
                 cell_of[v as usize] = cell_of[parent as usize];
             }
         }
-        BridgeCells { order, pre, cell_of, cells }
+        BridgeCells { pre, cell_of, cells }
     }
 
     /// The original binary-heap Dijkstra, kept as the reference
@@ -480,6 +480,16 @@ mod tests {
             g.add_edge((i - 1) as u32, i as u32, w);
         }
         g
+    }
+
+    /// The routers of `cell` in DFS preorder, the one on the bridge
+    /// first.
+    fn members(cells: &BridgeCells, cell: &Cell) -> Vec<u32> {
+        let mut inside: Vec<u32> = (0..cells.pre.len() as u32)
+            .filter(|&v| cells.pre(v).wrapping_sub(cell.lo) < cell.len)
+            .collect();
+        inside.sort_by_key(|&v| cells.pre(v));
+        inside
     }
 
     fn random_graph(rng: &mut Rng) -> Graph {
@@ -615,10 +625,10 @@ mod tests {
             assert_eq!(cells.cell(core), None, "router {core}");
         }
         let tail = cells.cell(3).expect("below the bridge 2-3");
-        assert_eq!((tail.parent, cells.members(tail)), (2, &[3, 4, 5][..]));
+        assert_eq!((tail.parent, members(&cells, tail)), (2, vec![3, 4, 5]));
         for twig in [4, 5] {
             let cell = cells.cell(twig).expect("a leaf is its own cell");
-            assert_eq!((cell.parent, cells.members(cell)), (3, &[twig][..]));
+            assert_eq!((cell.parent, members(&cells, cell)), (3, vec![twig]));
         }
     }
 
@@ -630,7 +640,7 @@ mod tests {
         let cells = line(6, 1).bridge_cells();
         let celled: Vec<u32> = (0..6).filter(|&v| cells.cell(v).is_some()).collect();
         assert_eq!(celled, [3, 4, 5]);
-        assert_eq!(cells.members(cells.cell(3).unwrap()), &[3, 4, 5]);
+        assert_eq!(members(&cells, cells.cell(3).unwrap()), [3, 4, 5]);
     }
 
     /// On a Transit-Stub world no stub router's cell reaches past its
@@ -644,7 +654,7 @@ mod tests {
             let cells = topo.graph.bridge_cells();
             for &c in &topo.attach_candidates {
                 let cell = cells.cell(c).expect("every stub router sits below a bridge");
-                let members = cells.members(cell);
+                let members = members(&cells, cell);
                 assert!(members.len() <= cfg.stub_nodes_per_domain, "seed {seed}: router {c}");
                 assert!(
                     members.iter().all(|&m| topo.domain_of(m) == topo.domain_of(c)),

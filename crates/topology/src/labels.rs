@@ -1,7 +1,8 @@
 //! Exact 2-hop (hub) distance labels — the sub-quadratic latency
 //! backend.
 //!
-//! The row-matrix oracle pays one full Dijkstra per distinct source
+//! A written-out row matrix — what the rows backend still comes to on
+//! a graph without bridges — pays one full Dijkstra per distinct source
 //! and `N × N` `u16`s of residency: at 10⁵ routers that is the entire
 //! build wall (≈20 min) and 20 GB of RSS. The internet-shaped graphs
 //! this repo simulates (Transit-Stub, Inet power-law, BRITE) are

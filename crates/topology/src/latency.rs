@@ -1,42 +1,37 @@
 //! The latency oracle: exact underlay shortest-path delays behind one
-//! query interface, with three interchangeable backends.
+//! query interface, with two interchangeable backends.
 //!
 //! Every overlay hop in the simulation costs the underlay shortest-path
 //! delay between the two peers' attachment routers. The oracle answers
-//! `latency(u, v)` identically under all backends — they trade build
+//! `latency(u, v)` identically under both backends — they trade build
 //! time, memory, and per-query cost, never values:
 //!
-//! * **Rows** ([`LatencyOracle::new`]) — lazily cached full distance
-//!   rows (`u16` milliseconds), memoized behind `OnceLock`s so
-//!   concurrent readers race benignly. O(1) queries and N×N `u16`s of
-//!   residency for N distinct sources (20 GB at 10⁵ routers). A source
-//!   in the 2-edge-connected core costs a full Dijkstra; a source
-//!   below a bridge (`graph::BridgeCells` — every stub router of a
+//! * **Rows** ([`LatencyOracle::new`]) — one lazily built entry per
+//!   source asked for (`u16` milliseconds), memoized behind `OnceLock`s
+//!   so concurrent readers race benignly. A source in the
+//!   2-edge-connected core holds a full Dijkstra row. A source below a
+//!   bridge (`graph::BridgeCells` — every stub router of a
 //!   Transit-Stub world, the tree fringe of an Inet world, nothing on
-//!   BRITE) costs a search of its cell plus one saturating vector add
-//!   over the row of the router across the bridge, and yields the same
-//!   bytes ([`RowStats`] counts which way each row was built).
-//! * **Bounded** ([`LatencyOracle::with_row_budget`]) — Rows with a cap
-//!   on resident rows: the first `budget/2` distinct sources pin
-//!   permanently into the lock-free `OnceLock` segment, the remainder
-//!   cycle through 16 mutex-sharded CLOCK caches whose capacities
-//!   partition the rest of the budget *exactly* (pinned + overflow
-//!   never exceeds the budget). Misses recompute through a pooled
-//!   row/scratch pair ([`Graph::dijkstra_into`]), so steady state
-//!   allocates nothing. Hit/miss/eviction counters ([`CacheStats`])
-//!   quantify the trade.
+//!   BRITE) holds only the distances inside its cell plus its delay to
+//!   the router across the bridge: a target outside the cell is that
+//!   delay plus the bridge parent's answer, so the product is never
+//!   written out. Residency is a full row per core source and a
+//!   cell-sized table per source below a bridge — 2.2 MB for the 10⁴
+//!   peers of a Transit-Stub world where the N × N matrix was 202 MB;
+//!   only a bridgeless graph (BRITE) still pays a row per source.
+//!   [`RowStats`] counts which shape each entry took.
 //! * **Labels** ([`LatencyOracle::with_labels_on`]) — exact 2-hop hub
 //!   labels ([`HubLabels`]): sub-quadratic build (pruned landmark
 //!   labeling), tens of bytes per router instead of a row, queries by
-//!   sorted label merge. The backend that takes a 10⁵-router build
-//!   from ~20 minutes / 20 GB to seconds / tens of MB.
+//!   sorted label merge. The backend for worlds whose underlay has no
+//!   cells to factor through, and for 10⁵ routers and beyond.
 
-use crate::graph::{clamp_ms, BridgeCells, DijkstraScratch};
+use crate::graph::{clamp_ms, BridgeCells, Cell, DijkstraScratch};
 use crate::{Graph, HubLabels, LabelStats};
 use hieras_rt::Executor;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Sources per work chunk for parallel row precomputation. Sized for
 /// the expensive case — a full search is a fraction of a millisecond
@@ -77,9 +72,20 @@ thread_local! {
 /// means "empty slot".
 static MEMO_EPOCH: AtomicU64 = AtomicU64::new(1);
 
-/// The per-thread query memo of one labels oracle: its epoch tag plus
-/// hit/miss counters (the `label_memo.*` metrics).
+/// A counter every query bumps from every thread, on a cache line of
+/// its own. Next to anything a query *reads* — the label arrays'
+/// pointers, or whatever the oracle's owner keeps beside it — each bump
+/// costs the other threads a coherence miss on that read (measured:
+/// EXPERIMENTS.md, "Rows that are never written").
 #[derive(Debug)]
+#[repr(align(64))]
+struct OwnLine(AtomicU64);
+
+/// The per-thread query memo of one labels oracle: its epoch tag plus
+/// hit/miss counters (the `label_memo.*` metrics), bumped per query and
+/// kept off their neighbours' cache lines like [`OwnLine`].
+#[derive(Debug)]
+#[repr(align(64))]
 struct LabelMemo {
     epoch: u64,
     hits: AtomicU64,
@@ -112,236 +118,73 @@ impl LabelMemo {
     }
 }
 
-/// Mutex shards for the bounded overflow cache. Sixteen shards keep
-/// contention negligible at replay thread counts while the per-shard
-/// linear scans stay short.
-const OVERFLOW_SHARDS: usize = 16;
-
-/// Upper bound on pooled row buffers / Dijkstra scratches kept for
-/// reuse on the bounded miss path. Bounded by concurrency in practice;
-/// the cap just keeps a pathological burst from pinning memory.
-const POOL_CAP: usize = 16;
-
-/// Cache-effectiveness counters of a bounded [`LatencyOracle`]
-/// (all zero in unbounded mode, where no counting happens on the hot
-/// path, and on the labels backend, which holds no rows).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Queries answered from a resident row (pinned or overflow).
-    pub hits: u64,
-    /// Queries that had to run a fresh Dijkstra.
-    pub misses: u64,
-    /// Rows evicted from the overflow shards. At most one per miss.
-    pub evictions: u64,
-    /// Rows pinned in the lock-free segment.
-    pub pinned: usize,
-    /// Rows currently resident (pinned + overflow).
-    pub resident: usize,
-    /// The row budget, if bounded.
-    pub budget: Option<usize>,
-}
-
-/// How the rows resident in the lock-free segment were built
-/// ([`LatencyOracle::row_stats`]); `searched + composed` is
-/// [`LatencyOracle::cached_rows`].
+/// How the resident rows were built ([`LatencyOracle::row_stats`]);
+/// `searched + composed` is [`LatencyOracle::cached_rows`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RowStats {
     /// Rows filled by a full-graph Dijkstra: sources in the
-    /// 2-edge-connected core, and every row of a bounded oracle.
+    /// 2-edge-connected core.
     pub searched: usize,
-    /// Rows filled by a cell-local search plus a vector add over the
-    /// bridge parent's row.
+    /// Rows held as a cell-local search plus the delay to the bridge
+    /// parent, whose row answers for everything outside the cell.
     pub composed: usize,
 }
 
-/// One slot of a CLOCK shard: a materialized row plus its
-/// second-chance bit.
+/// One resident row of the rows backend.
 #[derive(Debug)]
-struct ClockSlot {
-    src: u32,
-    row: Box<[u16]>,
-    referenced: bool,
+enum Row {
+    /// A source outside every cell: what [`Graph::dijkstra`] writes.
+    Dense(Box<[u16]>),
+    /// A source below a bridge. Every path out of its cell crosses the
+    /// bridge, so `row[v]` is `inside[pre(v) - lo]` for a `v` in the
+    /// cell and `exit + row(parent)[v]` for any other.
+    Celled {
+        /// The router across the bridge.
+        parent: u32,
+        /// Clamped delay from the source to `parent`.
+        exit: u16,
+        /// Preorder position of the cell's first router.
+        lo: u32,
+        /// Clamped cell-local distances by preorder slot.
+        inside: Box<[u16]>,
+        /// The first router up the chain of parents with a dense row,
+        /// and the clamped sum of the exits on the way to it: what a
+        /// target outside every cell around the source is answered
+        /// from, in one step whatever the nesting.
+        top: u32,
+        top_exit: u16,
+        /// Preorder range of the outermost cell around the source.
+        outer_lo: u32,
+        outer_len: u32,
+    },
 }
 
-/// Outcome of a [`ClockShard::insert`]: whether the row was stored,
-/// and any displaced buffer handed back for pooling.
-enum Insert {
-    /// Row stored in a free slot.
-    Stored,
-    /// Row stored by evicting another; the evicted buffer is returned.
-    Evicted(Box<[u16]>),
-    /// Row not stored (zero capacity, or another thread raced the same
-    /// source in first); the unused buffer is returned.
-    Rejected(Box<[u16]>),
-}
-
-/// A CLOCK (second-chance) eviction shard. Capacity is enforced by the
-/// caller; lookups are linear scans, fine for the small per-shard
-/// capacities a row budget implies.
-#[derive(Debug, Default)]
-struct ClockShard {
-    slots: Vec<ClockSlot>,
-    hand: usize,
-}
-
-impl ClockShard {
-    /// The cached `row[src][v]`, marking the row recently used.
-    fn lookup(&mut self, src: u32, v: u32) -> Option<u16> {
-        for s in &mut self.slots {
-            if s.src == src {
-                s.referenced = true;
-                return Some(s.row[v as usize]);
-            }
-        }
-        None
-    }
-
-    /// Inserts a freshly computed row, evicting the first
-    /// not-recently-used slot once at capacity. A row another thread
-    /// raced in is kept as-is; a zero-capacity shard stores nothing.
-    fn insert(&mut self, src: u32, row: Box<[u16]>, cap: usize) -> Insert {
-        for s in &mut self.slots {
-            if s.src == src {
-                s.referenced = true;
-                return Insert::Rejected(row);
-            }
-        }
-        if cap == 0 {
-            return Insert::Rejected(row);
-        }
-        if self.slots.len() < cap {
-            self.slots.push(ClockSlot { src, row, referenced: true });
-            return Insert::Stored;
-        }
-        loop {
-            let h = self.hand;
-            self.hand = (self.hand + 1) % self.slots.len();
-            let s = &mut self.slots[h];
-            if s.referenced {
-                s.referenced = false;
-            } else {
-                let old = std::mem::replace(s, ClockSlot { src, row, referenced: true });
-                return Insert::Evicted(old.row);
-            }
-        }
-    }
-}
-
-/// State a bounded oracle carries on top of the `OnceLock` row vector.
-#[derive(Debug)]
-struct Bound {
-    /// Total row budget requested.
-    budget: usize,
-    /// Rows allowed to pin into the lock-free segment (`budget / 2`).
-    pin_cap: usize,
-    /// Pin slots claimed so far.
-    pinned: AtomicUsize,
-    /// Overflow rows divided exactly across the shards: shard `i` holds
-    /// `overflow / SHARDS` slots plus one of the `overflow % SHARDS`
-    /// remainder slots, so pinned + overflow capacity == budget.
-    overflow_base: usize,
-    overflow_rem: usize,
-    shards: Box<[Mutex<ClockShard>]>,
-    /// Recycled row buffers for the miss path (fed by evictions and
-    /// lost insertion races).
-    row_pool: Mutex<Vec<Box<[u16]>>>,
-    /// Recycled Dijkstra scratches for the miss path.
-    scratch_pool: Mutex<Vec<DijkstraScratch>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Bound {
-    fn new(budget: usize) -> Self {
-        let budget = budget.max(1);
-        let pin_cap = budget / 2;
-        let overflow = budget - pin_cap;
-        Bound {
-            budget,
-            pin_cap,
-            pinned: AtomicUsize::new(0),
-            overflow_base: overflow / OVERFLOW_SHARDS,
-            overflow_rem: overflow % OVERFLOW_SHARDS,
-            shards: (0..OVERFLOW_SHARDS).map(|_| Mutex::new(ClockShard::default())).collect(),
-            row_pool: Mutex::new(Vec::new()),
-            scratch_pool: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Claims one pin slot if any remain.
-    fn try_claim_pin(&self) -> bool {
-        self.pinned
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |p| {
-                (p < self.pin_cap).then_some(p + 1)
-            })
-            .is_ok()
-    }
-
-    /// Returns a pin slot claimed for a row another thread pinned first.
-    fn release_pin(&self) {
-        self.pinned.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn shard_index(&self, src: u32) -> usize {
-        src as usize % OVERFLOW_SHARDS
-    }
-
-    fn shard_cap(&self, idx: usize) -> usize {
-        self.overflow_base + usize::from(idx < self.overflow_rem)
-    }
-
-    /// Pops a recycled row buffer, or allocates one of `n` entries.
-    fn take_row(&self, n: usize) -> Box<[u16]> {
-        self.row_pool
-            .lock()
-            .expect("pool poisoned")
-            .pop()
-            .unwrap_or_else(|| vec![u16::MAX; n].into_boxed_slice())
-    }
-
-    /// Returns a displaced row buffer to the pool (dropped past cap).
-    fn recycle_row(&self, row: Box<[u16]>) {
-        let mut pool = self.row_pool.lock().expect("pool poisoned");
-        if pool.len() < POOL_CAP {
-            pool.push(row);
-        }
-    }
-
-    fn take_scratch(&self) -> DijkstraScratch {
-        self.scratch_pool.lock().expect("pool poisoned").pop().unwrap_or_default()
-    }
-
-    fn recycle_scratch(&self, scratch: DijkstraScratch) {
-        let mut pool = self.scratch_pool.lock().expect("pool poisoned");
-        if pool.len() < POOL_CAP {
-            pool.push(scratch);
-        }
+impl Row {
+    /// Bytes of distance entries the row holds.
+    fn bytes(&self) -> usize {
+        let (Row::Dense(entries) | Row::Celled { inside: entries, .. }) = self;
+        std::mem::size_of_val::<[u16]>(entries)
     }
 }
 
 /// Storage strategy behind a [`LatencyOracle`].
 #[derive(Debug)]
 enum Backend {
-    /// Cached full distance rows, optionally budget-bounded.
+    /// One lazily built [`Row`] per source asked for.
     Rows {
-        rows: Vec<OnceLock<Box<[u16]>>>,
+        rows: Vec<OnceLock<Row>>,
         /// Rows resident in `rows` — maintained at row-init time so
         /// [`LatencyOracle::cached_rows`] is O(1), not a scan.
         materialized: AtomicUsize,
-        /// How many of those were composed through a bridge rather
-        /// than searched (always 0 on a bounded oracle).
+        /// How many of those are [`Row::Celled`].
         composed: AtomicUsize,
-        /// The graph's bridge decomposition, found on the first row an
-        /// unbounded oracle materialises.
-        cells: OnceLock<BridgeCells>,
-        bound: Option<Bound>,
+        /// Distance entries those rows hold, in bytes.
+        bytes: AtomicUsize,
+        /// The graph's bridge decomposition.
+        cells: BridgeCells,
     },
     /// Exact 2-hop hub labels, optionally memoized per thread.
-    Labels { labels: HubLabels, queries: AtomicU64, memo: Option<LabelMemo> },
+    Labels { labels: HubLabels, queries: OwnLine, memo: Option<LabelMemo> },
 }
 
 /// Exact shortest-path delays over a router graph.
@@ -355,41 +198,24 @@ pub struct LatencyOracle {
 }
 
 impl LatencyOracle {
-    /// Wraps a router graph with an unbounded row cache. No shortest
-    /// paths are computed yet.
+    /// Wraps a router graph with the rows backend. The bridges are
+    /// found (one DFS); no shortest paths are computed yet.
     #[must_use]
     pub fn new(graph: Graph) -> Self {
         let n = graph.node_count();
         let mut rows = Vec::with_capacity(n);
         rows.resize_with(n, OnceLock::new);
+        let cells = graph.bridge_cells();
         LatencyOracle {
             graph,
             backend: Backend::Rows {
                 rows,
                 materialized: AtomicUsize::new(0),
                 composed: AtomicUsize::new(0),
-                cells: OnceLock::new(),
-                bound: None,
+                bytes: AtomicUsize::new(0),
+                cells,
             },
         }
-    }
-
-    /// Wraps a router graph with at most `budget_rows` rows resident
-    /// (clamped to ≥ 1), each filled by a plain full search — composing
-    /// would pin bridge parents nobody asked for against the budget.
-    /// The first `budget_rows / 2` distinct sources
-    /// pin into the lock-free segment and keep the `OnceLock` fast
-    /// path; later sources share the remaining budget through sharded
-    /// CLOCK caches whose capacities sum exactly to the rest of the
-    /// budget. Latencies are identical to the unbounded oracle — only
-    /// residency and recomputation differ.
-    #[must_use]
-    pub fn with_row_budget(graph: Graph, budget_rows: usize) -> Self {
-        let mut o = Self::new(graph);
-        if let Backend::Rows { bound, .. } = &mut o.backend {
-            *bound = Some(Bound::new(budget_rows));
-        }
-        o
     }
 
     /// Wraps a router graph with exact hub labels built on the default
@@ -402,7 +228,7 @@ impl LatencyOracle {
     /// Wraps a router graph with exact 2-hop hub labels built on
     /// `exec`. The build is the whole cost — queries never run a
     /// Dijkstra — and the labels are bit-identical at any thread
-    /// count. Every query answer matches the row backends exactly.
+    /// count. Every query answer matches the rows backend exactly.
     /// The per-thread query memo is enabled.
     #[must_use]
     pub fn with_labels_on(exec: &Executor, graph: Graph) -> Self {
@@ -424,7 +250,7 @@ impl LatencyOracle {
         });
         LatencyOracle {
             graph,
-            backend: Backend::Labels { labels, queries: AtomicU64::new(0), memo },
+            backend: Backend::Labels { labels, queries: OwnLine(AtomicU64::new(0)), memo },
         }
     }
 
@@ -434,100 +260,100 @@ impl LatencyOracle {
         &self.graph
     }
 
-    /// Short name of the active backend: `"rows"`, `"bounded"`, or
-    /// `"labels"`.
+    /// Short name of the active backend: `"rows"` or `"labels"`.
     #[must_use]
     pub fn backend_name(&self) -> &'static str {
         match &self.backend {
-            Backend::Rows { bound: None, .. } => "rows",
-            Backend::Rows { bound: Some(_), .. } => "bounded",
+            Backend::Rows { .. } => "rows",
             Backend::Labels { .. } => "labels",
         }
     }
 
-    /// The full distance row from router `src` (computed on first use).
-    ///
-    /// Row backends only: on a bounded oracle this is only available
-    /// for sources that fit the pinned segment — overflow rows are
-    /// transient, so no `&[u16]` can be handed out for them. Prefer
-    /// [`LatencyOracle::latency`].
+    /// The full distance row from router `src`, written out entry by
+    /// entry through [`LatencyOracle::latency`] — byte for byte what
+    /// [`Graph::dijkstra`] returns. For tests and one-off inspection;
+    /// nothing resident has this shape below a bridge.
     ///
     /// # Panics
-    /// Panics on the labels backend (no rows exist), and on a bounded
-    /// oracle whose pinned segment is full and does not hold `src`.
+    /// Panics on the labels backend (no rows exist).
     #[must_use]
-    pub fn row(&self, src: u32) -> &[u16] {
-        let Backend::Rows { rows, materialized, bound, .. } = &self.backend else {
-            panic!("row({src}): labels backend holds no rows; use latency()");
-        };
-        let slot = &rows[src as usize];
-        if let Some(row) = slot.get() {
-            return row;
-        }
-        match bound {
+    pub fn row(&self, src: u32) -> Vec<u16> {
+        assert!(
+            matches!(self.backend, Backend::Rows { .. }),
+            "row({src}): labels backend holds no rows; use latency()"
+        );
+        (0..self.graph.node_count() as u32).map(|v| self.latency(src, v)).collect()
+    }
+
+    /// `src`'s resident row, built on first use.
+    #[inline]
+    fn resident<'a>(&'a self, rows: &'a [OnceLock<Row>], src: u32) -> &'a Row {
+        match rows[src as usize].get() {
+            Some(row) => row,
             None => self.fill(src),
-            Some(b) => {
-                assert!(
-                    b.try_claim_pin(),
-                    "row({src}): pinned segment full on a bounded LatencyOracle; use latency()"
-                );
-                if slot.set(self.graph.dijkstra(src)).is_ok() {
-                    materialized.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    b.release_pin();
-                }
-                slot.get().expect("row just pinned")
-            }
         }
     }
 
-    /// Materialises `src`'s row on the unbounded backend.
+    /// The row of `src`, a router of `cell`, given the resident row of
+    /// the router across the cell's bridge.
+    fn compose(&self, src: u32, cells: &BridgeCells, cell: &Cell, above: &Row) -> Row {
+        let mut scratch = DijkstraScratch::new();
+        let inside = self.graph.dijkstra_cell(src, cells, cell, &mut scratch);
+        let exit = clamp_ms(inside[0].saturating_add(u32::from(cell.bridge_ms)));
+        let (top, top_exit, outer_lo, outer_len) = match above {
+            Row::Dense(_) => (cell.parent, exit, cell.lo, inside.len() as u32),
+            Row::Celled { top, top_exit, outer_lo, outer_len, .. } => {
+                (*top, clamp_ms(u32::from(*top_exit) + u32::from(exit)), *outer_lo, *outer_len)
+            }
+        };
+        Row::Celled {
+            parent: cell.parent,
+            exit,
+            lo: cell.lo,
+            inside: inside.iter().map(|&d| clamp_ms(d)).collect(),
+            top,
+            top_exit,
+            outer_lo,
+            outer_len,
+        }
+    }
+
+    /// Makes `src`'s row resident, and with it the row of every bridge
+    /// parent above it, so that a query never has to build one midway.
     ///
-    /// A router in a cell gets `d_cell(src, v)` inside the cell and
-    /// `d_cell(src, root) + bridge + row(parent)[v]` everywhere else —
-    /// every path out crosses the bridge, so both are exact, and the
-    /// unreachable mark and the reachable clamp are applied as
-    /// [`Graph::dijkstra`] applies them: the rows are byte-identical.
-    /// A router outside every cell gets the full search.
+    /// A router in a cell keeps `d_cell(src, v)` for the cell and
+    /// `d_cell(src, root) + bridge` as its way out — every path out
+    /// crosses the bridge, so both are exact, and each is clamped as
+    /// [`Graph::dijkstra`] clamps. A router outside every cell gets the
+    /// full search.
     ///
-    /// Kept out of line: inlined into [`LatencyOracle::row`] it grows
-    /// the frame every resident-row query sets up (six saved registers
-    /// against three — 5 % on a cache-resident `latency()`).
+    /// Kept out of line: inlined into [`LatencyOracle::latency`] it
+    /// grows the frame every resident-row query sets up.
     #[cold]
     #[inline(never)]
-    fn fill(&self, src: u32) -> &[u16] {
-        let Backend::Rows { rows, materialized, composed, cells, .. } = &self.backend else {
+    fn fill(&self, src: u32) -> &Row {
+        let Backend::Rows { rows, materialized, composed, bytes, cells } = &self.backend else {
             unreachable!("fill() is only reached from the rows backend");
         };
-        let cells = cells.get_or_init(|| self.graph.bridge_cells());
         let fill_one = move |src: u32| {
             rows[src as usize].get_or_init(|| {
                 materialized.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.cell(src) else {
-                    return self.graph.dijkstra(src);
+                let row = match cells.cell(src) {
+                    None => Row::Dense(self.graph.dijkstra(src)),
+                    Some(cell) => {
+                        composed.fetch_add(1, Ordering::Relaxed);
+                        let above = rows[cell.parent as usize].get();
+                        self.compose(src, cells, cell, above.expect("parents are filled first"))
+                    }
                 };
-                composed.fetch_add(1, Ordering::Relaxed);
-                let outside = rows[cell.parent as usize].get().expect("bridge parent filled first");
-                let mut scratch = DijkstraScratch::new();
-                let inside = self.graph.dijkstra_cell(src, cells, cell, &mut scratch);
-                let exit = clamp_ms(inside[0].saturating_add(u32::from(cell.bridge_ms)));
-                let mut row: Box<[u16]> = outside
-                    .iter()
-                    .map(|&d| match d {
-                        u16::MAX => d,
-                        _ => d.saturating_add(exit).min(u16::MAX - 1),
-                    })
-                    .collect();
-                for (&v, &d) in cells.members(cell).iter().zip(inside) {
-                    row[v as usize] = clamp_ms(d);
-                }
+                bytes.fetch_add(row.bytes(), Ordering::Relaxed);
                 row
             })
         };
         // Bridge parents still missing their rows, nearest first. Each
         // step crosses a bridge towards the DFS root, so the climb ends
         // at a resident row or in the core; filling top-down means a
-        // row's parent is always there when it is built, on any thread.
+        // resident row's parents are resident too, on any thread.
         let mut missing = Vec::new();
         let mut at = src;
         while let Some(cell) = cells.cell(at) {
@@ -546,10 +372,7 @@ impl LatencyOracle {
     /// Shortest-path delay in milliseconds between routers `u` and `v`.
     ///
     /// `u == v` is answered as 0 without touching any backend state.
-    /// On a bounded oracle every other query counts exactly one hit or
-    /// one miss, and a miss evicts at most one overflow row, so
-    /// `hits + misses == queries` and `evictions <= misses` hold
-    /// exactly. All backends return identical values.
+    /// Both backends return identical values.
     #[inline]
     #[must_use]
     pub fn latency(&self, u: u32, v: u32) -> u16 {
@@ -561,69 +384,55 @@ impl LatencyOracle {
                 // Counted per query answered, memo hit or not — the
                 // counter means "label queries served", and the memo is
                 // invisible except in `label_memo.*`.
-                queries.fetch_add(1, Ordering::Relaxed);
+                queries.0.fetch_add(1, Ordering::Relaxed);
                 match memo {
                     Some(m) => m.latency(labels, u, v),
                     None => labels.latency(u, v),
                 }
             }
-            Backend::Rows { rows, materialized, bound, .. } => {
-                let Some(b) = bound else {
-                    return self.row(u)[v as usize];
+            Backend::Rows { rows, cells, .. } => {
+                let mut row = self.resident(rows, u);
+                let mut exits = 0u32;
+                // A target outside every cell around `u` — most of them
+                // — is one step away however deep `u` sits. (Walking
+                // there costs a mispredicted branch per query on worlds
+                // whose sources sit at mixed depths: ≈ 25 → 10 ns on a
+                // random pair of a 10⁴-peer Transit-Stub world.)
+                if let Row::Celled { top, top_exit, outer_lo, outer_len, .. } = row {
+                    if cells.pre(v).wrapping_sub(*outer_lo) >= *outer_len {
+                        exits = u32::from(*top_exit);
+                        row = self.resident(rows, *top);
+                    }
+                }
+                // Otherwise up through the cells around `u` until one
+                // holds `v`, summing the bridge crossings.
+                let base = loop {
+                    match row {
+                        Row::Dense(all) => break all[v as usize],
+                        Row::Celled { parent, exit, lo, inside, .. } => {
+                            let slot = cells.pre(v).wrapping_sub(*lo) as usize;
+                            if let Some(&d) = inside.get(slot) {
+                                break d;
+                            }
+                            exits = exits.saturating_add(u32::from(*exit));
+                            row = self.resident(rows, *parent);
+                        }
+                    }
                 };
-                // Pinned fast path: lock-free, same as the unbounded
-                // oracle.
-                if let Some(row) = rows[u as usize].get() {
-                    b.hits.fetch_add(1, Ordering::Relaxed);
-                    return row[v as usize];
+                // One clamp for the whole walk: every term is ≥ 0, so
+                // `min(min(b + e₂, M) + e₁, M) = min(b + e₁ + e₂, M)` —
+                // the nested per-row clamps of a written-out row.
+                match base {
+                    u16::MAX => u16::MAX,
+                    _ => u32::from(base).saturating_add(exits).min(u32::from(u16::MAX - 1)) as u16,
                 }
-                let si = b.shard_index(u);
-                if let Some(val) =
-                    b.shards[si].lock().expect("shard poisoned").lookup(u, v)
-                {
-                    b.hits.fetch_add(1, Ordering::Relaxed);
-                    return val;
-                }
-                b.misses.fetch_add(1, Ordering::Relaxed);
-                // Dijkstra runs outside any lock, into a pooled buffer
-                // with pooled scratch — steady-state misses never
-                // allocate. Concurrent misses on the same source both
-                // count and race benignly on insertion.
-                let mut row = b.take_row(self.graph.node_count());
-                let mut scratch = b.take_scratch();
-                self.graph.dijkstra_into(u, &mut row, &mut scratch);
-                b.recycle_scratch(scratch);
-                let val = row[v as usize];
-                if b.try_claim_pin() {
-                    match rows[u as usize].set(row) {
-                        Ok(()) => {
-                            materialized.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(row) => {
-                            b.release_pin();
-                            b.recycle_row(row);
-                        }
-                    }
-                } else {
-                    let cap = b.shard_cap(si);
-                    match b.shards[si].lock().expect("shard poisoned").insert(u, row, cap) {
-                        Insert::Stored => {}
-                        Insert::Evicted(old) => {
-                            b.evictions.fetch_add(1, Ordering::Relaxed);
-                            b.recycle_row(old);
-                        }
-                        Insert::Rejected(row) => b.recycle_row(row),
-                    }
-                }
-                val
             }
         }
     }
 
-    /// Number of rows resident in the lock-free segment (0 on the
-    /// labels backend): every source asked for, plus the bridge parents
-    /// their rows were composed through. O(1): the count is maintained
-    /// at row-init time, not by scanning.
+    /// Number of resident rows (0 on the labels backend): every source
+    /// asked for, plus the bridge parents above them. O(1): the count
+    /// is maintained at row-init time, not by scanning.
     #[must_use]
     pub fn cached_rows(&self) -> usize {
         match &self.backend {
@@ -648,43 +457,13 @@ impl LatencyOracle {
         }
     }
 
-    /// Current cache-effectiveness counters. On an unbounded oracle
-    /// only `pinned`/`resident` are meaningful (no hot-path counting);
-    /// on the labels backend everything is zero — see
-    /// [`LatencyOracle::label_stats`].
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        let pinned = self.cached_rows();
-        match &self.backend {
-            Backend::Labels { .. } => CacheStats::default(),
-            Backend::Rows { bound: None, .. } => {
-                CacheStats { pinned, resident: pinned, ..CacheStats::default() }
-            }
-            Backend::Rows { bound: Some(b), .. } => {
-                let overflow: usize = b
-                    .shards
-                    .iter()
-                    .map(|s| s.lock().expect("shard poisoned").slots.len())
-                    .sum();
-                CacheStats {
-                    hits: b.hits.load(Ordering::Relaxed),
-                    misses: b.misses.load(Ordering::Relaxed),
-                    evictions: b.evictions.load(Ordering::Relaxed),
-                    pinned,
-                    resident: pinned + overflow,
-                    budget: Some(b.budget),
-                }
-            }
-        }
-    }
-
     /// Label-size statistics plus the query counter, if this oracle
     /// runs on the labels backend.
     #[must_use]
     pub fn label_stats(&self) -> Option<(LabelStats, u64)> {
         match &self.backend {
             Backend::Labels { labels, queries, .. } => {
-                Some((labels.stats(), queries.load(Ordering::Relaxed)))
+                Some((labels.stats(), queries.0.load(Ordering::Relaxed)))
             }
             Backend::Rows { .. } => None,
         }
@@ -713,64 +492,34 @@ impl LatencyOracle {
         self.precompute_on(&Executor::default(), sources);
     }
 
-    /// [`LatencyOracle::precompute`] on a caller-supplied executor. On
-    /// a bounded oracle this pins rows until the pinned segment is full
-    /// and then stops — warming never counts hits or misses and never
-    /// thrashes the overflow shards.
+    /// [`LatencyOracle::precompute`] on a caller-supplied executor.
     pub fn precompute_on(&self, exec: &Executor, sources: &[u32]) {
-        if matches!(self.backend, Backend::Labels { .. }) {
-            return;
-        }
-        exec.par_for_each(sources.len(), PRECOMPUTE_CHUNK, |i| {
-            self.warm(sources[i]);
-        });
-    }
-
-    /// Eagerly computes every row (full APSP). Only sensible for
-    /// moderate graphs; prefer [`LatencyOracle::precompute`].
-    pub fn precompute_all(&self) {
-        if matches!(self.backend, Backend::Labels { .. }) {
-            return;
-        }
-        Executor::default().par_for_each(self.graph.node_count(), PRECOMPUTE_CHUNK, |i| {
-            self.warm(i as u32);
-        });
-    }
-
-    /// Pins `src`'s row if the cache has room for it; a no-op once the
-    /// pinned segment is full on a bounded oracle.
-    fn warm(&self, src: u32) {
-        let Backend::Rows { rows, materialized, bound, .. } = &self.backend else {
+        let Backend::Rows { rows, .. } = &self.backend else {
             return;
         };
-        let slot = &rows[src as usize];
-        if slot.get().is_some() {
-            return;
-        }
-        match bound {
-            None => {
-                let _ = self.row(src);
-            }
-            Some(b) => {
-                if b.try_claim_pin() {
-                    if slot.set(self.graph.dijkstra(src)).is_ok() {
-                        materialized.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        b.release_pin();
-                    }
-                }
-            }
-        }
+        exec.par_for_each(sources.len(), PRECOMPUTE_CHUNK, |i| {
+            self.resident(rows, sources[i]);
+        });
     }
 
-    /// Approximate bytes held by the backend (materialized rows, or
-    /// the label arrays).
+    /// Eagerly computes every row. Only sensible for moderate graphs;
+    /// prefer [`LatencyOracle::precompute`].
+    pub fn precompute_all(&self) {
+        let Backend::Rows { rows, .. } = &self.backend else {
+            return;
+        };
+        Executor::default().par_for_each(self.graph.node_count(), PRECOMPUTE_CHUNK, |i| {
+            self.resident(rows, i as u32);
+        });
+    }
+
+    /// Bytes held by the backend: the distance entries of the resident
+    /// rows (counted at row-init time, never on the query path), or
+    /// the label arrays.
     #[must_use]
     pub fn cache_bytes(&self) -> usize {
         match &self.backend {
-            Backend::Rows { .. } => {
-                self.cache_stats().resident * self.graph.node_count() * core::mem::size_of::<u16>()
-            }
+            Backend::Rows { bytes, .. } => bytes.load(Ordering::Relaxed),
             Backend::Labels { labels, .. } => labels.bytes(),
         }
     }
@@ -828,7 +577,24 @@ mod tests {
         assert_eq!(o.cached_rows(), 2);
         o.precompute_all();
         assert_eq!(o.cached_rows(), 3);
-        assert_eq!(o.cache_bytes(), 3 * 3 * 2);
+        assert_eq!(o.cache_bytes(), 3 * 3 * 2, "no bridge: three full rows");
+    }
+
+    /// `cache_bytes` is what is held, not rows × routers: below a
+    /// bridge a source keeps its cell's distances only.
+    #[test]
+    fn cache_bytes_counts_cell_tables_not_full_rows() {
+        // Triangle 0-1-2 with the tail 2-3-4: {3, 4} and {4} are cells.
+        let mut g = triangle();
+        let (a, b) = (g.add_node(), g.add_node());
+        g.add_edge(2, a, 7);
+        g.add_edge(a, b, 9);
+        let o = LatencyOracle::new(g);
+        assert_eq!(o.latency(b, 0), 9 + 7 + 20);
+        assert_eq!(o.row_stats(), RowStats { searched: 1, composed: 2 });
+        assert_eq!(o.cache_bytes(), (5 + 2 + 1) * 2, "row of 2, cell table of 3, of 4");
+        assert_eq!(o.row(b), [36, 26, 16, 9, 0]);
+        assert_eq!(o.cache_bytes(), (5 + 2 + 1) * 2, "row() holds on to nothing");
     }
 
     #[test]
@@ -850,17 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_matches_unbounded_exactly() {
-        let free = LatencyOracle::new(line(24));
-        let tight = LatencyOracle::with_row_budget(line(24), 3);
-        for u in 0..24u32 {
-            for v in 0..24u32 {
-                assert_eq!(tight.latency(u, v), free.latency(u, v), "({u},{v})");
-            }
-        }
-    }
-
-    #[test]
     fn labels_backend_matches_rows_exactly() {
         let free = LatencyOracle::new(line(24));
         let labels = LatencyOracle::with_labels(line(24));
@@ -874,7 +629,7 @@ mod tests {
         assert_eq!(queries, 24 * 23, "u == v is answered before counting");
         assert!(stats.entries > 0 && stats.hubs > 0);
         assert_eq!(labels.cached_rows(), 0);
-        assert_eq!(labels.cache_stats(), CacheStats::default());
+        assert_eq!(labels.row_stats(), RowStats::default());
         assert!(labels.cache_bytes() > 0);
     }
 
@@ -939,103 +694,5 @@ mod tests {
         assert_eq!(o.cached_rows(), 0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.row(0)));
         assert!(caught.is_err(), "labels backend must refuse row()");
-    }
-
-    #[test]
-    fn bounded_counters_reconcile() {
-        // 40 sources against a 4-row budget force CLOCK collisions.
-        let o = LatencyOracle::with_row_budget(line(40), 4);
-        let mut queries = 0u64;
-        for round in 0..3 {
-            for u in 0..40u32 {
-                for v in 0..40u32 {
-                    let _ = o.latency(u, v);
-                    if u != v {
-                        queries += 1;
-                    }
-                }
-            }
-            let s = o.cache_stats();
-            assert_eq!(s.hits + s.misses, queries, "round {round}");
-            assert!(s.evictions <= s.misses, "round {round}");
-            assert!(s.resident <= s.budget.unwrap(), "round {round}");
-        }
-        let s = o.cache_stats();
-        assert!(s.evictions > 0, "tiny budget over 40 sources must evict");
-        assert_eq!(s.pinned, 2, "budget 4 pins budget/2 rows");
-    }
-
-    /// Regression for the budget overshoot: `per_shard_cap` used to
-    /// round up (`div_ceil`), letting pinned + overflow exceed the
-    /// budget (BENCH_scale.json once recorded 126 resident rows
-    /// against a 125-row budget). The shard capacities must partition
-    /// the overflow exactly.
-    #[test]
-    fn bounded_residency_never_exceeds_budget() {
-        let budget = 125;
-        let o = LatencyOracle::with_row_budget(line(200), budget);
-        for round in 0..3 {
-            // Saturate from more distinct sources than the budget.
-            for u in 0..200u32 {
-                for v in [199u32, 0, 100] {
-                    let _ = o.latency(u, v);
-                }
-                let s = o.cache_stats();
-                assert!(
-                    s.resident <= budget,
-                    "round {round}: resident {} exceeds budget {budget}",
-                    s.resident
-                );
-            }
-        }
-        let s = o.cache_stats();
-        assert_eq!(s.resident, budget, "a saturated cache should use its whole budget");
-        assert_eq!(s.pinned, budget / 2);
-    }
-
-    #[test]
-    fn tiny_budgets_clamp_and_never_overshoot() {
-        for budget in 1..=4usize {
-            let o = LatencyOracle::with_row_budget(line(64), budget);
-            for u in 0..64u32 {
-                let _ = o.latency(u, 63);
-            }
-            let s = o.cache_stats();
-            assert!(s.resident <= budget.max(1), "budget {budget}: resident {}", s.resident);
-        }
-    }
-
-    #[test]
-    fn bounded_precompute_pins_without_counting() {
-        let o = LatencyOracle::with_row_budget(line(16), 8);
-        o.precompute(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        let s = o.cache_stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (0, 0, 0));
-        assert_eq!(s.pinned, 4, "pin cap is budget/2");
-        // Pinned rows answer on the lock-free path as hits.
-        let _ = o.latency(0, 9);
-        assert_eq!(o.cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn bounded_row_serves_pinned_and_panics_past_cap() {
-        let o = LatencyOracle::with_row_budget(line(8), 4);
-        assert_eq!(o.row(0)[7], 35);
-        assert_eq!(o.row(1)[7], 30);
-        assert_eq!(o.row(0)[7], 35); // still resident
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.row(5)));
-        assert!(caught.is_err(), "third distinct row() must exceed pin cap 2");
-    }
-
-    #[test]
-    fn unbounded_stats_report_no_counting() {
-        let o = LatencyOracle::new(triangle());
-        let _ = o.latency(0, 1);
-        let s = o.cache_stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (0, 0, 0));
-        assert_eq!(s.budget, None);
-        assert_eq!(s.resident, 1);
-        assert_eq!(o.backend_name(), "rows");
-        assert_eq!(LatencyOracle::with_row_budget(triangle(), 2).backend_name(), "bounded");
     }
 }

@@ -19,10 +19,10 @@
 //! On top of a generated [`Topology`], the [`LatencyOracle`] answers
 //! "what is the underlay latency between overlay peers u and v?" —
 //! the quantity every routing-latency figure in the paper integrates
-//! over — through one of three exact backends: cached single-source
-//! Dijkstra rows, a residency-bounded row cache, or 2-hop hub labels
-//! ([`HubLabels`]) whose sub-quadratic build makes 10⁵-router graphs
-//! cheap.
+//! over — through one of two exact backends: lazily built rows (a full
+//! Dijkstra row per core router, a cell-sized table per router below a
+//! bridge), or 2-hop hub labels ([`HubLabels`]) whose sub-quadratic
+//! build makes 10⁵-router graphs cheap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +39,6 @@ pub use brite::BriteConfig;
 pub use graph::{DijkstraScratch, Edge, Graph};
 pub use inet::InetConfig;
 pub use labels::{HubLabels, LabelStats};
-pub use latency::{CacheStats, LatencyOracle, RowStats};
+pub use latency::{LatencyOracle, RowStats};
 pub use topo::{NodeKind, Topology};
 pub use transit_stub::TransitStubConfig;

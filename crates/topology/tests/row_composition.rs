@@ -1,23 +1,30 @@
-//! Rows composed through bridge cells vs. the binary-heap reference.
+//! Rows answered through bridge cells vs. the binary-heap reference.
 //!
-//! The rows oracle fills a row below a bridge from a cell-local search
-//! plus a vector add over the bridge parent's row. That is a claim of
-//! byte identity with a full search, checked here for *every* source —
-//! on the paper's three models, on random graphs built to be awkward
-//! (forests, zero-weight links, delays at the saturation boundary) —
-//! and a claim about how much searching is left, checked by count.
+//! Below a bridge the rows oracle keeps a cell-local search and the
+//! delay to the router across the bridge, and answers everything else
+//! by walking up to that router's row. That is a claim of byte identity
+//! with a full search, checked here for *every* pair — on the paper's
+//! three models, on random graphs built to be awkward (forests,
+//! zero-weight links, delays at the saturation boundary), at the clamp
+//! itself, and from racing threads — and a claim about how much
+//! searching and how many bytes are left, checked by count.
 
 use hieras_rt::{Executor, Rng};
 use hieras_topology::{
     BriteConfig, Graph, InetConfig, LatencyOracle, RowStats, Topology, TransitStubConfig,
 };
+use std::sync::Barrier;
 
-/// Every row of an unbounded oracle over `g` equals the heap row.
-/// Returns how the rows were built.
+/// Every `latency(u, v)` of a rows oracle over `g` equals the heap
+/// row's entry (`row()` is the same walk written out; the tests below
+/// that compare whole rows go through it). Returns how the rows were
+/// built.
 fn assert_rows_match_heap(g: &Graph, label: &str) -> RowStats {
     let oracle = LatencyOracle::new(g.clone());
     for src in 0..g.node_count() as u32 {
-        assert_eq!(oracle.row(src), &g.dijkstra_heap(src)[..], "{label}: source {src}");
+        for (v, &d) in g.dijkstra_heap(src).iter().enumerate() {
+            assert_eq!(oracle.latency(src, v as u32), d, "{label}: ({src}, {v})");
+        }
     }
     assert_eq!(oracle.cached_rows(), g.node_count(), "{label}");
     let stats = oracle.row_stats();
@@ -106,6 +113,53 @@ fn saturating_path_clamps_and_marks_unreachable() {
     assert_eq!(oracle.row(6), &[u16::MAX, u16::MAX, u16::MAX, u16::MAX, u16::MAX, u16::MAX, 0]);
 }
 
+/// Cells nested three deep below a ring, every bridge delay swept
+/// across the clamp: the walk adds the three crossings and clamps once,
+/// where a written-out row would clamp at each bridge. Both must agree
+/// with the reference at every boundary, and a router in another
+/// component must stay unreachable however much is added on the way.
+#[test]
+fn one_end_clamp_equals_the_nested_clamps_at_the_boundary() {
+    const TOP: u16 = u16::MAX - 1;
+    const DELAYS: [u16; 7] = [0, 1, 32_767, 32_768, TOP - 2, TOP - 1, TOP];
+    let nested = |d: u16, exit: u16| match d {
+        u16::MAX => d,
+        _ => d.saturating_add(exit).min(TOP),
+    };
+    for (b1, b2, b3) in DELAYS
+        .iter()
+        .flat_map(|&a| DELAYS.iter().flat_map(move |&b| DELAYS.iter().map(move |&c| (a, b, c))))
+    {
+        // Ring 0..6 (the core), chain 5 — 6 — 7 — 8 below it, and a
+        // second component 9 — 10.
+        let mut g = Graph::with_nodes(11);
+        for i in 0..6 {
+            g.add_edge(i, (i + 1) % 6, 1);
+        }
+        g.add_edge(5, 6, b1);
+        g.add_edge(6, 7, b2);
+        g.add_edge(7, 8, b3);
+        g.add_edge(9, 10, TOP);
+        let oracle = LatencyOracle::new(g.clone());
+        let label = format!("bridges ({b1}, {b2}, {b3})");
+        for v in 0..6u32 {
+            let via_each_bridge =
+                nested(nested(nested(g.dijkstra_heap(5)[v as usize], b1), b2), b3);
+            assert_eq!(oracle.latency(8, v), via_each_bridge, "{label}: (8, {v})");
+        }
+        for u in 0..11u32 {
+            assert_eq!(oracle.row(u), &g.dijkstra_heap(u)[..], "{label}: source {u}");
+        }
+        assert_eq!(oracle.latency(8, 9), u16::MAX, "{label}");
+        assert_eq!(oracle.latency(10, 8), u16::MAX, "{label}");
+        assert_eq!(
+            oracle.row_stats(),
+            RowStats { searched: 7, composed: 4 },
+            "{label}: 6, 7, 8 and 10 sit below bridges"
+        );
+    }
+}
+
 #[test]
 fn precompute_is_identical_at_any_thread_count() {
     let topo = TransitStubConfig::for_peers(500, 5).generate();
@@ -122,9 +176,58 @@ fn precompute_is_identical_at_any_thread_count() {
         let other = warm(threads);
         assert_eq!(other.cached_rows(), base.cached_rows(), "{threads} threads");
         assert_eq!(other.row_stats(), base.row_stats(), "{threads} threads");
+        assert_eq!(other.cache_bytes(), base.cache_bytes(), "{threads} threads");
         for &s in &sources {
             assert_eq!(other.row(s), base.row(s), "{threads} threads, source {s}");
         }
+    }
+}
+
+/// Nothing warmed: every row, and every bridge parent's row, is built
+/// by whichever query gets there first. The threads start together and
+/// take interleaved sources, so they meet on the shared parents.
+#[test]
+fn cold_queries_agree_at_any_thread_count() {
+    let topo = TransitStubConfig::for_peers(500, 6).generate();
+    let sources = &topo.attach_candidates;
+    let targets: Vec<u32> = (0..topo.graph.node_count() as u32).step_by(5).collect();
+    let cold = |threads: usize| {
+        let oracle = LatencyOracle::new(topo.graph.clone());
+        let start = Barrier::new(threads);
+        let mut answers = vec![0u16; sources.len() * targets.len()];
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (oracle, start, targets) = (&oracle, &start, &targets);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut mine = Vec::new();
+                        for (i, &u) in sources.iter().enumerate().skip(t).step_by(threads) {
+                            for (j, &v) in targets.iter().enumerate() {
+                                mine.push((i * targets.len() + j, oracle.latency(u, v)));
+                            }
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            for worker in workers {
+                for (at, d) in worker.join().expect("query thread panicked") {
+                    answers[at] = d;
+                }
+            }
+        });
+        (answers, oracle.row_stats(), oracle.cache_bytes())
+    };
+    let base = cold(1);
+    assert!(base.1.composed >= sources.len() && base.1.searched > 0, "{:?}", base.1);
+    for (i, &u) in sources.iter().enumerate() {
+        let row = topo.graph.dijkstra_heap(u);
+        let want: Vec<u16> = targets.iter().map(|&v| row[v as usize]).collect();
+        assert_eq!(base.0[i * targets.len()..][..targets.len()], want, "source {u}");
+    }
+    for threads in [2, 8] {
+        assert!(cold(threads) == base, "{threads} threads");
     }
 }
 
@@ -135,11 +238,12 @@ fn warmed(topo: &Topology, sources: &[u32]) -> LatencyOracle {
     oracle
 }
 
-/// The gain, as a count rather than a timing: on a Transit-Stub world
-/// only the transit routers are ever searched in full (and a unit test
-/// in `graph.rs` bounds every other search by the stub domain).
+/// The gain, as counts rather than timings: on a Transit-Stub world
+/// only the transit routers are ever searched in full, and only they
+/// hold a full row — every other source holds at most a stub domain's
+/// worth of distances (a unit test in `graph.rs` bounds its cell).
 #[test]
-fn transit_stub_searches_only_the_transit_core() {
+fn transit_stub_searches_and_stores_only_the_transit_core() {
     for seed in [1, 2, 3] {
         let cfg = TransitStubConfig::for_peers(2000, seed);
         let topo = cfg.generate();
@@ -151,16 +255,25 @@ fn transit_stub_searches_only_the_transit_core() {
             stats.searched
         );
         assert!(stats.composed >= topo.attach_candidates.len(), "seed {seed}");
+        let n = topo.graph.node_count();
+        assert!(
+            oracle.cache_bytes()
+                <= stats.searched * n * 2 + stats.composed * cfg.stub_nodes_per_domain * 2,
+            "seed {seed}: {} bytes resident for {stats:?} over {n} routers",
+            oracle.cache_bytes()
+        );
     }
 }
 
 /// The no-loss side: BRITE's preferential attachment with two links per
-/// router leaves no bridge, so every row is a plain search and nothing
-/// extra is resident.
+/// router leaves no bridge, so every row is a plain search, nothing
+/// extra is resident, and the bytes are a full row per source.
 #[test]
 fn brite_composes_nothing() {
     let topo = BriteConfig::for_peers(600, 9).generate();
     let sources: Vec<u32> = topo.attach_candidates.iter().copied().step_by(2).collect();
-    let stats = warmed(&topo, &sources).row_stats();
+    let oracle = warmed(&topo, &sources);
+    let stats = oracle.row_stats();
     assert_eq!((stats.searched, stats.composed), (sources.len(), 0));
+    assert_eq!(oracle.cache_bytes(), sources.len() * topo.graph.node_count() * 2);
 }
