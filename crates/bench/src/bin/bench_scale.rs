@@ -15,11 +15,11 @@
 //! * **peak_rss_bytes** (and the `_mb` rendering) — the process
 //!   high-water mark (`VmHWM` from `/proc/self/status`) at the end of
 //!   the run's replay. The mark is monotonic per process, so within a
-//!   size the rows run reads first; `scripts/verify.sh` gates the
-//!   maximum against `scripts/rss_budget_bytes`;
+//!   size the rows run reads first;
 //! * **metrics_match_rows** — on a labels run, whether its full replay
 //!   metrics are byte-identical to the rows run of the same size
-//!   (labels are exact, so anything but `true` is a bug);
+//!   (labels are exact, so anything but `true` is a bug — the binary
+//!   exits non-zero on it);
 //! * **label_stats** — hub count, label lengths, build ms, bytes;
 //! * **oracle_registry** — `Experiment::record_cache_stats`: on rows,
 //!   `latency_cache.rows_searched` / `rows_composed` / `resident_rows`
@@ -29,9 +29,11 @@
 //! * the replayed Chord/HIERAS routing summaries, including the
 //!   lower-layer hop and latency shares the paper's §4.3 tracks.
 //!
-//! Output goes to `BENCH_scale.json` (and stdout). `--smoke` runs the
-//! CI-sized point (500 peers, 2000 requests, both backends) only;
-//! `HIERAS_THREADS=n` pins the executor width.
+//! Output goes to `BENCH_scale.json` (untracked) and stdout. `--smoke`
+//! runs the CI-sized point (500 peers, 2000 requests, both backends)
+//! only; `HIERAS_THREADS=n` pins the executor width. This is the one
+//! 1 k → 1 M size sweep; commit-to-commit timing comparisons are
+//! `benchmark/`'s (`replay_paper10k`, `scale_labels100k`).
 
 use hieras_obs::{Profiler, Registry};
 use hieras_rt::{Executor, Json, ToJson};

@@ -8,8 +8,9 @@
 //!
 //! `--quick` (default) uses laptop-scale sizes; `--full` uses the
 //! paper's 10 000-node networks and 100 000-request workloads.
-//! Markdown goes to stdout; a JSON record of each artifact is written
-//! to `results/<id>.json`.
+//! A JSON record of each artifact is written to `results/<id>.json`,
+//! then its markdown goes to stdout (so `figures <id> | head` keeps
+//! the record).
 
 use hieras_bench::render;
 use hieras_bench::{depth_sweep, landmark_sweep, size_sweep};
@@ -21,6 +22,9 @@ use hieras_pastry::PastryOracle;
 use hieras_proto::SimNet;
 use hieras_rt::{Json, ToJson};
 use hieras_sim::{Experiment, ExperimentConfig, TopologyKind, Workload};
+use std::fmt::Write as _;
+use std::io::Write as _;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Scale knobs for quick vs full (paper-scale) runs.
@@ -72,37 +76,57 @@ fn main() {
     } else {
         ids
     };
-    std::fs::create_dir_all("results").ok();
     for id in ids {
-        let started = std::time::Instant::now();
-        println!("\n## {id}\n");
-        let json = match id {
-            "table1" => table1(),
-            "table2" => table2(),
-            "table3" => table3(),
-            "fig2" | "fig3" => fig23(id, &scale),
-            "fig4" | "fig5" => fig45(id, &scale),
-            "fig6" | "fig7" => fig67(id, &scale),
-            "fig8" | "fig9" => fig89(id, &scale),
-            "costs" => costs(&scale),
-            "ablate-noise" => ablate_noise(&scale),
-            "ablate-can" => ablate_can(),
-            "compare-pastry" => compare_pastry(&scale),
-            other => {
-                eprintln!("unknown figure id: {other}");
-                continue;
-            }
+        let Some(md) = write_figure(id, &scale, Path::new("results")) else {
+            eprintln!("unknown figure id: {id}");
+            continue;
         };
-        let path = format!("results/{id}.json");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("could not write {path}: {e}");
+        // `figures <id> | head` closes stdout early; the JSON is
+        // already on disk, so a closed pipe just ends the run.
+        if let Err(e) = std::io::stdout().write_all(md.as_bytes()) {
+            if e.kind() == std::io::ErrorKind::BrokenPipe {
+                return;
+            }
+            panic!("failed printing to stdout: {e}");
         }
-        println!("\n_(generated in {:.1}s; JSON at {path})_", started.elapsed().as_secs_f64());
     }
 }
 
+/// Generates artifact `id` and writes its JSON record to
+/// `<dir>/<id>.json` **before** anything reaches stdout: the returned
+/// markdown is the caller's to print. `None` for an unknown id.
+fn write_figure(id: &str, scale: &Scale, dir: &Path) -> Option<String> {
+    let started = std::time::Instant::now();
+    let mut md = format!("\n## {id}\n\n");
+    let json = match id {
+        "table1" => table1(&mut md),
+        "table2" => table2(&mut md),
+        "table3" => table3(&mut md),
+        "fig2" | "fig3" => fig23(id, scale, &mut md),
+        "fig4" | "fig5" => fig45(id, scale, &mut md),
+        "fig6" | "fig7" => fig67(id, scale, &mut md),
+        "fig8" | "fig9" => fig89(scale, &mut md),
+        "costs" => costs(scale, &mut md),
+        "ablate-noise" => ablate_noise(scale, &mut md),
+        "ablate-can" => ablate_can(&mut md),
+        "compare-pastry" => compare_pastry(scale, &mut md),
+        _ => return None,
+    };
+    let path = dir.join(format!("{id}.json"));
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
+        eprintln!("could not write {}: {e}", path.display());
+    }
+    let _ = writeln!(
+        md,
+        "\n_(generated in {:.1}s; JSON at {})_",
+        started.elapsed().as_secs_f64(),
+        path.display()
+    );
+    Some(md)
+}
+
 /// Table 1: the distributed binning worked example, verbatim.
-fn table1() -> String {
+fn table1(md: &mut String) -> String {
     let b = Binning::paper();
     let rows: [(&str, [u16; 4]); 6] = [
         ("A", [25, 5, 30, 100]),
@@ -112,12 +136,13 @@ fn table1() -> String {
         ("E", [45, 10, 100, 5]),
         ("F", [20, 140, 50, 40]),
     ];
-    println!("| Node | Dist-L1 | Dist-L2 | Dist-L3 | Dist-L4 | Order |");
-    println!("|------|--------:|--------:|--------:|--------:|-------|");
+    let _ = writeln!(md, "| Node | Dist-L1 | Dist-L2 | Dist-L3 | Dist-L4 | Order |");
+    let _ = writeln!(md, "|------|--------:|--------:|--------:|--------:|-------|");
     let mut out = Vec::new();
     for (node, rtts) in rows {
         let order = b.order(&rtts);
-        println!(
+        let _ = writeln!(
+            md,
             "| {node} | {}ms | {}ms | {}ms | {}ms | {} |",
             rtts[0], rtts[1], rtts[2], rtts[3], order
         );
@@ -154,17 +179,18 @@ fn table2_system() -> (HierasOracle, u32) {
 }
 
 /// Table 2: node 121's two-layer finger tables.
-fn table2() -> String {
+fn table2(md: &mut String) -> String {
     let (oracle, node) = table2_system();
     let rows = oracle.finger_rows(node);
-    println!("| Start | Interval | Layer-1 successor | Layer-2 successor |");
-    println!("|------:|----------|-------------------|-------------------|");
+    let _ = writeln!(md, "| Start | Interval | Layer-1 successor | Layer-2 successor |");
+    let _ = writeln!(md, "|------:|----------|-------------------|-------------------|");
     let mut out = Vec::new();
     for r in &rows {
         let l1 = r.successors[0];
         let l2 = r.successors[1];
         let name = |n: u32| oracle.layers()[1].ring_name_of(n).name();
-        println!(
+        let _ = writeln!(
+            md,
             "| {} | [{},{}) | {} (\"{}\") | {} (\"{}\") |",
             r.start.raw(),
             r.start.raw(),
@@ -184,10 +210,10 @@ fn table2() -> String {
 }
 
 /// Table 3: ring-table structure of the demo system.
-fn table3() -> String {
+fn table3(md: &mut String) -> String {
     let (oracle, _) = table2_system();
-    println!("| Ringid | Ringname | Largest | 2nd largest | Smallest | 2nd smallest | Holder |");
-    println!("|--------|----------|--------:|------------:|---------:|-------------:|-------:|");
+    let _ = writeln!(md, "| Ringid | Ringname | Largest | 2nd largest | Smallest | 2nd smallest | Holder |");
+    let _ = writeln!(md, "|--------|----------|--------:|------------:|---------:|-------------:|-------:|");
     let mut names: Vec<&String> = oracle.ring_tables().keys().collect();
     names.sort();
     let mut out = Vec::new();
@@ -195,7 +221,8 @@ fn table3() -> String {
         let t = &oracle.ring_tables()[name];
         let holder = oracle.id_of(oracle.ring_table_holder(t.ring_id)).raw();
         let f = |v: Option<Id>| v.map_or("-".into(), |i| i.raw().to_string());
-        println!(
+        let _ = writeln!(
+            md,
             "| {:.8}… | \"{}\" | {} | {} | {} | {} | {} |",
             t.ring_id,
             t.ring_name,
@@ -215,7 +242,7 @@ fn table3() -> String {
 }
 
 /// Figures 2 & 3: hops / latency vs network size across models.
-fn fig23(id: &str, scale: &Scale) -> String {
+fn fig23(id: &str, scale: &Scale, md: &mut String) -> String {
     let mut rows = Vec::new();
     for (kind, sizes) in [
         (TopologyKind::TransitStub, &scale.sizes),
@@ -225,15 +252,15 @@ fn fig23(id: &str, scale: &Scale) -> String {
         rows.extend(size_sweep(kind, sizes, scale.requests, SEED));
     }
     if id == "fig2" {
-        print!("{}", render::fig2_table(&rows));
+        md.push_str(&render::fig2_table(&rows));
     } else {
-        print!("{}", render::fig3_table(&rows));
+        md.push_str(&render::fig3_table(&rows));
     }
     hieras_rt::to_string_pretty(&rows)
 }
 
 /// Figures 4 & 5: hop PDF and latency CDF on one large TS network.
-fn fig45(id: &str, scale: &Scale) -> String {
+fn fig45(id: &str, scale: &Scale, md: &mut String) -> String {
     let cfg = ExperimentConfig {
         kind: TopologyKind::TransitStub,
         nodes: scale.dist_nodes,
@@ -246,15 +273,13 @@ fn fig45(id: &str, scale: &Scale) -> String {
     let r = e.run();
     let (cs, hs) = (r.chord.summary(), r.hieras.summary());
     if id == "fig4" {
-        print!(
-            "{}",
-            render::pdf_table(
-                &r.chord.hop_hist.pdf(),
-                &r.hieras.hop_hist.pdf(),
-                &r.hieras.lower_hop_hist.pdf()
-            )
-        );
-        println!(
+        md.push_str(&render::pdf_table(
+            &r.chord.hop_hist.pdf(),
+            &r.hieras.hop_hist.pdf(),
+            &r.hieras.lower_hop_hist.pdf(),
+        ));
+        let _ = writeln!(
+            md,
             "\navg hops: Chord {:.4}, HIERAS {:.4} ({:+.2}%); lower-layer hops/request {:.3} ({:.2}% of all hops)",
             cs.avg_hops,
             hs.avg_hops,
@@ -270,14 +295,16 @@ fn fig45(id: &str, scale: &Scale) -> String {
             .into_iter()
             .map(|(x, c)| (x, c, hieras_cdf.at(x)))
             .collect();
-        print!("{}", render::cdf_table(&points));
-        println!(
+        md.push_str(&render::cdf_table(&points));
+        let _ = writeln!(
+            md,
             "\navg latency: Chord {:.2} ms, HIERAS {:.2} ms ({:.2}% of Chord)",
             cs.avg_latency_ms,
             hs.avg_latency_ms,
             hs.avg_latency_ms / cs.avg_latency_ms * 100.0
         );
-        println!(
+        let _ = writeln!(
+            md,
             "avg link delay: top layer {:.2} ms, lower layers {:.3} ms; lower-layer latency share {:.2}%",
             hs.avg_link_delay_top_ms,
             hs.avg_link_delay_lower_ms,
@@ -295,17 +322,18 @@ fn fig45(id: &str, scale: &Scale) -> String {
 }
 
 /// Figures 6 & 7: landmark-count sweep.
-fn fig67(id: &str, scale: &Scale) -> String {
+fn fig67(id: &str, scale: &Scale, md: &mut String) -> String {
     let landmarks: Vec<usize> = (2..=12).collect();
     let rows = landmark_sweep(scale.dist_nodes, scale.requests, &landmarks, SEED);
-    print!("{}", render::landmark_table(&rows));
+    md.push_str(&render::landmark_table(&rows));
     if id == "fig7" {
         if let Some(best) = rows.iter().min_by(|a, b| {
             (a.hieras.avg_latency_ms / a.chord.avg_latency_ms)
                 .partial_cmp(&(b.hieras.avg_latency_ms / b.chord.avg_latency_ms))
                 .expect("finite")
         }) {
-            println!(
+            let _ = writeln!(
+                md,
                 "\nbest: {} landmarks — HIERAS latency {:.2}% of Chord",
                 best.landmarks,
                 best.hieras.avg_latency_ms / best.chord.avg_latency_ms * 100.0
@@ -316,18 +344,18 @@ fn fig67(id: &str, scale: &Scale) -> String {
 }
 
 /// Figures 8 & 9: hierarchy-depth sweep.
-fn fig89(_id: &str, scale: &Scale) -> String {
+fn fig89(scale: &Scale, md: &mut String) -> String {
     let rows = depth_sweep(&scale.depth_sizes, &[2, 3, 4], scale.requests, SEED);
-    print!("{}", render::depth_table(&rows));
+    md.push_str(&render::depth_table(&rows));
     hieras_rt::to_string_pretty(&rows)
 }
 
 /// §3.4 / §6 cost analysis: state per node and join message counts.
-fn costs(scale: &Scale) -> String {
+fn costs(scale: &Scale, md: &mut String) -> String {
     let nodes = scale.dist_nodes.min(2000);
-    println!("state cost (N = {nodes}, TS model, r = 8 successor list):\n");
-    println!("| depth | finger entries | distinct fingers | succ-list entries | ring tables | bytes/node | vs Chord |");
-    println!("|------:|---------------:|-----------------:|------------------:|------------:|-----------:|---------:|");
+    let _ = writeln!(md, "state cost (N = {nodes}, TS model, r = 8 successor list):\n");
+    let _ = writeln!(md, "| depth | finger entries | distinct fingers | succ-list entries | ring tables | bytes/node | vs Chord |");
+    let _ = writeln!(md, "|------:|---------------:|-----------------:|------------------:|------------:|-----------:|---------:|");
     let mut reports = Vec::new();
     let mut base: Option<CostReport> = None;
     for depth in 1..=4usize {
@@ -346,7 +374,8 @@ fn costs(scale: &Scale) -> String {
         let e = Experiment::build(cfg);
         let rep = CostReport::for_oracle(&e.hieras, 8);
         let overhead = base.as_ref().map_or(1.0, |b| rep.overhead_vs(b));
-        println!(
+        let _ = writeln!(
+            md,
             "| {} | {} | {} | {} | {} | {:.0} | {:.2}x |",
             rep.depth,
             rep.finger_entries,
@@ -412,7 +441,8 @@ fn costs(scale: &Scale) -> String {
         dyn_net.stats()
     };
     let hieras_avg = join_msgs.iter().sum::<u64>() as f64 / join_msgs.len() as f64;
-    println!(
+    let _ = writeln!(
+        md,
         "\njoin cost: HIERAS (2-layer, message-level) {:.1} msgs/join; dynamic Chord {:.1} msgs/join (incl. stabilize)",
         hieras_avg,
         chord_join.total() as f64 / 10.0
@@ -426,9 +456,9 @@ fn costs(scale: &Scale) -> String {
 }
 
 /// Binning-noise ablation: does ping inaccuracy break the win?
-fn ablate_noise(scale: &Scale) -> String {
-    println!("| rtt noise | HIERAS ms | Chord ms | ratio | lower-hop share |");
-    println!("|----------:|----------:|---------:|------:|----------------:|");
+fn ablate_noise(scale: &Scale, md: &mut String) -> String {
+    let _ = writeln!(md, "| rtt noise | HIERAS ms | Chord ms | ratio | lower-hop share |");
+    let _ = writeln!(md, "|----------:|----------:|---------:|------:|----------------:|");
     let mut out = Vec::new();
     for noise in [0.0, 0.2, 0.5, 1.0] {
         let cfg = ExperimentConfig {
@@ -442,7 +472,8 @@ fn ablate_noise(scale: &Scale) -> String {
         let e = Experiment::build(cfg);
         let r = e.run();
         let (c, h) = (r.chord.summary(), r.hieras.summary());
-        println!(
+        let _ = writeln!(
+            md,
             "| {:.1} | {:.1} | {:.1} | {:.1}% | {:.1}% |",
             noise,
             h.avg_latency_ms,
@@ -460,7 +491,7 @@ fn ablate_noise(scale: &Scale) -> String {
 }
 
 /// HIERAS-over-CAN: the §3.2 transplant, CAN vs hierarchical CAN.
-fn ablate_can() -> String {
+fn ablate_can(md: &mut String) -> String {
     let cfg = ExperimentConfig {
         kind: TopologyKind::TransitStub,
         nodes: 1000,
@@ -490,16 +521,18 @@ fn ablate_can() -> String {
         }
     }
     let req = w.requests as f64;
-    println!("| system | avg hops | avg latency ms | lower-hop share |");
-    println!("|--------|---------:|---------------:|----------------:|");
-    println!("| CAN (d={dims}) | {:.3} | {:.1} | - |", ch as f64 / req, cl as f64 / req);
-    println!(
+    let _ = writeln!(md, "| system | avg hops | avg latency ms | lower-hop share |");
+    let _ = writeln!(md, "|--------|---------:|---------------:|----------------:|");
+    let _ = writeln!(md, "| CAN (d={dims}) | {:.3} | {:.1} | - |", ch as f64 / req, cl as f64 / req);
+    let _ = writeln!(
+        md,
         "| HIERAS-CAN | {:.3} | {:.1} | {:.1}% |",
         hh as f64 / req,
         hl as f64 / req,
         lower as f64 / hh.max(1) as f64 * 100.0
     );
-    println!(
+    let _ = writeln!(
+        md,
         "\nHIERAS-CAN latency = {:.2}% of plain CAN",
         hl as f64 / cl as f64 * 100.0
     );
@@ -518,7 +551,7 @@ fn ablate_can() -> String {
 
 /// §6 future work: HIERAS vs Pastry (with proximity neighbour
 /// selection) vs Chord on the same TS network and workload.
-fn compare_pastry(scale: &Scale) -> String {
+fn compare_pastry(scale: &Scale, md: &mut String) -> String {
     let nodes = scale.dist_nodes.min(3000);
     let requests = scale.requests.min(20_000);
     let cfg = ExperimentConfig {
@@ -544,25 +577,27 @@ fn compare_pastry(scale: &Scale) -> String {
     let r = e.run();
     let (c, h) = (r.chord.summary(), r.hieras.summary());
     let req = requests as f64;
-    println!("| system | avg hops | avg latency ms | vs Chord latency |");
-    println!("|--------|---------:|---------------:|-----------------:|");
-    println!("| Chord | {:.3} | {:.1} | 100% |", c.avg_hops, c.avg_latency_ms);
-    println!(
+    let _ = writeln!(md, "| system | avg hops | avg latency ms | vs Chord latency |");
+    let _ = writeln!(md, "|--------|---------:|---------------:|-----------------:|");
+    let _ = writeln!(md, "| Chord | {:.3} | {:.1} | 100% |", c.avg_hops, c.avg_latency_ms);
+    let _ = writeln!(
+        md,
         "| Pastry (proximity) | {:.3} | {:.1} | {:.1}% |",
         ph as f64 / req,
         pl as f64 / req,
         pl as f64 / req / c.avg_latency_ms * 100.0
     );
-    println!(
+    let _ = writeln!(
+        md,
         "| HIERAS | {:.3} | {:.1} | {:.1}% |",
         h.avg_hops,
         h.avg_latency_ms,
         h.avg_latency_ms / c.avg_latency_ms * 100.0
     );
-    println!("
+    let _ = writeln!(md, "
 note: Pastry resolves to the numerically-closest node; Chord/HIERAS to the");
-    println!("successor. Destinations differ per key, but each system pays its own full");
-    println!("lookup, so the latency comparison is fair.");
+    let _ = writeln!(md, "successor. Destinations differ per key, but each system pays its own full");
+    let _ = writeln!(md, "lookup, so the latency comparison is fair.");
     Json::obj([
         ("chord", c.to_json()),
         ("hieras", h.to_json()),
@@ -572,4 +607,24 @@ note: Pastry resolves to the numerically-closest node; Chord/HIERAS to the");
         ])),
     ])
     .dump()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_record_is_on_disk_before_any_markdown_is_printed() {
+        // Scratch space next to the test binary, i.e. inside `target/`.
+        let exe = std::env::current_exe().expect("test binary path");
+        let dir = exe.with_file_name(format!("figures-test-{}", std::process::id()));
+        let md = write_figure("table1", &Scale::quick(), &dir).expect("table1 is a figure id");
+        let json = std::fs::read_to_string(dir.join("table1.json")).expect("record written");
+        std::fs::remove_dir_all(&dir).expect("scratch directory removed");
+        let record: Json = hieras_rt::from_str(&json).expect("record is JSON");
+        assert!(record.get("table1").is_some());
+        assert!(md.contains("| A | 25ms | 5ms | 30ms | 100ms |"), "markdown returned: {md}");
+        assert!(write_figure("fig99", &Scale::quick(), &dir).is_none(), "unknown id");
+        assert!(!dir.exists(), "an unknown id writes nothing");
+    }
 }

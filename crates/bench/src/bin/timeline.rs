@@ -11,15 +11,17 @@
 //! * `hieras-timeline --compare <a.jsonl> <b.jsonl>` — per-window
 //!   deltas (`b - a`) for lookups, p99 and failures.
 //! * `hieras-timeline --check <ts.jsonl>` — validation gate for CI:
-//!   the stream must parse (schema tag, ascending windows) and
-//!   re-serialize byte-identically; exits 1 otherwise.
+//!   the stream must parse (schema tag, ascending windows — or, for a
+//!   `.slow.jsonl` span trace, one event per line) and re-serialize
+//!   byte-identically; exits 1 otherwise.
 //! * `hieras-timeline --chrome-trace <trace.jsonl> [out.json]` —
-//!   converts a `hieras-obs` span/instant trace (`bench_replay
+//!   converts a `hieras-obs` span/instant trace (`churn
 //!   --trace-out`, or the `.slow.jsonl` flight-recorder sibling) to
 //!   Chrome trace-event JSON, loadable in `about:tracing` / Perfetto.
 
 use hieras_bench::{timeline_compare, timeline_table};
 use hieras_obs::{chrome_trace, TimeSeriesReport, Tracer};
+use hieras_rt::ToJson;
 
 const USAGE: &str = "usage: hieras-timeline <ts.jsonl>
        hieras-timeline --compare <a.jsonl> <b.jsonl>
@@ -43,20 +45,32 @@ fn run(args: &[String]) -> Result<String, String> {
         [flag, path] if flag == "--check" => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let ts = TimeSeriesReport::parse_jsonl(&text)
-                .map_err(|e| format!("{path}: {}", e.0))?;
-            if ts.to_jsonl() != text {
+            let (again, what) = match TimeSeriesReport::parse_jsonl(&text) {
+                Ok(ts) => (
+                    ts.to_jsonl(),
+                    format!(
+                        "{} windows x {} ms, {} clock, {} lookups",
+                        ts.window_count(),
+                        ts.meta.window_ms,
+                        ts.meta.mode,
+                        ts.total_lookups()
+                    ),
+                ),
+                // Not a time series: the `.slow.jsonl` sibling is a
+                // span trace, held to the same round trip.
+                Err(ts_err) => {
+                    let events = Tracer::parse_jsonl(&text)
+                        .map_err(|_| format!("{path}: {}", ts_err.0))?;
+                    let again = events.iter().map(|e| e.to_json().dump() + "\n").collect();
+                    (again, format!("{} trace events", events.len()))
+                }
+            };
+            if again != text {
                 return Err(format!(
                     "{path}: stream does not round-trip byte-identically"
                 ));
             }
-            Ok(format!(
-                "ok: {path} round-trips ({} windows x {} ms, {} clock, {} lookups)\n",
-                ts.window_count(),
-                ts.meta.window_ms,
-                ts.meta.mode,
-                ts.total_lookups()
-            ))
+            Ok(format!("ok: {path} round-trips ({what})\n"))
         }
         [flag, input, rest @ ..] if flag == "--chrome-trace" && rest.len() <= 1 => {
             let text =

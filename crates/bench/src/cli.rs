@@ -30,16 +30,10 @@ impl BenchFlags {
         BenchFlags::default()
     }
 
-    /// `--smoke`, `--obs` and `--trace-out` (e.g. `bench_replay`).
+    /// `--smoke`, `--obs` and `--trace-out` (e.g. `churn`).
     #[must_use]
     pub fn full() -> Self {
         BenchFlags { obs: true, trace: true, ..BenchFlags::default() }
-    }
-
-    /// `--smoke` and `--obs`, no tracer (e.g. `churn`).
-    #[must_use]
-    pub fn with_obs() -> Self {
-        BenchFlags { obs: true, ..BenchFlags::default() }
     }
 
     /// `--smoke`, `--obs`, `--timeseries-out` and `--pace`
@@ -159,7 +153,7 @@ mod tests {
     #[test]
     fn parses_all_flags() {
         let a = BenchArgs::try_parse(
-            "bench_replay",
+            "churn",
             BenchFlags::full(),
             argv(&["--smoke", "--obs", "--trace-out", "t.jsonl"]),
         )
@@ -236,7 +230,7 @@ mod tests {
 
     #[test]
     fn empty_args_default_to_full_run() {
-        let a = BenchArgs::try_parse("bench_replay", BenchFlags::full(), argv(&[])).unwrap();
+        let a = BenchArgs::try_parse("churn", BenchFlags::full(), argv(&[])).unwrap();
         assert!(!a.smoke && !a.obs && a.trace_out.is_none());
         assert!(a.pace.is_none(), "no --pace means full rate");
     }

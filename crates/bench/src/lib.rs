@@ -3,10 +3,11 @@
 //!
 //! The `figures` binary (`cargo run -p hieras-bench --release --bin
 //! figures -- <id>`) prints each artifact as a markdown table plus a
-//! JSON record; the `bench_replay` binary times oracle construction
-//! and the parallel replay (median ns/lookup) and writes
-//! `BENCH_replay.json`. EXPERIMENTS.md is written from the
-//! `figures all` output.
+//! JSON record; EXPERIMENTS.md is written from the `figures all`
+//! output. `churn`, `bench_scale` and `bench_live` are experiment
+//! drivers, not gates: they assert their own identities and write
+//! untracked `BENCH_*.json` records. Timing comparisons live in the
+//! repo's `benchmark/` package, invariants in `cargo test`.
 //!
 //! Every sweep takes explicit sizes/requests so the same code serves
 //! `--quick` (laptop-scale, minutes) and `--full` (paper-scale:
@@ -16,12 +17,10 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod obsprobe;
 pub mod render;
 pub mod sweeps;
 
 pub use cli::{BenchArgs, BenchFlags};
-pub use obsprobe::{message_probe, ObsProbe};
 pub use render::{sparkline, timeline_compare, timeline_table};
 pub use sweeps::{
     churn_sweep, churn_sweep_traced, depth_sweep, landmark_sweep, size_sweep, ChurnRow,

@@ -4,18 +4,51 @@
 //!   identical** at any executor width (mirroring `churn_identity`);
 //! * the traced churn sweep's registries must match across thread
 //!   counts too, and must not perturb the reports;
-//! * the message probe's JSONL trace must reconcile **exactly** with
-//!   the aggregate hop counters — per-span close fields, per-hop
+//! * a message-level probe's JSONL trace must reconcile **exactly**
+//!   with the aggregate hop counters — per-span close fields, per-hop
 //!   instants, and the registry histogram all tell the same story.
 
-use hieras_bench::{churn_sweep, churn_sweep_traced, message_probe};
-use hieras_obs::{TraceKind, Tracer};
+use hieras_bench::{churn_sweep, churn_sweep_traced};
+use hieras_id::Id;
+use hieras_obs::{Registry, TraceKind, Tracer};
+use hieras_proto::SimNet;
 use hieras_rt::Executor;
-use hieras_sim::{Experiment, ExperimentConfig};
+use hieras_sim::{Experiment, ExperimentConfig, Workload};
 use std::collections::HashMap;
 
 fn experiment() -> Experiment {
     Experiment::build(ExperimentConfig { requests: 0, ..ExperimentConfig::paper(200, 20030415) })
+}
+
+/// What one probe run captured.
+#[derive(Debug, PartialEq)]
+struct Probe {
+    total_hops: u64,
+    registry: Registry,
+    tracer: Tracer,
+}
+
+/// Replays `lookups` workload requests through a stabilized,
+/// churn-free [`SimNet`] built from the experiment's HIERAS oracle,
+/// with the registry and tracer on. The replay path evaluates lookups
+/// against the oracles (no messages); this is the view that says which
+/// message types carried them.
+fn message_probe(e: &Experiment, lookups: usize, trace_capacity: usize) -> Probe {
+    let index_of: HashMap<Id, u32> =
+        e.ids.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
+    let mut net = SimNet::from_oracle(&e.hieras, &e.landmarks, |a, b| {
+        u64::from(e.peer_latency(index_of[&a], index_of[&b]))
+    });
+    net.enable_registry();
+    net.set_tracer(Tracer::bounded(trace_capacity));
+    let w = Workload::new(e.config.nodes as u32, lookups, e.config.seed ^ 0x0b5e_7a11);
+    let total_hops =
+        w.iter().map(|(src, key)| u64::from(net.lookup(e.ids[src as usize], key).hops)).sum();
+    Probe {
+        total_hops,
+        registry: net.take_registry().expect("registry enabled"),
+        tracer: net.take_tracer().expect("tracer installed"),
+    }
 }
 
 #[test]
@@ -58,6 +91,8 @@ fn traced_churn_sweep_is_identical_across_thread_counts() {
 fn trace_jsonl_reconciles_with_aggregate_hop_counters() {
     let e = experiment();
     let probe = message_probe(&e, 120, 1 << 15);
+    assert_eq!(probe, message_probe(&e, 120, 1 << 15), "the probe must be deterministic");
+    assert_eq!(probe.registry.counter("lookup.count"), 120);
     assert_eq!(probe.tracer.dropped, 0, "probe trace must not evict events");
 
     // Round-trip the trace through its JSONL wire format.

@@ -17,8 +17,15 @@
 //!   and silent fails replayed through the message engine and the
 //!   dynamic Chord baseline, with timeout/retry lookups and
 //!   failure-rate metrics.
+//! * [`serve`] — the live serving engine: epoch-published snapshots,
+//!   incremental maintenance under churn, the reader-side hot-key
+//!   cache (quiesced, deterministic and free-running modes).
 //! * [`can`] — CAN underlay and hierarchical CAN (the paper's §3.2
 //!   extension claim, implemented).
+//! * [`pastry`] — Pastry prefix-routing baseline for the cross-DHT
+//!   comparison.
+//! * [`obs`] — metric registry, span tracer, windowed telemetry and
+//!   the flight recorder every instrumented run reports through.
 //! * [`rt`] — the zero-dependency runtime: deterministic parallel
 //!   executor, seeded PRNG, and the JSON reader/writer every other
 //!   crate serializes with.
@@ -35,9 +42,11 @@ pub use hieras_chord as chord;
 pub use hieras_churn as churn;
 pub use hieras_core as core;
 pub use hieras_id as id;
+pub use hieras_obs as obs;
 pub use hieras_pastry as pastry;
 pub use hieras_proto as proto;
 pub use hieras_rt as rt;
+pub use hieras_serve as serve;
 pub use hieras_sim as sim;
 pub use hieras_topology as topology;
 

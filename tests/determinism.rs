@@ -4,11 +4,15 @@
 //! independently of which worker claims it, and chunk accumulators
 //! merge in index order — so 1, 2, and 8 workers (on any number of
 //! physical cores) fold to the same `ComparisonResult`, including the
-//! order of `latency_samples`.
+//! order of `latency_samples`. The latency backend is as invisible as
+//! the thread count: hub labels are exact, so a labels-backed world
+//! replays to the metrics of the rows-backed one.
 
 use hieras::core::HierasConfig;
+use hieras::obs::Profiler;
 use hieras::prelude::*;
 use hieras::rt::Executor;
+use hieras::sim::{BuildOptions, OracleBackend};
 
 fn experiment(kind: TopologyKind, nodes: usize, seed: u64) -> Experiment {
     Experiment::build(ExperimentConfig {
@@ -52,4 +56,21 @@ fn experiment_build_is_deterministic() {
     assert_eq!(a.orders, b.orders);
     assert_eq!(a.landmarks, b.landmarks);
     assert_eq!(a.router_of, b.router_of);
+}
+
+#[test]
+fn labels_backend_replays_to_the_rows_metrics() {
+    let rows = experiment(TopologyKind::TransitStub, 300, 41);
+    let labels = Experiment::build_with(
+        rows.config.clone(),
+        &mut Profiler::new(),
+        BuildOptions { oracle: OracleBackend::Labels, ..BuildOptions::default() },
+    );
+    assert_eq!(labels.lat.backend_name(), "labels");
+    let exec = Executor::new(2);
+    assert_eq!(
+        labels.run_requests_on(&exec, 3_000),
+        rows.run_requests_on(&exec, 3_000),
+        "labels are exact — replay metrics must be byte-identical to rows"
+    );
 }

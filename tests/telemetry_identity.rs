@@ -15,11 +15,16 @@
 //! 3. **Flight-recorder fidelity** — every captured slow lookup's hop
 //!    milliseconds sum to its recorded latency, and the slowest
 //!    capture is the run's true maximum latency.
+//! 4. **The free-running stream is whole** — wall windows exist, carry
+//!    the maintainer's and the readers' epoch-health gauges, and both
+//!    the stream and its slow-lookup trace survive their JSONL wire
+//!    formats byte for byte (what `hieras-timeline --check` and
+//!    `--chrome-trace` read).
 
-use hieras_obs::{names, LogHistogram, TimeSeriesReport};
-use hieras_rt::Executor;
-use hieras_serve::{ServeConfig, ServeEngine, TelemetryConfig};
-use hieras_sim::{ChurnConfig, Experiment, ExperimentConfig, Lifetime};
+use hieras::obs::{names, LogHistogram, TimeSeriesReport, Tracer};
+use hieras::rt::{Executor, ToJson};
+use hieras::serve::{CacheConfig, ServeConfig, ServeEngine, TelemetryConfig};
+use hieras::sim::{ChurnConfig, Experiment, ExperimentConfig, Lifetime, WorkloadModel};
 
 fn world(telemetry: TelemetryConfig) -> (Experiment, ServeConfig) {
     let mut cfg = ExperimentConfig::paper(150, 7);
@@ -46,8 +51,8 @@ fn world(telemetry: TelemetryConfig) -> (Experiment, ServeConfig) {
         delta_max_ring_fraction: 0.35,
         batched: false,
         pace: 0.0,
-        cache: hieras_serve::CacheConfig::off(),
-        workload: hieras_sim::WorkloadModel::Uniform,
+        cache: CacheConfig::off(),
+        workload: WorkloadModel::Uniform,
     };
     (exp, serve)
 }
@@ -176,4 +181,33 @@ fn quiesced_mode_emits_one_window_and_round_trips() {
     let jsonl = ts.to_jsonl();
     let back = TimeSeriesReport::parse_jsonl(&jsonl).expect("stream parses");
     assert_eq!(back.to_jsonl(), jsonl, "JSONL round-trips byte-identically");
+}
+
+#[test]
+fn free_running_stream_carries_epoch_health_and_round_trips() {
+    let (exp, cfg) = world(TelemetryConfig::on());
+    let live = ServeEngine::new(&exp, cfg).run_live();
+    let ts = live.timeseries.as_ref().expect("telemetry is on");
+    assert_eq!(ts.meta.mode, "wall");
+    assert!(ts.window_count() >= 1, "a live run populates at least one wall window");
+    // A run that published snapshots but recorded no age, backlog or
+    // lag gauge has lost the maintenance side of the ledger.
+    for gauge in [
+        names::SERVE_EPOCH_SNAPSHOT_AGE_MS,
+        names::SERVE_EPOCH_RETIRED_BACKLOG,
+        names::SERVE_EPOCH_READER_LAG,
+    ] {
+        assert!(
+            ts.windows.iter().any(|w| w.health.gauge(gauge).is_some()),
+            "free-running windows carry no {gauge} gauge"
+        );
+    }
+    let jsonl = ts.to_jsonl();
+    let back = TimeSeriesReport::parse_jsonl(&jsonl).expect("stream parses");
+    assert_eq!(back.to_jsonl(), jsonl, "wall-window JSONL round-trips byte-identically");
+    let slow = ts.slow_trace().to_jsonl();
+    assert!(!slow.is_empty(), "the recorder must capture something");
+    let events = Tracer::parse_jsonl(&slow).expect("slow trace parses");
+    let again: String = events.iter().map(|e| e.to_json().dump() + "\n").collect();
+    assert_eq!(again, slow, "the flight-recorder trace round-trips byte-identically");
 }
