@@ -185,10 +185,7 @@ pub fn timeline_table(ts: &TimeSeriesReport) -> String {
         let pct: Vec<u64> = ts
             .windows
             .iter()
-            .map(|w| {
-                let probes = cache_probes(w);
-                if probes > 0 { cache_hits(w) * 100 / probes } else { 0 }
-            })
+            .map(|w| (cache_hits(w) * 100).checked_div(cache_probes(w)).unwrap_or(0))
             .collect();
         let _ = writeln!(s, "cache % {}", sparkline(&pct));
         let (hits, probes) = ts

@@ -1,9 +1,8 @@
 //! Observability acceptance tests:
 //!
-//! * the registry folded by the parallel replay must be **byte-
-//!   identical** at any executor width (mirroring `churn_identity`);
-//! * the traced churn sweep's registries must match across thread
-//!   counts too, and must not perturb the reports;
+//! * the traced churn sweep's registries must be **byte-identical**
+//!   at any executor width (mirroring `churn_identity`), and must not
+//!   perturb the reports;
 //! * a message-level probe's JSONL trace must reconcile **exactly**
 //!   with the aggregate hop counters — per-span close fields, per-hop
 //!   instants, and the registry histogram all tell the same story.
@@ -48,18 +47,6 @@ fn message_probe(e: &Experiment, lookups: usize, trace_capacity: usize) -> Probe
         total_hops,
         registry: net.take_registry().expect("registry enabled"),
         tracer: net.take_tracer().expect("tracer installed"),
-    }
-}
-
-#[test]
-fn replay_registry_is_byte_identical_across_thread_counts() {
-    let e = experiment();
-    let (base_result, base_reg) = e.run_requests_traced(&Executor::new(1), 2000);
-    let base = base_reg.snapshot();
-    for threads in [2, 8] {
-        let (result, reg) = e.run_requests_traced(&Executor::new(threads), 2000);
-        assert_eq!(result, base_result, "metrics diverge at {threads} threads");
-        assert_eq!(reg.snapshot(), base, "registry snapshot diverges at {threads} threads");
     }
 }
 

@@ -84,9 +84,7 @@ impl Zone {
     #[must_use]
     pub fn torus_distance(&self, p: &[f64]) -> f64 {
         let mut sum = 0.0;
-        for d in 0..self.dims() {
-            let x = p[d];
-            let (lo, hi) = (self.lo[d], self.hi[d]);
+        for ((&x, &lo), &hi) in p.iter().zip(&self.lo).zip(&self.hi) {
             let dd = if x >= lo && x < hi {
                 0.0
             } else {

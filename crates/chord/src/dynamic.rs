@@ -658,7 +658,7 @@ mod tests {
             }
         }
         assert!(paid > 0, "dead fingers must cost timeouts");
-        assert_eq!(net.stats().timeout_msgs >= paid, true);
+        assert!(net.stats().timeout_msgs >= paid);
     }
 
     #[test]

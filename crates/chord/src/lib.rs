@@ -26,6 +26,6 @@ mod path;
 mod pool;
 
 pub use dynamic::{DynChord, DynError, LookupTrace, MaintStats};
-pub use oracle::{ChordOracle, LookupPath, RingBuildError, RingView};
+pub use oracle::{ChordOracle, RingBuildError, RingView};
 pub use path::PathBuf;
 pub use pool::{ArenaPoolStats, RingArenaPool};

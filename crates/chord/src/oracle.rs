@@ -52,29 +52,6 @@ impl core::fmt::Display for RingBuildError {
 
 impl std::error::Error for RingBuildError {}
 
-/// The hop-by-hop result of one lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LookupPath {
-    /// Visited node indices (global), starting with the originator and
-    /// ending with the key's owner. Length 1 means the originator
-    /// already owned the key.
-    pub path: Vec<u32>,
-}
-
-impl LookupPath {
-    /// Number of routing hops (edges traversed).
-    #[must_use]
-    pub fn hops(&self) -> usize {
-        self.path.len().saturating_sub(1)
-    }
-
-    /// The node that owns the key (last element of the path).
-    #[must_use]
-    pub fn owner(&self) -> u32 {
-        *self.path.last().expect("path is never empty")
-    }
-}
-
 /// Chord routing over an arbitrary membership subset, packed flat.
 ///
 /// Members are positions `0..len` ordered by id; position arithmetic is
@@ -536,25 +513,17 @@ impl RingView {
         self.succ_pos(self.space.finger_start(me, i))
     }
 
-    /// Routes `key` from the member at `start`, returning the sequence
-    /// of *positions* visited (starting with `start`, ending with the
-    /// ring successor of `key`).
+    /// Routes `key` from the member at `start`: clears `out` and fills
+    /// it with the sequence of *positions* visited (starting with
+    /// `start`, ending with the ring successor of `key`). Reusing one
+    /// [`PathBuf`] across lookups keeps the replay hot path off the
+    /// heap.
     ///
     /// Standard iterative Chord: forward to the closest preceding
     /// finger while the key lies beyond the current node's successor,
     /// then take the final delivery hop. Terminates in at most
     /// `O(log len)` hops for balanced rings; a hard cap of
     /// `len + bits` hops guards against table-construction bugs.
-    #[must_use]
-    pub fn route(&self, start: u32, key: Key) -> Vec<u32> {
-        let mut path = PathBuf::new();
-        self.route_into(start, key, &mut path);
-        path.to_vec()
-    }
-
-    /// Allocation-free form of [`RingView::route`]: clears `out` and
-    /// fills it with the visited positions. Reusing one [`PathBuf`]
-    /// across lookups keeps the replay hot path off the heap.
     pub fn route_into(&self, start: u32, key: Key, out: &mut PathBuf) {
         self.route_core(start, key, false, out);
     }
@@ -631,16 +600,8 @@ impl RingView {
     /// ring-local owner (whose id lies *past* the key) would force the
     /// next layer to route almost the whole circle. If `start` itself
     /// owns the key ring-locally, its predecessor pointer supplies the
-    /// answer in one backward hop.
-    #[must_use]
-    pub fn route_to_predecessor(&self, start: u32, key: Key) -> Vec<u32> {
-        let mut path = PathBuf::new();
-        self.route_to_predecessor_into(start, key, &mut path);
-        path.to_vec()
-    }
-
-    /// Allocation-free form of [`RingView::route_to_predecessor`]:
-    /// clears `out` and fills it with the visited positions.
+    /// answer in one backward hop. Clears `out` and fills it with the
+    /// visited positions, like [`RingView::route_into`].
     pub fn route_to_predecessor_into(&self, start: u32, key: Key, out: &mut PathBuf) {
         self.route_core(start, key, true, out);
     }
@@ -667,8 +628,8 @@ impl RingView {
 
 /// Plain Chord over the full membership — the paper's baseline.
 ///
-/// A thin wrapper around [`RingView`] covering every node, returning
-/// [`LookupPath`]s in *global node indices*.
+/// A thin wrapper around [`RingView`] covering every node, speaking
+/// *global node indices*.
 #[derive(Debug, Clone)]
 pub struct ChordOracle {
     ring: RingView,
@@ -722,20 +683,10 @@ impl ChordOracle {
         self.ring.node_at(self.ring.successor_of_key(key))
     }
 
-    /// Looks up `key` starting from global node `src`.
-    ///
-    /// # Panics
-    /// Panics if `src` is not a valid node index.
-    #[must_use]
-    pub fn lookup(&self, src: u32, key: Key) -> LookupPath {
-        let mut scratch = PathBuf::new();
-        self.lookup_into(src, key, &mut scratch);
-        LookupPath { path: scratch.to_vec() }
-    }
-
-    /// Allocation-free form of [`ChordOracle::lookup`]: fills `scratch`
+    /// Looks up `key` starting from global node `src`: fills `scratch`
     /// with the visited *global node indices* (origin first, owner
-    /// last). The replay hot loop reuses one scratch across requests.
+    /// last; length 1 means the originator already owned the key). The
+    /// replay hot loop reuses one scratch across requests.
     ///
     /// # Panics
     /// Panics if `src` is not a valid node index.
@@ -754,6 +705,18 @@ mod tests {
 
     fn ids_of(raw: &[u64]) -> Arc<[Id]> {
         raw.iter().map(|&v| Id(v)).collect::<Vec<_>>().into()
+    }
+
+    fn route(r: &RingView, start: u32, key: Key) -> Vec<u32> {
+        let mut path = PathBuf::new();
+        r.route_into(start, key, &mut path);
+        path.to_vec()
+    }
+
+    fn lookup(c: &ChordOracle, src: u32, key: Key) -> Vec<u32> {
+        let mut path = PathBuf::new();
+        c.lookup_into(src, key, &mut path);
+        path.to_vec()
     }
 
     fn s8() -> IdSpace {
@@ -825,7 +788,7 @@ mod tests {
                     let dd = (space.mask() - d) & space.mask(); // invert: want distance start->member
                     let fwd = space.distance_cw(start, r.id_at(p));
                     let _ = dd;
-                    if best.map_or(true, |(bd, _)| fwd < bd) {
+                    if best.is_none_or(|(bd, _)| fwd < bd) {
                         best = Some((fwd, p));
                     }
                 }
@@ -839,11 +802,11 @@ mod tests {
         let ids = ids_of(&[10, 50, 90, 200]);
         let r = RingView::build(s8(), ids, &[0, 1, 2, 3]).unwrap();
         // Key 60 is owned by node id 90 (position 2).
-        let path = r.route(0, Id(60));
+        let path = route(&r, 0, Id(60));
         assert_eq!(*path.last().unwrap(), 2);
         assert!(path.len() >= 2);
         // Key owned by self: single-element path.
-        let path = r.route(0, Id(5)); // owner = successor(5) = id 10 = pos 0
+        let path = route(&r, 0, Id(5)); // owner = successor(5) = id 10 = pos 0
         assert_eq!(path, vec![0]);
     }
 
@@ -852,7 +815,7 @@ mod tests {
         let ids = ids_of(&[42]);
         let r = RingView::build(s8(), ids, &[0]).unwrap();
         for k in [0u64, 41, 42, 43, 255] {
-            assert_eq!(r.route(0, Id(k)), vec![0]);
+            assert_eq!(route(&r, 0, Id(k)), vec![0]);
         }
     }
 
@@ -860,8 +823,8 @@ mod tests {
     fn two_member_ring_routes_in_one_hop() {
         let ids = ids_of(&[10, 200]);
         let r = RingView::build(s8(), ids, &[0, 1]).unwrap();
-        assert_eq!(r.route(0, Id(150)), vec![0, 1]);
-        assert_eq!(r.route(0, Id(5)), vec![0]); // wraps to id 10 = self
+        assert_eq!(route(&r, 0, Id(150)), vec![0, 1]);
+        assert_eq!(route(&r, 0, Id(5)), vec![0]); // wraps to id 10 = self
     }
 
     #[test]
@@ -880,9 +843,9 @@ mod tests {
             assert_eq!(owner, brute, "key {key:?}");
             // Every source agrees.
             for src in 0..raw.len() as u32 {
-                let p = c.lookup(src, key);
-                assert_eq!(p.owner(), owner, "src {src} key {key:?}");
-                assert_eq!(p.path[0], src);
+                let p = lookup(&c, src, key);
+                assert_eq!(*p.last().unwrap(), owner, "src {src} key {key:?}");
+                assert_eq!(p[0], src);
             }
         }
     }
@@ -896,8 +859,8 @@ mod tests {
         let mut max_hops = 0;
         for k in 0..256u64 {
             let key = Id(k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let p = c.lookup((k % 128) as u32, key);
-            max_hops = max_hops.max(p.hops());
+            let p = lookup(&c, (k % 128) as u32, key);
+            max_hops = max_hops.max(p.len() - 1);
         }
         assert!(max_hops <= 8, "expected ≤ log2(128)+1 hops, saw {max_hops}");
     }
@@ -908,7 +871,7 @@ mod tests {
         let ids = ids_of(&raw);
         let subset = vec![1u32, 3, 5, 7]; // ids 20,100,180,240
         let r = RingView::build(s8(), ids, &subset).unwrap();
-        let path = r.route(0, Id(150));
+        let path = route(&r, 0, Id(150));
         for &pos in &path {
             assert!(subset.contains(&r.node_at(pos)));
         }
@@ -922,7 +885,7 @@ mod tests {
         let ids = ids_of(&raw);
         let r = ChordOracle::build(s8(), ids).unwrap();
         let avg = r.ring().avg_distinct_fingers();
-        assert!(avg >= 3.0 && avg <= 8.0, "avg distinct fingers {avg}");
+        assert!((3.0..=8.0).contains(&avg), "avg distinct fingers {avg}");
     }
 
     /// Seeded-loop replacement for the old property test: routing from
@@ -948,10 +911,10 @@ mod tests {
                 .min_by_key(|&i| space.distance_cw(key, Id(raw[i as usize])))
                 .unwrap();
             for src in 0..raw.len() as u32 {
-                let p = c.lookup(src, key);
-                assert_eq!(p.owner(), brute, "case {case} src {src}");
-                assert!(p.hops() <= raw.len() + 64, "case {case}");
-                assert!(p.hops() <= 2 * 64, "case {case}"); // log bound with slack
+                let p = lookup(&c, src, key);
+                assert_eq!(*p.last().unwrap(), brute, "case {case} src {src}");
+                assert!(p.len() - 1 <= raw.len() + 64, "case {case}");
+                assert!(p.len() - 1 <= 2 * 64, "case {case}"); // log bound with slack
             }
         }
     }

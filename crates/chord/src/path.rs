@@ -1,9 +1,8 @@
 //! Reusable, allocation-free path scratch for the routing hot path.
 //!
-//! Every `RingView::route*` call used to heap-allocate a `Vec<u32>`
-//! per layer per lookup — at 100k peers and 10⁵ requests that is
-//! millions of short-lived allocations in the steady-state replay
-//! loop. [`PathBuf`] removes them: paths up to [`PathBuf::INLINE`]
+//! A `Vec<u32>` per layer per lookup would be millions of short-lived
+//! allocations in the steady-state replay loop at 100k peers and 10⁵
+//! requests. [`PathBuf`] avoids them: paths up to [`PathBuf::INLINE`]
 //! hops (covering Chord's `O(log n)` paths well past 10⁶ peers) live
 //! in an inline array; longer paths spill into an internal `Vec`
 //! whose capacity is *retained* across [`PathBuf::clear`], so even

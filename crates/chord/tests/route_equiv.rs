@@ -1,7 +1,7 @@
 //! Equivalence properties behind the scale-out replay engine:
 //!
 //! * routing into a reused (dirty) [`PathBuf`] scratch yields exactly
-//!   the path the allocating `route()` wrappers return,
+//!   the path a fresh one receives,
 //! * parallel packed-arena construction is bit-identical to serial at
 //!   every thread count, and
 //! * the closed-form routing over the packed arena reproduces, hop for
@@ -77,6 +77,7 @@ fn packed_route_matches_reference_finger_scan() {
         let members: Vec<u32> = (0..ids.len() as u32).collect();
         let ring = RingView::build(space, ids, &members).expect("valid ring");
         let len = ring.len() as u64;
+        let mut path = PathBuf::new();
         for probe in 0..40 {
             let start = rng.next_u64_below(len) as u32;
             let key = if rng.random_bool(0.25) {
@@ -84,13 +85,15 @@ fn packed_route_matches_reference_finger_scan() {
             } else {
                 Id(rng.next_u64() & space.mask())
             };
+            ring.route_into(start, key, &mut path);
             assert_eq!(
-                ring.route(start, key),
+                path.as_slice(),
                 reference_route(&ring, start, key, false),
                 "case {case} probe {probe}: delivery route diverged"
             );
+            ring.route_to_predecessor_into(start, key, &mut path);
             assert_eq!(
-                ring.route_to_predecessor(start, key),
+                path.as_slice(),
                 reference_route(&ring, start, key, true),
                 "case {case} probe {probe}: hand-off route diverged"
             );
@@ -110,50 +113,33 @@ fn full_ring(n: u64) -> RingView {
     RingView::build(IdSpace::full(), ids, &members).expect("valid ring")
 }
 
+/// Every `_into` route clears its scratch: a pre-dirtied, reused
+/// [`PathBuf`] receives exactly the path a fresh one does.
 #[test]
-fn route_into_reused_scratch_matches_route() {
+fn reused_scratch_receives_the_path_a_fresh_one_does() {
     let ring = full_ring(257);
+    let oracle = ChordOracle::build(IdSpace::full(), scrambled_ids(257)).expect("valid oracle");
     let mut rng = Rng::seed_from_u64(0xfeed_beef);
     let mut scratch = PathBuf::new();
-    // Pre-dirty the scratch so the test catches any state leaking
-    // between lookups.
+    // Pre-dirty the scratch (past the inline capacity) so the test
+    // catches any state leaking between lookups.
     for p in 0..40 {
         scratch.push(p * 3 + 1);
     }
     for _ in 0..2000 {
         let start = rng.next_u64_below(257) as u32;
         let key = Id(rng.next_u64());
-        let fresh = ring.route(start, key);
+        let mut fresh = PathBuf::new();
+        ring.route_into(start, key, &mut fresh);
         ring.route_into(start, key, &mut scratch);
-        assert_eq!(scratch.as_slice(), &fresh[..], "start={start} key={key:?}");
-    }
-}
-
-#[test]
-fn route_to_predecessor_into_reused_scratch_matches_route_to_predecessor() {
-    let ring = full_ring(257);
-    let mut rng = Rng::seed_from_u64(0xdead_cafe);
-    let mut scratch = PathBuf::new();
-    for _ in 0..2000 {
-        let start = rng.next_u64_below(257) as u32;
-        let key = Id(rng.next_u64());
-        let fresh = ring.route_to_predecessor(start, key);
+        assert_eq!(scratch.as_slice(), fresh.as_slice(), "route start={start} key={key:?}");
+        ring.route_to_predecessor_into(start, key, &mut fresh);
         ring.route_to_predecessor_into(start, key, &mut scratch);
-        assert_eq!(scratch.as_slice(), &fresh[..], "start={start} key={key:?}");
-    }
-}
-
-#[test]
-fn lookup_into_reused_scratch_matches_lookup() {
-    let oracle = ChordOracle::build(IdSpace::full(), scrambled_ids(300)).expect("valid oracle");
-    let mut rng = Rng::seed_from_u64(0x1234_5678);
-    let mut scratch = PathBuf::new();
-    for _ in 0..1000 {
-        let src = rng.next_u64_below(300) as u32;
-        let key = Id(rng.next_u64());
-        let fresh = oracle.lookup(src, key);
-        oracle.lookup_into(src, key, &mut scratch);
-        assert_eq!(scratch.as_slice(), &fresh.path[..], "src={src} key={key:?}");
+        assert_eq!(scratch.as_slice(), fresh.as_slice(), "hand-off start={start} key={key:?}");
+        let mut fresh = PathBuf::new();
+        oracle.lookup_into(start, key, &mut fresh);
+        oracle.lookup_into(start, key, &mut scratch);
+        assert_eq!(scratch.as_slice(), fresh.as_slice(), "lookup src={start} key={key:?}");
     }
 }
 
@@ -196,12 +182,14 @@ fn parallel_build_routes_identically() {
         })
         .collect();
     let mut rng = Rng::seed_from_u64(0xabcd_ef01);
+    let (mut base, mut path) = (PathBuf::new(), PathBuf::new());
     for _ in 0..500 {
         let start = rng.next_u64_below(2048) as u32;
         let key = Id(rng.next_u64());
-        let base = rings[0].route(start, key);
+        rings[0].route_into(start, key, &mut base);
         for (ri, ring) in rings.iter().enumerate().skip(1) {
-            assert_eq!(ring.route(start, key), base, "ring {ri} diverged");
+            ring.route_into(start, key, &mut path);
+            assert_eq!(path.as_slice(), base.as_slice(), "ring {ri} diverged");
         }
     }
 }

@@ -62,20 +62,6 @@ pub struct ChurnExperimentConfig {
     /// pings, stabilize, fix-fingers — per layer for HIERAS, global
     /// for Chord) every this many churn events. 0 disables maintenance.
     pub maintenance_every: u32,
-    /// Retransmission timeout charged for every RPC against a dead
-    /// node, ms.
-    pub rto_ms: u64,
-    /// Hop TTL for routed messages (bounds transient routing loops
-    /// while pointers heal).
-    pub ttl: u32,
-    /// Lookup retry budget: attempts per lookup before it is declared
-    /// failed.
-    pub lookup_attempts: u32,
-    /// Backoff between lookup attempts, ms (inflates the measured
-    /// latency of retried lookups).
-    pub backoff_ms: u64,
-    /// Successor-list length of the Chord baseline.
-    pub succ_list_len: usize,
     /// Optional landmark death injected mid-run.
     pub landmark_fail: Option<LandmarkFail>,
     /// Optional domain-correlated failure injected mid-run.
@@ -84,8 +70,8 @@ pub struct ChurnExperimentConfig {
 
 impl ChurnExperimentConfig {
     /// The standard setup around a given churn scenario: TS topology,
-    /// paper HIERAS config, 250 ms RTO, 4 lookup attempts with 400 ms
-    /// backoff, maintenance after every event.
+    /// paper HIERAS config, 4 lookups and one maintenance round after
+    /// every event.
     #[must_use]
     pub fn standard(churn: ChurnConfig) -> Self {
         ChurnExperimentConfig {
@@ -94,11 +80,6 @@ impl ChurnExperimentConfig {
             churn,
             lookups_per_event: 4,
             maintenance_every: 1,
-            rto_ms: 250,
-            ttl: 96,
-            lookup_attempts: 4,
-            backoff_ms: 400,
-            succ_list_len: 8,
             landmark_fail: None,
             domain_fail: None,
         }
@@ -124,11 +105,6 @@ impl ToJson for ChurnExperimentConfig {
             ("churn", churn),
             ("lookups_per_event", self.lookups_per_event.to_json()),
             ("maintenance_every", self.maintenance_every.to_json()),
-            ("rto_ms", self.rto_ms.to_json()),
-            ("ttl", self.ttl.to_json()),
-            ("lookup_attempts", self.lookup_attempts.to_json()),
-            ("backoff_ms", self.backoff_ms.to_json()),
-            ("succ_list_len", self.succ_list_len.to_json()),
             ("landmark_fail", match self.landmark_fail {
                 Some(lf) => lf.to_json(),
                 None => Json::Null,

@@ -34,7 +34,7 @@ use hieras_chord::{DynChord, DynError};
 use hieras_core::HierasOracle;
 use hieras_id::{Id, IdSpace};
 use hieras_obs::{Registry, TelemetryShard, TimeSeriesReport, Tracer};
-use hieras_proto::SimNet;
+use hieras_proto::{SimNet, RTO_MS};
 use hieras_rt::splitmix64;
 use hieras_sim::{ChurnEventKind, Experiment, ExperimentConfig, Sample};
 use std::collections::HashMap;
@@ -60,6 +60,15 @@ pub struct ChurnObs {
 
 /// Width of the churn engine's telemetry windows on the sim clock, ms.
 pub const CHURN_WINDOW_MS: u64 = 1_000;
+
+/// Lookup retry budget: attempts per lookup before it is declared
+/// failed.
+const LOOKUP_ATTEMPTS: u32 = 4;
+/// Backoff between lookup attempts, ms (inflates the measured latency
+/// of retried lookups).
+const BACKOFF_MS: u64 = 400;
+/// Successor-list length of the Chord baseline.
+const SUCC_LIST_LEN: usize = 8;
 
 /// Message counters captured before a driver call; the difference
 /// afterwards is the call's traffic.
@@ -155,7 +164,6 @@ fn run_churn_impl(
     let mut net = SimNet::from_oracle(&oracle, &landmarks, |a, b| {
         u64::from(exp.peer_latency(index_of[&a], index_of[&b]))
     });
-    net.set_churn_params(cfg.rto_ms, cfg.ttl);
     if let Some(cap) = obs {
         net.enable_registry();
         if cap > 0 {
@@ -167,7 +175,7 @@ fn run_churn_impl(
     // own protocol (the TR completes joins via stabilization).
     let mut sorted_init: Vec<Id> = exp.ids[..initial].to_vec();
     sorted_init.sort_unstable();
-    let mut chord = DynChord::new(space, cfg.succ_list_len);
+    let mut chord = DynChord::new(space, SUCC_LIST_LEN);
     chord.create(sorted_init[0]).expect("fresh network");
     for &id in &sorted_init[1..] {
         chord.join(id, sorted_init[0]).expect("bootstrap ring is consistent");
@@ -327,7 +335,7 @@ fn run_churn_impl(
             let truth = owner_of(&members, key);
 
             let before = snap(&net);
-            let rl = net.try_lookup(src, key, cfg.lookup_attempts, cfg.backoff_ms);
+            let rl = net.try_lookup(src, key, LOOKUP_ATTEMPTS, BACKOFF_MS);
             let d = delta(&net, before);
             h.maint[0].lookup_msgs += d.total;
             h.maint[0].timeout_msgs += d.timeouts;
@@ -369,7 +377,7 @@ fn run_churn_impl(
             c.attempts += 1;
             match chord.find_successor_traced(src, key) {
                 Ok(t) if t.owner == truth => {
-                    let mut lat = t.timeouts * cfg.rto_ms;
+                    let mut lat = t.timeouts * RTO_MS;
                     for w in t.path.windows(2) {
                         lat += u64::from(exp.peer_latency(index_of[&w[0]], index_of[&w[1]]));
                     }
@@ -389,7 +397,7 @@ fn run_churn_impl(
         // stabilization and finger repair for HIERAS; the TR rounds
         // for Chord.
         if cfg.maintenance_every > 0
-            && (ev_no as u64 + 1) % u64::from(cfg.maintenance_every) == 0
+            && (ev_no as u64 + 1).is_multiple_of(u64::from(cfg.maintenance_every))
         {
             let t_now = net.now();
             let repair_span = net.tracer_mut().map(|t| {

@@ -67,7 +67,8 @@ fn run_history(exec: &Executor, seed: u64) -> Vec<u64> {
     let w = world();
     let mut orders: Vec<LandmarkOrder> =
         (0..u64::from(NODES)).map(|i| profile(rng(seed, i))).collect();
-    let mut live: Vec<bool> = (0..NODES).map(|m| rng(seed ^ 1, u64::from(m)) % 4 != 0).collect();
+    let mut live: Vec<bool> =
+        (0..NODES).map(|m| !rng(seed ^ 1, u64::from(m)).is_multiple_of(4)).collect();
     live[0] = true; // never start empty
     let members = |live: &[bool]| -> Vec<u32> {
         (0..NODES).filter(|&m| live[m as usize]).collect()

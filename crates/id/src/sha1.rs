@@ -261,7 +261,7 @@ mod tests {
                 w[t] = (w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]).rotate_left(1);
             }
             let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-            for t in 0..80 {
+            for (t, &wt) in w.iter().enumerate() {
                 let (f, k): (u32, u32) = if t < 20 {
                     ((b & c) | (!b & d), 0x5a827999)
                 } else if t < 40 {
@@ -276,7 +276,7 @@ mod tests {
                     .wrapping_add(f)
                     .wrapping_add(e)
                     .wrapping_add(k)
-                    .wrapping_add(w[t]);
+                    .wrapping_add(wt);
                 e = d;
                 d = c;
                 c = b.rotate_left(30);

@@ -1,28 +1,14 @@
 //! Canonical metric names shared across the workspace.
 //!
-//! The replay loop, the latency-oracle backends, and the bench
+//! The latency-oracle backends, the serving engine, and the bench
 //! harness all publish into a [`crate::Registry`] under these keys.
 //! Centralizing the strings keeps producers (`hieras-sim`) and
 //! consumers (`hieras-bench`, `scripts/verify.sh`, dashboards) from
 //! drifting apart: a typo becomes a compile error instead of a metric
 //! that silently never reconciles.
 //!
-//! Naming scheme: `<subsystem>.<metric>` with an algorithm segment
-//! where one applies (`replay.chord.hops`). Counters count events,
+//! Naming scheme: `<subsystem>.<metric>`. Counters count events,
 //! gauges snapshot state, histograms end in the unit they observe.
-
-/// Requests replayed (counter).
-pub const REPLAY_REQUESTS: &str = "replay.requests";
-/// Chord hops per request (histogram).
-pub const REPLAY_CHORD_HOPS: &str = "replay.chord.hops";
-/// Chord end-to-end latency per request, ms (histogram).
-pub const REPLAY_CHORD_LATENCY_MS: &str = "replay.chord.latency_ms";
-/// HIERAS hops per request (histogram).
-pub const REPLAY_HIERAS_HOPS: &str = "replay.hieras.hops";
-/// HIERAS hops taken in lower layers (histogram).
-pub const REPLAY_HIERAS_LOWER_HOPS: &str = "replay.hieras.lower_hops";
-/// HIERAS end-to-end latency per request, ms (histogram).
-pub const REPLAY_HIERAS_LATENCY_MS: &str = "replay.hieras.latency_ms";
 
 /// Rows resident in the rows backend (gauge).
 pub const LATENCY_CACHE_RESIDENT_ROWS: &str = "latency_cache.resident_rows";

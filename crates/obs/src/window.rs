@@ -163,9 +163,9 @@ pub struct SlowLookup {
 impl SlowLookup {
     /// Replays this lookup into `tracer` as one span (opened at
     /// `t0_ms`, closed at `t0_ms + latency_ms`) with one `hop` instant
-    /// per hop at its cumulative offset — the same span shape the live
-    /// transport emits, so `trace2chrome` renders flight-recorder
-    /// dumps without a second format.
+    /// per hop at its cumulative offset — the same span shape the
+    /// message transport emits, so `hieras-timeline --chrome-trace`
+    /// renders flight-recorder dumps without a second format.
     pub fn record_into(&self, tracer: &mut Tracer, t0_ms: u64) {
         let span = tracer.open(
             t0_ms,
@@ -654,8 +654,8 @@ impl TimeSeriesReport {
 
     /// Replays every flight-recorded lookup into a fresh [`Tracer`]
     /// (spans opened at `window * window_ms`), producing the same
-    /// JSONL span format the live transport emits — viewable through
-    /// `scripts/trace2chrome`.
+    /// JSONL span format the message transport emits — viewable
+    /// through `hieras-timeline --chrome-trace`.
     #[must_use]
     pub fn slow_trace(&self) -> Tracer {
         let events = self.slow.iter().map(|s| s.path.len() + 2).sum::<usize>();

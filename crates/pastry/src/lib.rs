@@ -214,8 +214,8 @@ impl PastryOracle {
             rank[i as usize] = r as u32;
         }
         let mut leaves = Vec::with_capacity(n);
-        for me in 0..n {
-            let r = rank[me] as usize;
+        for (me, &r) in rank.iter().enumerate() {
+            let r = r as usize;
             let mut set = Vec::with_capacity(2 * LEAF_EACH_SIDE);
             for k in 1..=LEAF_EACH_SIDE.min(n - 1) {
                 set.push(sorted[(r + k) % n]);
@@ -468,7 +468,7 @@ mod tests {
 
     #[test]
     fn always_terminates_at_numerically_closest() {
-        let mut rng = hieras_rt::Rng::seed_from_u64(0x9a57_e7);
+        let mut rng = hieras_rt::Rng::seed_from_u64(0x9a_57e7);
         for case in 0..200 {
             let seed: u64 = rng.random_range(0..200u64);
             let n: usize = rng.random_range(2..80usize);

@@ -9,15 +9,14 @@
 //!
 //! Architecture: node behaviour is a *pure message handler*
 //! ([`NodeState::handle`]) that maps an incoming [`Payload`] to a list
-//! of outgoing messages, with no knowledge of how messages move. Two
-//! transports drive it:
-//!
-//! * [`SimNet`] — single-threaded, deterministic discrete-event
-//!   delivery with per-link latencies from a caller-supplied delay
-//!   function; used for join-cost and message-count experiments.
-//! * [`ThreadNet`] — one OS thread per node, std mpsc channels, and a
-//!   serialized wire format ([`wire`]); demonstrates the same handler
-//!   running under real concurrency.
+//! of outgoing messages, with no knowledge of how messages move.
+//! [`SimNet`] is the transport that drives it: single-threaded,
+//! deterministic discrete-event delivery with per-link latencies from
+//! a caller-supplied delay function, plus the failure model the churn
+//! engine needs (dead-node timeouts one [`RTO_MS`] after the send, a
+//! hop TTL on routed messages, retried lookups, graceful leaves,
+//! silent fails, per-layer maintenance rounds). Messages stay typed
+//! [`Payload`] values end to end.
 //!
 //! Protocol-vs-oracle equivalence is tested: a `SimNet` bootstrapped
 //! from a [`hieras_core::HierasOracle`] produces *hop-for-hop identical*
@@ -29,10 +28,7 @@
 mod messages;
 mod sim_net;
 mod state;
-mod thread_net;
-pub mod wire;
 
 pub use messages::Payload;
-pub use sim_net::{JoinOutcome, LookupOutcome, RetriedLookup, SimNet, TrafficStats};
+pub use sim_net::{JoinOutcome, LookupOutcome, RetriedLookup, SimNet, TrafficStats, RTO_MS};
 pub use state::{LayerState, NodeState};
-pub use thread_net::ThreadNet;

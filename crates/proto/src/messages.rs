@@ -1,4 +1,4 @@
-//! The HIERAS wire protocol.
+//! The HIERAS protocol messages.
 //!
 //! Layer numbers are 1-based as in the paper: layer 1 is the global
 //! ring, layer `depth` the lowest. A lookup starts at the originator's
@@ -6,7 +6,6 @@
 
 use hieras_core::RingTable;
 use hieras_id::Id;
-use hieras_rt::{FromJson, Json, JsonError, ToJson};
 
 /// Protocol messages. Every message is addressed to a node id; the
 /// transport resolves ids to endpoints.
@@ -269,198 +268,6 @@ impl Payload {
     #[must_use]
     pub fn is_routed(&self) -> bool {
         matches!(self, Payload::FindSucc { .. } | Payload::FindRingSucc { .. })
-    }
-}
-
-impl ToJson for Payload {
-    fn to_json(&self) -> Json {
-        let kind = ("kind", self.kind().to_json());
-        match self {
-            Payload::FindSucc { key, layer, origin, req, hops } => Json::obj([
-                kind,
-                ("key", key.to_json()),
-                ("layer", layer.to_json()),
-                ("origin", origin.to_json()),
-                ("req", req.to_json()),
-                ("hops", hops.to_json()),
-            ]),
-            Payload::FindRingSucc { key, layer, origin, req, hops } => Json::obj([
-                kind,
-                ("key", key.to_json()),
-                ("layer", layer.to_json()),
-                ("origin", origin.to_json()),
-                ("req", req.to_json()),
-                ("hops", hops.to_json()),
-            ]),
-            Payload::FoundSucc { key, owner, req, hops } => Json::obj([
-                kind,
-                ("key", key.to_json()),
-                ("owner", owner.to_json()),
-                ("req", req.to_json()),
-                ("hops", hops.to_json()),
-            ]),
-            Payload::GetPred { layer, req } => {
-                Json::obj([kind, ("layer", layer.to_json()), ("req", req.to_json())])
-            }
-            Payload::PredIs { layer, pred, req } => Json::obj([
-                kind,
-                ("layer", layer.to_json()),
-                ("pred", pred.to_json()),
-                ("req", req.to_json()),
-            ]),
-            Payload::Notify { layer } => Json::obj([kind, ("layer", layer.to_json())]),
-            Payload::UpdateSucc { layer } => Json::obj([kind, ("layer", layer.to_json())]),
-            Payload::GetRingTable { ring_name, req } => Json::obj([
-                kind,
-                ("ring_name", ring_name.to_json()),
-                ("req", req.to_json()),
-            ]),
-            Payload::RingTableIs { table, req } => {
-                Json::obj([kind, ("table", table.to_json()), ("req", req.to_json())])
-            }
-            Payload::RingTableUpdate { ring_name, node } => Json::obj([
-                kind,
-                ("ring_name", ring_name.to_json()),
-                ("node", node.to_json()),
-            ]),
-            Payload::GetFingers { layer, req } => {
-                Json::obj([kind, ("layer", layer.to_json()), ("req", req.to_json())])
-            }
-            Payload::FingersAre { layer, fingers, req } => Json::obj([
-                kind,
-                ("layer", layer.to_json()),
-                ("fingers", fingers.to_json()),
-                ("req", req.to_json()),
-            ]),
-            Payload::GetLandmarks { req } => Json::obj([kind, ("req", req.to_json())]),
-            Payload::LandmarksAre { landmarks, req } => Json::obj([
-                kind,
-                ("landmarks", landmarks.to_json()),
-                ("req", req.to_json()),
-            ]),
-            Payload::Ping { req } => Json::obj([kind, ("req", req.to_json())]),
-            Payload::Pong { req } => Json::obj([kind, ("req", req.to_json())]),
-            Payload::LeaveUpdate { layer, new_succ, new_pred } => Json::obj([
-                kind,
-                ("layer", layer.to_json()),
-                ("new_succ", new_succ.to_json()),
-                ("new_pred", new_pred.to_json()),
-            ]),
-            Payload::RingTableRemove { ring_name, node } => Json::obj([
-                kind,
-                ("ring_name", ring_name.to_json()),
-                ("node", node.to_json()),
-            ]),
-            Payload::GetRingNeighbors { ring_name, req } => Json::obj([
-                kind,
-                ("ring_name", ring_name.to_json()),
-                ("req", req.to_json()),
-            ]),
-            Payload::RingNeighborsAre { ring_name, succ, pred, req } => Json::obj([
-                kind,
-                ("ring_name", ring_name.to_json()),
-                ("succ", succ.to_json()),
-                ("pred", pred.to_json()),
-                ("req", req.to_json()),
-            ]),
-            Payload::RingTableHandoff { table } => {
-                Json::obj([kind, ("table", table.to_json())])
-            }
-            Payload::Timeout { dead, original } => Json::obj([
-                kind,
-                ("dead", dead.to_json()),
-                ("original", original.to_json()),
-            ]),
-        }
-    }
-}
-
-impl FromJson for Payload {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let kind: String = v.field("kind")?;
-        match kind.as_str() {
-            "find_succ" => Ok(Payload::FindSucc {
-                key: v.field("key")?,
-                layer: v.field("layer")?,
-                origin: v.field("origin")?,
-                req: v.field("req")?,
-                hops: v.field("hops")?,
-            }),
-            "find_ring_succ" => Ok(Payload::FindRingSucc {
-                key: v.field("key")?,
-                layer: v.field("layer")?,
-                origin: v.field("origin")?,
-                req: v.field("req")?,
-                hops: v.field("hops")?,
-            }),
-            "found_succ" => Ok(Payload::FoundSucc {
-                key: v.field("key")?,
-                owner: v.field("owner")?,
-                req: v.field("req")?,
-                hops: v.field("hops")?,
-            }),
-            "get_pred" => Ok(Payload::GetPred { layer: v.field("layer")?, req: v.field("req")? }),
-            "pred_is" => Ok(Payload::PredIs {
-                layer: v.field("layer")?,
-                pred: v.field("pred")?,
-                req: v.field("req")?,
-            }),
-            "notify" => Ok(Payload::Notify { layer: v.field("layer")? }),
-            "update_succ" => Ok(Payload::UpdateSucc { layer: v.field("layer")? }),
-            "get_ring_table" => Ok(Payload::GetRingTable {
-                ring_name: v.field("ring_name")?,
-                req: v.field("req")?,
-            }),
-            "ring_table_is" => {
-                Ok(Payload::RingTableIs { table: v.field("table")?, req: v.field("req")? })
-            }
-            "ring_table_update" => Ok(Payload::RingTableUpdate {
-                ring_name: v.field("ring_name")?,
-                node: v.field("node")?,
-            }),
-            "get_fingers" => {
-                Ok(Payload::GetFingers { layer: v.field("layer")?, req: v.field("req")? })
-            }
-            "fingers_are" => Ok(Payload::FingersAre {
-                layer: v.field("layer")?,
-                fingers: v.field("fingers")?,
-                req: v.field("req")?,
-            }),
-            "get_landmarks" => Ok(Payload::GetLandmarks { req: v.field("req")? }),
-            "landmarks_are" => Ok(Payload::LandmarksAre {
-                landmarks: v.field("landmarks")?,
-                req: v.field("req")?,
-            }),
-            "ping" => Ok(Payload::Ping { req: v.field("req")? }),
-            "pong" => Ok(Payload::Pong { req: v.field("req")? }),
-            "leave_update" => Ok(Payload::LeaveUpdate {
-                layer: v.field("layer")?,
-                new_succ: v.field("new_succ")?,
-                new_pred: v.field("new_pred")?,
-            }),
-            "ring_table_remove" => Ok(Payload::RingTableRemove {
-                ring_name: v.field("ring_name")?,
-                node: v.field("node")?,
-            }),
-            "get_ring_neighbors" => Ok(Payload::GetRingNeighbors {
-                ring_name: v.field("ring_name")?,
-                req: v.field("req")?,
-            }),
-            "ring_neighbors_are" => Ok(Payload::RingNeighborsAre {
-                ring_name: v.field("ring_name")?,
-                succ: v.field("succ")?,
-                pred: v.field("pred")?,
-                req: v.field("req")?,
-            }),
-            "ring_table_handoff" => {
-                Ok(Payload::RingTableHandoff { table: v.field("table")? })
-            }
-            "timeout" => Ok(Payload::Timeout {
-                dead: v.field("dead")?,
-                original: Box::new(v.field("original")?),
-            }),
-            other => Err(JsonError(format!("unknown payload kind `{other}`"))),
-        }
     }
 }
 

@@ -78,6 +78,14 @@ pub struct JoinOutcome {
     pub rings_founded: usize,
 }
 
+/// Retransmission timeout: how long a sender waits before declaring
+/// a message's destination dead, ms — what every RPC against a dead
+/// node costs.
+pub const RTO_MS: u64 = 250;
+/// Hop budget for routed messages; exceeding it drops the message
+/// (bounds transient routing loops while pointers heal).
+const TTL: u32 = 96;
+
 #[derive(Debug, PartialEq, Eq)]
 struct Envelope {
     from: Id,
@@ -99,12 +107,6 @@ pub struct SimNet<'a> {
     next_req: u64,
     stats: TrafficStats,
     config: HierasConfig,
-    /// Retransmission timeout: how long a sender waits before declaring
-    /// a routed message's destination dead (ms).
-    rto_ms: u64,
-    /// Hop budget for routed messages; exceeding it drops the message
-    /// (bounds transient routing loops while pointers heal).
-    ttl: u32,
     /// Optional per-message-type counter / latency-histogram registry.
     /// `None` (the default) costs one branch per message.
     registry: Option<Box<Registry>>,
@@ -134,8 +136,6 @@ impl<'a> SimNet<'a> {
             next_req: 0,
             stats: TrafficStats::default(),
             config: oracle.config().clone(),
-            rto_ms: 250,
-            ttl: 96,
             registry: None,
             tracer: None,
         }
@@ -180,14 +180,6 @@ impl<'a> SimNet<'a> {
     /// Removes and returns the tracer.
     pub fn take_tracer(&mut self) -> Option<Tracer> {
         self.tracer.take().map(|b| *b)
-    }
-
-    /// Overrides the failure-detection parameters (RTO in ms, routed
-    /// hop TTL). The defaults — 250 ms, 96 hops — suit the paper-scale
-    /// topologies.
-    pub fn set_churn_params(&mut self, rto_ms: u64, ttl: u32) {
-        self.rto_ms = rto_ms;
-        self.ttl = ttl.max(1);
     }
 
     /// The hierarchy configuration this network was built with.
@@ -267,7 +259,7 @@ impl<'a> SimNet<'a> {
             if let Payload::FindSucc { hops, layer, .. }
             | Payload::FindRingSucc { hops, layer, .. } = msg
             {
-                if hops >= self.ttl {
+                if hops >= TTL {
                     self.stats.drops += 1;
                     if let Some(r) = self.registry.as_deref_mut() {
                         r.inc("net.drop.ttl");
@@ -300,7 +292,7 @@ impl<'a> SimNet<'a> {
             self.payloads.insert(seq, timeout);
             // Self-addressed so the sender's handler scrubs and
             // reroutes; delay = RTO, not the link latency.
-            self.queue.schedule_in(self.rto_ms, Envelope {
+            self.queue.schedule_in(RTO_MS, Envelope {
                 from: env.from,
                 to: env.from,
                 msg_seq: seq,
@@ -834,7 +826,7 @@ impl<'a> SimNet<'a> {
                 if let Some(r) = self.registry.as_deref_mut() {
                     r.inc("net.timeout");
                 }
-                let t = self.queue.now() + self.rto_ms;
+                let t = self.queue.now() + RTO_MS;
                 self.queue.advance_to(t);
                 self.nodes.get_mut(&n).expect("alive").note_dead(succ);
             }
@@ -882,7 +874,7 @@ impl<'a> SimNet<'a> {
                 if let Some(r) = self.registry.as_deref_mut() {
                     r.inc("net.timeout");
                 }
-                let t = self.queue.now() + self.rto_ms;
+                let t = self.queue.now() + RTO_MS;
                 self.queue.advance_to(t);
                 self.nodes.get_mut(&n).expect("alive").note_dead(p);
             }

@@ -229,7 +229,7 @@ impl Json {
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(w) = indent {
         out.push('\n');
-        out.extend(std::iter::repeat(' ').take(w * depth));
+        out.extend(std::iter::repeat_n(' ', w * depth));
     }
 }
 
@@ -652,7 +652,7 @@ mod tests {
     fn nested_structures_parse() {
         let v = Json::parse(r#" {"a": [1, -2, 3.5, null, true], "b": {"c": "d"}, "e": []} "#)
             .unwrap();
-        assert_eq!(v.field::<u64>("a").unwrap_err().0.contains("field `a`"), true);
+        assert!(v.field::<u64>("a").unwrap_err().0.contains("field `a`"));
         let a = v.get("a").unwrap().as_arr().unwrap();
         assert_eq!(a[0], Json::U64(1));
         assert_eq!(a[1], Json::I64(-2));

@@ -247,6 +247,6 @@ mod tests {
     fn splitmix_free_function_matches_reference() {
         // Reference values from the public-domain splitmix64.c.
         assert_eq!(crate::splitmix64(0), 0xe220_a839_7b1d_cdaf);
-        assert_eq!(crate::splitmix64(0xe220_a839_7b1d_cdaf) != 0, true);
+        assert_ne!(crate::splitmix64(0xe220_a839_7b1d_cdaf), 0);
     }
 }

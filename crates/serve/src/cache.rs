@@ -17,9 +17,13 @@
 //!   move-to-front on hit.
 //! * A byte-wide frequency sketch gating **admission**: a key only
 //!   displaces a live entry once it has been seen at least
-//!   [`CacheConfig::admit_min`] times (and at least as often as the
-//!   incumbent), so a uniform scan cannot evict the hot head. The
-//!   sketch halves itself periodically, aging out stale popularity.
+//!   `ADMIT_MIN` times (and at least as often as the incumbent), so a
+//!   uniform scan cannot evict the hot head. The sketch halves itself
+//!   periodically, aging out stale popularity.
+//!
+//! The geometry is fixed — 1024 direct slots, a 16-entry LRU, a
+//! 4096-counter sketch halved every 8192 inserts; [`CacheConfig`]
+//! only switches the cache on and picks the verification mode.
 //!
 //! **Staleness is impossible by construction.** Every entry is tagged
 //! with the [`crate::ServeSnapshot`] checksum it was learned under —
@@ -34,6 +38,18 @@
 
 use hieras_rt::splitmix64;
 
+/// log2 of the direct-mapped slot count.
+const SLOTS_POW: u32 = 10;
+/// Entries in the LRU victim array.
+const LRU_LEN: usize = 16;
+/// Sightings (sketch estimate) a key needs before it may displace a
+/// live entry. Fresh or stale slots are filled unconditionally.
+const ADMIT_MIN: u8 = 2;
+/// log2 of the frequency-sketch counter count.
+const SKETCH_POW: u32 = 12;
+/// Inserts between sketch halvings (popularity aging).
+const HALVE_EVERY: u32 = 8192;
+
 /// Knobs of the reader-side lookup cache. `off()` (the default) keeps
 /// every serving path byte-identical to the pre-cache engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,17 +57,6 @@ pub struct CacheConfig {
     /// Master switch. Disabled, the cache allocates nothing and the
     /// lookup path takes one predictable branch.
     pub enabled: bool,
-    /// log2 of the direct-mapped slot count.
-    pub slots_pow: u32,
-    /// Entries in the LRU victim array.
-    pub lru_len: usize,
-    /// Sightings (sketch estimate) a key needs before it may displace
-    /// a live entry. Fresh or stale slots are filled unconditionally.
-    pub admit_min: u8,
-    /// log2 of the frequency-sketch counter count.
-    pub sketch_pow: u32,
-    /// Lookups between sketch halvings (popularity aging).
-    pub halve_every: u32,
     /// Re-route every hit and assert the cached owner equals the
     /// authoritative one — the correctness-proof mode.
     pub verify: bool,
@@ -61,20 +66,10 @@ impl CacheConfig {
     /// Cache disabled (the default).
     #[must_use]
     pub fn off() -> Self {
-        CacheConfig {
-            enabled: false,
-            slots_pow: 10,
-            lru_len: 16,
-            admit_min: 2,
-            sketch_pow: 12,
-            halve_every: 8192,
-            verify: false,
-        }
+        CacheConfig { enabled: false, verify: false }
     }
 
-    /// Cache enabled at the default geometry: 1024 direct slots, a
-    /// 16-entry LRU, admission after 2 sightings, a 4096-counter
-    /// sketch halved every 8192 lookups.
+    /// Cache enabled.
     #[must_use]
     pub fn on() -> Self {
         CacheConfig { enabled: true, ..CacheConfig::off() }
@@ -155,7 +150,6 @@ pub struct LookupCache {
     slots: Vec<Entry>,
     lru: Vec<Entry>,
     sketch: Vec<u8>,
-    sketch_mask: u64,
     ops: u32,
     /// Checksum of the snapshot entries are currently valid under.
     bound: u64,
@@ -169,22 +163,27 @@ impl LookupCache {
     /// the heap.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
+        Self::with_geometry(cfg, SLOTS_POW, LRU_LEN)
+    }
+
+    /// [`LookupCache::new`] over `2^slots_pow` direct slots and a
+    /// `lru_len`-entry LRU (the collision tests shrink the table).
+    fn with_geometry(cfg: CacheConfig, slots_pow: u32, lru_len: usize) -> Self {
         let (slots, lru, sketch) = if cfg.enabled {
             (
-                vec![Entry::default(); 1usize << cfg.slots_pow],
-                vec![Entry::default(); cfg.lru_len],
-                vec![0u8; 1usize << cfg.sketch_pow],
+                vec![Entry::default(); 1usize << slots_pow],
+                vec![Entry::default(); lru_len],
+                vec![0u8; 1usize << SKETCH_POW],
             )
         } else {
             (Vec::new(), Vec::new(), Vec::new())
         };
         LookupCache {
             cfg,
-            slot_mask: (1u64 << cfg.slots_pow) - 1,
+            slot_mask: (1u64 << slots_pow) - 1,
             slots,
             lru,
             sketch,
-            sketch_mask: (1u64 << cfg.sketch_pow) - 1,
             ops: 0,
             bound: 0,
             stats: CacheStats::default(),
@@ -250,7 +249,7 @@ impl LookupCache {
     /// Offers a freshly routed answer. Fresh or stale slots are filled
     /// unconditionally; a live incumbent is displaced (demoted to the
     /// LRU front) only once the sketch says the new key is at least as
-    /// popular and has been seen `admit_min` times — uniform traffic
+    /// popular and has been seen `ADMIT_MIN` times — uniform traffic
     /// therefore cannot thrash the hot head.
     #[inline]
     pub fn insert(&mut self, key: u64, owner: u32, ring: u32) {
@@ -270,7 +269,7 @@ impl LookupCache {
             return;
         }
         let incumbent = self.sketch_index(e.key);
-        if freq >= self.cfg.admit_min && freq >= self.sketch[incumbent] {
+        if freq >= ADMIT_MIN && freq >= self.sketch[incumbent] {
             // Demote the incumbent to the LRU front rather than
             // dropping it — a slot collision between two hot keys
             // keeps both answerable.
@@ -286,14 +285,14 @@ impl LookupCache {
 
     #[inline]
     fn sketch_index(&self, key: u64) -> usize {
-        (splitmix64(key ^ 0x5ce7_c4f2_9b1d_7e55) & self.sketch_mask) as usize
+        (splitmix64(key ^ 0x5ce7_c4f2_9b1d_7e55) & ((1u64 << SKETCH_POW) - 1)) as usize
     }
 
     /// Periodic popularity aging: halve every sketch counter.
     #[inline]
     fn age(&mut self) {
         self.ops += 1;
-        if self.ops >= self.cfg.halve_every {
+        if self.ops >= HALVE_EVERY {
             self.ops = 0;
             for c in &mut self.sketch {
                 *c >>= 1;
@@ -345,8 +344,7 @@ mod tests {
 
     #[test]
     fn cold_keys_cannot_displace_a_live_entry() {
-        let cfg = CacheConfig { slots_pow: 0, lru_len: 0, ..CacheConfig::on() };
-        let mut c = LookupCache::new(cfg);
+        let mut c = LookupCache::with_geometry(CacheConfig::on(), 0, 0);
         c.bind(SUM);
         // One slot: key A becomes resident and popular.
         c.insert(1, 10, 0);
@@ -362,8 +360,7 @@ mod tests {
 
     #[test]
     fn popular_key_displaces_into_lru_not_oblivion() {
-        let cfg = CacheConfig { slots_pow: 0, lru_len: 4, ..CacheConfig::on() };
-        let mut c = LookupCache::new(cfg);
+        let mut c = LookupCache::with_geometry(CacheConfig::on(), 0, 4);
         c.bind(SUM);
         c.insert(1, 10, 0);
         // Key 2 reaches the admission threshold and takes the slot;

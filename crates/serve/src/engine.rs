@@ -205,6 +205,12 @@ impl LiveReport {
     }
 }
 
+/// Telemetry window width on the sim clock, ms (quiesced and
+/// deterministic modes).
+const SIM_WINDOW_MS: u64 = 1_000;
+/// Telemetry window width on the wall clock, ms (free-running mode).
+const WALL_WINDOW_MS: u64 = 250;
+
 /// The clock that cuts a churning run's telemetry windows: the
 /// replay's sim clock (deterministic) or wall time since the run
 /// started (free-running). `Copy`, so reader threads cut windows on
@@ -670,7 +676,8 @@ impl<'a> ServeEngine<'a> {
         );
         let mut rebin_us = 0u64;
         run.rebinned.clear();
-        let rebinned = if self.cfg.rebin_every > 0 && run.round % self.cfg.rebin_every == 0 {
+        let rebin_every = self.cfg.rebin_every;
+        let rebinned = if rebin_every > 0 && run.round.is_multiple_of(rebin_every) {
             let tr = Instant::now();
             let live = run.replay.live_members();
             let changed = self.rebin(run.round, &live, &mut run.orders, &mut run.rebinned);
@@ -793,8 +800,7 @@ impl<'a> ServeEngine<'a> {
         assert!(snap0.verify(0), "initial snapshot failed verification");
         let cur = snap0.oracle.clone();
         let (pb, handle) = epoch_pair(snap0);
-        let tel = self.cfg.telemetry;
-        let window_ms = if wall { tel.wall_window_ms } else { tel.window_ms }.max(1);
+        let window_ms = if wall { WALL_WINDOW_MS } else { SIM_WINDOW_MS };
         let run = ChurnRun {
             exec,
             turnover,
@@ -810,7 +816,7 @@ impl<'a> ServeEngine<'a> {
             rebinned: Vec::new(),
             clock: WindowClock { wall, t0: Instant::now(), window_ms },
             last_pub_ms: 0,
-            shard: TelemetryShard::new(tel.slow_k),
+            shard: TelemetryShard::new(self.cfg.telemetry.slow_k),
             stats: MaintStats::default(),
         };
         (run, handle)
@@ -876,11 +882,10 @@ impl<'a> ServeEngine<'a> {
         let mut ts = shard.into_report(mode, window_ms, self.cfg.telemetry.slo);
         for w in &mut ts.windows {
             let probes = w.health.counter(names::SERVE_CACHE_WINDOW_LOOKUPS);
-            if probes > 0 {
-                let hits = w.health.counter(names::SERVE_CACHE_WINDOW_HITS);
+            let hits = w.health.counter(names::SERVE_CACHE_WINDOW_HITS);
+            if let Some(ppm) = (hits * 1_000_000).checked_div(probes) {
                 #[allow(clippy::cast_possible_wrap)] // ppm fits i64
-                w.health
-                    .gauge_set(names::SERVE_CACHE_HIT_RATE_PPM, (hits * 1_000_000 / probes) as i64);
+                w.health.gauge_set(names::SERVE_CACHE_HIT_RATE_PPM, ppm as i64);
             }
         }
         ts
@@ -911,7 +916,7 @@ impl<'a> ServeEngine<'a> {
                 let (src, key, rank) = w.request_detail(i);
                 let (s, owner) = self.serve(&snap, acc, &win, src, key, i as u64);
                 acc.owner_digest = splitmix64(acc.owner_digest ^ (u64::from(owner) + 1));
-                if rank.map_or(false, |r| r <= HOT_RANK_MAX) {
+                if rank.is_some_and(|r| r <= HOT_RANK_MAX) {
                     acc.hot.record(s);
                 }
             },
@@ -919,7 +924,6 @@ impl<'a> ServeEngine<'a> {
         );
         let wall_ns = t0.elapsed().as_nanos() as u64;
         self.close_batch(&snap, &mut acc, &win, 0, CacheStats::default());
-        let window_ms = self.cfg.telemetry.window_ms.max(1);
         WorkloadReport {
             metrics: acc.metrics,
             hot: acc.hot,
@@ -927,7 +931,7 @@ impl<'a> ServeEngine<'a> {
             wall_ns,
             cache: acc.cache.stats,
             owner_digest: acc.owner_digest,
-            timeseries: telemetry.then(|| self.report(acc.shard, "sim", window_ms)),
+            timeseries: telemetry.then(|| self.report(acc.shard, "sim", SIM_WINDOW_MS)),
         }
     }
 
@@ -1104,7 +1108,7 @@ impl<'a> ServeEngine<'a> {
 
 // Engine-level behavior is tested where the pieces meet real worlds:
 // `tests/live_safety.rs` (torn-snapshot stress, reclaim pinning) and
-// `hieras-bench`'s `tests/live_identity.rs` (1/2/8-reader metric
+// the root package's `tests/live_identity.rs` (1/2/8-reader metric
 // identity, quiesced-vs-replay byte identity).
 #[cfg(test)]
 mod tests {

@@ -1,23 +1,27 @@
-//! Epoch-based snapshot publication and reclamation, in safe Rust.
+//! Single-writer snapshot publication, in safe Rust.
 //!
 //! One maintenance thread owns a [`Publisher`]; any number of reader
 //! threads own [`Reader`]s minted from the shared [`EpochHandle`].
 //! The publisher installs immutable snapshots ([`Versioned`]) under a
-//! monotonically increasing epoch; each reader pins the snapshot it is
-//! currently routing against through a cache-line-aligned epoch slot.
-//! A retired snapshot is reclaimed only once every live reader has
-//! advanced past its epoch — the classic epoch-based-reclamation
-//! contract, here enforced with `Arc` reference counts underneath so a
-//! protocol bug can cost memory (a leak, surfaced by the
-//! `serve.reclaim_lag_peak` gauge) but never a torn read.
+//! monotonically increasing epoch; each reader holds an `Arc` of the
+//! snapshot it is currently routing against. That `Arc` is the whole
+//! reclamation protocol: the publisher keeps replaced snapshots on a
+//! private retired list and takes one back ([`Publisher::reclaim_with`])
+//! exactly when `Arc::try_unwrap` says nobody else holds it. "No
+//! snapshot is freed while a reader holds it" is therefore `Arc`'s
+//! guarantee, not a protocol of this module, and the only state shared
+//! between threads is the published-epoch counter and the
+//! current-snapshot slot. A parked reader costs the one snapshot it
+//! holds (surfaced by the `serve.reclaim_lag_peak` gauge), never the
+//! younger ones retired behind it.
 //!
 //! Hot paths:
 //! - a reader that is up to date pays one `Acquire` load and a compare
 //!   per [`Reader::refresh`]; lookups themselves touch no atomics.
-//! - the publisher locks the current-snapshot slot only on publish and
-//!   reader registration, never per lookup.
+//! - the current-snapshot slot is locked only on publish, on a refresh
+//!   that adopts, and when a reader is minted — never per lookup.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A snapshot tagged with the epoch it was published under.
@@ -30,29 +34,13 @@ pub struct Versioned<T> {
     pub value: T,
 }
 
-/// One reader's pinned epoch, aligned to its own cache line so reader
-/// heartbeats never false-share with their neighbours.
-#[derive(Debug)]
-#[repr(align(128))]
-struct ReaderSlot {
-    /// Epoch of the snapshot this reader currently holds. Only ever
-    /// increases; stored *after* the reader swapped its cached `Arc`,
-    /// so the slot never claims an epoch newer than what is held.
-    epoch: AtomicU64,
-    /// Cleared by `Reader::drop`; the publisher prunes dead slots.
-    active: AtomicBool,
-}
-
 #[derive(Debug)]
 struct Shared<T> {
     /// Latest published epoch (readers poll this without locking).
     published: AtomicU64,
-    /// The latest snapshot. Locked only on publish / refresh /
-    /// registration — transitions, never per lookup.
+    /// The latest snapshot. Locked only on publish / adopting refresh
+    /// / reader minting — transitions, never per lookup.
     current: Mutex<Arc<Versioned<T>>>,
-    /// Epoch slots of every reader ever minted (dead ones pruned at
-    /// reclaim time).
-    readers: Mutex<Vec<Arc<ReaderSlot>>>,
 }
 
 /// Counters the publisher accumulates across its lifetime.
@@ -60,9 +48,9 @@ struct Shared<T> {
 pub struct EpochStats {
     /// Epochs published (excluding the initial epoch 0).
     pub published: u64,
-    /// Retired snapshots whose publisher reference has been dropped.
+    /// Retired snapshots taken back from the retired list.
     pub reclaimed: u64,
-    /// Retired snapshots still awaiting slow readers.
+    /// Retired snapshots some reader still holds.
     pub retired: usize,
     /// Peak size of the retired list — the reclaim lag high-water mark.
     pub lag_peak: usize,
@@ -83,7 +71,7 @@ impl<T> Publisher<T> {
     /// Installs `value` as the next epoch and retires the previous
     /// snapshot. Returns the new epoch. Readers observe the flip via
     /// the published-epoch counter; in-flight lookups keep routing
-    /// against whatever snapshot they pinned.
+    /// against whatever snapshot they hold.
     pub fn publish(&mut self, value: T) -> u64 {
         let epoch = self.shared.published.load(Ordering::Relaxed) + 1;
         let next = Arc::new(Versioned { epoch, value });
@@ -99,44 +87,27 @@ impl<T> Publisher<T> {
         epoch
     }
 
-    /// Drops every retired snapshot all live readers have advanced
-    /// past, and returns how many were reclaimed. A reader parked on
-    /// an old epoch keeps that epoch's snapshot (and every younger
-    /// retired one) alive.
+    /// Drops every retired snapshot no reader holds any more, and
+    /// returns how many were reclaimed. A reader parked on an old epoch
+    /// keeps that epoch's snapshot alive and nothing else.
     pub fn reclaim(&mut self) -> usize {
         self.reclaim_with(|_| {})
     }
 
-    /// [`Publisher::reclaim`], but hands each reclaimed snapshot this
-    /// publisher held the *last* reference to over to `salvage` instead
-    /// of dropping it — the hook the serving maintainer uses to recycle
-    /// retired ring arenas into its free-list. A snapshot some reader
-    /// is still releasing concurrently is reclaimed but not salvaged
-    /// (its final `Arc` drop frees it as usual).
+    /// [`Publisher::reclaim`], but hands each reclaimed snapshot over
+    /// to `salvage` instead of dropping it — the hook the serving
+    /// maintainer uses to recycle retired ring arenas into its
+    /// free-list. A retired snapshot is reclaimed iff this publisher
+    /// holds the last reference to it; one a reader still holds (or is
+    /// releasing at this instant) stays retired for a later call.
     pub fn reclaim_with(&mut self, mut salvage: impl FnMut(T)) -> usize {
-        let min_pinned = {
-            let mut readers = self.shared.readers.lock().expect("reader panicked mid-drop");
-            readers.retain(|slot| slot.active.load(Ordering::Acquire));
-            readers
-                .iter()
-                .map(|slot| slot.epoch.load(Ordering::Acquire))
-                .min()
-                .unwrap_or(u64::MAX)
-        };
         let before = self.retired.len();
-        // A snapshot of epoch e is safe to drop once every reader pins
-        // an epoch > e: slots only ever increase and are written after
-        // the reader swapped its Arc, so nobody can return to e.
-        let mut kept = Vec::with_capacity(self.retired.len());
-        for snap in self.retired.drain(..) {
-            debug_assert!(snap.epoch < self.shared.published.load(Ordering::Relaxed));
-            if snap.epoch >= min_pinned {
-                kept.push(snap);
-            } else if let Ok(v) = Arc::try_unwrap(snap) {
-                salvage(v.value);
+        for snap in std::mem::take(&mut self.retired) {
+            match Arc::try_unwrap(snap) {
+                Ok(v) => salvage(v.value),
+                Err(held) => self.retired.push(held),
             }
         }
-        self.retired = kept;
         let freed = before - self.retired.len();
         self.reclaimed += freed as u64;
         freed
@@ -173,21 +144,12 @@ impl<T> Clone for EpochHandle<T> {
 }
 
 impl<T> EpochHandle<T> {
-    /// Registers a new reader, pinned to the current snapshot.
+    /// Mints a new reader holding the current snapshot.
     #[must_use]
     pub fn reader(&self) -> Reader<T> {
-        // Registration holds the current-snapshot lock so the pinned
-        // epoch and the cached Arc are the same snapshot — a publish
-        // cannot slip between them.
-        let cur = self.shared.current.lock().expect("publisher panicked mid-publish");
-        let cached = Arc::clone(&*cur);
-        drop(cur);
-        let slot = Arc::new(ReaderSlot {
-            epoch: AtomicU64::new(cached.epoch),
-            active: AtomicBool::new(true),
-        });
-        self.shared.readers.lock().expect("reader panicked mid-drop").push(Arc::clone(&slot));
-        Reader { shared: Arc::clone(&self.shared), slot, cached }
+        let cached =
+            Arc::clone(&self.shared.current.lock().expect("publisher panicked mid-publish"));
+        Reader { shared: Arc::clone(&self.shared), cached }
     }
 
     /// The latest published epoch.
@@ -197,40 +159,35 @@ impl<T> EpochHandle<T> {
     }
 }
 
-/// One reader thread's view: a cached snapshot plus its pinned epoch.
+/// One reader thread's view: the snapshot it holds.
 #[derive(Debug)]
 pub struct Reader<T> {
     shared: Arc<Shared<T>>,
-    slot: Arc<ReaderSlot>,
     cached: Arc<Versioned<T>>,
 }
 
 impl<T> Reader<T> {
     /// Adopts the latest snapshot if one was published since the last
     /// refresh, returning its epoch; `None` when already current (the
-    /// hot path: one atomic load and a compare). The cached `Arc` is
-    /// replaced *before* the epoch slot advances, so the slot never
-    /// overstates progress.
+    /// hot path: one atomic load and a compare). Replacing the cached
+    /// `Arc` releases the snapshot held until now.
     pub fn refresh(&mut self) -> Option<u64> {
         if self.shared.published.load(Ordering::Acquire) == self.cached.epoch {
             return None;
         }
-        {
-            let cur = self.shared.current.lock().expect("publisher panicked mid-publish");
-            self.cached = Arc::clone(&*cur);
-        }
-        self.slot.epoch.store(self.cached.epoch, Ordering::Release);
+        self.cached =
+            Arc::clone(&self.shared.current.lock().expect("publisher panicked mid-publish"));
         Some(self.cached.epoch)
     }
 
-    /// The pinned snapshot. Borrow-tied to the reader, so it cannot
-    /// outlive a refresh that would unpin it.
+    /// The held snapshot. Borrow-tied to the reader, so it cannot
+    /// outlive a refresh that would release it.
     #[must_use]
     pub fn snapshot(&self) -> &Versioned<T> {
         &self.cached
     }
 
-    /// The latest published epoch (may be ahead of the pinned one).
+    /// The latest published epoch (may be ahead of the held one).
     #[must_use]
     pub fn published_epoch(&self) -> u64 {
         self.shared.published.load(Ordering::Acquire)
@@ -244,19 +201,12 @@ impl<T> Reader<T> {
     }
 }
 
-impl<T> Drop for Reader<T> {
-    fn drop(&mut self) {
-        self.slot.active.store(false, Ordering::Release);
-    }
-}
-
 /// Creates the publisher/handle pair with `initial` at epoch 0.
 #[must_use]
 pub fn epoch_pair<T>(initial: T) -> (Publisher<T>, EpochHandle<T>) {
     let shared = Arc::new(Shared {
         published: AtomicU64::new(0),
         current: Mutex::new(Arc::new(Versioned { epoch: 0, value: initial })),
-        readers: Mutex::new(Vec::new()),
     });
     (
         Publisher { shared: Arc::clone(&shared), retired: Vec::new(), reclaimed: 0, lag_peak: 0 },
@@ -267,29 +217,50 @@ pub fn epoch_pair<T>(initial: T) -> (Publisher<T>, EpochHandle<T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
-    fn readers_pin_snapshots_until_they_refresh() {
+    fn a_reader_holds_its_snapshot_until_it_refreshes_or_drops() {
         let (mut pb, handle) = epoch_pair(10u64);
         let mut fast = handle.reader();
         let slow = handle.reader();
         assert_eq!(fast.snapshot().value, 10);
         assert_eq!(pb.publish(20), 1);
-        assert_eq!(pb.publish(30), 2);
-        // Both retired snapshots are pinned by `slow` at epoch 0.
+        // Epoch 0 is held by both readers.
         assert_eq!(pb.reclaim(), 0);
-        assert_eq!(pb.stats().retired, 2);
-        assert_eq!(fast.refresh(), Some(2));
-        assert_eq!(fast.snapshot().value, 30);
+        assert_eq!(fast.refresh(), Some(1));
+        assert_eq!(fast.snapshot().value, 20);
         assert_eq!(fast.refresh(), None, "second refresh is a no-op");
+        assert_eq!(pb.reclaim(), 0, "`slow` still holds epoch 0");
+        assert_eq!(pb.publish(30), 2);
+        assert_eq!(pb.reclaim(), 0, "epoch 1 is `fast`'s now");
+        assert_eq!(pb.stats().retired, 2);
         // `slow` still reads epoch 0 unharmed.
         assert_eq!(slow.snapshot().value, 10);
         assert_eq!(slow.lag(), 2);
-        assert_eq!(pb.reclaim(), 0, "slow reader still pins everything");
+        assert_eq!(fast.refresh(), Some(2));
+        assert_eq!(pb.reclaim(), 1, "refreshing released epoch 1");
         drop(slow);
-        assert_eq!(pb.reclaim(), 2, "dropping the laggard frees both");
+        assert_eq!(pb.reclaim(), 1, "dropping the laggard releases epoch 0");
         let s = pb.stats();
         assert_eq!((s.published, s.reclaimed, s.retired, s.lag_peak), (2, 2, 0, 2));
+    }
+
+    #[test]
+    fn an_unheld_younger_snapshot_is_reclaimed_past_a_held_older_one() {
+        let (mut pb, handle) = epoch_pair(0u32);
+        let parked = handle.reader();
+        pb.publish(1);
+        pb.publish(2);
+        // Retired: epoch 0 (held by `parked`) and epoch 1 (held by nobody).
+        let mut salvaged = Vec::new();
+        assert_eq!(pb.reclaim_with(|v| salvaged.push(v)), 1);
+        assert_eq!(salvaged, vec![1], "the younger snapshot came back");
+        assert_eq!(pb.stats().retired, 1);
+        assert_eq!(parked.snapshot().value, 0, "the held one is untouched");
+        drop(parked);
+        assert_eq!(pb.reclaim_with(|v| salvaged.push(v)), 1);
+        assert_eq!(salvaged, vec![1, 0]);
     }
 
     #[test]
@@ -308,17 +279,12 @@ mod tests {
 
     #[test]
     fn reclaim_with_salvages_sole_owner_snapshots() {
-        let (mut pb, handle) = epoch_pair(0u32);
-        let slow = handle.reader();
+        let (mut pb, _handle) = epoch_pair(0u32);
         for v in 1..=3 {
             pb.publish(v);
         }
         let mut salvaged = Vec::new();
-        assert_eq!(pb.reclaim_with(|v| salvaged.push(v)), 0, "pinned by `slow`");
-        assert!(salvaged.is_empty());
-        drop(slow);
         assert_eq!(pb.reclaim_with(|v| salvaged.push(v)), 3);
-        salvaged.sort_unstable();
         assert_eq!(salvaged, vec![0, 1, 2], "every retired payload came back");
     }
 

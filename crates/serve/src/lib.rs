@@ -9,11 +9,11 @@
 //! * [`ServeSnapshot`] — one epoch's immutable routing state: a
 //!   HIERAS hierarchy built over exactly the live membership, the
 //!   membership list itself, and a checksum binding both to the epoch.
-//! * [`epoch_pair`] / [`Publisher`] / [`Reader`] — epoch-based
-//!   publication and reclamation on `std` atomics alone: readers pin
-//!   the snapshot they route against through per-reader epoch slots,
-//!   the single maintenance thread swaps in new snapshots and retires
-//!   old ones only once every reader has advanced past them.
+//! * [`epoch_pair`] / [`Publisher`] / [`Reader`] — epoch-versioned
+//!   publication in safe `std`: a reader holds an `Arc` of the
+//!   snapshot it routes against, the single maintenance thread swaps
+//!   in new snapshots and takes a retired one back once
+//!   `Arc::try_unwrap` says no reader holds it.
 //! * [`ServeEngine`] — the service loop. N readers execute
 //!   allocation-free lookups against their pinned snapshot while the
 //!   maintenance thread replays a churn schedule

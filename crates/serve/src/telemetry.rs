@@ -13,9 +13,9 @@ use hieras_rt::{Json, ToJson};
 /// Time-resolved telemetry knobs of a serving run.
 ///
 /// Deterministic and quiesced modes cut windows on the **sim clock**
-/// (`window_ms`), so the windowed output is bit-identical at any
+/// (1 s wide), so the windowed output is bit-identical at any
 /// executor width; the free-running mode cuts them on the **wall
-/// clock** (`wall_window_ms`). With `enabled = false` every lookup
+/// clock** (250 ms wide). With `enabled = false` every lookup
 /// pays a single predictable branch and the run's routing metrics are
 /// byte-identical to a telemetry-on run — telemetry only ever
 /// accumulates into its own shards.
@@ -23,10 +23,6 @@ use hieras_rt::{Json, ToJson};
 pub struct TelemetryConfig {
     /// Master switch.
     pub enabled: bool,
-    /// Window width on the sim clock, ms (quiesced/deterministic).
-    pub window_ms: u64,
-    /// Window width on the wall clock, ms (free-running).
-    pub wall_window_ms: u64,
     /// Slowest lookups flight-recorded per window (0 disables the
     /// recorder).
     pub slow_k: usize,
@@ -38,17 +34,10 @@ impl TelemetryConfig {
     /// Telemetry disabled (the default).
     #[must_use]
     pub fn off() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            window_ms: 1_000,
-            wall_window_ms: 250,
-            slow_k: 4,
-            slo: None,
-        }
+        TelemetryConfig { enabled: false, slow_k: 4, slo: None }
     }
 
-    /// Telemetry enabled with the default widths: 1 s sim windows,
-    /// 250 ms wall windows, 4 flight-recorded lookups per window.
+    /// Telemetry enabled, 4 flight-recorded lookups per window.
     #[must_use]
     pub fn on() -> Self {
         TelemetryConfig { enabled: true, ..TelemetryConfig::off() }
@@ -159,20 +148,21 @@ mod tests {
     fn config_defaults_are_off_and_sane() {
         let c = TelemetryConfig::default();
         assert!(!c.enabled);
-        assert!(c.window_ms > 0 && c.wall_window_ms > 0);
         let on = TelemetryConfig::on().with_slo(SloSpec { p99_ms: 50, max_failure_ppm: 0 });
         assert!(on.enabled);
-        assert_eq!(on.window_ms, c.window_ms, "`on` only flips the switch");
+        assert_eq!(on.slow_k, c.slow_k, "`on` only flips the switch");
         assert_eq!(on.slo.unwrap().p99_ms, 50);
     }
 
     #[test]
     fn maint_stats_serialize_with_derived_quantiles() {
-        let mut s = MaintStats::default();
-        s.rounds = 3;
-        s.rebuilds = 2;
-        s.delta_rebuilds = 1;
-        s.full_rebuilds = 1;
+        let mut s = MaintStats {
+            rounds: 3,
+            rebuilds: 2,
+            delta_rebuilds: 1,
+            full_rebuilds: 1,
+            ..MaintStats::default()
+        };
         s.publish_us.record(100);
         s.publish_us.record(900);
         s.publish_samples = vec![100, 900];

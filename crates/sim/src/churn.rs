@@ -125,12 +125,12 @@ impl ChurnConfig {
             // O(arrival index) prefix sum: schedules are built once per
             // experiment, so clarity beats memoization here.
             (self.initial_nodes..=i)
-                .map(|j| self.inter_arrival.sample(self.seed ^ 0xa881_7a1, u64::from(j)).max(1))
+                .map(|j| self.inter_arrival.sample(self.seed ^ 0xa88_17a1, u64::from(j)).max(1))
                 .sum()
         };
         let death = birth + self.lifetime.sample(self.seed ^ 0x11f3_71f3, u64::from(i)).max(1);
         let graceful_draw =
-            splitmix64(self.seed ^ 0x6ac3_fu64 ^ u64::from(i).wrapping_mul(0x2545_f491_4f6c_dd1d));
+            splitmix64(self.seed ^ 0x6_ac3f_u64 ^ u64::from(i).wrapping_mul(0x2545_f491_4f6c_dd1d));
         let graceful =
             (graceful_draw >> 11) as f64 / ((1u64 << 53) as f64) < self.graceful_fraction;
         let departure = (death <= self.horizon_ms).then_some(death);

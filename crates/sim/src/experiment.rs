@@ -464,75 +464,33 @@ impl Experiment {
     /// both algorithms. The chunk size is fixed independently of the
     /// executor, so the merged metrics — including the order of
     /// `latency_samples` — are bit-identical at any parallelism level.
+    /// Each chunk accumulator carries its own path scratch, so the hot
+    /// loop never touches the heap; the scratch is dropped at merge
+    /// time and cannot influence the metrics.
     ///
     /// # Panics
     /// Panics if the workload draws sources outside this experiment's
     /// peer range.
     #[must_use]
     pub fn run_workload_on(&self, exec: &Executor, w: &Workload) -> ComparisonResult {
-        self.replay(exec, w, || (), |(), _, _| (), |(), ()| ()).0
-    }
-
-    /// Like [`Experiment::run_requests_on`] but additionally folds a
-    /// per-chunk [`Registry`] (hop / latency histograms per algorithm,
-    /// a request counter) alongside the metrics. Chunks merge in
-    /// deterministic chunk order and the registry itself is
-    /// merge-order-invariant, so the merged snapshot — like the
-    /// metrics — is byte-identical at any thread count.
-    #[must_use]
-    pub fn run_requests_traced(
-        &self,
-        exec: &Executor,
-        requests: usize,
-    ) -> (ComparisonResult, Registry) {
-        self.replay(
-            exec,
-            &self.replay_workload(requests),
-            Registry::new,
-            |reg, cs, hs| {
-                reg.inc(names::REPLAY_REQUESTS);
-                reg.observe(names::REPLAY_CHORD_HOPS, u64::from(cs.hops));
-                reg.observe(names::REPLAY_CHORD_LATENCY_MS, u64::from(cs.latency_ms));
-                reg.observe(names::REPLAY_HIERAS_HOPS, u64::from(hs.hops));
-                reg.observe(names::REPLAY_HIERAS_LOWER_HOPS, u64::from(hs.lower_hops));
-                reg.observe(names::REPLAY_HIERAS_LATENCY_MS, u64::from(hs.latency_ms));
-            },
-            Registry::merged,
-        )
-    }
-
-    /// The one replay fold: both algorithms over `w`, `on_sample`
-    /// seeing each request's (Chord, HIERAS) samples beside a
-    /// per-chunk `T`. Each chunk accumulator carries its own path
-    /// scratch, so the hot loop never touches the heap; the scratch is
-    /// dropped at merge time and cannot influence the metrics.
-    fn replay<T: Send + Sync>(
-        &self,
-        exec: &Executor,
-        w: &Workload,
-        init: impl Fn() -> T + Sync,
-        on_sample: impl Fn(&mut T, Sample, Sample) + Sync,
-        merge: impl Fn(T, T) -> T,
-    ) -> (ComparisonResult, T) {
         assert!(
             w.nodes as usize <= self.config.nodes,
             "workload sources exceed the peer range"
         );
-        let (chord, hieras, extra, _) = exec.par_fold(
+        let (chord, hieras, _) = exec.par_fold(
             w.requests,
             Self::REPLAY_CHUNK,
-            || (Metrics::default(), Metrics::default(), init(), PathBuf::new()),
+            || (Metrics::default(), Metrics::default(), PathBuf::new()),
             |acc, i| {
                 let (src, key) = w.request(i);
-                let cs = self.eval_chord(src, key, &mut acc.3);
-                let (hs, _) = self.eval_hieras_on(&self.hieras, src, key, &mut acc.3);
-                on_sample(&mut acc.2, cs, hs);
+                let cs = self.eval_chord(src, key, &mut acc.2);
+                let (hs, _) = self.eval_hieras_on(&self.hieras, src, key, &mut acc.2);
                 acc.0.record(cs);
                 acc.1.record(hs);
             },
-            |a, b| (a.0.merged(b.0), a.1.merged(b.1), merge(a.2, b.2), a.3),
+            |a, b| (a.0.merged(b.0), a.1.merged(b.1), a.2),
         );
-        (ComparisonResult { chord, hieras }, extra)
+        ComparisonResult { chord, hieras }
     }
 
     /// One Chord lookup, evaluated allocation-free: the path lands in
@@ -660,25 +618,6 @@ mod tests {
         for threads in [2, 3, 8] {
             let r = e.run_requests_on(&Executor::new(threads), 1500);
             assert_eq!(r, base, "metrics diverge at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn traced_replay_matches_plain_and_is_thread_invariant() {
-        let e = Experiment::build(ExperimentConfig { nodes: 200, ..small_cfg() });
-        let plain = e.run_requests_on(&Executor::new(2), 1500);
-        let (traced, reg) = e.run_requests_traced(&Executor::new(1), 1500);
-        assert_eq!(traced, plain, "the registry fold must not perturb the metrics");
-        assert_eq!(reg.counter(names::REPLAY_REQUESTS), 1500);
-        assert_eq!(
-            reg.hist(names::REPLAY_HIERAS_HOPS).unwrap().sum(),
-            traced.hieras.total_hops,
-            "histogram sum reconciles with the metric totals"
-        );
-        let snap = reg.snapshot();
-        for threads in [2, 8] {
-            let (_, r) = e.run_requests_traced(&Executor::new(threads), 1500);
-            assert_eq!(r.snapshot(), snap, "registry snapshot diverges at {threads} threads");
         }
     }
 
@@ -917,9 +856,10 @@ mod tests {
         let e = Experiment::build(ExperimentConfig { nodes: 120, requests: 0, ..small_cfg() });
         let w = Workload::new(120, 300, 99);
         for (src, key) in w.iter() {
-            let c = e.chord.lookup(src, key);
+            let mut c = PathBuf::new();
+            e.chord.lookup_into(src, key, &mut c);
             let h = e.hieras.route(src, key);
-            assert_eq!(c.owner(), h.destination());
+            assert_eq!(c.as_slice().last(), Some(&h.destination()));
         }
     }
 
@@ -931,7 +871,7 @@ mod tests {
         let e = Experiment::build(cfg);
         let w = Workload::new(150, 200, 3);
         for (src, key) in w.iter() {
-            assert_eq!(e.hieras.route(src, key).destination(), e.chord.lookup(src, key).owner());
+            assert_eq!(e.hieras.route(src, key).destination(), e.chord.owner_of(key));
         }
     }
 

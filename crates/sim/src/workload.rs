@@ -341,7 +341,7 @@ mod tests {
     #[test]
     fn sources_cover_the_node_range() {
         let w = Workload::new(16, 2000, 7);
-        let mut seen = vec![false; 16];
+        let mut seen = [false; 16];
         for (src, _) in w.iter() {
             seen[src as usize] = true;
         }

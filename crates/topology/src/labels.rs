@@ -211,7 +211,7 @@ fn hub_order(exec: &Executor, graph: &Graph) -> Vec<u32> {
     let k = BETWEENNESS_SAMPLES.min(n);
     let mut scores = vec![0u64; n];
     if k > 0 {
-        let mut rng = Rng::seed_from_u64(0x4865_5261_5_u64 ^ (n as u64).rotate_left(17));
+        let mut rng = Rng::seed_from_u64(0x4_8655_2615_u64 ^ (n as u64).rotate_left(17));
         let roots = rng.sample_indices(n, k);
         let nb = usize::from(graph.max_delay()) + 1;
         scores = exec.par_fold(

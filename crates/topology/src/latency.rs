@@ -218,13 +218,6 @@ impl LatencyOracle {
         }
     }
 
-    /// Wraps a router graph with exact hub labels built on the default
-    /// executor (see [`LatencyOracle::with_labels_on`]).
-    #[must_use]
-    pub fn with_labels(graph: Graph) -> Self {
-        Self::with_labels_on(&Executor::default(), graph)
-    }
-
     /// Wraps a router graph with exact 2-hop hub labels built on
     /// `exec`. The build is the whole cost — queries never run a
     /// Dijkstra — and the labels are bit-identical at any thread
@@ -483,33 +476,17 @@ impl LatencyOracle {
     }
 
     /// Eagerly computes the rows for the given sources in parallel on
-    /// the default executor.
+    /// `exec`.
     ///
     /// Experiments know exactly which routers host peers; warming those
     /// rows up front turns the replay phase into pure lookups. A no-op
     /// on the labels backend, whose build is its own precompute.
-    pub fn precompute(&self, sources: &[u32]) {
-        self.precompute_on(&Executor::default(), sources);
-    }
-
-    /// [`LatencyOracle::precompute`] on a caller-supplied executor.
     pub fn precompute_on(&self, exec: &Executor, sources: &[u32]) {
         let Backend::Rows { rows, .. } = &self.backend else {
             return;
         };
         exec.par_for_each(sources.len(), PRECOMPUTE_CHUNK, |i| {
             self.resident(rows, sources[i]);
-        });
-    }
-
-    /// Eagerly computes every row. Only sensible for moderate graphs;
-    /// prefer [`LatencyOracle::precompute`].
-    pub fn precompute_all(&self) {
-        let Backend::Rows { rows, .. } = &self.backend else {
-            return;
-        };
-        Executor::default().par_for_each(self.graph.node_count(), PRECOMPUTE_CHUNK, |i| {
-            self.resident(rows, i as u32);
         });
     }
 
@@ -573,9 +550,10 @@ mod tests {
     #[test]
     fn precompute_warms_requested_rows() {
         let o = LatencyOracle::new(triangle());
-        o.precompute(&[0, 2]);
+        let exec = Executor::new(2);
+        o.precompute_on(&exec, &[0, 2]);
         assert_eq!(o.cached_rows(), 2);
-        o.precompute_all();
+        o.precompute_on(&exec, &[0, 1, 2]);
         assert_eq!(o.cached_rows(), 3);
         assert_eq!(o.cache_bytes(), 3 * 3 * 2, "no bridge: three full rows");
     }
@@ -618,7 +596,7 @@ mod tests {
     #[test]
     fn labels_backend_matches_rows_exactly() {
         let free = LatencyOracle::new(line(24));
-        let labels = LatencyOracle::with_labels(line(24));
+        let labels = LatencyOracle::with_labels_on(&Executor::new(2), line(24));
         assert_eq!(labels.backend_name(), "labels");
         for u in 0..24u32 {
             for v in 0..24u32 {
@@ -688,9 +666,9 @@ mod tests {
 
     #[test]
     fn labels_precompute_is_a_noop() {
-        let o = LatencyOracle::with_labels(triangle());
-        o.precompute(&[0, 1]);
-        o.precompute_all();
+        let exec = Executor::new(2);
+        let o = LatencyOracle::with_labels_on(&exec, triangle());
+        o.precompute_on(&exec, &[0, 1]);
         assert_eq!(o.cached_rows(), 0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.row(0)));
         assert!(caught.is_err(), "labels backend must refuse row()");

@@ -11,6 +11,7 @@
 //! cargo run --release --example file_sharing
 //! ```
 
+use hieras::chord::PathBuf;
 use hieras::prelude::*;
 use hieras::rt::Rng;
 
@@ -42,6 +43,7 @@ fn main() {
     let mut hieras_hops = 0usize;
     let mut worst_chord = 0u64;
     let mut worst_hieras = 0u64;
+    let mut cp = PathBuf::new();
     for _ in 0..FETCHES {
         // Zipf draw.
         let mut pick = rng.random_range(0.0..total);
@@ -56,18 +58,22 @@ fn main() {
         let key = keys[file];
         let client = rng.random_range(0..600u32);
 
-        let cp = e.chord.lookup(client, key);
+        e.chord.lookup_into(client, key, &mut cp);
         let mut cl = 0u64;
-        for w in cp.path.windows(2) {
+        for w in cp.as_slice().windows(2) {
             cl += u64::from(e.peer_latency(w[0], w[1]));
         }
         let ht = e.hieras.route(client, key);
         let (hl, _) = ht.latency_split(|a, b| e.peer_latency(a, b));
-        assert_eq!(cp.owner(), ht.destination(), "both systems agree on the file's home");
+        assert_eq!(
+            cp.as_slice().last(),
+            Some(&ht.destination()),
+            "both systems agree on the file's home"
+        );
 
         chord_ms += cl;
         hieras_ms += hl;
-        chord_hops += cp.hops();
+        chord_hops += cp.len() - 1;
         hieras_hops += ht.hop_count();
         worst_chord = worst_chord.max(cl);
         worst_hieras = worst_hieras.max(hl);

@@ -1,5 +1,5 @@
-//! Protocol walkthrough: the §3.3 join choreography, message by
-//! message, plus the same node logic running on real threads.
+//! Protocol walkthrough: a lookup and the §3.3 join choreography,
+//! message by message, on the deterministic transport.
 //!
 //! ```text
 //! cargo run --release --example protocol_demo
@@ -8,7 +8,7 @@
 use hieras::core::HierasConfig;
 use hieras::id::Id;
 use hieras::prelude::*;
-use hieras::proto::{SimNet, ThreadNet};
+use hieras::proto::SimNet;
 
 fn main() {
     // A 300-peer HIERAS system over a Transit-Stub internetwork.
@@ -21,7 +21,6 @@ fn main() {
         rtt_noise: 0.0,
     });
 
-    // --- Part 1: deterministic message-level simulation -------------
     // Link delays come from the underlay shortest paths.
     let ids = e.ids.clone();
     let idx = move |id: Id| ids.iter().position(|&i| i == id);
@@ -62,28 +61,4 @@ fn main() {
     let probe = net.lookup(e.ids[0], newcomer);
     assert_eq!(probe.owner, newcomer);
     println!("  probe: node[0] resolves the newcomer in {} hops ✔", probe.hops);
-
-    // --- Part 2: the same handler on real threads --------------------
-    println!("\nspawning a 64-node threaded network (1 OS thread per node)…");
-    let small = Experiment::build(ExperimentConfig {
-        kind: TopologyKind::TransitStub,
-        nodes: 64,
-        requests: 0,
-        hieras: HierasConfig::paper(),
-        seed: 8,
-        rtt_noise: 0.0,
-    });
-    let tnet = ThreadNet::spawn(&small.hieras, &small.landmarks);
-    let mut agree = 0;
-    for k in 0..50u64 {
-        let key = Id::hash_of(format!("threaded-{k}").as_bytes());
-        let src_idx = (k % 64) as u32;
-        let (owner, hops) = tnet.lookup(small.ids[src_idx as usize], key, 2);
-        let oracle_trace = small.hieras.route(src_idx, key);
-        assert_eq!(owner, small.ids[oracle_trace.destination() as usize]);
-        assert_eq!(hops as usize, oracle_trace.hop_count());
-        agree += 1;
-    }
-    let processed = tnet.shutdown();
-    println!("  50/{agree} threaded lookups identical to the oracle; {processed} frames processed ✔");
 }

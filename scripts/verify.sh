@@ -53,6 +53,11 @@ RUSTFLAGS="-D warnings" cargo build --workspace --release
 echo "==> tier 1: workspace tests"
 cargo test -q --workspace
 
+echo "==> lint: clippy's default set over every target (deny warnings)"
+# Test targets too: a rustc warning there (an unused import, say)
+# passes the release build above.
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "==> frozen benchmark: builds against these crates, passes its output checks"
 # benchmark/ is its own workspace — the root test run never compiles
 # it. Its checks (brute-force owners, live == deterministic ==

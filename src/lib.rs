@@ -11,8 +11,8 @@
 //! * [`core`] — HIERAS itself: distributed binning, ring tables,
 //!   multi-layer finger tables and the m-loop routing procedure.
 //! * [`sim`] — workload generation, metrics, experiment runners.
-//! * [`proto`] — message-level protocol engine with pluggable
-//!   transports (simulated-delay and real std-mpsc threads).
+//! * [`proto`] — message-level protocol engine on a deterministic
+//!   discrete-event transport.
 //! * [`churn`] — deterministic churn engine: joins, graceful leaves
 //!   and silent fails replayed through the message engine and the
 //!   dynamic Chord baseline, with timeout/retry lookups and

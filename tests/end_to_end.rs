@@ -77,7 +77,7 @@ fn owner_agreement_on_all_models() {
             let src = (k % 150) as u32;
             assert_eq!(
                 e.hieras.route(src, key).destination(),
-                e.chord.lookup(src, key).owner(),
+                e.chord.owner_of(key),
                 "model {kind:?} key {k}"
             );
         }

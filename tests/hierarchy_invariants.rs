@@ -37,7 +37,7 @@ fn make_orders(seed: u64, n: usize, landmarks: usize) -> Vec<LandmarkOrder> {
 /// Rings at each layer partition the membership exactly.
 #[test]
 fn layers_partition_membership() {
-    let mut rng = Rng::seed_from_u64(0x1a7e_55);
+    let mut rng = Rng::seed_from_u64(0x1a_7e55);
     for case in 0..CASES {
         let seed = rng.random_range(0..500u64);
         let n = rng.random_range(2..60usize);
@@ -75,7 +75,7 @@ fn layers_partition_membership() {
 /// layer-j ring (prefix refinement guarantees containment).
 #[test]
 fn rings_nest() {
-    let mut rng = Rng::seed_from_u64(0x2e57_11);
+    let mut rng = Rng::seed_from_u64(0x2e_5711);
     for case in 0..CASES {
         let seed = rng.random_range(0..500u64);
         let n = rng.random_range(2..50usize);
@@ -107,7 +107,7 @@ fn rings_nest() {
 /// endpoints (hops never leave the ring that made them).
 #[test]
 fn hops_stay_in_their_ring() {
-    let mut rng = Rng::seed_from_u64(0x3109_5a);
+    let mut rng = Rng::seed_from_u64(0x31_095a);
     for case in 0..CASES {
         let seed = rng.random_range(0..300u64);
         let n = rng.random_range(2..40usize);
@@ -140,7 +140,7 @@ fn hops_stay_in_their_ring() {
 /// the paper's scalability claim with generous slack.
 #[test]
 fn hop_bound_scales_logarithmically() {
-    let mut rng = Rng::seed_from_u64(0x4b0b_bd);
+    let mut rng = Rng::seed_from_u64(0x4b_0bbd);
     for case in 0..CASES {
         let seed = rng.random_range(0..200u64);
         let n = rng.random_range(4..64usize);

@@ -4,7 +4,7 @@
 use hieras::core::HierasConfig;
 use hieras::id::Id;
 use hieras::prelude::*;
-use hieras::proto::{SimNet, ThreadNet};
+use hieras::proto::SimNet;
 
 fn experiment(nodes: usize, seed: u64) -> Experiment {
     Experiment::build(ExperimentConfig {
@@ -63,23 +63,6 @@ fn join_choreography_preserves_global_correctness() {
         let src = members[(k as usize * 7) % members.len()];
         assert_eq!(net.lookup(src, key).owner, want, "key {k}");
     }
-}
-
-/// The threaded transport (real concurrency + serialized frames)
-/// produces identical results to the oracle too.
-#[test]
-fn threadnet_matches_oracle() {
-    let e = experiment(48, 23);
-    let net = ThreadNet::spawn(&e.hieras, &e.landmarks);
-    for k in 0..60u64 {
-        let key = Id::hash_of(&(k * 31).to_le_bytes());
-        let src = (k % 48) as u32;
-        let oracle = e.hieras.route(src, key);
-        let (owner, hops) = net.lookup(e.ids[src as usize], key, 2);
-        assert_eq!(owner, e.ids[oracle.destination() as usize]);
-        assert_eq!(hops as usize, oracle.hop_count());
-    }
-    assert!(net.shutdown() > 0);
 }
 
 /// Simulated lookup latency equals the sum of per-hop link delays the

@@ -5,7 +5,6 @@ use hieras::chord::DynChord;
 use hieras::core::{Binning, HierasConfig, HierasOracle, LandmarkOrder, RingTable};
 use hieras::id::{Id, IdSpace};
 use hieras::prelude::*;
-use std::sync::Arc;
 
 /// §2.3: when a landmark fails, previously binned nodes drop its digit
 /// and the system re-bins consistently — rings coarsen but still
@@ -36,7 +35,7 @@ fn landmark_failure_degrades_gracefully() {
         let key = Id::hash_of(&k.to_ne_bytes());
         assert_eq!(
             rebuilt.route((k % 300) as u32, key).destination(),
-            e.chord.lookup((k % 300) as u32, key).owner()
+            e.chord.owner_of(key)
         );
     }
 }

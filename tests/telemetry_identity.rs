@@ -83,7 +83,7 @@ fn windowed_stream_is_bit_identical_at_1_2_and_8_readers() {
 #[test]
 fn telemetry_leaves_deterministic_routing_metrics_untouched() {
     let (exp, cfg) = world(TelemetryConfig::off());
-    let engine_off = ServeEngine::new(&exp, cfg.clone());
+    let engine_off = ServeEngine::new(&exp, cfg);
     let mut on = cfg;
     on.telemetry = TelemetryConfig::on();
     let engine_on = ServeEngine::new(&exp, on);
