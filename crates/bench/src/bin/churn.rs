@@ -7,7 +7,7 @@
 //! independent-death background) — and writes one record per scenario
 //! to `BENCH_churn.json`: lookup failure rates, timeout-inflated
 //! latency summaries, and per-layer maintenance overhead for both
-//! HIERAS and the dynamic Chord baseline.
+//! HIERAS and the Chord baseline (the same message engine at depth 1).
 //!
 //! Run with `--smoke` for the CI-sized run (120 initial nodes);
 //! the full run uses the acceptance scale (300 initial nodes, ≥ 5 %

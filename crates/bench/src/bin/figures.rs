@@ -15,7 +15,6 @@
 use hieras_bench::render;
 use hieras_bench::{depth_sweep, landmark_sweep, size_sweep};
 use hieras_can::{CanOracle, HierCan};
-use hieras_chord::DynChord;
 use hieras_core::{Binning, CostReport, HierasConfig, HierasOracle, LandmarkOrder};
 use hieras_id::{Id, IdSpace};
 use hieras_pastry::PastryOracle;
@@ -391,7 +390,9 @@ fn costs(scale: &Scale, md: &mut String) -> String {
         reports.push(rep);
     }
 
-    // Join message counts: HIERAS protocol joins vs dynamic-Chord joins.
+    // Join message counts: the same ten arrivals on the same world
+    // through the one message engine — the two-layer hierarchy against
+    // its depth-1 self, which is plain Chord — so both are in messages.
     let cfg = ExperimentConfig {
         kind: TopologyKind::TransitStub,
         nodes: 400,
@@ -401,56 +402,38 @@ fn costs(scale: &Scale, md: &mut String) -> String {
         rtt_noise: 0.0,
     };
     let e = Experiment::build(cfg);
-    let lat = &e.lat;
-    let router_of = e.router_of.clone();
-    let ids = e.ids.clone();
-    let idx_of = move |id: Id| ids.iter().position(|&i| i == id);
-    let mut net = SimNet::from_oracle(&e.hieras, &e.landmarks, move |a, b| {
-        match (idx_of(a), idx_of(b)) {
-            (Some(x), Some(y)) => {
-                u64::from(lat.latency(router_of[x], router_of[y]))
-            }
-            _ => 30, // joining node not yet placed: nominal delay
-        }
-    });
-    let mut join_msgs = Vec::new();
-    for j in 0..10u64 {
-        let new_id = Id::hash_of(format!("joiner-{j}").as_bytes());
-        let boot = e.ids[(j as usize * 37) % e.ids.len()];
-        let out = net.join(new_id, boot, &[15, 40, 120, 60]);
-        join_msgs.push(out.messages);
-    }
-    let chord_join = {
-        let mut dyn_net = DynChord::new(IdSpace::full(), 8);
-        dyn_net.create(Id::hash_of(b"seed")).expect("fresh network");
-        for i in 0..200u64 {
-            dyn_net
-                .join(Id::hash_of(format!("n{i}").as_bytes()), Id::hash_of(b"seed"))
-                .expect("distinct ids");
-            dyn_net.stabilize_round();
-            dyn_net.stabilize_round();
-        }
-        dyn_net.fix_all_fingers();
-        dyn_net.reset_stats();
-        for i in 0..10u64 {
-            dyn_net
-                .join(Id::hash_of(format!("j{i}").as_bytes()), Id::hash_of(b"n3"))
-                .expect("distinct ids");
-            dyn_net.stabilize_round();
-        }
-        dyn_net.stats()
+    let idx_of = |id: Id| e.ids.iter().position(|&i| i == id);
+    let delay = |a: Id, b: Id| match (idx_of(a), idx_of(b)) {
+        (Some(x), Some(y)) => u64::from(e.lat.latency(e.router_of[x], e.router_of[y])),
+        _ => 30, // joining node not yet placed: nominal delay
     };
-    let hieras_avg = join_msgs.iter().sum::<u64>() as f64 / join_msgs.len() as f64;
+    let join_msgs = |oracle: &HierasOracle| -> Vec<u64> {
+        let mut net = SimNet::from_oracle(oracle, &e.landmarks, delay);
+        (0..10u64)
+            .map(|j| {
+                let new_id = Id::hash_of(format!("joiner-{j}").as_bytes());
+                let boot = e.ids[(j as usize * 37) % e.ids.len()];
+                net.join(new_id, boot, &[15, 40, 120, 60]).messages
+            })
+            .collect()
+    };
+    let plain = HierasConfig { depth: 1, landmarks: 0, binning: Binning::paper() };
+    let chord = HierasOracle::build(IdSpace::full(), e.ids.clone(), e.orders.clone(), plain)
+        .expect("a single ring over distinct ids");
+    let hieras_join = join_msgs(&e.hieras);
+    let chord_join = join_msgs(&chord);
+    let avg = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
     let _ = writeln!(
         md,
-        "\njoin cost: HIERAS (2-layer, message-level) {:.1} msgs/join; dynamic Chord {:.1} msgs/join (incl. stabilize)",
-        hieras_avg,
-        chord_join.total() as f64 / 10.0
+        "\njoin cost (N = 400, message-level): HIERAS (2-layer) {:.1} msgs/join; Chord (the same engine, depth 1) {:.1} msgs/join; ratio {:.2}x",
+        avg(&hieras_join),
+        avg(&chord_join),
+        avg(&hieras_join) / avg(&chord_join)
     );
     Json::obj([
         ("state", reports.to_json()),
-        ("hieras_join_msgs", join_msgs.to_json()),
-        ("chord_join_msgs_total", chord_join.total().to_json()),
+        ("hieras_join_msgs", hieras_join.to_json()),
+        ("chord_join_msgs", chord_join.to_json()),
     ])
     .dump()
 }

@@ -59,8 +59,9 @@ pub struct ChurnExperimentConfig {
     /// run through both algorithms against the same ground truth).
     pub lookups_per_event: u32,
     /// Maintenance cadence: run one full round (failure-detection
-    /// pings, stabilize, fix-fingers — per layer for HIERAS, global
-    /// for Chord) every this many churn events. 0 disables maintenance.
+    /// pings, stabilize, fix-fingers — per layer, so once for the
+    /// depth-1 Chord baseline) every this many churn events. 0
+    /// disables maintenance.
     pub maintenance_every: u32,
     /// Optional landmark death injected mid-run.
     pub landmark_fail: Option<LandmarkFail>,

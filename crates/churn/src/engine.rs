@@ -10,11 +10,12 @@
 //! 1. **World building.** An [`Experiment`] is assembled over the full
 //!    node pool (initial members + future arrivals) so every node has
 //!    a topology attachment, landmark RTT vector and identifier from
-//!    the start. A second [`HierasOracle`] over just the initial
-//!    members bootstraps the message network in its stabilized state;
-//!    the Chord baseline bootstraps through its own join +
-//!    stabilization protocol until ring-consistent. Bootstrap traffic
-//!    is not counted.
+//!    the start. Two [`HierasOracle`]s over just the initial members
+//!    bootstrap the two message networks in their stabilized state:
+//!    the configured hierarchy for HIERAS, and the same members at
+//!    depth 1 — one global ring, which *is* Chord — for the baseline.
+//!    Both run the one protocol engine ([`SimNet`]) over the same link
+//!    delays, so every cost below is counted in the same unit.
 //! 2. **Schedule replay.** Each churn event is applied to both
 //!    networks: arrivals run the §3.3 join choreography through a
 //!    seed-chosen live bootstrap (retried through another bootstrap if
@@ -22,28 +23,33 @@
 //!    ring tables, silent fails just vanish. After every event a batch
 //!    of lookups runs through both algorithms, each scored against the
 //!    ground-truth owner (the first live id clockwise from the key);
-//!    maintenance rounds fire on their configured cadence.
-//! 3. **Accounting.** HIERAS message deltas are attributed around each
-//!    driver call into per-layer [`MaintStats`] buckets; Chord keeps
-//!    its own internal attribution. Successful-lookup hops and
-//!    timeout-inflated latencies land in [`hieras_sim::Metrics`].
+//!    maintenance rounds fire on their configured cadence. Memberships
+//!    stay mirrored: an arrival only one side could place is failed
+//!    out of the other.
+//! 3. **Accounting.** Message deltas are attributed around each driver
+//!    call into per-layer [`MaintStats`] buckets (one bucket for the
+//!    baseline), exhaustively: at the end of a run each side's buckets
+//!    sum to its network's delivered + timed-out traffic.
+//!    Successful-lookup hops and timeout-inflated latencies land in
+//!    [`hieras_sim::Metrics`].
+//!
+//! [`ChurnSchedule`]: hieras_sim::ChurnSchedule
 
+use crate::report::{AlgoChurnStats, MaintStats};
 use crate::{ChurnExperimentConfig, ChurnReport, EventCounts};
-use crate::report::AlgoChurnStats;
-use hieras_chord::{DynChord, DynError};
-use hieras_core::HierasOracle;
+use hieras_core::{HierasConfig, HierasOracle};
 use hieras_id::{Id, IdSpace};
 use hieras_obs::{Registry, TelemetryShard, TimeSeriesReport, Tracer};
-use hieras_proto::{SimNet, RTO_MS};
+use hieras_proto::SimNet;
 use hieras_rt::splitmix64;
 use hieras_sim::{ChurnEventKind, Experiment, ExperimentConfig, Sample};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Observability artifacts captured by [`run_churn_traced`]: the
-/// network's metric registry (per-message-type counters, lookup/join
-/// histograms, `churn.*` event counters) and — when a trace capacity
-/// was requested — the structured event stream.
+/// HIERAS network's metric registry (per-message-type counters,
+/// lookup/join histograms, `churn.*` event counters) and — when a
+/// trace capacity was requested — the structured event stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnObs {
     /// Merged counters / gauges / histograms for the whole run.
@@ -67,25 +73,180 @@ const LOOKUP_ATTEMPTS: u32 = 4;
 /// Backoff between lookup attempts, ms (inflates the measured latency
 /// of retried lookups).
 const BACKOFF_MS: u64 = 400;
-/// Successor-list length of the Chord baseline.
-const SUCC_LIST_LEN: usize = 8;
+/// Bootstraps an arrival tries before it is abandoned.
+const JOIN_ATTEMPTS: u64 = 3;
 
-/// Message counters captured before a driver call; the difference
-/// afterwards is the call's traffic.
+/// Traffic counters of one network; the difference of two readings is
+/// the traffic of the driver calls in between.
 #[derive(Clone, Copy)]
 struct Snap {
     total: u64,
     timeouts: u64,
 }
 
-fn snap(net: &SimNet) -> Snap {
-    Snap { total: net.stats().total, timeouts: net.stats().timeouts }
+/// One algorithm's half of a run: its network, its books, and where
+/// each layer's round-robin finger repair stands. Every churn step is
+/// written once here and applied to both sides. Only the HIERAS side
+/// ever carries a registry or a tracer, so the obs hooks below are
+/// no-ops on the baseline.
+struct Side<'a> {
+    net: SimNet<'a>,
+    stats: AlgoChurnStats,
+    fix_rounds: Vec<u64>,
 }
 
-fn delta(net: &SimNet, before: Snap) -> Snap {
-    Snap {
-        total: net.stats().total - before.total,
-        timeouts: net.stats().timeouts - before.timeouts,
+impl<'a> Side<'a> {
+    fn new(oracle: &HierasOracle, landmarks: &[u32], delay: impl Fn(Id, Id) -> u64 + 'a) -> Self {
+        let depth = oracle.config().depth;
+        Side {
+            net: SimNet::from_oracle(oracle, landmarks, delay),
+            stats: AlgoChurnStats::new(depth),
+            fix_rounds: vec![0; depth],
+        }
+    }
+
+    fn traffic(&self) -> Snap {
+        Snap { total: self.net.stats().total, timeouts: self.net.stats().timeouts }
+    }
+
+    fn since(&self, before: Snap) -> Snap {
+        let now = self.traffic();
+        Snap { total: now.total - before.total, timeouts: now.timeouts - before.timeouts }
+    }
+
+    /// Runs `op` on the network and books the traffic it caused:
+    /// delivered messages to `bucket` of layer index `li`, RTOs to
+    /// that layer's `timeout_msgs`.
+    fn charged<T>(
+        &mut self,
+        li: usize,
+        bucket: fn(&mut MaintStats) -> &mut u64,
+        op: impl FnOnce(&mut SimNet<'a>) -> T,
+    ) -> (T, Snap) {
+        let before = self.traffic();
+        let out = op(&mut self.net);
+        let d = self.since(before);
+        let m = &mut self.stats.maint[li];
+        *bucket(m) += d.total;
+        m.timeout_msgs += d.timeouts;
+        (out, d)
+    }
+
+    fn open(&mut self, name: &str, fields: &[(&str, u64)]) -> Option<u64> {
+        let now = self.net.now();
+        self.net.tracer_mut().map(|t| t.open(now, name, fields))
+    }
+
+    fn close(&mut self, span: Option<u64>, fields: &[(&str, u64)]) {
+        let now = self.net.now();
+        if let (Some(t), Some(s)) = (self.net.tracer_mut(), span) {
+            t.close(now, s, fields);
+        }
+    }
+
+    fn count(&mut self, name: &str, n: u64) {
+        if let Some(r) = self.net.registry_mut() {
+            r.inc_by(name, n);
+        }
+    }
+
+    /// An arrival: the §3.3 choreography through a live bootstrap drawn
+    /// from `salt`, retried through another when the messages die.
+    /// Returns whether the node got in and how many attempts died.
+    fn join(&mut self, id: Id, rtts: &[u16], salt: u64) -> (bool, u64) {
+        for attempt in 0..JOIN_ATTEMPTS {
+            let members = self.net.sorted_ids();
+            let bootstrap = members[splitmix64(salt ^ attempt) as usize % members.len()];
+            let (outcome, _) =
+                self.charged(0, |m| &mut m.join_msgs, |net| net.try_join(id, bootstrap, rtts));
+            if outcome.is_some() {
+                return (true, attempt);
+            }
+            self.count("churn.join.retry", 1);
+        }
+        (false, JOIN_ATTEMPTS)
+    }
+
+    fn leave(&mut self, id: Id, ev_no: u64) {
+        let span = self.open("churn.leave", &[("ev", ev_no), ("node", id.raw())]);
+        let (_, d) = self.charged(0, |m| &mut m.repair_msgs, |net| net.leave_node(id));
+        self.close(span, &[("messages", d.total)]);
+        self.count("churn.leave", 1);
+    }
+
+    fn fail(&mut self, id: Id, ev_no: u64) {
+        self.net.fail_node(id);
+        let now = self.net.now();
+        if let Some(t) = self.net.tracer_mut() {
+            t.instant(now, "churn.fail", &[("ev", ev_no), ("node", id.raw())]);
+        }
+        self.count("churn.fail", 1);
+    }
+
+    /// A whole failure domain dies at one instant: `kill` fail
+    /// silently, back to back, with no maintenance in between — the
+    /// repair bill lands on the rounds that follow.
+    fn cut_domain(&mut self, domain: u32, kill: &[Id], ev_no: u64) {
+        let span =
+            self.open("churn.domain_fail", &[("ev", ev_no), ("domain", u64::from(domain))]);
+        for &id in kill {
+            self.net.fail_node(id);
+        }
+        self.close(span, &[("killed", kill.len() as u64)]);
+        self.count("churn.domain_fail.killed", kill.len() as u64);
+    }
+
+    /// One application lookup under the retry budget, scored against
+    /// the ground-truth owner (and into `tele`'s window, if given).
+    fn lookup(&mut self, src: Id, key: Id, truth: Id, tele: Option<&mut TelemetryShard>) {
+        let (rl, _) = self.charged(0, |m| &mut m.lookup_msgs, |net| {
+            net.try_lookup(src, key, LOOKUP_ATTEMPTS, BACKOFF_MS)
+        });
+        let exact = rl.outcome.filter(|o| o.owner == truth);
+        let s = &mut self.stats;
+        s.lookups += 1;
+        s.attempts += u64::from(rl.attempts);
+        match exact {
+            Some(o) => s.routing.record(Sample {
+                hops: o.hops,
+                lower_hops: 0,
+                latency_ms: u32::try_from(o.latency_ms).unwrap_or(u32::MAX),
+                lower_latency_ms: 0,
+            }),
+            None if rl.outcome.is_some() => s.wrong_owner += 1,
+            None => s.unresolved += 1,
+        }
+        if let Some(t) = tele {
+            let win = self.net.now() / CHURN_WINDOW_MS;
+            if rl.attempts > 1 {
+                t.retries(win, u64::from(rl.attempts) - 1);
+            }
+            match exact {
+                Some(o) => t.lookup(win, o.latency_ms),
+                None => t.lookup_failed(win),
+            }
+        }
+    }
+
+    /// One maintenance round: per layer, failure-detection pings and
+    /// stabilization, then one finger index re-resolved by every
+    /// member.
+    fn maintain(&mut self, ev_no: u64) {
+        let span = self.open("churn.repair", &[("ev", ev_no)]);
+        let before = self.traffic();
+        for li in 0..self.fix_rounds.len() {
+            let layer = li as u8 + 1;
+            self.charged(li, |m| &mut m.stabilize_msgs, |net| {
+                net.check_predecessors_layer(layer);
+                net.stabilize_layer(layer);
+            });
+            let round = self.fix_rounds[li];
+            self.fix_rounds[li] += 1;
+            self.charged(li, |m| &mut m.fix_finger_msgs, |net| net.fix_fingers_layer(layer, round));
+        }
+        let d = self.since(before);
+        self.close(span, &[("messages", d.total), ("timeouts", d.timeouts)]);
+        self.count("churn.repair.rounds", 1);
     }
 }
 
@@ -111,11 +272,11 @@ pub fn run_churn(cfg: &ChurnExperimentConfig) -> ChurnReport {
     run_churn_impl(cfg, None).0
 }
 
-/// [`run_churn`] with observability on: the network's metric registry
-/// is enabled for the whole run and — when `trace_capacity > 0` — a
-/// bounded [`Tracer`] records per-event spans (`churn.join`,
-/// `churn.leave`, `churn.repair`, …) with the per-lookup / per-join
-/// spans from the transport nested beneath them.
+/// [`run_churn`] with observability on: the HIERAS network's metric
+/// registry is enabled for the whole run and — when
+/// `trace_capacity > 0` — a bounded [`Tracer`] records per-event spans
+/// (`churn.join`, `churn.leave`, `churn.repair`, …) with the
+/// per-lookup / per-join spans from the transport nested beneath them.
 ///
 /// The returned [`ChurnReport`] is bit-identical to what [`run_churn`]
 /// produces for the same configuration — instrumentation only reads.
@@ -131,7 +292,6 @@ pub fn run_churn_traced(
     (report, obs.expect("obs requested"))
 }
 
-#[allow(clippy::too_many_lines)] // one linear replay loop reads better unsplit
 fn run_churn_impl(
     cfg: &ChurnExperimentConfig,
     obs: Option<usize>,
@@ -155,42 +315,28 @@ fn run_churn_impl(
     let index_of: HashMap<Id, u32> =
         exp.ids.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
     let mut landmarks = exp.landmarks.clone();
+    let delay = |a: Id, b: Id| u64::from(exp.peer_latency(index_of[&a], index_of[&b]));
 
-    // HIERAS network over the initial members only, born stabilized.
+    // Both networks start over the initial members only, born
+    // stabilized: HIERAS as configured, the Chord baseline as the same
+    // engine at depth 1 — one global ring, no landmarks, no ring tables.
     let init_ids: Arc<[Id]> = exp.ids[..initial].to_vec().into();
     let init_orders = exp.orders[..initial].to_vec();
-    let oracle = HierasOracle::build(space, init_ids, init_orders, cfg.hieras.clone())
+    let plain = HierasConfig { depth: 1, landmarks: 0, binning: cfg.hieras.binning.clone() };
+    let ring = HierasOracle::build(space, init_ids.clone(), init_orders.clone(), plain)
+        .expect("a single ring over distinct ids");
+    let mut c = Side::new(&ring, &[], delay);
+    let hierarchy = HierasOracle::build(space, init_ids, init_orders, cfg.hieras.clone())
         .expect("initial subset of a validated configuration");
-    let mut net = SimNet::from_oracle(&oracle, &landmarks, |a, b| {
-        u64::from(exp.peer_latency(index_of[&a], index_of[&b]))
-    });
+    let mut h = Side::new(&hierarchy, &landmarks, delay);
     if let Some(cap) = obs {
-        net.enable_registry();
+        h.net.enable_registry();
         if cap > 0 {
-            net.set_tracer(Tracer::bounded(cap));
+            h.net.set_tracer(Tracer::bounded(cap));
         }
     }
 
-    // Chord baseline over the same membership, converged through its
-    // own protocol (the TR completes joins via stabilization).
-    let mut sorted_init: Vec<Id> = exp.ids[..initial].to_vec();
-    sorted_init.sort_unstable();
-    let mut chord = DynChord::new(space, SUCC_LIST_LEN);
-    chord.create(sorted_init[0]).expect("fresh network");
-    for &id in &sorted_init[1..] {
-        chord.join(id, sorted_init[0]).expect("bootstrap ring is consistent");
-        chord.stabilize_round();
-        chord.stabilize_round();
-    }
-    chord.fix_all_fingers();
-    assert!(chord.ring_consistent(), "chord bootstrap failed to converge");
-    chord.reset_stats();
-
-    let depth = cfg.hieras.depth;
-    let mut h = AlgoChurnStats::new(depth);
-    let mut c = AlgoChurnStats::new(1);
     let mut counts = EventCounts::default();
-    let mut fix_rounds = vec![0u64; depth];
     let mut lookup_no = 0u64;
     // Windowed lookup telemetry (obs runs only; the plain run stays
     // untouched). The churn engine has no hop-capture path, so the
@@ -204,99 +350,32 @@ fn run_churn_impl(
     };
 
     for (ev_no, ev) in schedule.events.iter().enumerate() {
+        let ev_no = ev_no as u64;
         match ev.kind {
             ChurnEventKind::Join { node } => {
                 let id = exp.ids[node as usize];
                 let rtts = measure(&landmarks, node as usize);
-                let t_now = net.now();
-                let span = net.tracer_mut().map(|t| {
-                    t.open(t_now, "churn.join", &[("ev", ev_no as u64), ("node", id.raw())])
-                });
-                let mut joined_via = None;
-                for attempt in 0..3u64 {
-                    let members = net.sorted_ids();
-                    let r = splitmix64(seed ^ 0xb007_57a9 ^ ((ev_no as u64) << 8) ^ attempt);
-                    let bootstrap = members[r as usize % members.len()];
-                    let before = snap(&net);
-                    let outcome = net.try_join(id, bootstrap, &rtts);
-                    let d = delta(&net, before);
-                    h.maint[0].join_msgs += d.total;
-                    h.maint[0].timeout_msgs += d.timeouts;
-                    if outcome.is_some() {
-                        joined_via = Some(bootstrap);
-                        break;
-                    }
-                    counts.join_retries += 1;
-                    if let Some(r) = net.registry_mut() {
-                        r.inc("churn.join.retry");
-                    }
+                let span = h.open("churn.join", &[("ev", ev_no), ("node", id.raw())]);
+                let salt = seed ^ 0xb007_57a9 ^ (ev_no << 8);
+                let (placed, retries) = h.join(id, &rtts, salt);
+                counts.join_retries += retries;
+                // The membership ground truth is shared, so an arrival
+                // only HIERAS could place is failed out of it again.
+                let joined = placed && c.join(id, &[], salt).0;
+                if joined {
+                    counts.joins += 1;
+                } else {
+                    h.net.fail_node(id);
+                    counts.join_aborts += 1;
                 }
-                match joined_via {
-                    Some(bootstrap) => {
-                        let mut ok = false;
-                        for _ in 0..4 {
-                            match chord.join(id, bootstrap) {
-                                Ok(()) => {
-                                    ok = true;
-                                    break;
-                                }
-                                Err(DynError::LookupFailed(_)) => chord.stabilize_round(),
-                                Err(e) => unreachable!("chord join via live bootstrap: {e}"),
-                            }
-                        }
-                        if ok {
-                            // Two immediate rounds complete the splice
-                            // (notify + predecessor adoption) so the
-                            // newcomer is visible to lookups — HIERAS's
-                            // choreography splices synchronously, and
-                            // the membership ground truth includes the
-                            // node from this instant.
-                            chord.stabilize_round();
-                            chord.stabilize_round();
-                            counts.joins += 1;
-                        } else {
-                            // Chord could not place the node; keep the
-                            // two memberships identical by undoing the
-                            // HIERAS join.
-                            net.fail_node(id);
-                            counts.join_aborts += 1;
-                        }
-                    }
-                    None => counts.join_aborts += 1,
-                }
-                let joined = u64::from(joined_via.is_some());
-                let t_now = net.now();
-                if let Some(t) = net.tracer_mut() {
-                    if let Some(s) = span {
-                        t.close(t_now, s, &[("joined", joined)]);
-                    }
-                }
-                if let Some(r) = net.registry_mut() {
-                    r.inc(if joined == 1 { "churn.join.ok" } else { "churn.join.abort" });
-                }
+                h.close(span, &[("joined", u64::from(joined))]);
+                h.count(if joined { "churn.join.ok" } else { "churn.join.abort" }, 1);
             }
             ChurnEventKind::Leave { node } => {
                 let id = exp.ids[node as usize];
-                if net.alive(id) {
-                    let t_now = net.now();
-                    let span = net.tracer_mut().map(|t| {
-                        t.open(t_now, "churn.leave", &[("ev", ev_no as u64), ("node", id.raw())])
-                    });
-                    let before = snap(&net);
-                    net.leave_node(id);
-                    let d = delta(&net, before);
-                    h.maint[0].repair_msgs += d.total;
-                    h.maint[0].timeout_msgs += d.timeouts;
-                    let t_now = net.now();
-                    if let Some(t) = net.tracer_mut() {
-                        if let Some(s) = span {
-                            t.close(t_now, s, &[("messages", d.total)]);
-                        }
-                    }
-                    if let Some(r) = net.registry_mut() {
-                        r.inc("churn.leave");
-                    }
-                    chord.leave(id).expect("memberships are mirrored");
+                if h.net.alive(id) {
+                    h.leave(id, ev_no);
+                    c.leave(id, ev_no);
                     counts.leaves += 1;
                 } else {
                     counts.skipped += 1;
@@ -304,179 +383,66 @@ fn run_churn_impl(
             }
             ChurnEventKind::Fail { node } => {
                 let id = exp.ids[node as usize];
-                if net.alive(id) {
-                    net.fail_node(id);
-                    let t_now = net.now();
-                    if let Some(t) = net.tracer_mut() {
-                        t.instant(t_now, "churn.fail", &[
-                            ("ev", ev_no as u64),
-                            ("node", id.raw()),
-                        ]);
-                    }
-                    if let Some(r) = net.registry_mut() {
-                        r.inc("churn.fail");
-                    }
-                    chord.fail(id).expect("memberships are mirrored");
+                if h.net.alive(id) {
+                    h.fail(id, ev_no);
+                    c.fail(id, ev_no);
                     counts.fails += 1;
                 } else {
                     counts.skipped += 1;
                 }
             }
         }
-        assert!(net.len() >= 2, "churn schedule drained the network");
+        assert!(h.net.len() >= 2, "churn schedule drained the network");
+        assert_eq!(h.net.len(), c.net.len(), "memberships are mirrored");
 
         // Application lookups, scored against the live ground truth.
         for _ in 0..cfg.lookups_per_event {
             lookup_no += 1;
-            let members = net.sorted_ids();
+            let members = h.net.sorted_ids();
             let src =
                 members[splitmix64(seed ^ 0x5eed_0502 ^ lookup_no) as usize % members.len()];
             let key = Id(splitmix64(seed ^ 0x0ca7_10ad ^ lookup_no));
             let truth = owner_of(&members, key);
-
-            let before = snap(&net);
-            let rl = net.try_lookup(src, key, LOOKUP_ATTEMPTS, BACKOFF_MS);
-            let d = delta(&net, before);
-            h.maint[0].lookup_msgs += d.total;
-            h.maint[0].timeout_msgs += d.timeouts;
-            h.lookups += 1;
-            h.attempts += u64::from(rl.attempts);
-            let win = net.now() / CHURN_WINDOW_MS;
-            if let Some(t) = tele.as_mut() {
-                if rl.attempts > 1 {
-                    t.retries(win, u64::from(rl.attempts) - 1);
-                }
-            }
-            match rl.outcome {
-                Some(o) if o.owner == truth => {
-                    if let Some(t) = tele.as_mut() {
-                        t.lookup(win, o.latency_ms);
-                    }
-                    h.routing.record(Sample {
-                        hops: o.hops,
-                        lower_hops: 0,
-                        latency_ms: u32::try_from(o.latency_ms).unwrap_or(u32::MAX),
-                        lower_latency_ms: 0,
-                    });
-                }
-                Some(_) => {
-                    if let Some(t) = tele.as_mut() {
-                        t.lookup_failed(win);
-                    }
-                    h.wrong_owner += 1;
-                }
-                None => {
-                    if let Some(t) = tele.as_mut() {
-                        t.lookup_failed(win);
-                    }
-                    h.unresolved += 1;
-                }
-            }
-
-            c.lookups += 1;
-            c.attempts += 1;
-            match chord.find_successor_traced(src, key) {
-                Ok(t) if t.owner == truth => {
-                    let mut lat = t.timeouts * RTO_MS;
-                    for w in t.path.windows(2) {
-                        lat += u64::from(exp.peer_latency(index_of[&w[0]], index_of[&w[1]]));
-                    }
-                    c.routing.record(Sample {
-                        hops: (t.path.len() - 1) as u32,
-                        lower_hops: 0,
-                        latency_ms: u32::try_from(lat).unwrap_or(u32::MAX),
-                        lower_latency_ms: 0,
-                    });
-                }
-                Ok(_) => c.wrong_owner += 1,
-                Err(_) => c.unresolved += 1,
-            }
+            h.lookup(src, key, truth, tele.as_mut());
+            c.lookup(src, key, truth, None);
         }
 
-        // Maintenance on its cadence: per-layer failure detection,
-        // stabilization and finger repair for HIERAS; the TR rounds
-        // for Chord.
         if cfg.maintenance_every > 0
-            && (ev_no as u64 + 1).is_multiple_of(u64::from(cfg.maintenance_every))
+            && (ev_no + 1).is_multiple_of(u64::from(cfg.maintenance_every))
         {
-            let t_now = net.now();
-            let repair_span = net.tracer_mut().map(|t| {
-                t.open(t_now, "churn.repair", &[("ev", ev_no as u64)])
-            });
-            let repair_before = snap(&net);
-            for layer in 1..=depth as u8 {
-                let li = layer as usize - 1;
-                let before = snap(&net);
-                net.check_predecessors_layer(layer);
-                net.stabilize_layer(layer);
-                let d = delta(&net, before);
-                h.maint[li].stabilize_msgs += d.total;
-                h.maint[li].timeout_msgs += d.timeouts;
-
-                let before = snap(&net);
-                net.fix_fingers_layer(layer, fix_rounds[li]);
-                fix_rounds[li] += 1;
-                let d = delta(&net, before);
-                h.maint[li].fix_finger_msgs += d.total;
-                h.maint[li].timeout_msgs += d.timeouts;
-            }
-            let d = delta(&net, repair_before);
-            let t_now = net.now();
-            if let Some(t) = net.tracer_mut() {
-                if let Some(s) = repair_span {
-                    t.close(t_now, s, &[("messages", d.total), ("timeouts", d.timeouts)]);
-                }
-            }
-            if let Some(r) = net.registry_mut() {
-                r.inc("churn.repair.rounds");
-            }
-            chord.stabilize_round();
-            chord.fix_fingers_round();
+            h.maintain(ev_no);
+            c.maintain(ev_no);
         }
 
         // Landmark death: swap in the backup measurement point and
-        // re-bin every live node against the new RTT vectors.
+        // re-bin every live node against the new RTT vectors. The
+        // baseline has no landmarks to lose.
         if let Some(lf) = cfg.landmark_fail {
-            if ev_no as u64 + 1 == u64::from(lf.after_event) && !landmarks.is_empty() {
+            if ev_no + 1 == u64::from(lf.after_event) && !landmarks.is_empty() {
                 let li = lf.landmark as usize % landmarks.len();
                 landmarks[li] = exp.router_of[pool - 1];
-                let t_now = net.now();
-                let rebin_span = net.tracer_mut().map(|t| {
-                    t.open(t_now, "churn.rebin", &[("ev", ev_no as u64)])
-                });
-                let rebinned_before = counts.rebinned;
-                let before = snap(&net);
-                for id in net.sorted_ids() {
-                    let peer = index_of[&id] as usize;
-                    let rtts = measure(&landmarks, peer);
-                    counts.rebinned += net.rebin_node(id, &rtts) as u64;
-                }
-                let d = delta(&net, before);
-                let lowest = depth.saturating_sub(1);
-                h.maint[lowest].repair_msgs += d.total;
-                h.maint[lowest].timeout_msgs += d.timeouts;
-                let moved = counts.rebinned - rebinned_before;
-                let t_now = net.now();
-                if let Some(t) = net.tracer_mut() {
-                    if let Some(s) = rebin_span {
-                        t.close(t_now, s, &[("moved", moved), ("messages", d.total)]);
+                let span = h.open("churn.rebin", &[("ev", ev_no)]);
+                let (moved, d) = h.charged(cfg.hieras.depth - 1, |m| &mut m.repair_msgs, |net| {
+                    let mut moved = 0u64;
+                    for id in net.sorted_ids() {
+                        let rtts = measure(&landmarks, index_of[&id] as usize);
+                        moved += net.rebin_node(id, &rtts) as u64;
                     }
-                }
-                if let Some(r) = net.registry_mut() {
-                    r.inc_by("churn.rebinned", moved);
-                }
+                    moved
+                });
+                counts.rebinned += moved;
+                h.close(span, &[("moved", moved), ("messages", d.total)]);
+                h.count("churn.rebinned", moved);
             }
         }
 
-        // Domain-correlated failure: a whole Transit-Stub failure
-        // domain (site power cut / uplink loss) dies at one instant.
-        // Every live peer attached to the most-populated domain fails
-        // silently, back to back, with no maintenance in between — the
-        // repair bill lands on the rounds that follow.
+        // Domain-correlated failure: every live peer attached to the
+        // most-populated Transit-Stub failure domain (site power cut /
+        // uplink loss) dies at one instant.
         if let Some(df) = cfg.domain_fail {
-            if ev_no as u64 + 1 == u64::from(df.after_event) {
+            if ev_no + 1 == u64::from(df.after_event) {
                 let mut by_domain: HashMap<u32, Vec<Id>> = HashMap::new();
-                for id in net.sorted_ids() {
+                for id in h.net.sorted_ids() {
                     let router = exp.router_of[index_of[&id] as usize];
                     by_domain.entry(exp.topo.domain_of(router)).or_default().push(id);
                 }
@@ -488,42 +454,31 @@ fn run_churn_impl(
                     .map(|(dom, _)| *dom);
                 if let Some(dom) = victim {
                     let doomed = &by_domain[&dom];
-                    let survivors = net.len() - doomed.len();
+                    let survivors = h.net.len() - doomed.len();
                     let kill: &[Id] =
-                        if survivors >= 2 { doomed } else { &doomed[..net.len() - 2] };
-                    let t_now = net.now();
-                    let span = net.tracer_mut().map(|t| {
-                        t.open(t_now, "churn.domain_fail", &[
-                            ("ev", ev_no as u64),
-                            ("domain", u64::from(dom)),
-                        ])
-                    });
-                    for &id in kill {
-                        net.fail_node(id);
-                        chord.fail(id).expect("memberships are mirrored");
-                        counts.domain_killed += 1;
-                    }
-                    let t_now = net.now();
-                    if let Some(t) = net.tracer_mut() {
-                        if let Some(s) = span {
-                            t.close(t_now, s, &[("killed", kill.len() as u64)]);
-                        }
-                    }
-                    if let Some(r) = net.registry_mut() {
-                        r.inc_by("churn.domain_fail.killed", kill.len() as u64);
-                    }
+                        if survivors >= 2 { doomed } else { &doomed[..h.net.len() - 2] };
+                    h.cut_domain(dom, kill, ev_no);
+                    c.cut_domain(dom, kill, ev_no);
+                    counts.domain_killed += kill.len() as u64;
                 }
             }
         }
     }
 
-    c.maint = vec![chord.stats()];
-    let pop_end = net.len();
-    if let Some(r) = net.registry_mut() {
+    for side in [&h, &c] {
+        let t = side.traffic();
+        assert_eq!(
+            side.stats.maint_total().total(),
+            t.total + t.timeouts,
+            "per-layer attribution must account for all traffic"
+        );
+    }
+    let pop_end = h.net.len();
+    if let Some(r) = h.net.registry_mut() {
         r.gauge_set("churn.population.start", initial as i64);
         r.gauge_set("churn.population.end", pop_end as i64);
     }
-    let traffic = net.stats();
+    let traffic = h.net.stats();
     let report = ChurnReport {
         turnover: schedule.turnover(churn.initial_nodes),
         events: counts,
@@ -532,12 +487,12 @@ fn run_churn_impl(
         messages_total: traffic.total,
         timeouts_total: traffic.timeouts,
         drops_total: traffic.drops,
-        hieras: h,
-        chord: c,
+        hieras: h.stats,
+        chord: c.stats,
     };
     let obs_out = obs.map(|_| ChurnObs {
-        registry: net.take_registry().expect("registry enabled when obs requested"),
-        tracer: net.take_tracer(),
+        registry: h.net.take_registry().expect("registry enabled when obs requested"),
+        tracer: h.net.take_tracer(),
         timeseries: tele
             .take()
             .expect("telemetry shard runs whenever obs does")

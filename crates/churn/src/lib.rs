@@ -11,8 +11,9 @@
 //!    ([`hieras_proto::SimNet`] — §3.3 join choreography, graceful
 //!    leaves with ring-table handoff, silent fails discovered through
 //!    RTO timeouts, per-layer stabilize / notify / fix-fingers rounds,
-//!    landmark death with re-binning) and onto the dynamic Chord
-//!    baseline ([`hieras_chord::DynChord`]), and
+//!    landmark death with re-binning) and onto the Chord baseline —
+//!    a second `SimNet` over the same members at hierarchy depth 1,
+//!    so both sides pay in the same messages and the same RTOs — and
 //! 3. interleaves timeout/retry/backoff lookups, scoring each answer
 //!    against the ground-truth owner derived from the live membership.
 //!
@@ -20,7 +21,7 @@
 //! vs. lost request), timeout-inflated routing latency in the same
 //! mergeable [`hieras_sim::Metrics`] containers the static experiments
 //! use, and maintenance-message overhead split by layer and by purpose
-//! ([`hieras_chord::MaintStats`]). Everything is a pure function of the
+//! ([`MaintStats`]). Everything is a pure function of the
 //! seed: the same [`ChurnExperimentConfig`] produces a bit-identical
 //! report on any machine and any thread count.
 
@@ -35,4 +36,4 @@ mod report;
 pub use config::{ChurnExperimentConfig, DomainFail, LandmarkFail};
 pub use engine::{run_churn, run_churn_traced, ChurnObs, CHURN_WINDOW_MS};
 pub use replay::{MembershipReplay, ReplayDelta};
-pub use report::{AlgoChurnStats, ChurnReport, EventCounts};
+pub use report::{AlgoChurnStats, ChurnReport, EventCounts, MaintStats};

@@ -1,9 +1,67 @@
 //! Churn-run results: failure rates, timeout-inflated latency, and
 //! per-layer maintenance overhead.
 
-use hieras_chord::MaintStats;
 use hieras_rt::{Json, ToJson};
 use hieras_sim::Metrics;
+
+/// Counters for protocol traffic, split by purpose. Every delivered
+/// message counts once; a send into a dead node counts as one timeout.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MaintStats {
+    /// Messages spent resolving application lookups.
+    pub lookup_msgs: u64,
+    /// Messages spent during joins (bootstrap lookup + splices + table
+    /// initialization).
+    pub join_msgs: u64,
+    /// Messages spent in failure-detection pings and stabilize/notify
+    /// rounds.
+    pub stabilize_msgs: u64,
+    /// Messages spent refreshing finger entries.
+    pub fix_finger_msgs: u64,
+    /// Sends against dead nodes: the request is sent, the RTO is paid,
+    /// and the caller reroutes.
+    pub timeout_msgs: u64,
+    /// Messages spent repairing state around a departure (graceful
+    /// leave patches, ring-table handoff, landmark re-binning).
+    pub repair_msgs: u64,
+}
+
+impl MaintStats {
+    /// Total across all categories.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.lookup_msgs
+            + self.join_msgs
+            + self.stabilize_msgs
+            + self.fix_finger_msgs
+            + self.timeout_msgs
+            + self.repair_msgs
+    }
+
+    /// Merges another accumulator into this one (per-layer roll-ups).
+    pub fn merge(&mut self, other: &MaintStats) {
+        self.lookup_msgs += other.lookup_msgs;
+        self.join_msgs += other.join_msgs;
+        self.stabilize_msgs += other.stabilize_msgs;
+        self.fix_finger_msgs += other.fix_finger_msgs;
+        self.timeout_msgs += other.timeout_msgs;
+        self.repair_msgs += other.repair_msgs;
+    }
+}
+
+impl ToJson for MaintStats {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("lookup_msgs", self.lookup_msgs.to_json()),
+            ("join_msgs", self.join_msgs.to_json()),
+            ("stabilize_msgs", self.stabilize_msgs.to_json()),
+            ("fix_finger_msgs", self.fix_finger_msgs.to_json()),
+            ("timeout_msgs", self.timeout_msgs.to_json()),
+            ("repair_msgs", self.repair_msgs.to_json()),
+            ("total", self.total().to_json()),
+        ])
+    }
+}
 
 /// What happened to the membership over one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,11 +114,12 @@ pub struct AlgoChurnStats {
     /// Total attempts consumed (≥ `lookups`; the excess is retries).
     pub attempts: u64,
     /// Hop / latency metrics of the *successful* lookups. Latency is
-    /// timeout-inflated: every RPC into a dead node costs one RTO, and
-    /// retried lookups carry their backoff.
+    /// timeout-inflated: every send into a dead node costs one RTO,
+    /// and retried lookups carry their backoff.
     pub routing: Metrics,
     /// Maintenance traffic split by purpose, one entry per layer
-    /// (index 0 = the global ring; Chord has a single entry).
+    /// (index 0 = the global ring; the depth-1 Chord baseline has a
+    /// single entry).
     /// Cross-layer work — joins, graceful-leave repair, lookups — is
     /// attributed to the global-ring entry; landmark re-binning to the
     /// lowest layer.
@@ -130,7 +189,8 @@ pub struct ChurnReport {
     pub population_end: usize,
     /// HIERAS under churn.
     pub hieras: AlgoChurnStats,
-    /// The Chord baseline under the identical schedule and lookups.
+    /// The Chord baseline — the same message engine at depth 1 —
+    /// under the identical schedule, bootstraps and lookups.
     pub chord: AlgoChurnStats,
     /// Every message the HIERAS network delivered.
     pub messages_total: u64,
@@ -153,5 +213,28 @@ impl ToJson for ChurnReport {
             ("timeouts_total", self.timeouts_total.to_json()),
             ("drops_total", self.drops_total.to_json()),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn maint_stats_merge_and_total_cover_every_field() {
+        let a = MaintStats {
+            lookup_msgs: 1,
+            join_msgs: 2,
+            stabilize_msgs: 3,
+            fix_finger_msgs: 4,
+            timeout_msgs: 5,
+            repair_msgs: 6,
+        };
+        assert_eq!(a.total(), 21);
+        let mut b = a;
+        b.merge(&a);
+        assert_eq!(b.total(), 42);
+        assert_eq!(b.timeout_msgs, 10);
+        assert_eq!(b.repair_msgs, 12);
     }
 }

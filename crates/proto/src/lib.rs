@@ -13,7 +13,7 @@
 //! [`SimNet`] is the transport that drives it: single-threaded,
 //! deterministic discrete-event delivery with per-link latencies from
 //! a caller-supplied delay function, plus the failure model the churn
-//! engine needs (dead-node timeouts one [`RTO_MS`] after the send, a
+//! engine needs (dead-node timeouts one 250 ms RTO after the send, a
 //! hop TTL on routed messages, retried lookups, graceful leaves,
 //! silent fails, per-layer maintenance rounds). Messages stay typed
 //! [`Payload`] values end to end.
@@ -30,5 +30,5 @@ mod sim_net;
 mod state;
 
 pub use messages::Payload;
-pub use sim_net::{JoinOutcome, LookupOutcome, RetriedLookup, SimNet, TrafficStats, RTO_MS};
+pub use sim_net::{JoinOutcome, LookupOutcome, RetriedLookup, SimNet, TrafficStats};
 pub use state::{LayerState, NodeState};

@@ -81,7 +81,7 @@ pub struct JoinOutcome {
 /// Retransmission timeout: how long a sender waits before declaring
 /// a message's destination dead, ms — what every RPC against a dead
 /// node costs.
-pub const RTO_MS: u64 = 250;
+const RTO_MS: u64 = 250;
 /// Hop budget for routed messages; exceeding it drops the message
 /// (bounds transient routing loops while pointers heal).
 const TTL: u32 = 96;
@@ -327,41 +327,15 @@ impl<'a> SimNet<'a> {
         None
     }
 
-    /// Message-driven hierarchical lookup from `origin` (§3.2).
+    /// Message-driven hierarchical lookup from `origin` (§3.2): one
+    /// [`SimNet::try_lookup`] attempt that must get through.
     ///
     /// # Panics
     /// Panics if `origin` is not a member or the network loses the
     /// request (a protocol bug, surfaced loudly).
     #[must_use]
     pub fn lookup(&mut self, origin: Id, key: Key) -> LookupOutcome {
-        let depth = self.nodes.get(&origin).expect("origin must exist").depth() as u8;
-        let req = self.fresh_req();
-        let start = self.queue.now();
-        let span = self.tracer.as_deref_mut().map(|t| {
-            t.open(start, "lookup", &[
-                ("origin", origin.raw()),
-                ("key", key.raw()),
-                ("start_layer", u64::from(depth)),
-            ])
-        });
-        // The originator processes the FindSucc locally first.
-        self.post(origin, origin, Payload::FindSucc { key, layer: depth, origin, req, hops: 0 });
-        let (_, msg, at) = self
-            .run_until(origin, |m| matches!(m, Payload::FoundSucc { req: r, .. } if *r == req))
-            .expect("lookup lost in the network");
-        match msg {
-            Payload::FoundSucc { owner, hops, .. } => {
-                // The routing latency the paper measures is the chain of
-                // FindSucc forwardings; subtract the owner's direct
-                // response leg (owner == origin ⇔ zero hops, no leg).
-                let response_leg =
-                    if owner == origin { 0 } else { (self.delay)(owner, origin) };
-                let out = LookupOutcome { owner, hops, latency_ms: at - start - response_leg };
-                self.record_lookup(span, &out, 1, 0);
-                out
-            }
-            _ => unreachable!("run_until matched FoundSucc"),
-        }
+        self.try_lookup(origin, key, 1, 0).outcome.expect("lookup lost in the network")
     }
 
     /// Folds a finished lookup into the obs sinks: closes its span
@@ -447,6 +421,10 @@ impl<'a> SimNet<'a> {
             });
             match reply {
                 Some((_, Payload::FoundSucc { owner, hops, .. }, at)) => {
+                    // The routing latency the paper measures is the
+                    // chain of FindSucc forwardings; subtract the
+                    // owner's direct response leg (owner == origin ⇔
+                    // zero hops, no leg).
                     let response_leg =
                         if owner == origin { 0 } else { (self.delay)(owner, origin) };
                     let out = LookupOutcome {
@@ -1020,6 +998,14 @@ mod tests {
             assert_eq!(got.owner, o.id_of(oracle_trace.destination()), "key {k}");
             assert_eq!(got.hops as usize, oracle_trace.hop_count(), "key {k}");
         }
+    }
+
+    #[test]
+    fn single_node_owns_all_keys() {
+        let (o, _) = build(1, 1);
+        let mut net = SimNet::from_oracle(&o, &[], delay);
+        let out = net.lookup(o.id_of(0), Id(12345));
+        assert_eq!((out.owner, out.hops, out.latency_ms), (o.id_of(0), 0, 0));
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! * [`id`] — identifier circle, SHA-1, interval arithmetic.
 //! * [`topology`] — GT-ITM Transit-Stub / Inet / BRITE network models
 //!   and the shortest-path latency oracle.
-//! * [`chord`] — the Chord baseline DHT (oracle + dynamic protocol).
+//! * [`chord`] — the Chord baseline DHT (oracle-mode rings).
 //! * [`core`] — HIERAS itself: distributed binning, ring tables,
 //!   multi-layer finger tables and the m-loop routing procedure.
 //! * [`sim`] — workload generation, metrics, experiment runners.
 //! * [`proto`] — message-level protocol engine on a deterministic
 //!   discrete-event transport.
 //! * [`churn`] — deterministic churn engine: joins, graceful leaves
-//!   and silent fails replayed through the message engine and the
-//!   dynamic Chord baseline, with timeout/retry lookups and
-//!   failure-rate metrics.
+//!   and silent fails replayed through the message engine twice — at
+//!   the configured depth and at depth 1, the Chord baseline — with
+//!   timeout/retry lookups and failure-rate metrics.
 //! * [`serve`] — the live serving engine: epoch-published snapshots,
 //!   incremental maintenance under churn, the reader-side hot-key
 //!   cache (quiesced, deterministic and free-running modes).

@@ -1,6 +1,7 @@
 //! Cross-crate equivalence: the message-level protocol engine and the
 //! oracle must implement the *same* algorithm — hop-for-hop.
 
+use hieras::chord::PathBuf;
 use hieras::core::HierasConfig;
 use hieras::id::Id;
 use hieras::prelude::*;
@@ -53,6 +54,46 @@ fn join_choreography_preserves_global_correctness() {
         ];
         let out = net.join(new_id, boot, &rtts);
         assert_eq!(out.rings_joined, 2);
+        members.push(new_id);
+    }
+    let mut sorted = members.clone();
+    sorted.sort_unstable();
+    for k in 0..100u64 {
+        let key = Id::hash_of(format!("probe-{k}").as_bytes());
+        let want = *sorted.iter().find(|&&m| m >= key).unwrap_or(&sorted[0]);
+        let src = members[(k as usize * 7) % members.len()];
+        assert_eq!(net.lookup(src, key).owner, want, "key {k}");
+    }
+}
+
+/// What makes the message engine its own Chord baseline: built from a
+/// depth-1 hierarchy (one global ring, no landmarks) it routes exactly
+/// as `ChordOracle` does — same owner, same hop count — and peers that
+/// join it later through the §3.3 choreography, with no RTTs to bin,
+/// keep every lookup exact.
+#[test]
+fn depth1_simnet_is_chord() {
+    let e = experiment(200, 23);
+    let plain = HierasConfig { depth: 1, landmarks: 0, binning: e.hieras.config().binning.clone() };
+    let ring = HierasOracle::build(IdSpace::full(), e.ids.clone(), e.orders.clone(), plain)
+        .expect("one ring over distinct ids");
+    let mut net = SimNet::from_oracle(&ring, &[], |a, b| 3 + (a.raw() ^ b.raw()) % 40);
+    let mut path = PathBuf::new();
+    for k in 0..150u64 {
+        let key = Id::hash_of(&k.to_be_bytes());
+        let src = (k % 200) as u32;
+        e.chord.lookup_into(src, key, &mut path);
+        let got = net.lookup(e.ids[src as usize], key);
+        let owner = *path.as_slice().last().expect("a path holds its source");
+        assert_eq!(got.owner, e.ids[owner as usize], "key {k}");
+        assert_eq!(got.hops as usize, path.len() - 1, "key {k}");
+    }
+    let mut members: Vec<Id> = e.ids.to_vec();
+    for j in 0..8u64 {
+        let new_id = Id::hash_of(format!("late-joiner-{j}").as_bytes());
+        let boot = members[(j as usize * 13) % members.len()];
+        let out = net.try_join(new_id, boot, &[]).expect("nothing fails, so no message is lost");
+        assert_eq!((out.rings_joined, out.rings_founded), (1, 0));
         members.push(new_id);
     }
     let mut sorted = members.clone();
