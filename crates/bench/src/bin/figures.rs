@@ -171,7 +171,8 @@ fn table2_system() -> (HierasOracle, u32) {
         (253, [0, 1, 2]),
     ];
     let ids: Arc<[Id]> = nodes.iter().map(|&(v, _)| Id(v)).collect::<Vec<_>>().into();
-    let orders = nodes.iter().map(|&(_, d)| LandmarkOrder(d.to_vec())).collect();
+    let orders =
+        nodes.iter().map(|&(_, d)| LandmarkOrder::new(&d).expect("paper digits")).collect();
     let config = HierasConfig { depth: 2, landmarks: 3, binning: Binning::paper() };
     let oracle = HierasOracle::build(space, ids, orders, config).expect("demo system builds");
     (oracle, 0) // node index 0 = id 121
@@ -213,11 +214,8 @@ fn table3(md: &mut String) -> String {
     let (oracle, _) = table2_system();
     let _ = writeln!(md, "| Ringid | Ringname | Largest | 2nd largest | Smallest | 2nd smallest | Holder |");
     let _ = writeln!(md, "|--------|----------|--------:|------------:|---------:|-------------:|-------:|");
-    let mut names: Vec<&String> = oracle.ring_tables().keys().collect();
-    names.sort();
     let mut out = Vec::new();
-    for name in names {
-        let t = &oracle.ring_tables()[name];
+    for t in oracle.ring_tables().values() {
         let holder = oracle.id_of(oracle.ring_table_holder(t.ring_id)).raw();
         let f = |v: Option<Id>| v.map_or("-".into(), |i| i.raw().to_string());
         let _ = writeln!(
@@ -232,7 +230,7 @@ fn table3(md: &mut String) -> String {
             holder,
         );
         out.push(Json::obj([
-            ("ring", t.ring_name.to_json()),
+            ("ring", t.ring_name.name().to_json()),
             ("members", t.entry_points().iter().map(|i| i.raw()).collect::<Vec<_>>().to_json()),
             ("holder", holder.to_json()),
         ]));

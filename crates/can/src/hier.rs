@@ -10,7 +10,7 @@
 use crate::{CanBuildError, CanOracle};
 use hieras_core::LandmarkOrder;
 use hieras_id::Key;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A two-layer hierarchical CAN over a binned membership.
 #[derive(Debug, Clone)]
@@ -48,17 +48,15 @@ impl HierCan {
         }
         let n = orders.len();
         let global = CanOracle::build(n, dims, seed)?;
-        let mut groups: HashMap<&LandmarkOrder, Vec<u32>> = HashMap::new();
+        // Bins are numbered in order-name order, deterministically.
+        let mut groups: BTreeMap<LandmarkOrder, Vec<u32>> = BTreeMap::new();
         for (i, o) in orders.iter().enumerate() {
-            groups.entry(o).or_default().push(i as u32);
+            groups.entry(*o).or_default().push(i as u32);
         }
-        let mut names: Vec<&LandmarkOrder> = groups.keys().copied().collect();
-        names.sort();
-        let mut bins = Vec::with_capacity(names.len());
+        let mut bins = Vec::with_capacity(groups.len());
         let mut bin_of = vec![0u32; n];
         let mut pos_in_bin = vec![0u32; n];
-        for (bi, name) in names.into_iter().enumerate() {
-            let members = groups.remove(name).expect("key from map");
+        for (bi, members) in groups.into_values().enumerate() {
             for (pos, &m) in members.iter().enumerate() {
                 bin_of[m as usize] = bi as u32;
                 pos_in_bin[m as usize] = pos as u32;
@@ -217,7 +215,7 @@ mod tests {
     fn singleton_bins_work() {
         // Every node in its own bin: lower loop is always trivial.
         let orders: Vec<LandmarkOrder> =
-            (0..6u8).map(|i| LandmarkOrder(vec![i, i])).collect();
+            (0..6u8).map(|i| LandmarkOrder::new(&[i, i]).unwrap()).collect();
         let h = HierCan::build(&orders, 2, 2).unwrap();
         assert_eq!(h.bin_count(), 6);
         for k in 0..20u64 {

@@ -16,8 +16,10 @@
 //! * [`Binning`] — distributed binning: landmark RTT → level digits →
 //!   landmark order (§2.2, Table 1).
 //! * [`HierasConfig`] — hierarchy depth, landmark count, level bounds
-//!   (§2.4), plus the prefix-refinement rule for depths > 2
-//!   (DESIGN.md §3.4 — the paper leaves deep hierarchies unspecified).
+//!   (§2.4), plus [`HierasConfig::ring_key`], the one function that
+//!   names a peer's ring at each layer (prefix refinement, which for
+//!   depths above 2 is DESIGN.md §3.4's interpretation — the paper
+//!   leaves deep hierarchies unspecified).
 //! * [`RingTable`] — the four-slot per-ring bootstrap table stored at
 //!   the node whose id is closest to `SHA-1(ringname)` (§3.1, Table 3).
 //! * [`HierasOracle`] — multi-layer finger tables over a known

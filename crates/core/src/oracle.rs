@@ -12,7 +12,7 @@ use crate::trace::{HopRecord, RouteCost};
 use hieras_chord::{PathBuf, RingArenaPool, RingBuildError, RingView};
 use hieras_id::{Id, IdSpace, Key};
 use hieras_rt::{splitmix64, Executor};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// Errors building a [`HierasOracle`].
@@ -105,7 +105,8 @@ pub struct Layer {
     pub layer_no: usize,
     /// The rings of this layer, individually shareable across epochs.
     rings: Vec<Arc<RingView>>,
-    /// Ring names (order-string prefixes), parallel to `rings`.
+    /// Ring names ([`HierasConfig::ring_key`]), sorted, parallel to
+    /// `rings`.
     names: Vec<LandmarkOrder>,
     /// Ring index (into `rings`) of each global node; shared across
     /// epochs whose membership at this layer did not move.
@@ -131,8 +132,8 @@ impl Layer {
 
     /// The name of the ring containing `node`.
     #[must_use]
-    pub fn ring_name_of(&self, node: u32) -> &LandmarkOrder {
-        &self.names[self.ring_of_node[node as usize] as usize]
+    pub fn ring_name_of(&self, node: u32) -> LandmarkOrder {
+        self.names[self.ring_of_node[node as usize] as usize]
     }
 
     /// Ring index of `node` at this layer, or `None` for a non-member.
@@ -186,8 +187,8 @@ impl OrderTable {
         *self.digest.get_or_init(|| {
             let mut h = splitmix64(0x0a4d_e45a_7ab1_e000 ^ self.list.len() as u64);
             for o in &self.list {
-                h = splitmix64(h ^ o.0.len() as u64);
-                for &d in &o.0 {
+                h = splitmix64(h ^ o.len() as u64);
+                for d in o.digits() {
                     h = splitmix64(h ^ u64::from(d));
                 }
             }
@@ -196,14 +197,27 @@ impl OrderTable {
     }
 }
 
-/// Records `ring` in `table` from the two ends of its id-sorted arena.
-/// A table keeps the two smallest and two largest ids it has seen, so
-/// these (at most four) members are all of the ring it can ever hold —
-/// the same table as observing every member.
-fn observe_ends(table: &mut RingTable, ring: &RingView) {
-    let last = ring.len() as u32 - 1;
-    for pos in [0, 1.min(last), last.saturating_sub(1), last] {
-        table.observe(ring.id_at(pos));
+/// Recomputes the ring table of `name` from every lower-layer ring so
+/// named (two layers with equal prefix lengths share a name), in layer
+/// order, or drops it when no such ring is left. Each ring enters
+/// through the two ends of its id-sorted arena: a table keeps the two
+/// smallest and two largest ids it has seen, so these (at most four)
+/// members are all of the ring it can ever hold — the same table as
+/// observing every member.
+fn refresh_table(
+    tables: &mut BTreeMap<LandmarkOrder, RingTable>,
+    layers: &[Layer],
+    name: LandmarkOrder,
+) {
+    tables.remove(&name);
+    for layer in &layers[1..] {
+        let Ok(ri) = layer.names.binary_search(&name) else { continue };
+        let ring = &layer.rings[ri];
+        let table = tables.entry(name).or_insert_with(|| RingTable::new(&name));
+        let last = ring.len() as u32 - 1;
+        for pos in [0, 1.min(last), last.saturating_sub(1), last] {
+            table.observe(ring.id_at(pos));
+        }
     }
 }
 
@@ -221,7 +235,7 @@ pub struct HierasOracle {
     /// `layers[j-1]` is layer `j`; `layers[0]` is the global ring.
     layers: Vec<Layer>,
     /// Ring tables of every non-global ring, keyed by ring name.
-    ring_tables: HashMap<String, RingTable>,
+    ring_tables: BTreeMap<LandmarkOrder, RingTable>,
 }
 
 /// One epoch's membership/binning movement, in global node indices.
@@ -310,7 +324,7 @@ impl HierasOracle {
     /// [`HierasOracle::build_on`] restricted to a *subset* of the node
     /// table: only the global indices in `members` join the hierarchy
     /// (one global ring of the members, lower rings grouping members by
-    /// landmark-order prefix). The id table and landmark orders stay
+    /// [`HierasConfig::ring_key`]). The id table and landmark orders stay
     /// global-sized, so routes, [`HierasOracle::eval`] link callbacks
     /// and [`HierasOracle::owner_of`] all speak global node indices —
     /// a churned snapshot drops straight into code written for the
@@ -361,27 +375,24 @@ impl HierasOracle {
             ring_of_node: Box<[u32]>,
         }
         let group_layer = |layer_no: usize| -> LayerProto {
-            let plen = config.prefix_len(layer_no);
-            let mut groups: HashMap<LandmarkOrder, Vec<u32>> = HashMap::new();
+            // Rings are numbered in name order, deterministically.
+            let mut groups: BTreeMap<LandmarkOrder, Vec<u32>> = BTreeMap::new();
             for &i in members {
-                groups.entry(orders[i as usize].prefix(plen)).or_default().push(i);
+                groups.entry(config.ring_key(layer_no, &orders[i as usize])).or_default().push(i);
             }
-            let mut names: Vec<LandmarkOrder> = groups.keys().cloned().collect();
-            names.sort(); // deterministic ring numbering
             // Non-members keep u32::MAX, so `ring_of` on a dead node
             // trips an index panic instead of silently routing.
             let mut ring_of_node = vec![u32::MAX; n].into_boxed_slice();
-            let members: Vec<Vec<u32>> = names
-                .iter()
+            let (names, members) = groups
+                .into_iter()
                 .enumerate()
-                .map(|(ri, name)| {
-                    let members = groups.remove(name).expect("name came from groups");
+                .map(|(ri, (name, members))| {
                     for &m in &members {
                         ring_of_node[m as usize] = ri as u32;
                     }
-                    members
+                    (name, members)
                 })
-                .collect();
+                .unzip();
             LayerProto { layer_no, names, members, ring_of_node }
         };
         let protos: Vec<LayerProto> = exec.par_fold(
@@ -432,14 +443,9 @@ impl HierasOracle {
             });
         }
         // Ring tables for every non-global ring (§3.1).
-        let mut ring_tables = HashMap::new();
-        for layer in layers.iter().skip(1) {
-            for (name, ring) in layer.rings() {
-                let table = ring_tables
-                    .entry(name.name())
-                    .or_insert_with(|| RingTable::new(name));
-                observe_ends(table, ring);
-            }
+        let mut ring_tables = BTreeMap::new();
+        for &name in layers[1..].iter().flat_map(|layer| &layer.names) {
+            refresh_table(&mut ring_tables, &layers, name);
         }
         let orders = Arc::new(OrderTable { list: orders, digest: OnceLock::new() });
         Ok(HierasOracle { space, ids, config, orders, layers, ring_tables })
@@ -492,8 +498,8 @@ impl HierasOracle {
 
     /// Landmark order of node `node`.
     #[must_use]
-    pub fn order_of(&self, node: u32) -> &LandmarkOrder {
-        &self.orders.list[node as usize]
+    pub fn order_of(&self, node: u32) -> LandmarkOrder {
+        self.orders.list[node as usize]
     }
 
     /// The layers, top (global, layer 1) first.
@@ -533,13 +539,14 @@ impl HierasOracle {
 
     /// The ring table of the ring named `name`, if that ring exists.
     #[must_use]
-    pub fn ring_table(&self, name: &str) -> Option<&RingTable> {
+    pub fn ring_table(&self, name: &LandmarkOrder) -> Option<&RingTable> {
         self.ring_tables.get(name)
     }
 
-    /// All ring tables (for diagnostics and the Table 3 figure).
+    /// All ring tables in ring-name order (for diagnostics and the
+    /// Table 3 figure).
     #[must_use]
-    pub fn ring_tables(&self) -> &HashMap<String, RingTable> {
+    pub fn ring_tables(&self) -> &BTreeMap<LandmarkOrder, RingTable> {
         &self.ring_tables
     }
 
@@ -675,7 +682,7 @@ impl HierasOracle {
     /// Per-ring movement of a delta at one layer, keyed by ring name
     /// (sorted): `name → (removals, insertions)`. Departures group
     /// under the node's *old* order (the one it was grouped by),
-    /// joins under the *new* one; a re-bin whose prefix is unchanged
+    /// joins under the *new* one; a re-bin whose ring key is unchanged
     /// at this layer touches nothing.
     ///
     /// # Panics
@@ -683,20 +690,21 @@ impl HierasOracle {
     /// callers validate first).
     fn layer_changes(
         &self,
-        plen: usize,
+        layer_no: usize,
         delta: &HierasDelta<'_>,
         orders: &[LandmarkOrder],
     ) -> BTreeMap<LandmarkOrder, (Vec<u32>, Vec<u32>)> {
+        let key = |order: &LandmarkOrder| self.config.ring_key(layer_no, order);
         let mut changes: BTreeMap<LandmarkOrder, (Vec<u32>, Vec<u32>)> = BTreeMap::new();
         for &m in delta.departed {
-            changes.entry(self.orders.list[m as usize].prefix(plen)).or_default().0.push(m);
+            changes.entry(key(&self.orders.list[m as usize])).or_default().0.push(m);
         }
         for &m in delta.joined {
-            changes.entry(orders[m as usize].prefix(plen)).or_default().1.push(m);
+            changes.entry(key(&orders[m as usize])).or_default().1.push(m);
         }
         for &m in delta.rebinned {
-            let old = self.orders.list[m as usize].prefix(plen);
-            let new = orders[m as usize].prefix(plen);
+            let old = key(&self.orders.list[m as usize]);
+            let new = key(&orders[m as usize]);
             if old != new {
                 changes.entry(old).or_default().0.push(m);
                 changes.entry(new).or_default().1.push(m);
@@ -719,8 +727,7 @@ impl HierasOracle {
         let mut total = 0usize;
         for layer in &self.layers {
             total += layer.rings.len();
-            let plen = self.config.prefix_len(layer.layer_no);
-            touched += self.layer_changes(plen, delta, orders).len();
+            touched += self.layer_changes(layer.layer_no, delta, orders).len();
         }
         DeltaStats { touched_rings: touched, total_rings: total }
     }
@@ -811,15 +818,14 @@ impl HierasOracle {
         let mut new_layers = Vec::with_capacity(self.layers.len());
         let mut touched_names: Vec<LandmarkOrder> = Vec::new();
         for layer in &self.layers {
-            let plen = self.config.prefix_len(layer.layer_no);
-            let changes = self.layer_changes(plen, delta, orders);
+            let changes = self.layer_changes(layer.layer_no, delta, orders);
             if changes.is_empty() {
                 // Nothing moved at this layer: share it outright.
                 new_layers.push(layer.clone());
                 continue;
             }
             if layer.layer_no > 1 {
-                touched_names.extend(changes.keys().cloned());
+                touched_names.extend(changes.keys());
             }
             // Rings born this epoch: changed names with no current ring.
             let mut born: Vec<(&LandmarkOrder, &Vec<u32>)> = Vec::new();
@@ -843,7 +849,7 @@ impl HierasOracle {
                              rings: &mut Vec<Arc<RingView>>|
              -> Result<(), RingBuildError> {
                 let ring = RingView::build_on(exec, self.space, Arc::clone(&self.ids), ins)?;
-                names.push(name.clone());
+                names.push(*name);
                 rings.push(Arc::new(ring));
                 Ok(())
             };
@@ -856,7 +862,7 @@ impl HierasOracle {
                 match changes.get(name) {
                     None => {
                         old_to_new[oi] = new_names.len() as u32;
-                        new_names.push(name.clone());
+                        new_names.push(*name);
                         new_rings.push(Arc::clone(old));
                     }
                     Some((rem, ins)) => {
@@ -875,7 +881,7 @@ impl HierasOracle {
                         }
                         let ring = old.apply_delta_on(rem, ins, pool)?;
                         old_to_new[oi] = new_names.len() as u32;
-                        new_names.push(name.clone());
+                        new_names.push(*name);
                         new_rings.push(Arc::new(ring));
                     }
                 }
@@ -903,7 +909,7 @@ impl HierasOracle {
                 map[m as usize] = u32::MAX;
             }
             for &m in delta.joined.iter().chain(delta.rebinned) {
-                let name = orders[m as usize].prefix(plen);
+                let name = self.config.ring_key(layer.layer_no, &orders[m as usize]);
                 let ri = new_names
                     .binary_search(&name)
                     .expect("a joined/re-binned node's target ring exists");
@@ -916,23 +922,11 @@ impl HierasOracle {
                 ring_of_node: map.into(),
             });
         }
-        // Ring tables: recompute touched names only, from the same
-        // arena ends in the same layer order as the full build.
+        // Ring tables: recompute touched names only, as the full build
+        // computes every one.
         let mut ring_tables = self.ring_tables.clone();
-        touched_names.sort();
-        touched_names.dedup();
-        for name in &touched_names {
-            ring_tables.remove(&name.name());
-        }
-        for name in &touched_names {
-            for layer in new_layers.iter().skip(1) {
-                if let Ok(ri) = layer.names.binary_search(name) {
-                    let table = ring_tables
-                        .entry(name.name())
-                        .or_insert_with(|| RingTable::new(name));
-                    observe_ends(table, &layer.rings[ri]);
-                }
-            }
+        for name in touched_names {
+            refresh_table(&mut ring_tables, &new_layers, name);
         }
         Ok(HierasOracle {
             space: self.space,
@@ -958,7 +952,7 @@ impl HierasOracle {
         for layer in &self.layers {
             h = splitmix64(h ^ layer.layer_no as u64);
             for (name, ring) in layer.rings() {
-                for &d in &name.0 {
+                for d in name.digits() {
                     h = splitmix64(h ^ u64::from(d) ^ 0x1111);
                 }
                 h = splitmix64(h ^ ring.arena_digest());
@@ -967,12 +961,10 @@ impl HierasOracle {
                 h = splitmix64(h ^ u64::from(r));
             }
         }
-        let mut table_names: Vec<&String> = self.ring_tables.keys().collect();
-        table_names.sort();
-        for n in table_names {
-            let t = &self.ring_tables[n];
-            for b in n.bytes() {
-                h = splitmix64(h ^ u64::from(b));
+        for (name, t) in &self.ring_tables {
+            // The name enters as its ASCII digits.
+            for d in name.digits() {
+                h = splitmix64(h ^ u64::from(b'0' + d));
             }
             h = splitmix64(h ^ t.ring_id.0);
             for &m in t.entry_points() {
@@ -1003,6 +995,10 @@ impl HierasOracle {
 mod tests {
     use super::*;
     use crate::Binning;
+
+    fn ord(digits: &str) -> LandmarkOrder {
+        digits.parse().unwrap()
+    }
 
     /// Hand-built 2-layer system: 12 nodes, 2 landmarks, two bins.
     fn two_bin_system() -> (HierasOracle, Arc<[Id]>) {
@@ -1108,7 +1104,7 @@ mod tests {
         let err = HierasOracle::build(
             space,
             Arc::clone(&ids),
-            vec![LandmarkOrder(vec![0, 0])],
+            vec![ord("00")],
             HierasConfig { depth: 2, landmarks: 2, binning: Binning::paper() },
         )
         .unwrap_err();
@@ -1116,7 +1112,7 @@ mod tests {
         let err = HierasOracle::build(
             space,
             ids,
-            vec![LandmarkOrder(vec![0]), LandmarkOrder(vec![0, 1])],
+            vec![ord("0"), ord("01")],
             HierasConfig { depth: 2, landmarks: 2, binning: Binning::paper() },
         )
         .unwrap_err();
@@ -1127,8 +1123,8 @@ mod tests {
     fn ring_tables_cover_all_lower_rings() {
         let (o, ids) = two_bin_system();
         assert_eq!(o.ring_tables().len(), 2);
-        let t = o.ring_table("00").unwrap();
-        assert_eq!(t.ring_name, "00");
+        let t = o.ring_table(&ord("00")).unwrap();
+        assert_eq!(t.ring_name, ord("00"));
         assert!((1..=4).contains(&t.len()));
         // Every entry point is an even node's id.
         for ep in t.entry_points() {
@@ -1306,7 +1302,7 @@ mod tests {
         .unwrap();
         // One epoch: node 5 joins, node 2 leaves, node 4 re-bins to "22".
         let mut after = orders.clone();
-        after[4] = LandmarkOrder(vec![2, 2]);
+        after[4] = ord("22");
         let delta = HierasDelta { joined: &[5], departed: &[2], rebinned: &[4] };
         let inc = base
             .apply_delta_on(&exec, &delta, &after, &mut RingArenaPool::disabled())
@@ -1364,10 +1360,10 @@ mod tests {
         .unwrap();
         assert_same(&inc, &full);
         assert_eq!(inc.layers()[1].ring_count(), 1, "ring 22 died");
-        assert!(inc.ring_table("22").is_none(), "dead ring keeps no table");
+        assert!(inc.ring_table(&ord("22")).is_none(), "dead ring keeps no table");
         // Birth: node 1 rejoins under a brand-new order "11".
         let mut after = orders.clone();
-        after[1] = LandmarkOrder(vec![1, 1]);
+        after[1] = ord("11");
         let delta = HierasDelta { joined: &[1], ..HierasDelta::default() };
         let inc2 = inc
             .apply_delta_on(&exec, &delta, &after, &mut RingArenaPool::disabled())
@@ -1384,7 +1380,7 @@ mod tests {
         .unwrap();
         assert_same(&inc2, &full2);
         assert_eq!(inc2.layers()[1].ring_count(), 2, "ring 11 born");
-        assert_eq!(inc2.ring_table("11").unwrap().len(), 1);
+        assert_eq!(inc2.ring_table(&ord("11")).unwrap().len(), 1);
     }
 
     #[test]
@@ -1408,7 +1404,7 @@ mod tests {
         assert_eq!(err, HierasBuildError::OrderCount { expected: 12, got: 5 });
         // A live member's order moved without being declared re-binned.
         let mut sneaky = orders.clone();
-        sneaky[7] = LandmarkOrder(vec![0, 0]);
+        sneaky[7] = ord("00");
         let err = o
             .apply_delta_on(&exec, &HierasDelta::default(), &sneaky, &mut pool)
             .unwrap_err();
@@ -1443,7 +1439,7 @@ mod tests {
                 for &m in ring.members() {
                     want.observe(o.id_of(m));
                 }
-                assert_eq!(o.ring_table(&name.name()), Some(&want), "ring {name}");
+                assert_eq!(o.ring_table(name), Some(&want), "ring {name}");
                 rings += 1;
             }
         }
@@ -1463,7 +1459,7 @@ mod tests {
         for small in 1..=6usize {
             // Ring "00" holds `small` nodes, ring "22" the other 12 - small.
             let orders: Vec<LandmarkOrder> = (0..12)
-                .map(|i| LandmarkOrder(if i < small { vec![0, 0] } else { vec![2, 2] }))
+                .map(|i| ord(if i < small { "00" } else { "22" }))
                 .collect();
             let mut o = HierasOracle::build_members_on(
                 &exec,
@@ -1519,7 +1515,7 @@ mod tests {
         assert_eq!((s.touched_rings, s.total_rings), (2, 3));
         // A re-bin from "22" to "00" touches both stub rings, not global.
         let mut after = orders.clone();
-        after[3] = LandmarkOrder(vec![0, 0]);
+        after[3] = ord("00");
         let delta = HierasDelta { rebinned: &[3], ..HierasDelta::default() };
         let s = o.delta_touch_stats(&delta, &after);
         assert_eq!((s.touched_rings, s.total_rings), (2, 3));

@@ -7,6 +7,11 @@
 //! routes a ring-table request to the table holder over the global
 //! ring (an ordinary Chord lookup), then asks any recorded member to
 //! build its ring-restricted finger table (§3.3).
+//!
+//! A table is keyed by its ring's name, the packed [`LandmarkOrder`]
+//! [`crate::HierasConfig::ring_key`] produced; the ring id is the
+//! SHA-1 of the same digits as ASCII, stored so table holders need no
+//! rehash.
 
 use crate::LandmarkOrder;
 use hieras_id::Id;
@@ -19,7 +24,7 @@ pub struct RingTable {
     /// `SHA-1(ringname)` — determines which node stores this table.
     pub ring_id: Id,
     /// The landmark-order digit string naming the ring, e.g. "012".
-    pub ring_name: String,
+    pub ring_name: LandmarkOrder,
     /// Member ids, ascending, at most four: `[smallest,
     /// second-smallest, second-largest, largest]` (fewer while the ring
     /// is small; always deduplicated).
@@ -30,7 +35,7 @@ impl RingTable {
     /// An empty table for the ring named by `order`.
     #[must_use]
     pub fn new(order: &LandmarkOrder) -> Self {
-        RingTable { ring_id: order.ring_id(), ring_name: order.name(), members: Vec::new() }
+        RingTable { ring_id: order.ring_id(), ring_name: *order, members: Vec::new() }
     }
 
     /// The node with the smallest id, if any.
@@ -154,7 +159,7 @@ impl ToJson for RingTable {
     fn to_json(&self) -> Json {
         Json::obj([
             ("ring_id", self.ring_id.to_json()),
-            ("ring_name", self.ring_name.to_json()),
+            ("ring_name", self.ring_name.name().to_json()),
             ("members", self.members.to_json()),
         ])
     }
@@ -166,7 +171,8 @@ impl FromJson for RingTable {
         if members.len() > 4 || members.windows(2).any(|w| w[0] >= w[1]) {
             return Err(JsonError("ring table members must be <= 4 ascending ids".into()));
         }
-        Ok(RingTable { ring_id: v.field("ring_id")?, ring_name: v.field("ring_name")?, members })
+        let ring_name = v.field::<String>("ring_name")?.parse()?;
+        Ok(RingTable { ring_id: v.field("ring_id")?, ring_name, members })
     }
 }
 
@@ -175,14 +181,14 @@ mod tests {
     use super::*;
 
     fn order() -> LandmarkOrder {
-        LandmarkOrder(vec![0, 1, 2])
+        "012".parse().unwrap()
     }
 
     #[test]
     fn new_table_is_empty_and_named() {
         let t = RingTable::new(&order());
         assert!(t.is_empty());
-        assert_eq!(t.ring_name, "012");
+        assert_eq!(t.ring_name.name(), "012");
         assert_eq!(t.ring_id, Id::hash_of(b"012"));
         assert_eq!(t.smallest(), None);
         assert_eq!(t.largest(), None);

@@ -33,13 +33,13 @@ fn rng(seed: u64, n: u64) -> u64 {
 /// (level digits in the paper's 0/1/2 alphabet, three landmarks).
 fn profile(i: u64) -> LandmarkOrder {
     let digits = match i % 5 {
-        0 => vec![0, 0, 0],
-        1 => vec![2, 2, 2],
-        2 => vec![0, 2, 2],
-        3 => vec![2, 0, 0],
-        _ => vec![1, 1, 2],
+        0 => "000",
+        1 => "222",
+        2 => "022",
+        3 => "200",
+        _ => "112",
     };
-    LandmarkOrder(digits)
+    digits.parse().unwrap()
 }
 
 struct World {

@@ -163,7 +163,7 @@ impl PastryOracle {
                 return Err(PastryBuildError::DuplicateId(ids[w[0] as usize]));
             }
         }
-        // Bucket nodes by (prefix_len, next_digit) is equivalent to a
+        // Bucket nodes by (shared-prefix length, next digit) is equivalent to a
         // trie walk; build per-node tables by scanning candidates per
         // bucket. Buckets keyed by the l-digit prefix value.
         use std::collections::HashMap;

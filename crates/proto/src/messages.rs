@@ -3,8 +3,12 @@
 //! Layer numbers are 1-based as in the paper: layer 1 is the global
 //! ring, layer `depth` the lowest. A lookup starts at the originator's
 //! lowest layer and *ascends* toward layer 1 (§3.2's m loops).
+//!
+//! Ring-scoped messages name their ring by its packed `Copy`
+//! [`LandmarkOrder`] (the digit string of §3.1), so a message is plain
+//! data with no heap string to clone per hop.
 
-use hieras_core::RingTable;
+use hieras_core::{LandmarkOrder, RingTable};
 use hieras_id::Id;
 
 /// Protocol messages. Every message is addressed to a node id; the
@@ -87,7 +91,7 @@ pub enum Payload {
     /// `ring_name` (§3.3: "sends a ring table request message").
     GetRingTable {
         /// Ring name (landmark-order digit string).
-        ring_name: String,
+        ring_name: LandmarkOrder,
         /// Request correlation id.
         req: u64,
     },
@@ -104,7 +108,7 @@ pub enum Payload {
     /// `ring_name` and its id may belong in the table.
     RingTableUpdate {
         /// Ring name.
-        ring_name: String,
+        ring_name: LandmarkOrder,
         /// The joining node's id.
         node: Id,
     },
@@ -165,7 +169,7 @@ pub enum Payload {
     /// removes it and starts a repair probe (§3.1's failure note).
     RingTableRemove {
         /// Ring name.
-        ring_name: String,
+        ring_name: LandmarkOrder,
         /// The departed node.
         node: Id,
     },
@@ -173,7 +177,7 @@ pub enum Payload {
     /// ring-local neighbours so freed table slots can be refilled.
     GetRingNeighbors {
         /// Ring name the receiver is expected to be a member of.
-        ring_name: String,
+        ring_name: LandmarkOrder,
         /// Request correlation id.
         req: u64,
     },
@@ -182,7 +186,7 @@ pub enum Payload {
     /// message handler, not a driver.
     RingNeighborsAre {
         /// Ring name.
-        ring_name: String,
+        ring_name: LandmarkOrder,
         /// The member's ring successor.
         succ: Id,
         /// The member's ring predecessor, if known.
@@ -277,6 +281,7 @@ mod tests {
 
     #[test]
     fn kinds_are_distinct() {
+        let ring: LandmarkOrder = "01".parse().unwrap();
         let msgs = [
             Payload::FindSucc { key: Id(1), layer: 1, origin: Id(2), req: 0, hops: 0 },
             Payload::FindRingSucc { key: Id(1), layer: 2, origin: Id(2), req: 0, hops: 0 },
@@ -285,9 +290,9 @@ mod tests {
             Payload::PredIs { layer: 1, pred: None, req: 0 },
             Payload::Notify { layer: 1 },
             Payload::UpdateSucc { layer: 1 },
-            Payload::GetRingTable { ring_name: "01".into(), req: 0 },
+            Payload::GetRingTable { ring_name: ring, req: 0 },
             Payload::RingTableIs { table: None, req: 0 },
-            Payload::RingTableUpdate { ring_name: "01".into(), node: Id(3) },
+            Payload::RingTableUpdate { ring_name: ring, node: Id(3) },
             Payload::GetFingers { layer: 2, req: 0 },
             Payload::FingersAre { layer: 2, fingers: vec![], req: 0 },
             Payload::GetLandmarks { req: 0 },
@@ -295,11 +300,11 @@ mod tests {
             Payload::Ping { req: 0 },
             Payload::Pong { req: 0 },
             Payload::LeaveUpdate { layer: 2, new_succ: Some(Id(4)), new_pred: None },
-            Payload::RingTableRemove { ring_name: "01".into(), node: Id(3) },
-            Payload::GetRingNeighbors { ring_name: "01".into(), req: 0 },
-            Payload::RingNeighborsAre { ring_name: "01".into(), succ: Id(4), pred: None, req: 0 },
+            Payload::RingTableRemove { ring_name: ring, node: Id(3) },
+            Payload::GetRingNeighbors { ring_name: ring, req: 0 },
+            Payload::RingNeighborsAre { ring_name: ring, succ: Id(4), pred: None, req: 0 },
             Payload::RingTableHandoff {
-                table: RingTable::new(&hieras_core::LandmarkOrder(vec![0, 1])),
+                table: RingTable::new(&ring),
             },
             Payload::Timeout {
                 dead: Id(9),

@@ -13,13 +13,13 @@
 //! addressed to the node they orchestrate; everything else flows
 //! through [`NodeState::handle`].
 
-use crate::state::{order_from_name, states_from_oracle};
+use crate::state::states_from_oracle;
 use crate::{LayerState, NodeState, Payload};
-use hieras_core::{HierasConfig, HierasOracle};
+use hieras_core::{HierasConfig, HierasOracle, LandmarkOrder};
 use hieras_id::{Id, Key};
 use hieras_obs::{Registry, Tracer};
 use hieras_sim::EventQueue;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Message-traffic counters by purpose.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -590,12 +590,12 @@ impl<'a> SimNet<'a> {
 
         // Step 3: global ring (layer 1) through n'.
         let (g_succ, _) = self.resolve_via(new_id, bootstrap, new_id, 1)?;
-        layers.push(self.splice_layer(new_id, 1, String::new(), g_succ, bits)?);
+        let global = self.config.ring_key(1, &order);
+        layers.push(self.splice_layer(new_id, 1, global, g_succ, bits)?);
 
         // Step 4: lower layers.
         for layer_no in 2..=depth as u8 {
-            let plen = self.config.prefix_len(layer_no as usize);
-            let ring_name = order.prefix(plen).name();
+            let ring_name = self.config.ring_key(usize::from(layer_no), &order);
             let (ls, was_founded) =
                 self.join_lower_layer(new_id, layer_no, ring_name, bootstrap, bits)?;
             founded += usize::from(was_founded);
@@ -608,7 +608,7 @@ impl<'a> SimNet<'a> {
                 id: new_id,
                 space,
                 layers,
-                ring_tables: HashMap::new(),
+                ring_tables: BTreeMap::new(),
                 landmarks,
                 suspects: HashSet::new(),
             },
@@ -631,19 +631,15 @@ impl<'a> SimNet<'a> {
         &mut self,
         node: Id,
         layer_no: u8,
-        ring_name: String,
+        ring_name: LandmarkOrder,
         via: Id,
         bits: u32,
     ) -> Option<(LayerState, bool)> {
-        let ring_id = order_from_name(&ring_name).ring_id();
-        let (holder, _) = self.resolve_via(node, via, ring_id, 1)?;
+        let (holder, _) = self.resolve_via(node, via, ring_name.ring_id(), 1)?;
         let req = self.fresh_req();
-        let reply = self.try_rpc(
-            node,
-            holder,
-            Payload::GetRingTable { ring_name: ring_name.clone(), req },
-            |m| matches!(m, Payload::RingTableIs { req: r, .. } if *r == req),
-        )?;
+        let reply = self.try_rpc(node, holder, Payload::GetRingTable { ring_name, req }, |m| {
+            matches!(m, Payload::RingTableIs { req: r, .. } if *r == req)
+        })?;
         let table = match reply {
             Payload::RingTableIs { table, .. } => table,
             _ => unreachable!(),
@@ -657,7 +653,7 @@ impl<'a> SimNet<'a> {
             Some(p) => {
                 // Resolve our in-ring successor through entry point p.
                 let (succ, _) = self.resolve_via(node, p, node, layer_no)?;
-                let mut ls = self.splice_layer(node, layer_no, ring_name.clone(), succ, bits)?;
+                let mut ls = self.splice_layer(node, layer_no, ring_name, succ, bits)?;
                 // Initial finger approximation: copy p's table (§3.3's
                 // "p generates the finger table of n and sends it back").
                 let req = self.fresh_req();
@@ -672,7 +668,7 @@ impl<'a> SimNet<'a> {
             }
             None => {
                 // First member of this ring: found it.
-                (LayerState::solo(ring_name.clone(), node, bits), true)
+                (LayerState::solo(ring_name, node, bits), true)
             }
         };
         // Ring-table modification message (§3.3) — also what creates
@@ -690,7 +686,7 @@ impl<'a> SimNet<'a> {
         &mut self,
         new_id: Id,
         layer: u8,
-        ring_name: String,
+        ring_name: LandmarkOrder,
         succ: Id,
         bits: u32,
     ) -> Option<LayerState> {
@@ -739,49 +735,47 @@ impl<'a> SimNet<'a> {
         // delivered before the table maintenance below routes anything
         // (so repair probes never re-learn the leaver).
         for (i, ls) in state.layers.iter().enumerate() {
-            let layer = u8::try_from(i + 1).expect("depth fits u8");
-            if ls.succ == id {
-                continue; // solo ring: nobody to patch
-            }
-            let pred = ls.pred.filter(|&p| p != id);
-            if let Some(p) = pred {
-                self.post(id, p, Payload::LeaveUpdate {
-                    layer,
-                    new_succ: Some(ls.succ),
-                    new_pred: None,
-                });
-            }
-            self.post(id, ls.succ, Payload::LeaveUpdate {
-                layer,
-                new_succ: None,
-                new_pred: pred,
-            });
+            self.patch_neighbours(id, u8::try_from(i + 1).expect("depth fits u8"), ls);
         }
         self.drain();
         // Phase 2: delist from lower-layer ring tables while the
         // leaver can still route, and hand off held tables.
         for ls in state.layers.iter().skip(1) {
-            let ring_id = order_from_name(&ls.ring_name).ring_id();
-            if let Some((holder, _)) = self.resolve_via(id, id, ring_id, 1) {
-                self.post(id, holder, Payload::RingTableRemove {
-                    ring_name: ls.ring_name.clone(),
-                    node: id,
-                });
-            }
+            self.delist(id, ls.ring_name);
         }
         let heir = state.layers[0].succ;
         if heir != id {
-            let mut names: Vec<&String> = state.ring_tables.keys().collect();
-            names.sort_unstable();
-            for name in names {
-                self.post(id, heir, Payload::RingTableHandoff {
-                    table: state.ring_tables[name].clone(),
-                });
+            for table in state.ring_tables.into_values() {
+                self.post(id, heir, Payload::RingTableHandoff { table });
             }
         }
         self.drain();
         self.nodes.remove(&id);
         true
+    }
+
+    /// Posts `id`'s goodbye to its ring neighbours in `layer` (state
+    /// `ls`): each learns its replacement pointer (`LeaveUpdate`). A
+    /// solo ring has nobody to patch.
+    fn patch_neighbours(&mut self, id: Id, layer: u8, ls: &LayerState) {
+        if ls.succ == id {
+            return;
+        }
+        let pred = ls.pred.filter(|&p| p != id);
+        let patch = |new_succ, new_pred| Payload::LeaveUpdate { layer, new_succ, new_pred };
+        if let Some(p) = pred {
+            self.post(id, p, patch(Some(ls.succ), None));
+        }
+        self.post(id, ls.succ, patch(None, pred));
+    }
+
+    /// Routes a `RingTableRemove` for `id` to the holder of `ring`'s
+    /// table (the global owner of its ring id), if the lookup gets
+    /// through.
+    fn delist(&mut self, id: Id, ring: LandmarkOrder) {
+        if let Some((holder, _)) = self.resolve_via(id, id, ring.ring_id(), 1) {
+            self.post(id, holder, Payload::RingTableRemove { ring_name: ring, node: id });
+        }
     }
 
     /// One stabilization round over `layer`, members visited in
@@ -895,37 +889,16 @@ impl<'a> SimNet<'a> {
         let order = self.config.binning.order(rtts);
         let mut moved = 0usize;
         for layer_no in 2..=depth as u8 {
-            let plen = self.config.prefix_len(layer_no as usize);
-            let new_name = order.prefix(plen).name();
+            let new_name = self.config.ring_key(usize::from(layer_no), &order);
             let old = self.nodes[&id].layer(layer_no).clone();
             if old.ring_name == new_name {
                 continue;
             }
             // Leave the old ring: patch its neighbours, delist from its
             // table.
-            if old.succ != id {
-                let pred = old.pred.filter(|&p| p != id);
-                if let Some(p) = pred {
-                    self.post(id, p, Payload::LeaveUpdate {
-                        layer: layer_no,
-                        new_succ: Some(old.succ),
-                        new_pred: None,
-                    });
-                }
-                self.post(id, old.succ, Payload::LeaveUpdate {
-                    layer: layer_no,
-                    new_succ: None,
-                    new_pred: pred,
-                });
-            }
+            self.patch_neighbours(id, layer_no, &old);
             self.drain();
-            let old_ring_id = order_from_name(&old.ring_name).ring_id();
-            if let Some((holder, _)) = self.resolve_via(id, id, old_ring_id, 1) {
-                self.post(id, holder, Payload::RingTableRemove {
-                    ring_name: old.ring_name.clone(),
-                    node: id,
-                });
-            }
+            self.delist(id, old.ring_name);
             self.drain();
             // Join the new ring through ourselves — we still route over
             // the global ring.
@@ -1034,7 +1007,7 @@ mod tests {
         assert!(outcome.messages >= 8, "join used only {} messages", outcome.messages);
         assert!(net.node(new_id).is_some());
         let state = net.node(new_id).unwrap();
-        assert_eq!(state.layer(2).ring_name, "00");
+        assert_eq!(state.layer(2).ring_name.name(), "00");
         // The newcomer resolves lookups & is found by others:
         let out = net.lookup(new_id, Id(123456));
         assert_eq!(out.owner, net.node(out.owner).unwrap().id);
@@ -1054,12 +1027,12 @@ mod tests {
         let outcome = net.join(new_id, o.id_of(0), &[50, 10]);
         assert_eq!(outcome.rings_founded, 1);
         let s = net.node(new_id).unwrap();
-        assert_eq!(s.layer(2).ring_name, "10");
+        let ring = s.layer(2).ring_name;
+        assert_eq!(ring.name(), "10");
         assert_eq!(s.layer(2).succ, new_id); // solo ring
         // The ring table now exists at its holder.
-        let ring_id = order_from_name("10").ring_id();
-        let holder = net.lookup(o.id_of(0), ring_id).owner;
-        let held = net.node(holder).unwrap().ring_tables.get("10").unwrap();
+        let holder = net.lookup(o.id_of(0), ring.ring_id()).owner;
+        let held = &net.node(holder).unwrap().ring_tables[&ring];
         assert_eq!(held.entry_points(), &[new_id]);
     }
 
@@ -1215,8 +1188,8 @@ mod tests {
             .iter()
             .find(|id| !net.node(**id).unwrap().ring_tables.is_empty())
             .expect("some node holds a ring table");
-        let names: Vec<String> =
-            net.node(holder).unwrap().ring_tables.keys().cloned().collect();
+        let names: Vec<LandmarkOrder> =
+            net.node(holder).unwrap().ring_tables.keys().copied().collect();
         let heir = net.node(holder).unwrap().layer(1).succ;
         net.leave_node(holder);
         for name in &names {
@@ -1234,11 +1207,11 @@ mod tests {
         // Node 0 has RTTs [5, 10] → ring "00"; re-measure as [150, 130]
         // → ring "22" (both occupied by fixture nodes).
         let id = o.id_of(0);
-        assert_eq!(net.node(id).unwrap().layer(2).ring_name, "00");
+        assert_eq!(net.node(id).unwrap().layer(2).ring_name.name(), "00");
         let moved = net.rebin_node(id, &[150, 130]);
         assert_eq!(moved, 1);
         let s = net.node(id).unwrap();
-        assert_eq!(s.layer(2).ring_name, "22");
+        assert_eq!(s.layer(2).ring_name.name(), "22");
         // Still resolves hierarchical lookups from its new ring.
         let out = net.try_lookup(id, Id(0xfeed_f00d), 3, 500);
         assert!(out.outcome.is_some());
@@ -1300,8 +1273,8 @@ mod tests {
         let s = net.node(new_id).unwrap();
         assert_eq!(s.depth(), 3);
         // Layer ring names are prefixes of each other (nesting).
-        let n2 = s.layer(2).ring_name.clone();
-        let n3 = s.layer(3).ring_name.clone();
+        let n2 = s.layer(2).ring_name.name();
+        let n3 = s.layer(3).ring_name.name();
         assert!(n3.starts_with(&n2));
     }
 }

@@ -1,15 +1,20 @@
 //! Per-node protocol state and the pure message handler.
+//!
+//! A node knows each of its rings by the packed [`LandmarkOrder`]
+//! [`hieras_core::HierasConfig::ring_key`] named it with: the same
+//! `Copy` value keys the ring tables it holds and travels in every
+//! ring-scoped message, and its `ring_id()` locates a table's holder.
 
 use crate::Payload;
-use hieras_core::{HierasOracle, RingTable};
+use hieras_core::{HierasOracle, LandmarkOrder, RingTable};
 use hieras_id::{Id, IdSpace, Key};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// One ring membership: the node's routing state in a single layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerState {
-    /// Ring name (empty string for the global ring).
-    pub ring_name: String,
+    /// Ring name (the empty order for the global ring).
+    pub ring_name: LandmarkOrder,
     /// Ring successor.
     pub succ: Id,
     /// Ring predecessor (`None` until learned).
@@ -22,7 +27,7 @@ impl LayerState {
     /// A single-member ring (a node founding a new ring, or the first
     /// node of the system).
     #[must_use]
-    pub fn solo(ring_name: String, me: Id, bits: u32) -> Self {
+    pub fn solo(ring_name: LandmarkOrder, me: Id, bits: u32) -> Self {
         LayerState { ring_name, succ: me, pred: Some(me), fingers: vec![None; bits as usize] }
     }
 }
@@ -37,7 +42,7 @@ pub struct NodeState {
     /// Per-layer state; index 0 = layer 1 (global), last = lowest.
     pub layers: Vec<LayerState>,
     /// Ring tables this node stores (it is their holder).
-    pub ring_tables: HashMap<String, RingTable>,
+    pub ring_tables: BTreeMap<LandmarkOrder, RingTable>,
     /// Landmark router ids (the landmark table of §3.1).
     pub landmarks: Vec<u32>,
     /// Nodes this node has observed to be dead (a send to them timed
@@ -267,13 +272,8 @@ impl NodeState {
             }
             Payload::RingTableIs { .. } => Vec::new(), // consumed by drivers
             Payload::RingTableUpdate { ring_name, node } => {
-                let table = self
-                    .ring_tables
-                    .entry(ring_name.clone())
-                    .or_insert_with(|| {
-                        RingTable::new(&order_from_name(&ring_name))
-                    });
-                table.observe(node);
+                let fresh = || RingTable::new(&ring_name);
+                self.ring_tables.entry(ring_name).or_insert_with(fresh).observe(node);
                 Vec::new()
             }
             Payload::GetFingers { layer, req } => {
@@ -358,7 +358,7 @@ impl NodeState {
                         existing.repair_from(table.entry_points().iter().copied());
                     }
                     None => {
-                        self.ring_tables.insert(table.ring_name.clone(), table);
+                        self.ring_tables.insert(table.ring_name, table);
                     }
                 }
                 Vec::new()
@@ -382,13 +382,6 @@ impl NodeState {
     }
 }
 
-/// Parses a ring name back into a [`hieras_core::LandmarkOrder`]
-/// (digit characters '0'–'9').
-#[must_use]
-pub(crate) fn order_from_name(name: &str) -> hieras_core::LandmarkOrder {
-    hieras_core::LandmarkOrder(name.bytes().map(|b| b.saturating_sub(b'0')).collect())
-}
-
 /// Extracts every node's protocol state from a built oracle — the
 /// "warm bootstrap" used to initialize transports with a consistent,
 /// fully stabilized network.
@@ -402,7 +395,7 @@ pub fn states_from_oracle(oracle: &HierasOracle, landmarks: &[u32]) -> Vec<NodeS
             id: oracle.id_of(node),
             space,
             layers: Vec::with_capacity(oracle.layers().len()),
-            ring_tables: HashMap::new(),
+            ring_tables: BTreeMap::new(),
             landmarks: landmarks.to_vec(),
             suspects: HashSet::new(),
         })
@@ -418,7 +411,7 @@ pub fn states_from_oracle(oracle: &HierasOracle, landmarks: &[u32]) -> Vec<NodeS
                     *f = Some(oracle.id_of(ring.node_at(ring.finger(pos, i as u32))));
                 }
                 states[member as usize].layers.push(LayerState {
-                    ring_name: name.name(),
+                    ring_name: *name,
                     succ,
                     pred: Some(pred),
                     fingers,
@@ -429,7 +422,7 @@ pub fn states_from_oracle(oracle: &HierasOracle, landmarks: &[u32]) -> Vec<NodeS
     // Ring tables live at their holders.
     for table in oracle.ring_tables().values() {
         let holder = oracle.ring_table_holder(table.ring_id);
-        states[holder as usize].ring_tables.insert(table.ring_name.clone(), table.clone());
+        states[holder as usize].ring_tables.insert(table.ring_name, table.clone());
     }
     states
 }
@@ -535,19 +528,12 @@ mod tests {
         let o = oracle();
         let mut states = states_from_oracle(&o, &[]);
         let sender = states[4].id;
-        let out = states[3].handle(
-            sender,
-            Payload::RingTableUpdate { ring_name: "99".into(), node: Id(42) },
-        );
+        let ring: LandmarkOrder = "99".parse().unwrap();
+        let out =
+            states[3].handle(sender, Payload::RingTableUpdate { ring_name: ring, node: Id(42) });
         assert!(out.is_empty());
-        let t = states[3].ring_tables.get("99").unwrap();
+        let t = &states[3].ring_tables[&ring];
         assert_eq!(t.entry_points(), &[Id(42)]);
-    }
-
-    #[test]
-    fn order_from_name_roundtrips() {
-        let o = order_from_name("0212");
-        assert_eq!(o.0, vec![0, 2, 1, 2]);
-        assert_eq!(o.name(), "0212");
+        assert_eq!(t.ring_id, Id::hash_of(b"99"));
     }
 }

@@ -340,7 +340,7 @@ impl Experiment {
         perm.sort_by(|&a, &b| orders[a as usize].cmp(&orders[b as usize]).then(a.cmp(&b)));
         let router_of: Vec<u32> = perm.iter().map(|&p| router_of[p as usize]).collect();
         let orders: Vec<LandmarkOrder> =
-            perm.iter().map(|&p| orders[p as usize].clone()).collect();
+            perm.iter().map(|&p| orders[p as usize]).collect();
         prof.end();
 
         // Unique node identifiers (production path: SHA-1 of a name).

@@ -48,7 +48,12 @@ fn main() {
     println!("  rings joined : {} (founded {})", join.rings_joined, join.rings_founded);
     println!("  messages     : {} ({} total in network)", join.messages, net.stats().total);
     println!("  simulated ms : {}", join.duration_ms);
-    println!("  ring name    : \"{}\"", net.node(newcomer).unwrap().layer(2).ring_name);
+    // The lowest ring's name is the newcomer's landmark order as
+    // `HierasConfig::ring_key` cuts it for that layer (at depth 2, the
+    // whole digit string); the ring table was found at the owner of its
+    // ring id, the SHA-1 of those digits.
+    let ring = net.node(newcomer).unwrap().layer(2).ring_name;
+    println!("  ring name    : \"{ring}\" (ring id {})", ring.ring_id());
     println!("  traffic by kind since start:");
     let mut kinds: Vec<_> = net.stats().by_kind.iter().collect();
     kinds.sort();

@@ -68,7 +68,7 @@ bash benchmark/run.sh --smoke > target/benchmark_smoke.txt
 echo "==> drivers: each runs once; a non-zero exit fails CI"
 ./target/release/churn --smoke
 ./target/release/bench_scale --smoke
-./target/release/figures table1 > /dev/null
+./target/release/figures table1 table2 table3 > /dev/null
 ts=target/timeseries
 ./target/release/bench_live --smoke --timeseries-out "$ts.jsonl"
 

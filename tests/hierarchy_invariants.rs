@@ -184,7 +184,7 @@ fn ring_tables_record_extremes() {
         .unwrap();
         let _ = n;
         for (name, ring) in o.layers()[1].rings() {
-            let table = o.ring_table(&name.name()).expect("table exists for every ring");
+            let table = o.ring_table(name).expect("table exists for every ring");
             let mut member_ids: Vec<Id> =
                 ring.members().iter().map(|&m| ids[m as usize]).collect();
             member_ids.sort_unstable();

@@ -37,7 +37,7 @@ fn table2_system() -> HierasOracle {
         (253, [0, 1, 2]),
     ];
     let ids: Arc<[Id]> = nodes.iter().map(|&(v, _)| Id(v)).collect::<Vec<_>>().into();
-    let orders = nodes.iter().map(|&(_, d)| LandmarkOrder(d.to_vec())).collect();
+    let orders = nodes.iter().map(|&(_, d)| LandmarkOrder::new(&d).unwrap()).collect();
     HierasOracle::build(
         space,
         ids,
@@ -91,13 +91,14 @@ fn table2_verbatim() {
 #[test]
 fn table3_structure() {
     let oracle = table2_system();
-    let t = oracle.ring_table("012").expect("ring 012 exists");
+    let name: LandmarkOrder = "012".parse().unwrap();
+    let t = oracle.ring_table(&name).expect("ring 012 exists");
     // Members of "012": 121, 143, 158, 212, 253.
     assert_eq!(t.smallest(), Some(Id(121)));
     assert_eq!(t.second_smallest(), Some(Id(143)));
     assert_eq!(t.second_largest(), Some(Id(212)));
     assert_eq!(t.largest(), Some(Id(253)));
-    assert_eq!(t.ring_id, LandmarkOrder(vec![0, 1, 2]).ring_id());
+    assert_eq!(t.ring_id, Id::hash_of(b"012"));
     // Holder = global successor of the ring id.
     let holder = oracle.ring_table_holder(t.ring_id);
     assert_eq!(holder, oracle.owner_of(t.ring_id));

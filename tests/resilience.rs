@@ -45,8 +45,7 @@ fn landmark_failure_degrades_gracefully() {
 /// slot with a surviving member and entry points stay usable.
 #[test]
 fn ring_table_holder_repairs_after_member_failure() {
-    let order = LandmarkOrder(vec![0, 1]);
-    let mut t = RingTable::new(&order);
+    let mut t = RingTable::new(&"01".parse().unwrap());
     let members: Vec<Id> = (1..=8u64).map(|i| Id(i * 100)).collect();
     for &m in &members {
         t.observe(m);

@@ -36,7 +36,7 @@ fn config_types_roundtrip() {
 
 #[test]
 fn ring_table_and_order_roundtrip() {
-    let order = LandmarkOrder(vec![0, 2, 1]);
+    let order = LandmarkOrder::new(&[0, 2, 1]).unwrap();
     let mut t = RingTable::new(&order);
     for i in [5u64, 900, 17, 40000] {
         t.observe(Id(i));
@@ -44,6 +44,29 @@ fn ring_table_and_order_roundtrip() {
     let back: RingTable = roundtrip(&t);
     assert_eq!(back, t);
     assert_eq!(roundtrip(&order), order);
+}
+
+/// Hostile landmark orders, ring names and landmark counts are JSON
+/// errors, never a panic or a clamp: `[9]` and `[12]` once rendered to
+/// the same ring name "9" and shared one ring table.
+#[test]
+fn out_of_range_orders_and_ring_names_are_rejected() {
+    let parse = |text: &str| Json::parse(text).expect("well-formed JSON");
+    assert!(LandmarkOrder::from_json(&parse("[9]")).is_ok());
+    for bad in ["[12]", "[0, 10]", "[255]", "[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]", "\"012\""] {
+        assert!(LandmarkOrder::from_json(&parse(bad)).is_err(), "order {bad}");
+    }
+    let table = |name: &str| format!(r#"{{"ring_id": 1, "ring_name": "{name}", "members": []}}"#);
+    assert!(RingTable::from_json(&parse(&table("012"))).is_ok());
+    assert!(RingTable::from_json(&parse(&table(""))).is_ok());
+    for bad in ["7x", "x", "-1", "0123456789012345678"] {
+        assert!(RingTable::from_json(&parse(&table(bad))).is_err(), "ring name {bad:?}");
+    }
+    let mut cfg = HierasConfig::paper();
+    cfg.landmarks = 16;
+    assert_eq!(roundtrip(&cfg), cfg);
+    cfg.landmarks = 17;
+    assert!(HierasConfig::from_json(&parse(&cfg.to_json().dump())).is_err(), "17 landmarks");
 }
 
 #[test]
