@@ -277,8 +277,7 @@ impl RingView {
             return Err(RingBuildError::Empty);
         }
         // Each insertion's slot: the old position it goes in front of.
-        let slots: Vec<usize> =
-            ins.iter().map(|&(id, _)| self.member_ids.partition_point(|&m| m < id)).collect();
+        let slots: Vec<usize> = ins.iter().map(|&(id, _)| self.seek_pos(id)).collect();
         let seek_len = (1usize << Self::seek_bits(self.space, new_len)) + 1;
         let same_grid = seek_len == self.seek.len();
         let mut members = pool.take_u32(new_len);
@@ -376,19 +375,31 @@ impl RingView {
         pool.put_u32(self.seek);
     }
 
-    /// Position of the first member with id ≥ `target`, wrapping to 0 —
-    /// `successor(target)` in Chord terms. One seek-bucket lookup plus a
-    /// binary search confined to that bucket.
-    fn succ_pos(&self, target: Id) -> u32 {
-        let len = self.member_ids.len();
+    /// Position of the first member with id ≥ `target`, or `len` when
+    /// every id is smaller — `member_ids.partition_point(|&m| m <
+    /// target)`, found by one seek-bucket lookup plus a binary search
+    /// confined to that bucket.
+    #[inline]
+    fn seek_pos(&self, target: Id) -> usize {
         // Ids past the space (possible only for out-of-space queries)
-        // clamp to the last bucket and resolve to position len → 0,
-        // matching a plain wrapped binary search.
+        // clamp to the last bucket and resolve to position len, matching
+        // a plain binary search over the whole arena.
         let b = Self::bucket(target, self.seek_shift).min(self.seek.len() - 2);
         let lo = self.seek[b] as usize;
         let hi = self.seek[b + 1] as usize;
-        let p = lo + self.member_ids[lo..hi].partition_point(|&m| m < target);
-        (p % len) as u32
+        lo + self.member_ids[lo..hi].partition_point(|&m| m < target)
+    }
+
+    /// Position of the first member with id ≥ `target`, wrapping to 0 —
+    /// `successor(target)` in Chord terms.
+    #[inline]
+    fn succ_pos(&self, target: Id) -> u32 {
+        let p = self.seek_pos(target);
+        if p == self.member_ids.len() {
+            0
+        } else {
+            p as u32
+        }
     }
 
     /// Id of the member at `pos`, read from the packed arena.
@@ -418,7 +429,7 @@ impl RingView {
         self.members.len()
     }
 
-    /// True if the ring has exactly one member (never zero by construction).
+    /// Always false: a ring has at least one member by construction.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         false
@@ -452,12 +463,14 @@ impl RingView {
         self.member_ids[pos as usize]
     }
 
-    /// Ring position of global node `node`, if it is a member.
+    /// Ring position of global node `node`, if it is a member: the
+    /// seek index's position for the node's id, when the member there
+    /// holds that id and is that node.
     #[must_use]
     pub fn position_of(&self, node: u32) -> Option<u32> {
         let id = *self.ids.get(node as usize)?;
-        let p = self.member_ids.binary_search(&id).ok()?;
-        (self.members[p] == node).then_some(p as u32)
+        let p = self.seek_pos(id);
+        (self.member_ids.get(p) == Some(&id) && self.members[p] == node).then_some(p as u32)
     }
 
     /// Position of the ring successor of `key`: the member owning the key.
@@ -474,16 +487,27 @@ impl RingView {
         self.succ_pos(self.space.finger_start(self.member_id(pos), i))
     }
 
-    /// Ring successor (next member clockwise).
+    /// Ring successor (next member clockwise). Wraps with a compare, not
+    /// a division: this runs on every hop.
     #[must_use]
+    #[inline]
     pub fn successor(&self, pos: u32) -> u32 {
-        ((pos as usize + 1) % self.members.len()) as u32
+        let next = pos + 1;
+        if next as usize == self.member_ids.len() {
+            0
+        } else {
+            next
+        }
     }
 
     /// Ring predecessor (previous member clockwise).
     #[must_use]
+    #[inline]
     pub fn predecessor(&self, pos: u32) -> u32 {
-        ((pos as usize + self.members.len() - 1) % self.members.len()) as u32
+        match pos {
+            0 => self.member_ids.len() as u32 - 1,
+            _ => pos - 1,
+        }
     }
 
     /// The member of this ring whose finger table the Chord paper's
@@ -500,8 +524,7 @@ impl RingView {
     /// scanning a materialized table from the top.
     #[must_use]
     pub fn closest_preceding_finger(&self, pos: u32, key: Key) -> u32 {
-        let len = self.member_ids.len();
-        let q = ((self.succ_pos(key) as usize + len - 1) % len) as u32;
+        let q = self.predecessor(self.succ_pos(key));
         if q == pos {
             // No member strictly inside (id(pos), key): the table scan
             // would reject every finger and fall back to `pos`.
@@ -545,7 +568,7 @@ impl RingView {
         out.clear();
         out.push(start);
         let len = self.member_ids.len();
-        let key_pred = ((self.succ_pos(key) as usize + len - 1) % len) as u32;
+        let key_pred = self.predecessor(self.succ_pos(key));
         let mut cur = start;
         let cap = len + self.space.bits() as usize + 2;
         loop {

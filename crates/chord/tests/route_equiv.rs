@@ -8,7 +8,7 @@
 //!   hop, the classic top-down scan over materialized finger tables it
 //!   replaced.
 
-use hieras_chord::{ChordOracle, PathBuf, RingView};
+use hieras_chord::{ChordOracle, PathBuf, RingArenaPool, RingView};
 use hieras_id::{Id, IdSpace};
 use hieras_rt::{Executor, Rng};
 use std::sync::Arc;
@@ -104,6 +104,98 @@ fn packed_route_matches_reference_finger_scan() {
             );
         }
     }
+}
+
+/// The binary search `position_of` used before it went through the
+/// seek index: a member's position by id over the whole arena.
+fn reference_position_of(r: &RingView, ids: &[Id], node: u32) -> Option<u32> {
+    let id = *ids.get(node as usize)?;
+    let arena: Vec<Id> = (0..r.len() as u32).map(|p| r.id_at(p)).collect();
+    let p = arena.binary_search(&id).ok()?;
+    (r.members()[p] == node).then_some(p as u32)
+}
+
+/// Holds `position_of` against the reference for every node of the id
+/// table (members and non-members) and for a few indices past it.
+fn assert_positions_match(r: &RingView, ids: &[Id], what: &str) {
+    for node in 0..ids.len() as u32 + 3 {
+        assert_eq!(
+            r.position_of(node),
+            reference_position_of(r, ids, node),
+            "{what}: node {node} (id {:?})",
+            ids.get(node as usize)
+        );
+    }
+    for (pos, &m) in r.members().iter().enumerate() {
+        assert_eq!(r.position_of(m), Some(pos as u32), "{what}: member {m}");
+    }
+}
+
+/// `position_of` resolves through the seek index and must answer what
+/// a binary search over the arena does: every member and every
+/// non-member of random subset rings (non-members with out-of-space
+/// ids in 8-bit spaces, and with ids a member also holds), 1- and
+/// 2-member rings, ids clustered so most seek buckets are empty, and
+/// rings produced by `apply_delta_on` on the offset-derived seek grid.
+#[test]
+fn seek_position_matches_binary_search() {
+    let mut rng = Rng::seed_from_u64(0x5eed_0027);
+    for case in 0..150 {
+        let space = if case % 3 == 0 { IdSpace::new(8).unwrap() } else { IdSpace::full() };
+        let n = rng.random_range(1usize..120);
+        // Every fourth case clusters the ids into a sliver of the space.
+        let cluster = if case % 4 == 1 { space.mask() >> 4 } else { space.mask() };
+        let mut raw: Vec<u64> = (0..n).map(|_| rng.next_u64() & cluster).collect();
+        raw.sort_unstable();
+        raw.dedup();
+        let mut table: Vec<Id> = raw.iter().map(|&v| Id(v)).collect();
+        // Non-members: out-of-space ids, and a copy of an in-ring id.
+        if space.bits() < 64 {
+            table.push(Id(space.mask() + 1 + rng.next_u64_below(1000)));
+        }
+        table.push(table[0]);
+        let ids: Arc<[Id]> = table.into();
+        let members: Vec<u32> = if rng.random_bool(0.5) {
+            (0..raw.len() as u32).collect()
+        } else {
+            let m: Vec<u32> = (0..raw.len() as u32).filter(|_| rng.random_bool(0.6)).collect();
+            if m.is_empty() {
+                vec![0]
+            } else {
+                m
+            }
+        };
+        let ring = RingView::build(space, Arc::clone(&ids), &members).expect("valid ring");
+        assert_positions_match(&ring, &ids, &format!("case {case}"));
+    }
+    // 1- and 2-member rings (one seek bucket), in both spaces.
+    for space in [IdSpace::new(8).unwrap(), IdSpace::full()] {
+        let ids: Arc<[Id]> = vec![Id(0), Id(7), Id(space.mask()), Id(300), Id(7)].into();
+        for members in [&[0u32][..], &[1], &[2], &[0, 2], &[1, 2], &[0, 1]] {
+            let ring = RingView::build(space, Arc::clone(&ids), members).expect("valid ring");
+            assert_positions_match(&ring, &ids, &format!("{} bits {members:?}", space.bits()));
+        }
+    }
+    // Deltas that keep the ring between the same two powers of two
+    // reuse the old seek index shifted by the running balance.
+    let ids = scrambled_ids(700);
+    let mut pool = RingArenaPool::new(4);
+    let start: Vec<u32> = (0..600).collect();
+    let mut ring = RingView::build(IdSpace::full(), Arc::clone(&ids), &start).expect("valid ring");
+    for step in 0..40 {
+        let members = ring.members().to_vec();
+        let mut remove: Vec<u32> =
+            (0..3).map(|i| members[(step * 37 + i * 101) % members.len()]).collect();
+        remove.sort_unstable();
+        remove.dedup();
+        let insert: Vec<u32> =
+            (600..700).filter(|m| !members.contains(m)).take(rng.random_range(0usize..4)).collect();
+        let next = ring.apply_delta_on(&remove, &insert, &mut pool).expect("valid delta");
+        assert_eq!(next.len(), ring.len() - remove.len() + insert.len());
+        assert_positions_match(&next, &ids, &format!("delta step {step}"));
+        ring = next;
+    }
+    assert!(ring.len() > 512, "the deltas stayed on the 1 024-bucket grid");
 }
 
 /// A ring over every node (positions == member indices).

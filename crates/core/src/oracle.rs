@@ -496,12 +496,6 @@ impl HierasOracle {
         self.ids[node as usize]
     }
 
-    /// Landmark order of node `node`.
-    #[must_use]
-    pub fn order_of(&self, node: u32) -> LandmarkOrder {
-        self.orders.list[node as usize]
-    }
-
     /// The layers, top (global, layer 1) first.
     #[must_use]
     pub fn layers(&self) -> &[Layer] {

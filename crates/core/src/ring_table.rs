@@ -171,8 +171,17 @@ impl FromJson for RingTable {
         if members.len() > 4 || members.windows(2).any(|w| w[0] >= w[1]) {
             return Err(JsonError("ring table members must be <= 4 ascending ids".into()));
         }
-        let ring_name = v.field::<String>("ring_name")?.parse()?;
-        Ok(RingTable { ring_id: v.field("ring_id")?, ring_name, members })
+        let ring_name: LandmarkOrder = v.field::<String>("ring_name")?.parse()?;
+        // The id is a function of the name; a table carrying any other
+        // would be stored at, and looked up from, the wrong holder.
+        let ring_id: Id = v.field("ring_id")?;
+        if ring_id != ring_name.ring_id() {
+            return Err(JsonError(format!(
+                "ring table id {ring_id} is not the ring id of \"{}\"",
+                ring_name.name()
+            )));
+        }
+        Ok(RingTable { ring_id, ring_name, members })
     }
 }
 

@@ -72,31 +72,43 @@ thread_local! {
 /// means "empty slot".
 static MEMO_EPOCH: AtomicU64 = AtomicU64::new(1);
 
-/// A counter every query bumps from every thread, on a cache line of
-/// its own. Next to anything a query *reads* — the label arrays'
-/// pointers, or whatever the oracle's owner keeps beside it — each bump
-/// costs the other threads a coherence miss on that read (measured:
-/// EXPERIMENTS.md, "Rows that are never written").
-#[derive(Debug)]
+/// The label-query counters of one labels oracle, on a cache line of
+/// their own. A query bumps exactly one of them, so queries served =
+/// hits + misses, by definition. Next to anything a query *reads* —
+/// the label arrays' pointers, or whatever the oracle's owner keeps
+/// beside it — each bump costs the other threads a coherence miss on
+/// that read (measured: EXPERIMENTS.md, "Rows that are never written").
+#[derive(Debug, Default)]
 #[repr(align(64))]
-struct OwnLine(AtomicU64);
+struct OwnLine {
+    /// Queries answered from the memo.
+    hits: AtomicU64,
+    /// Queries answered by a label merge: every query when the memo is
+    /// off.
+    misses: AtomicU64,
+}
 
-/// The per-thread query memo of one labels oracle: its epoch tag plus
-/// hit/miss counters (the `label_memo.*` metrics), bumped per query and
-/// kept off their neighbours' cache lines like [`OwnLine`].
+impl OwnLine {
+    /// `(hits, misses)`.
+    fn totals(&self) -> (u64, u64) {
+        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+    }
+}
+
+/// The per-thread query memo of one labels oracle: the epoch tag its
+/// entries carry in the calling thread's [`MEMO`] table. Its hit and
+/// miss counts (the `label_memo.*` metrics) live in the oracle's
+/// [`OwnLine`].
 #[derive(Debug)]
-#[repr(align(64))]
 struct LabelMemo {
     epoch: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl LabelMemo {
     /// Answers `latency(u, v)` through the calling thread's memo,
     /// falling back to (and recording) a label merge on miss.
     #[inline]
-    fn latency(&self, labels: &HubLabels, u: u32, v: u32) -> u16 {
+    fn latency(&self, labels: &HubLabels, counts: &OwnLine, u: u32, v: u32) -> u16 {
         let (lo, hi) = if u < v { (u, v) } else { (v, u) };
         let key = (u64::from(lo) << 32) | u64::from(hi);
         let slot_i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 49) as usize;
@@ -107,12 +119,12 @@ impl LabelMemo {
             }
             let slot = &mut memo[slot_i];
             if slot.epoch == self.epoch && slot.key == key {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                counts.hits.fetch_add(1, Ordering::Relaxed);
                 return slot.val;
             }
             let val = labels.latency(u, v);
             *slot = MemoSlot { epoch: self.epoch, key, val };
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            counts.misses.fetch_add(1, Ordering::Relaxed);
             val
         })
     }
@@ -184,7 +196,7 @@ enum Backend {
         cells: BridgeCells,
     },
     /// Exact 2-hop hub labels, optionally memoized per thread.
-    Labels { labels: HubLabels, queries: OwnLine, memo: Option<LabelMemo> },
+    Labels { labels: HubLabels, counts: OwnLine, memo: Option<LabelMemo> },
 }
 
 /// Exact shortest-path delays over a router graph.
@@ -236,15 +248,9 @@ impl LatencyOracle {
     #[must_use]
     pub fn with_labels_memoized(exec: &Executor, graph: Graph, memoized: bool) -> Self {
         let labels = HubLabels::build_on(exec, &graph);
-        let memo = memoized.then(|| LabelMemo {
-            epoch: MEMO_EPOCH.fetch_add(1, Ordering::Relaxed),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        });
-        LatencyOracle {
-            graph,
-            backend: Backend::Labels { labels, queries: OwnLine(AtomicU64::new(0)), memo },
-        }
+        let memo =
+            memoized.then(|| LabelMemo { epoch: MEMO_EPOCH.fetch_add(1, Ordering::Relaxed) });
+        LatencyOracle { graph, backend: Backend::Labels { labels, counts: OwnLine::default(), memo } }
     }
 
     /// The underlying graph.
@@ -373,16 +379,15 @@ impl LatencyOracle {
             return 0;
         }
         match &self.backend {
-            Backend::Labels { labels, queries, memo } => {
-                // Counted per query answered, memo hit or not — the
-                // counter means "label queries served", and the memo is
-                // invisible except in `label_memo.*`.
-                queries.0.fetch_add(1, Ordering::Relaxed);
-                match memo {
-                    Some(m) => m.latency(labels, u, v),
-                    None => labels.latency(u, v),
+            // One count per query answered, memo hit or not: a hit or a
+            // miss on the memoized path, a miss (a label merge) without it.
+            Backend::Labels { labels, counts, memo } => match memo {
+                Some(m) => m.latency(labels, counts, u, v),
+                None => {
+                    counts.misses.fetch_add(1, Ordering::Relaxed);
+                    labels.latency(u, v)
                 }
-            }
+            },
             Backend::Rows { rows, cells, .. } => {
                 let mut row = self.resident(rows, u);
                 let mut exits = 0u32;
@@ -450,13 +455,15 @@ impl LatencyOracle {
         }
     }
 
-    /// Label-size statistics plus the query counter, if this oracle
-    /// runs on the labels backend.
+    /// Label-size statistics plus the number of queries served (memo
+    /// hits included; `u == v` excluded), if this oracle runs on the
+    /// labels backend. Counters aggregate across threads.
     #[must_use]
     pub fn label_stats(&self) -> Option<(LabelStats, u64)> {
         match &self.backend {
-            Backend::Labels { labels, queries, .. } => {
-                Some((labels.stats(), queries.0.load(Ordering::Relaxed)))
+            Backend::Labels { labels, counts, .. } => {
+                let (hits, misses) = counts.totals();
+                Some((labels.stats(), hits + misses))
             }
             Backend::Rows { .. } => None,
         }
@@ -468,9 +475,7 @@ impl LatencyOracle {
     #[must_use]
     pub fn memo_stats(&self) -> Option<(u64, u64)> {
         match &self.backend {
-            Backend::Labels { memo: Some(m), .. } => {
-                Some((m.hits.load(Ordering::Relaxed), m.misses.load(Ordering::Relaxed)))
-            }
+            Backend::Labels { counts, memo: Some(_), .. } => Some(counts.totals()),
             _ => None,
         }
     }
@@ -639,6 +644,43 @@ mod tests {
         assert_eq!(hits + misses, 2 * 60 * 59, "every non-self query goes through the memo");
         let (_, queries) = memo_on.label_stats().expect("labels backend");
         assert_eq!(queries, 2 * 60 * 59, "memo hits still count as queries");
+    }
+
+    /// The query counters sum to exactly the queries issued:
+    /// barrier-started threads at widths 1, 2 and 8, memo on and off.
+    #[test]
+    fn label_counters_are_exact_under_concurrency() {
+        const PER_THREAD: u64 = 4_000;
+        let exec = Executor::new(1);
+        for memoized in [true, false] {
+            for width in [1u64, 2, 8] {
+                let o = LatencyOracle::with_labels_memoized(&exec, line(40), memoized);
+                let start = std::sync::Barrier::new(width as usize);
+                std::thread::scope(|s| {
+                    for t in 0..width {
+                        let (o, start) = (&o, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            for q in 0..PER_THREAD {
+                                let u = ((q + t) % 40) as u32;
+                                let v = (u + 1 + (q % 39) as u32) % 40; // never u
+                                let _ = o.latency(u, v);
+                            }
+                        });
+                    }
+                });
+                let issued = PER_THREAD * width;
+                let (_, queries) = o.label_stats().expect("labels backend");
+                assert_eq!(queries, issued, "memo {memoized}, {width} threads");
+                match o.memo_stats() {
+                    Some((hits, misses)) => {
+                        assert!(memoized);
+                        assert_eq!(hits + misses, issued, "{width} threads");
+                    }
+                    None => assert!(!memoized, "memo on must report memo stats"),
+                }
+            }
+        }
     }
 
     /// Two oracles alive on the same thread must not cross-read memo

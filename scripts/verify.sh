@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Canonical CI entry point: builds the workspace (warnings are
-# errors), runs every test, and runs every experiment driver once end
-# to end — all offline, no network, no external crates. Run from the
-# repository root:
+# errors), runs every test, and runs every experiment driver and every
+# example once end to end — all offline, no network, no external
+# crates. Run from the repository root:
 #
 #   scripts/verify.sh
 #
@@ -10,7 +10,7 @@
 # (the root `tests/` carry the backbone identities, so tier-1 sees
 # them); every timing comparison is `benchmark/`'s, made on paired
 # parent/change runs. Nothing below reads a number out of an artifact:
-# a driver passes by exiting 0. HIERAS_THREADS=n pins the executor
+# a driver or example passes by exiting 0. HIERAS_THREADS=n pins the executor
 # width of the driver steps; no step depends on it.
 set -eu
 
@@ -79,5 +79,12 @@ done
 ./target/release/hieras-timeline "$ts.jsonl" > target/timeline.txt
 ./target/release/hieras-timeline --compare "$ts.jsonl" "$ts.live.jsonl" > target/timeline_compare.txt
 ./target/release/hieras-timeline --chrome-trace "$ts.slow.jsonl" "$ts.slow.chrome.json"
+
+echo "==> examples: each runs once; a non-zero exit fails CI"
+RUSTFLAGS="-D warnings" cargo build --release --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    ./target/release/examples/"$name" > /dev/null
+done
 
 echo "==> verify OK"

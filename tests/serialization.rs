@@ -56,7 +56,10 @@ fn out_of_range_orders_and_ring_names_are_rejected() {
     for bad in ["[12]", "[0, 10]", "[255]", "[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]", "\"012\""] {
         assert!(LandmarkOrder::from_json(&parse(bad)).is_err(), "order {bad}");
     }
-    let table = |name: &str| format!(r#"{{"ring_id": 1, "ring_name": "{name}", "members": []}}"#);
+    let table = |name: &str| {
+        let id = Id::hash_of(name.as_bytes()).0;
+        format!(r#"{{"ring_id": {id}, "ring_name": "{name}", "members": []}}"#)
+    };
     assert!(RingTable::from_json(&parse(&table("012"))).is_ok());
     assert!(RingTable::from_json(&parse(&table(""))).is_ok());
     for bad in ["7x", "x", "-1", "0123456789012345678"] {
@@ -67,6 +70,23 @@ fn out_of_range_orders_and_ring_names_are_rejected() {
     assert_eq!(roundtrip(&cfg), cfg);
     cfg.landmarks = 17;
     assert!(HierasConfig::from_json(&parse(&cfg.to_json().dump())).is_err(), "17 landmarks");
+}
+
+/// A ring table's id is `SHA-1(ring name)`, nothing else: a table
+/// naming one ring with another ring's id (or any stray id) would be
+/// stored at, and looked up from, the wrong holder.
+#[test]
+fn ring_table_with_a_foreign_ring_id_is_rejected() {
+    let parse = |text: &str| Json::parse(text).expect("well-formed JSON");
+    let table = |id: Id, name: &str| {
+        parse(&format!(r#"{{"ring_id": {}, "ring_name": "{name}", "members": [3, 9]}}"#, id.0))
+    };
+    let own = Id::hash_of(b"012");
+    assert_eq!(RingTable::from_json(&table(own, "012")).expect("own id").ring_id, own);
+    for stray in [Id(1), Id(0), Id::hash_of(b"01"), Id::hash_of(b"210"), Id(own.0 ^ 1)] {
+        assert!(RingTable::from_json(&table(stray, "012")).is_err(), "ring id {stray:?}");
+    }
+    assert!(RingTable::from_json(&table(own, "01")).is_err(), "name of another ring");
 }
 
 #[test]
