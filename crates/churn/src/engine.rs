@@ -345,8 +345,16 @@ fn run_churn_impl(
     let seed = churn.seed;
     let schedule = churn.schedule();
 
+    // The set-up's RTT table, re-measuring only a slot whose landmark
+    // a `LandmarkFail` has replaced.
     let measure = |landmarks: &[u32], peer: usize| -> Vec<u16> {
-        landmarks.iter().map(|&lm| exp.lat.latency(lm, exp.router_of[peer])).collect()
+        let mut rtts = exp.landmark_rtts(peer).to_vec();
+        for ((rtt, &lm), &was) in rtts.iter_mut().zip(landmarks).zip(&exp.landmarks) {
+            if lm != was {
+                *rtt = exp.lat.latency(lm, exp.router_of[peer]);
+            }
+        }
+        rtts
     };
 
     for (ev_no, ev) in schedule.events.iter().enumerate() {

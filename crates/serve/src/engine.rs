@@ -608,9 +608,12 @@ impl<'a> ServeEngine<'a> {
 
     /// Re-measures every live peer's landmark RTTs under fresh
     /// multiplicative noise (deterministic in `(round, peer)`) and
-    /// re-derives its ring order into `orders`. Returns how many live
-    /// peers changed order — the peers the next snapshot re-bins —
-    /// and appends them to `changed_peers` (not cleared first).
+    /// re-derives its ring order into `orders`. The topology is
+    /// static, so the noise-free RTTs come from the set-up's table
+    /// ([`Experiment::landmark_rtts`]), not the latency oracle.
+    /// Returns how many live peers changed order — the peers the next
+    /// snapshot re-bins — and appends them to `changed_peers` (not
+    /// cleared first).
     fn rebin(
         &self,
         round: u64,
@@ -620,14 +623,11 @@ impl<'a> ServeEngine<'a> {
     ) -> u64 {
         let binning = &self.exp.config.hieras.binning;
         let mut changed = 0u64;
-        let mut rtts: Vec<u16> = Vec::with_capacity(self.exp.landmarks.len());
         let mut noise: Vec<f64> = Vec::with_capacity(self.exp.landmarks.len());
         for &p in live {
-            rtts.clear();
             noise.clear();
-            let router = self.exp.router_of[p as usize];
-            for (j, &lm) in self.exp.landmarks.iter().enumerate() {
-                rtts.push(self.exp.lat.latency(lm, router));
+            let rtts = self.exp.landmark_rtts(p as usize);
+            for j in 0..rtts.len() {
                 let raw = splitmix64(
                     self.cfg.seed
                         ^ 0x5eb1_u64
@@ -638,7 +638,7 @@ impl<'a> ServeEngine<'a> {
                 let u = (raw >> 11) as f64 / (1u64 << 53) as f64;
                 noise.push(1.0 + self.cfg.rebin_noise * (2.0 * u - 1.0));
             }
-            let o = binning.order_with_noise(&rtts, &noise);
+            let o = binning.order_with_noise(rtts, &noise);
             if o != orders[p as usize] {
                 orders[p as usize] = o;
                 changed_peers.push(p);
@@ -677,10 +677,13 @@ impl<'a> ServeEngine<'a> {
         let mut rebin_us = 0u64;
         run.rebinned.clear();
         let rebin_every = self.cfg.rebin_every;
+        // The membership is fixed once the batch is applied, so a
+        // re-bin epoch's live set also serves its publish.
+        let mut live = None;
         let rebinned = if rebin_every > 0 && run.round.is_multiple_of(rebin_every) {
             let tr = Instant::now();
-            let live = run.replay.live_members();
-            let changed = self.rebin(run.round, &live, &mut run.orders, &mut run.rebinned);
+            let members = live.insert(run.replay.live_members());
+            let changed = self.rebin(run.round, members, &mut run.orders, &mut run.rebinned);
             rebin_us = tr.elapsed().as_micros() as u64;
             run.stats.rebin_rounds += 1;
             run.stats.rebinned_peers += changed;
@@ -698,7 +701,7 @@ impl<'a> ServeEngine<'a> {
             // base hierarchy yet — its (possibly re-binned) order rides
             // in with the join, not as a re-bin.
             run.rebinned.retain(|m| !run.joined.contains(m));
-            let members = run.replay.live_members();
+            let members = live.unwrap_or_else(|| run.replay.live_members());
             let next = run.pb.published_epoch() + 1;
             let tp = Instant::now();
             let hdelta = HierasDelta {
@@ -1189,6 +1192,49 @@ mod tests {
         // A different round draws different noise.
         let cc = engine.rebin(8, &live, &mut b, &mut Vec::new());
         assert!(ca > 0 || cc > 0, "±60% noise must flip at least one bin boundary");
+
+        // The table-driven re-bin is the oracle-querying one: same
+        // orders, same changed peers, same counts, round after round.
+        let reference = |round: u64, orders: &mut [LandmarkOrder], moved: &mut Vec<u32>| {
+            let mut changed = 0u64;
+            for &p in &live {
+                let router = exp.router_of[p as usize];
+                let (rtts, noise): (Vec<u16>, Vec<f64>) = exp
+                    .landmarks
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &lm)| {
+                        let raw = splitmix64(
+                            cfg.seed
+                                ^ 0x5eb1_u64
+                                ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                                ^ u64::from(p).wrapping_mul(0x2545_f491_4f6c_dd1d)
+                                ^ j as u64,
+                        );
+                        let u = (raw >> 11) as f64 / (1u64 << 53) as f64;
+                        (exp.lat.latency(lm, router), 1.0 + cfg.rebin_noise * (2.0 * u - 1.0))
+                    })
+                    .unzip();
+                let o = exp.config.hieras.binning.order_with_noise(&rtts, &noise);
+                if o != orders[p as usize] {
+                    orders[p as usize] = o;
+                    moved.push(p);
+                    changed += 1;
+                }
+            }
+            changed
+        };
+        let (mut got, mut want) = (exp.orders.clone(), exp.orders.clone());
+        let mut total = 0u64;
+        for round in [4, 8, 12, 16, 20] {
+            let (mut got_moved, mut want_moved) = (Vec::new(), Vec::new());
+            let n = engine.rebin(round, &live, &mut got, &mut got_moved);
+            assert_eq!(n, reference(round, &mut want, &mut want_moved), "round {round}");
+            assert_eq!(got_moved, want_moved, "round {round} changed peers");
+            assert_eq!(got, want, "round {round} orders");
+            total += n;
+        }
+        assert!(total > 0, "the rounds must move someone");
     }
 
     #[test]

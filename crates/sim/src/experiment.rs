@@ -228,6 +228,9 @@ pub struct Experiment {
     pub ids: Arc<[Id]>,
     /// Landmark routers.
     pub landmarks: Vec<u32>,
+    /// Noise-free landmark RTTs, `nodes × landmarks` row-major in
+    /// packed peer order; read through [`Experiment::landmark_rtts`].
+    landmark_rtts: Vec<u16>,
     /// Landmark orders per peer (after optional noise).
     pub orders: Vec<LandmarkOrder>,
     /// The Chord baseline.
@@ -313,18 +316,23 @@ impl Experiment {
         };
         prof.end();
         prof.start("binning");
+        let lm_len = landmarks.len();
+        let mut rtt_table = vec![0u16; config.nodes * lm_len];
         let mut orders = Vec::with_capacity(config.nodes);
+        let mut noise: Vec<f64> = Vec::with_capacity(lm_len);
         let binning = &config.hieras.binning;
-        for &r in &router_of {
-            let rtts: Vec<u16> = landmarks.iter().map(|&lm| lat.latency(lm, r)).collect();
-            if config.rtt_noise > 0.0 {
-                let noise: Vec<f64> = (0..rtts.len())
-                    .map(|_| 1.0 + rng.random_range(-config.rtt_noise..=config.rtt_noise))
-                    .collect();
-                orders.push(binning.order_with_noise(&rtts, &noise));
-            } else {
-                orders.push(binning.order(&rtts));
+        for (p, &r) in router_of.iter().enumerate() {
+            let rtts = &mut rtt_table[p * lm_len..(p + 1) * lm_len];
+            for (rtt, &lm) in rtts.iter_mut().zip(&landmarks) {
+                *rtt = lat.latency(lm, r);
             }
+            noise.clear();
+            if config.rtt_noise > 0.0 {
+                noise.extend((0..lm_len).map(|_| {
+                    1.0 + rng.random_range(-config.rtt_noise..=config.rtt_noise)
+                }));
+            }
+            orders.push(binning.order_with_noise(rtts, &noise));
         }
         prof.end();
 
@@ -341,6 +349,12 @@ impl Experiment {
         let router_of: Vec<u32> = perm.iter().map(|&p| router_of[p as usize]).collect();
         let orders: Vec<LandmarkOrder> =
             perm.iter().map(|&p| orders[p as usize]).collect();
+        let mut landmark_rtts = Vec::with_capacity(rtt_table.len());
+        for &p in &perm {
+            let p = p as usize;
+            landmark_rtts.extend_from_slice(&rtt_table[p * lm_len..(p + 1) * lm_len]);
+        }
+        drop(rtt_table);
         prof.end();
 
         // Unique node identifiers (production path: SHA-1 of a name).
@@ -391,7 +405,30 @@ impl Experiment {
         prof.end();
         prof.end(); // build
 
-        Experiment { config, topo, lat, router_of, ids, landmarks, orders, chord, hieras }
+        Experiment {
+            config,
+            topo,
+            lat,
+            router_of,
+            ids,
+            landmarks,
+            landmark_rtts,
+            orders,
+            chord,
+            hieras,
+        }
+    }
+
+    /// Peer `peer`'s RTT to each of [`Experiment::landmarks`], in
+    /// landmark order, as the set-up measured them before any
+    /// `rtt_noise` — exactly `lat.latency(landmarks[j], router_of[peer])`.
+    /// Re-bins read this row instead of re-querying the oracle: the
+    /// topology is static, only the ping noise moves.
+    #[inline]
+    #[must_use]
+    pub fn landmark_rtts(&self, peer: usize) -> &[u16] {
+        let l = self.landmarks.len();
+        &self.landmark_rtts[peer * l..(peer + 1) * l]
     }
 
     /// Link latency between two *peers* (their attachment routers).
@@ -713,6 +750,35 @@ mod tests {
     }
 
     #[test]
+    fn landmark_rtt_table_equals_the_oracle() {
+        for oracle in [OracleBackend::Rows, OracleBackend::Labels] {
+            for rtt_noise in [0.0, 0.5] {
+                let e = Experiment::build_with(
+                    ExperimentConfig { nodes: 150, rtt_noise, ..small_cfg() },
+                    &mut Profiler::new(),
+                    BuildOptions { oracle, ..BuildOptions::default() },
+                );
+                for p in 0..e.config.nodes {
+                    let row = e.landmark_rtts(p);
+                    assert_eq!(row.len(), e.landmarks.len());
+                    for (j, &lm) in e.landmarks.iter().enumerate() {
+                        assert_eq!(
+                            row[j],
+                            e.lat.latency(lm, e.router_of[p]),
+                            "peer {p} landmark {j} on {} at noise {rtt_noise}",
+                            oracle.label()
+                        );
+                    }
+                    // Noise-free, the row is what binned the peer.
+                    if rtt_noise == 0.0 {
+                        assert_eq!(e.config.hieras.binning.order(row), e.orders[p]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn record_cache_stats_publishes_arena_footprint() {
         let e = Experiment::build(ExperimentConfig { nodes: 120, ..small_cfg() });
         let mut reg = Registry::new();
@@ -908,5 +974,6 @@ mod tests {
         assert_eq!(c.avg_hops, h.avg_hops);
         assert_eq!(c.avg_latency_ms, h.avg_latency_ms);
         assert_eq!(h.lower_hop_share, 0.0);
+        assert!(e.landmark_rtts(0).is_empty(), "no landmarks, empty rows");
     }
 }

@@ -80,11 +80,9 @@ fn main() {
         for _ in 0..5 {
             let alive = net.sorted_ids();
             let boot = alive[rng.random_range(0..alive.len())];
-            let rtts: Vec<u16> =
-                e.landmarks.iter().map(|&lm| e.lat.latency(lm, e.router_of[next])).collect();
             // A join whose messages run into a corpse is abandoned;
             // the half-made splices heal through maintenance.
-            if net.try_join(e.ids[next], boot, &rtts).is_none() {
+            if net.try_join(e.ids[next], boot, e.landmark_rtts(next)).is_none() {
                 println!("epoch {epoch}: join of node {next} died in the network");
             }
             next += 1;
