@@ -1,8 +1,8 @@
 //! `hieras-timeline` — render, diff, validate and convert the
-//! windowed-telemetry artifacts the benches emit.
+//! windowed-telemetry artifacts the experiment drivers emit.
 //!
 //! Four modes over the `hieras.timeseries/v1` JSONL stream that
-//! `bench_live --timeseries-out` (and `ChurnObs::timeseries`) write:
+//! `figures live --timeseries-out` (and `ChurnObs::timeseries`) write:
 //!
 //! * `hieras-timeline <ts.jsonl>` — ASCII sparklines plus the
 //!   per-window table (lookups/s, tail quantiles, failures, retries,
@@ -15,7 +15,7 @@
 //!   `.slow.jsonl` span trace, one event per line) and re-serialize
 //!   byte-identically; exits 1 otherwise.
 //! * `hieras-timeline --chrome-trace <trace.jsonl> [out.json]` —
-//!   converts a `hieras-obs` span/instant trace (`churn
+//!   converts a `hieras-obs` span/instant trace (`figures churn
 //!   --trace-out`, or the `.slow.jsonl` flight-recorder sibling) to
 //!   Chrome trace-event JSON, loadable in `about:tracing` / Perfetto.
 

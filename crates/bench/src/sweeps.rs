@@ -1,6 +1,6 @@
 //! Parameter sweeps behind the paper's figures.
 
-use hieras_churn::{run_churn, run_churn_traced, ChurnExperimentConfig, ChurnObs, ChurnReport};
+use hieras_churn::{run_churn_traced, ChurnExperimentConfig, ChurnObs, ChurnReport};
 use hieras_core::{Binning, HierasConfig};
 use hieras_rt::{Executor, Json, ToJson};
 use hieras_sim::{ChurnConfig, Experiment, ExperimentConfig, Lifetime, Summary, TopologyKind};
@@ -168,12 +168,19 @@ const CHURN_SCENARIOS: [(&str, f64, bool); 4] = [
 
 /// Runs the churn engine over the departure scenarios — all-graceful,
 /// 50/50, all-silent, and 50/50 with a correlated stub-domain cut —
-/// on identically sized populations.
+/// on identically sized populations, with observability on: each
+/// scenario's row comes with its [`ChurnObs`] — the transport
+/// registry, the sim-windowed lookup time series and (when
+/// `trace_capacity > 0`) the structured event stream. Instrumentation
+/// only reads: every row is bit-identical to what [`run_churn`]
+/// produces for its scenario.
 ///
 /// Scenarios are farmed out across the executor one per chunk; each
 /// engine run is strictly sequential and seeded, and the merge order
 /// is fixed by chunk index, so the result (and its JSON) is
 /// bit-identical at any thread count.
+///
+/// [`run_churn`]: hieras_churn::run_churn
 #[must_use]
 pub fn churn_sweep(
     exec: &Executor,
@@ -181,84 +188,58 @@ pub fn churn_sweep(
     arrivals: u32,
     horizon_ms: u64,
     seed: u64,
-) -> Vec<ChurnRow> {
-    churn_sweep_impl(exec, initial_nodes, arrivals, horizon_ms, seed, None)
-        .into_iter()
-        .map(|(row, _)| row)
-        .collect()
-}
-
-/// [`churn_sweep`] with observability on: each scenario additionally
-/// returns its [`ChurnObs`] — the transport registry plus (when
-/// `trace_capacity > 0`) the structured event stream. The rows are
-/// bit-identical to what [`churn_sweep`] produces for the same inputs.
-#[must_use]
-pub fn churn_sweep_traced(
-    exec: &Executor,
-    initial_nodes: u32,
-    arrivals: u32,
-    horizon_ms: u64,
-    seed: u64,
     trace_capacity: usize,
 ) -> Vec<(ChurnRow, ChurnObs)> {
-    churn_sweep_impl(exec, initial_nodes, arrivals, horizon_ms, seed, Some(trace_capacity))
-        .into_iter()
-        .map(|(row, obs)| (row, obs.expect("obs requested")))
-        .collect()
-}
-
-fn churn_sweep_impl(
-    exec: &Executor,
-    initial_nodes: u32,
-    arrivals: u32,
-    horizon_ms: u64,
-    seed: u64,
-    obs: Option<usize>,
-) -> Vec<(ChurnRow, Option<ChurnObs>)> {
     exec.par_fold(
         CHURN_SCENARIOS.len(),
         1,
         Vec::new,
-        |acc: &mut Vec<(ChurnRow, Option<ChurnObs>)>, i| {
-            let (scenario, graceful_fraction, domain_cut) = CHURN_SCENARIOS[i];
-            let churn = ChurnConfig {
-                initial_nodes,
-                arrivals,
-                inter_arrival: Lifetime::Fixed { ms: horizon_ms / (arrivals as u64 + 1) },
-                // Mean lifetime of 10x the horizon gives each initial
-                // node a ~9.5 % chance of departing inside the run.
-                lifetime: Lifetime::Exponential { mean_ms: 10.0 * horizon_ms as f64 },
-                graceful_fraction,
-                horizon_ms,
-                seed: seed ^ ((i as u64) << 32),
-            };
-            let mut cfg = ChurnExperimentConfig::standard(churn);
-            if graceful_fraction < 1.0 {
-                // Widen the window in which silent failures are
-                // observable: fewer maintenance rounds, more probes.
-                cfg.lookups_per_event = 12;
-                cfg.maintenance_every = 4;
-            }
-            if domain_cut {
-                // Mid-run site cut: every schedule has at least
-                // `arrivals` events, so the cut always fires.
-                cfg.domain_fail =
-                    Some(hieras_churn::DomainFail { after_event: (arrivals / 2).max(1) });
-            }
-            let (report, row_obs) = match obs {
-                Some(cap) => {
-                    let (report, o) = run_churn_traced(&cfg, cap);
-                    (report, Some(o))
-                }
-                None => (run_churn(&cfg), None),
-            };
-            acc.push((ChurnRow { scenario, graceful_fraction, report }, row_obs));
+        |acc: &mut Vec<(ChurnRow, ChurnObs)>, i| {
+            let (scenario, graceful_fraction, _) = CHURN_SCENARIOS[i];
+            let cfg = churn_scenario(i, initial_nodes, arrivals, horizon_ms, seed);
+            let (report, obs) = run_churn_traced(&cfg, trace_capacity);
+            acc.push((ChurnRow { scenario, graceful_fraction, report }, obs));
         },
         |mut a, b| {
             a.extend(b);
             a
         },
     )
+}
+
+/// The engine configuration of scenario `i` of [`CHURN_SCENARIOS`].
+fn churn_scenario(
+    i: usize,
+    initial_nodes: u32,
+    arrivals: u32,
+    horizon_ms: u64,
+    seed: u64,
+) -> ChurnExperimentConfig {
+    let (_, graceful_fraction, domain_cut) = CHURN_SCENARIOS[i];
+    let churn = ChurnConfig {
+        initial_nodes,
+        arrivals,
+        inter_arrival: Lifetime::Fixed { ms: horizon_ms / (arrivals as u64 + 1) },
+        // Mean lifetime of 10x the horizon gives each initial node a
+        // ~9.5 % chance of departing inside the run.
+        lifetime: Lifetime::Exponential { mean_ms: 10.0 * horizon_ms as f64 },
+        graceful_fraction,
+        horizon_ms,
+        seed: seed ^ ((i as u64) << 32),
+    };
+    let mut cfg = ChurnExperimentConfig::standard(churn);
+    if graceful_fraction < 1.0 {
+        // Widen the window in which silent failures are observable:
+        // fewer maintenance rounds, more probes.
+        cfg.lookups_per_event = 12;
+        cfg.maintenance_every = 4;
+    }
+    if domain_cut {
+        // Mid-run site cut: every schedule has at least `arrivals`
+        // events, so the cut always fires.
+        cfg.domain_fail = Some(hieras_churn::DomainFail { after_event: (arrivals / 2).max(1) });
+    }
+    cfg
 }
 
 impl ToJson for ChurnRow {
@@ -331,8 +312,9 @@ mod tests {
     }
 
     #[test]
-    fn churn_sweep_covers_all_scenarios() {
-        let rows = churn_sweep(&Executor::new(2), 40, 4, 3000, 11);
+    fn churn_sweep_covers_all_scenarios_and_obs_never_perturbs_a_row() {
+        let sweep = churn_sweep(&Executor::new(2), 40, 4, 3000, 11, 0);
+        let rows: Vec<&ChurnRow> = sweep.iter().map(|(row, _)| row).collect();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].scenario, "graceful");
         assert_eq!(rows[1].scenario, "mixed");
@@ -351,16 +333,10 @@ mod tests {
             assert_eq!(r.report.events.domain_killed, 0, "{}", r.scenario);
         }
         assert!(rows[3].report.events.domain_killed > 1, "the site cut must fire");
-    }
-
-    #[test]
-    fn traced_churn_sweep_matches_plain() {
-        let exec = Executor::new(2);
-        let plain = churn_sweep(&exec, 40, 4, 3000, 11);
-        let traced = churn_sweep_traced(&exec, 40, 4, 3000, 11, 0);
-        assert_eq!(plain.len(), traced.len());
-        for (p, (t, obs)) in plain.iter().zip(traced.iter()) {
-            assert_eq!(p, t, "{}: obs must not perturb the report", p.scenario);
+        // The plain engine is the reference: obs must not move a field.
+        for (i, (row, obs)) in sweep.iter().enumerate() {
+            let plain = hieras_churn::run_churn(&churn_scenario(i, 40, 4, 3000, 11));
+            assert_eq!(row.report, plain, "{}: obs must not perturb the report", row.scenario);
             assert!(!obs.registry.is_empty());
             assert!(obs.tracer.is_none(), "capacity 0 → no tracer");
         }

@@ -1,13 +1,14 @@
 //! Observability acceptance tests:
 //!
-//! * the traced churn sweep's registries must be **byte-identical**
-//!   at any executor width (mirroring `churn_identity`), and must not
-//!   perturb the reports;
+//! * the churn sweep's reports and registries must be
+//!   **byte-identical** at any executor width: the engine is strictly
+//!   sequential per scenario and the merge order is fixed by chunk
+//!   index, so only wall-clock fields may differ between runs;
 //! * a message-level probe's JSONL trace must reconcile **exactly**
 //!   with the aggregate hop counters — per-span close fields, per-hop
 //!   instants, and the registry histogram all tell the same story.
 
-use hieras_bench::{churn_sweep, churn_sweep_traced};
+use hieras_bench::churn_sweep;
 use hieras_id::Id;
 use hieras_obs::{Registry, TraceKind, Tracer};
 use hieras_proto::SimNet;
@@ -51,8 +52,8 @@ fn message_probe(e: &Experiment, lookups: usize, trace_capacity: usize) -> Probe
 }
 
 #[test]
-fn traced_churn_sweep_is_identical_across_thread_counts() {
-    let run = |threads: usize| churn_sweep_traced(&Executor::new(threads), 50, 5, 3_000, 7, 0);
+fn churn_sweep_is_identical_across_thread_counts() {
+    let run = |threads: usize| churn_sweep(&Executor::new(threads), 50, 5, 3_000, 7, 0);
     let base = run(1);
     for threads in [2, 8] {
         let got = run(threads);
@@ -66,11 +67,6 @@ fn traced_churn_sweep_is_identical_across_thread_counts() {
                 row.scenario
             );
         }
-    }
-    // And the traced rows equal the untraced sweep's rows.
-    let plain = churn_sweep(&Executor::new(2), 50, 5, 3_000, 7);
-    for (p, (t, _)) in plain.iter().zip(base.iter()) {
-        assert_eq!(p, t, "{}: tracing perturbed the report", p.scenario);
     }
 }
 

@@ -435,16 +435,6 @@ impl RingView {
         false
     }
 
-    /// Shared handle to the global id table this ring indexes into.
-    /// Snapshot builders clone this `Arc` to assemble subset rings (a
-    /// churned membership, a re-binned hierarchy) without copying the
-    /// table itself — every epoch of a serving hierarchy shares one
-    /// id arena.
-    #[must_use]
-    pub fn ids_arc(&self) -> &Arc<[Id]> {
-        &self.ids
-    }
-
     /// Member global indices in ring order.
     #[must_use]
     pub fn members(&self) -> &[u32] {

@@ -149,14 +149,6 @@ impl Layer {
     pub fn rings(&self) -> impl Iterator<Item = (&LandmarkOrder, &RingView)> {
         self.names.iter().zip(self.rings.iter().map(|r| &**r))
     }
-
-    /// Shared handles of this layer's rings, parallel to the sorted
-    /// name list — lets diagnostics observe cross-epoch structural
-    /// sharing (`Arc::ptr_eq` on corresponding rings).
-    #[must_use]
-    pub fn ring_arcs(&self) -> &[Arc<RingView>] {
-        &self.rings
-    }
 }
 
 /// One row of a node's (multi-layer) finger table, as in the paper's

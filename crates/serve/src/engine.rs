@@ -25,9 +25,9 @@
 //! What differs between the modes is who drives that step and which
 //! clock cuts the telemetry windows:
 //!
-//! * [`ServeEngine::run_quiesced`] / [`ServeEngine::run_quiesced_workload`]
-//!   — no churn; the full membership at epoch 0, one executor fold
-//!   over an explicit [`Workload`]. On the uniform replay stream its
+//! * [`ServeEngine::run_quiesced_workload`] — no churn; the full
+//!   membership at epoch 0, one executor fold over an explicit
+//!   [`Workload`], telemetry off. On the uniform replay stream its
 //!   routing metrics are byte-identical to `hieras-sim`'s replay — the
 //!   CI identity that proves the snapshot path is faithful.
 //! * [`ServeEngine::run_deterministic`] — the executor drives, in lock
@@ -156,15 +156,7 @@ pub struct WorkloadReport {
     /// request identically iff these match — the per-request
     /// correctness identity the cache tests and CI assert.
     pub owner_digest: u64,
-    /// Windowed telemetry (one sim window — quiesced time never
-    /// advances) from [`ServeEngine::run_quiesced`] with
-    /// `cfg.telemetry.enabled`; `None` otherwise.
-    pub timeseries: Option<TimeSeriesReport>,
 }
-
-/// The report of [`ServeEngine::run_quiesced`] — the same type as any
-/// other quiesced replay's.
-pub type QuiescedReport = WorkloadReport;
 
 /// What a live (churning) run did and measured.
 #[derive(Debug, Clone)]
@@ -205,8 +197,7 @@ impl LiveReport {
     }
 }
 
-/// Telemetry window width on the sim clock, ms (quiesced and
-/// deterministic modes).
+/// Telemetry window width on the sim clock, ms (deterministic mode).
 const SIM_WINDOW_MS: u64 = 1_000;
 /// Telemetry window width on the wall clock, ms (free-running mode).
 const WALL_WINDOW_MS: u64 = 250;
@@ -894,24 +885,34 @@ impl<'a> ServeEngine<'a> {
         ts
     }
 
-    /// The quiesced fold behind both public entry points: `w` replayed
-    /// against the full membership at epoch 0 with `hieras-sim`'s
-    /// chunking ([`Experiment::REPLAY_CHUNK`] — it fixes the metric
-    /// merge order). The cache, like every accumulator, is chunk-fresh,
-    /// so the whole report is bit-identical at any executor width.
-    /// Flight-recorder `seq` is the request index; hop captures run
-    /// after the clock stops — the snapshot outlives the fold.
-    fn quiesced(&self, exec: &Executor, w: &Workload, telemetry: bool) -> WorkloadReport {
+    /// Replays an explicit [`Workload`] against the quiesced epoch-0
+    /// snapshot with `hieras-sim`'s chunking
+    /// ([`Experiment::REPLAY_CHUNK`] — it fixes the metric merge
+    /// order). The cache, like every accumulator, is chunk-fresh, so
+    /// the whole report is bit-identical at any executor width.
+    /// Telemetry does not ride along whatever `cfg.telemetry` says
+    /// (windowed telemetry comes from the churning modes); what it
+    /// reports is the hot-key-subset metrics, the merged cache
+    /// counters, and the per-request owner digest. With the cache
+    /// disabled, `metrics` is byte-identical to
+    /// `Experiment::run_workload_on(..).hieras` — the CI cache-off
+    /// identity; on [`Experiment::replay_workload`] it is the replay
+    /// bench's.
+    ///
+    /// # Panics
+    /// Panics if the workload draws sources outside the experiment's
+    /// peer range, or (in [`CacheConfig::verify`] mode) if any cache
+    /// hit disagrees with the authoritative route.
+    #[must_use]
+    pub fn run_quiesced_workload(&self, exec: &Executor, w: &Workload) -> WorkloadReport {
         let n = self.exp.config.nodes;
         assert!(w.nodes as usize <= n, "workload sources exceed the experiment's peers");
         let members: Vec<u32> = (0..n as u32).collect();
         let snap = self.snapshot(exec, 0, members, &self.exp.orders);
         assert!(snap.verify(0), "freshly built snapshot failed verification");
-        // Quiesced time never advances — one sim window, so one
-        // capture-pruning floor spans every chunk of the run.
-        let win = Window::new(telemetry);
+        let win = Window::new(false);
         let t0 = Instant::now();
-        let mut acc = exec.par_fold(
+        let acc = exec.par_fold(
             w.requests,
             Experiment::REPLAY_CHUNK,
             || ReaderAcc::new(&self.cfg),
@@ -926,7 +927,6 @@ impl<'a> ServeEngine<'a> {
             ReaderAcc::merged,
         );
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        self.close_batch(&snap, &mut acc, &win, 0, CacheStats::default());
         WorkloadReport {
             metrics: acc.metrics,
             hot: acc.hot,
@@ -934,37 +934,7 @@ impl<'a> ServeEngine<'a> {
             wall_ns,
             cache: acc.cache.stats,
             owner_digest: acc.owner_digest,
-            timeseries: telemetry.then(|| self.report(acc.shard, "sim", SIM_WINDOW_MS)),
         }
-    }
-
-    /// The quiesced baseline: the uniform replay stream
-    /// ([`Experiment::replay_workload`], exactly what
-    /// `Experiment::run_requests_on` replays) served at epoch 0, with
-    /// `cfg.telemetry` riding along — the resulting HIERAS metrics are
-    /// byte-identical to the replay bench's at any executor width.
-    #[must_use]
-    pub fn run_quiesced(&self, exec: &Executor, requests: usize) -> QuiescedReport {
-        self.quiesced(exec, &self.exp.replay_workload(requests), self.cfg.telemetry.enabled)
-    }
-
-    /// Replays an explicit [`Workload`] against the quiesced epoch-0
-    /// snapshot — the measurement mode of the skew/caching sweep.
-    /// Telemetry does not ride along whatever `cfg.telemetry` says
-    /// (the timed skew rows run lean; windowed cache telemetry comes
-    /// from the churning modes); what it reports is the hot-key-subset
-    /// metrics, the merged cache counters, and the per-request owner
-    /// digest. With the cache disabled, `metrics` is byte-identical to
-    /// `Experiment::run_workload_on(..).hieras` — the CI cache-off
-    /// identity.
-    ///
-    /// # Panics
-    /// Panics if the workload draws sources outside the experiment's
-    /// peer range, or (in [`CacheConfig::verify`] mode) if any cache
-    /// hit disagrees with the authoritative route.
-    #[must_use]
-    pub fn run_quiesced_workload(&self, exec: &Executor, w: &Workload) -> WorkloadReport {
-        self.quiesced(exec, w, false)
     }
 
     /// Deterministic serving: the executor arbitrates the
@@ -1330,38 +1300,22 @@ mod tests {
         assert_eq!(r.cache, CacheStats::default(), "a disabled cache counts nothing");
         assert_eq!(r.hot.requests, 0, "uniform keys carry no popularity ranks");
         assert_eq!(r.lookups, 200);
-        assert!(r.timeseries.is_none());
     }
 
     #[test]
-    fn quiesced_fold_with_telemetry_and_cache_is_identical_at_any_width() {
+    fn quiesced_fold_with_cache_is_identical_at_any_width() {
         let (exp, mut cfg) = tiny();
         cfg.cache = CacheConfig::on().verified();
-        cfg.telemetry = TelemetryConfig::on();
         let engine = ServeEngine::new(&exp, cfg);
         let w = Workload::with_model(60, 4096, 99, WorkloadModel::Skew(SkewParams::zipf(0.99)));
-        let base = engine.quiesced(&Executor::new(1), &w, true);
+        let base = engine.run_quiesced_workload(&Executor::new(1), &w);
         assert!(base.cache.hits > 0, "hot keys repeat within a chunk");
-        let ts = base.timeseries.as_ref().expect("telemetry rides along");
-        assert_eq!(ts.total_lookups(), 4096, "hits and misses both land in the window");
-        assert_eq!(
-            ts.windows[0].health.counter(names::SERVE_CACHE_WINDOW_HITS),
-            base.cache.hits,
-            "the window's cache counters are the run's"
-        );
-        assert_eq!(ts.slow.len(), cfg.telemetry.slow_k, "one window's top-K");
-        for s in &ts.slow {
-            let sum: u64 = s.path.iter().map(|h| u64::from(h.ms)).sum();
-            assert_eq!(sum, s.latency_ms, "deferred captures reconcile with the latency");
-        }
         for width in [2, 8] {
-            let r = engine.quiesced(&Executor::new(width), &w, true);
+            let r = engine.run_quiesced_workload(&Executor::new(width), &w);
             assert_eq!(r.metrics, base.metrics, "width {width}");
+            assert_eq!(r.hot, base.hot, "width {width}");
             assert_eq!(r.owner_digest, base.owner_digest, "width {width}");
             assert_eq!(r.cache, base.cache, "width {width}");
-            let rts = r.timeseries.expect("telemetry rides along");
-            assert_eq!(rts.to_jsonl(), ts.to_jsonl(), "width {width}");
-            assert_eq!(rts.slow, ts.slow, "width {width}: captured paths included");
         }
     }
 

@@ -29,12 +29,12 @@
 //! Observability flows through `hieras-obs` under the `serve.*`
 //! namespace: published epochs, reclaim lag, the stale-read window,
 //! per-reader throughput, and applied membership deltas. With
-//! [`TelemetryConfig`] enabled, every run also emits *time-resolved*
+//! [`TelemetryConfig`] enabled, every churning run also emits *time-resolved*
 //! telemetry — rotating windowed metrics with per-window tails and
 //! `serve.epoch.*` health gauges, a K-slowest-lookups flight recorder
 //! with full hop traces, and an SLO monitor — assembled into a
-//! [`hieras_obs::TimeSeriesReport`]; every mode reports its wall-clock
-//! maintenance profile as [`MaintStats`].
+//! [`hieras_obs::TimeSeriesReport`]; both churning modes report their
+//! wall-clock maintenance profile as [`MaintStats`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +46,7 @@ mod snapshot;
 mod telemetry;
 
 pub use cache::{CacheConfig, CacheStats, LookupCache};
-pub use engine::{LiveReport, QuiescedReport, ServeConfig, ServeEngine, WorkloadReport};
+pub use engine::{LiveReport, ServeConfig, ServeEngine, WorkloadReport};
 pub use epoch::{epoch_pair, EpochHandle, EpochStats, Publisher, Reader, Versioned};
 pub use snapshot::ServeSnapshot;
 pub use telemetry::{MaintStats, TelemetryConfig};

@@ -4,7 +4,7 @@
 //! ([`hieras_obs::TelemetryShard`]); this module holds what is
 //! serving-specific: the knobs a [`crate::ServeEngine`] run takes
 //! ([`TelemetryConfig`]) and the wall-clock maintenance profile every
-//! run reports ([`MaintStats`]).
+//! churning run reports ([`MaintStats`]).
 
 use hieras_core::ArenaPoolStats;
 use hieras_obs::{LogHistogram, SloSpec};
@@ -12,9 +12,9 @@ use hieras_rt::{Json, ToJson};
 
 /// Time-resolved telemetry knobs of a serving run.
 ///
-/// Deterministic and quiesced modes cut windows on the **sim clock**
-/// (1 s wide), so the windowed output is bit-identical at any
-/// executor width; the free-running mode cuts them on the **wall
+/// The deterministic mode cuts windows on the **sim clock** (1 s
+/// wide), so the windowed output is bit-identical at any executor
+/// width; the free-running mode cuts them on the **wall
 /// clock** (250 ms wide). With `enabled = false` every lookup
 /// pays a single predictable branch and the run's routing metrics are
 /// byte-identical to a telemetry-on run — telemetry only ever
@@ -57,8 +57,8 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Wall-clock profile of the maintenance path, reported by every run
-/// mode (all zeros for the quiesced baseline — it has no maintainer).
+/// Wall-clock profile of the maintenance path, reported by both
+/// churning modes (the quiesced replay has no maintainer).
 ///
 /// These are real durations on the maintenance thread, so they stay
 /// *out* of the deterministic registry and the sim-windowed telemetry;

@@ -83,7 +83,7 @@ fn free_running_readers_never_adopt_a_torn_snapshot() {
 /// running, and a reader checks the stop flag after a batch, not before
 /// its first: even on a schedule the maintainer drains before a
 /// spawned thread gets its first time slice, every reader serves at
-/// least one full batch. The world is `bench_live --smoke`'s, unpaced;
+/// least one full batch. The world is quick `figures live`'s, unpaced;
 /// its 60 s horizon (where, before the start-up barrier, 4 release
 /// runs in 10 ended with a reader that had served nothing) is cut to
 /// 3 s so the race is just as sure to bite an unoptimised build.

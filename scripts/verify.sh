@@ -11,7 +11,7 @@
 # them); every timing comparison is `benchmark/`'s, made on paired
 # parent/change runs. Nothing below reads a number out of an artifact:
 # a driver or example passes by exiting 0. HIERAS_THREADS=n pins the executor
-# width of the driver steps; no step depends on it.
+# width of the driver step; no step depends on it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -65,12 +65,11 @@ echo "==> frozen benchmark: builds against these crates, passes its output check
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke > target/benchmark_smoke.txt
 
-echo "==> drivers: each runs once; a non-zero exit fails CI"
-./target/release/churn --smoke
-./target/release/bench_scale --smoke
-./target/release/figures table1 table2 table3 > /dev/null
+echo "==> drivers: one quick figures run; a non-zero exit fails CI"
 ts=target/timeseries
-./target/release/bench_live --smoke --timeseries-out "$ts.jsonl"
+trace=target/churn_trace
+./target/release/figures table1 table2 table3 churn scale live \
+    --timeseries-out "$ts.jsonl" --trace-out "$trace.jsonl" > /dev/null
 
 echo "==> telemetry streams: validate, render, diff, convert"
 for stream in "$ts.jsonl" "$ts.live.jsonl" "$ts.slow.jsonl"; do
@@ -79,6 +78,7 @@ done
 ./target/release/hieras-timeline "$ts.jsonl" > target/timeline.txt
 ./target/release/hieras-timeline --compare "$ts.jsonl" "$ts.live.jsonl" > target/timeline_compare.txt
 ./target/release/hieras-timeline --chrome-trace "$ts.slow.jsonl" "$ts.slow.chrome.json"
+./target/release/hieras-timeline --chrome-trace "$trace.jsonl" "$trace.chrome.json"
 
 echo "==> examples: each runs once; a non-zero exit fails CI"
 RUSTFLAGS="-D warnings" cargo build --release --examples

@@ -84,7 +84,7 @@ fn quiesced_mode_equals_the_replay_under_every_workload_model() {
     let (exp, cfg) = world();
     let engine = ServeEngine::new(&exp, cfg);
     let exec = Executor::new(2);
-    let quiesced = engine.run_quiesced(&exec, 1500);
+    let quiesced = engine.run_quiesced_workload(&exec, &exp.replay_workload(1500));
     let replay = exp.run_requests_on(&exec, 1500);
     assert_eq!(
         quiesced.metrics, replay.hieras,
@@ -93,7 +93,7 @@ fn quiesced_mode_equals_the_replay_under_every_workload_model() {
     assert_eq!(quiesced.lookups, 1500);
     // And the identity holds at a different width too — both sides are
     // chunk-deterministic.
-    let wide = engine.run_quiesced(&Executor::new(8), 1500);
+    let wide = engine.run_quiesced_workload(&Executor::new(8), &exp.replay_workload(1500));
     assert_eq!(wide.metrics, replay.hieras);
 
     // The same identity with the workload as the input: uniform, three

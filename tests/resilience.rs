@@ -129,7 +129,7 @@ fn mass_failure_recovery() {
 /// §3.4's cost shape, measured like for like: the churn baseline is
 /// the same message engine at depth 1, so each HIERAS layer pays for
 /// stabilization and finger repair what Chord's one ring pays, and the
-/// total is ≈ depth × Chord's. Run on the `churn --smoke` graceful
+/// total is ≈ depth × Chord's. Run on quick `figures churn`'s graceful
 /// scenario (120 peers, 10 arrivals over 8 s, every departure
 /// graceful).
 #[test]
