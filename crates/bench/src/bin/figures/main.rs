@@ -399,12 +399,13 @@ fn fig45(id: &str, scale: &Scale, md: &mut String) -> Json {
             hs.lower_hop_share * 100.0
         );
     } else {
-        let chord_cdf = r.chord.latency_cdf();
-        let hieras_cdf = r.hieras.latency_cdf();
-        let points: Vec<(u32, f64, f64)> = chord_cdf
-            .curve(30)
-            .into_iter()
-            .map(|(x, c)| (x, c, hieras_cdf.at(x)))
+        let (chord, hieras) = (&r.chord.latency_hist, &r.hieras.latency_hist);
+        let max = chord.max_value();
+        let points: Vec<(u32, f64, f64)> = (0..=30)
+            .map(|i| {
+                let x = max * i / 30;
+                (x as u32, chord.cdf_at(x), hieras.cdf_at(x))
+            })
             .collect();
         md.push_str(&render::cdf_table(&points));
         let _ = writeln!(

@@ -2,20 +2,22 @@
 //!
 //! The replay loop folds per-request samples into `Metrics`, and the
 //! merged result must be **bit-identical regardless of thread count**
-//! (sample vectors are order-dependent). rayon's `fold`/`reduce` does
+//! (its latency fold is order-dependent). rayon's `fold`/`reduce` does
 //! not promise that: its reduction tree depends on work stealing.
 //!
 //! This executor does. The index range is split into fixed-size chunks
 //! — the chunk size never depends on the thread count — and workers
 //! claim chunks dynamically off a shared atomic counter. Each chunk is
-//! folded sequentially into its own accumulator, the accumulator lands
-//! in the chunk's dedicated slot, and after the scope joins, the main
-//! thread merges all slots **sequentially in chunk order**. The merge
-//! sequence is therefore a pure function of `(len, chunk_size)`:
-//! running with 1, 2 or 64 threads produces the same bytes.
+//! folded sequentially into its own accumulator, and accumulators are
+//! merged into the result **sequentially in chunk order**: whichever
+//! worker finishes the next unmerged chunk merges it and every later
+//! chunk already waiting. The merge sequence is therefore a pure
+//! function of `(len, chunk_size)`: running with 1, 2 or 64 threads
+//! produces the same bytes. A chunk's accumulator lives only until its
+//! predecessors are merged, not until the last chunk finishes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// A scoped-thread pool-less executor: threads are spawned per call,
 /// which is fine for the coarse-grained work here (thousands of
@@ -70,23 +72,27 @@ impl Executor {
     ///   fixed: it defines the merge structure, so changing it changes
     ///   which (identical-value, differently-ordered) result you get.
     /// * `init` — a fresh accumulator (called once per chunk plus once
-    ///   for the final merge seed).
+    ///   for the merge seed).
     /// * `fold` — folds index `i` into the chunk accumulator.
     /// * `merge` — combines two accumulators; applied left-to-right in
-    ///   ascending chunk order.
+    ///   ascending chunk order, by the worker that finishes the next
+    ///   chunk in that order.
     ///
     /// # Panics
     /// Panics if `chunk == 0` or a worker thread panicked.
     pub fn par_fold<A, I, F, M>(&self, len: usize, chunk: usize, init: I, fold: F, merge: M) -> A
     where
-        A: Send + Sync,
+        A: Send,
         I: Fn() -> A + Sync,
         F: Fn(&mut A, usize) + Sync,
-        M: Fn(A, A) -> A,
+        M: Fn(A, A) -> A + Sync,
     {
         assert!(chunk > 0, "chunk size must be positive");
         let n_chunks = len.div_ceil(chunk);
-        let slots: Vec<OnceLock<A>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
+        // The result so far, how many chunks it holds, and finished
+        // chunks still waiting for an earlier one.
+        let waiting: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
+        let state = Mutex::new((Some(init()), 0usize, waiting));
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(n_chunks.max(1));
 
@@ -102,7 +108,13 @@ impl Executor {
                 for i in lo..hi {
                     fold(&mut acc, i);
                 }
-                slots[c].set(acc).map_err(|_| ()).expect("chunk slot set twice");
+                let mut guard = state.lock().expect("no merge panicked");
+                let (out, merged, waiting) = &mut *guard;
+                waiting[c] = Some(acc);
+                while let Some(part) = waiting.get_mut(*merged).and_then(Option::take) {
+                    *out = Some(merge(out.take().expect("the result is always put back"), part));
+                    *merged += 1;
+                }
             }
         };
 
@@ -117,13 +129,9 @@ impl Executor {
             });
         }
 
-        // Sequential merge in chunk order — the determinism guarantee.
-        let mut out = init();
-        for slot in slots {
-            let part = slot.into_inner().expect("all chunks completed");
-            out = merge(out, part);
-        }
-        out
+        let (out, merged, _) = state.into_inner().expect("no merge panicked");
+        assert_eq!(merged, n_chunks, "every chunk merged");
+        out.expect("the result is always put back")
     }
 
     /// Runs `f(i)` for every `i in 0..len` across the workers, in
@@ -227,6 +235,25 @@ mod tests {
             |a, b| a + b,
         );
         assert_eq!(par, (0..100_000u64).sum::<u64>());
+    }
+
+    #[test]
+    fn a_merged_chunk_is_dropped_before_the_next_one_starts() {
+        struct Acc<'a>(&'a AtomicUsize);
+        impl Drop for Acc<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let init = || {
+            peak.fetch_max(live.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
+            Acc(&live)
+        };
+        let out = Executor::new(1).par_fold(10_000, 16, init, |_, _| {}, |a, _| a);
+        assert_eq!(peak.load(Ordering::Relaxed), 2, "the result and one chunk, not all 625");
+        drop(out);
+        assert_eq!(live.load(Ordering::Relaxed), 0);
     }
 
     #[test]

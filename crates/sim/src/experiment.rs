@@ -499,8 +499,8 @@ impl Experiment {
 
     /// Replays an arbitrary [`Workload`] — uniform or skewed — through
     /// both algorithms. The chunk size is fixed independently of the
-    /// executor, so the merged metrics — including the order of
-    /// `latency_samples` — are bit-identical at any parallelism level.
+    /// executor, so the merged metrics — including the request-order
+    /// fold `latency_order` — are bit-identical at any parallelism level.
     /// Each chunk accumulator carries its own path scratch, so the hot
     /// loop never touches the heap; the scratch is dropped at merge
     /// time and cannot influence the metrics.

@@ -36,7 +36,7 @@ pub use experiment::{
     AlgoStats, BuildOptions, ComparisonResult, Experiment, ExperimentConfig, OracleBackend,
     TopologyKind,
 };
-pub use metrics::{Cdf, Histogram, Metrics, Sample, Summary, TailLatency};
+pub use metrics::{Histogram, Metrics, Sample, Summary, TailLatency};
 pub use workload::{
     FlashCrowd, SkewParams, Workload, WorkloadModel, WorkloadSpec, HOT_RANK_MAX,
 };

@@ -1,4 +1,4 @@
-//! Metric containers: hop histograms (PDF), latency CDFs, summaries.
+//! Metric containers: hop and latency histograms (PDF, CDF), summaries.
 //!
 //! All containers are mergeable so the replay loop can fold per-thread
 //! accumulators and reduce them at the end — no shared mutable state on
@@ -7,7 +7,8 @@
 use hieras_core::RouteCost;
 use hieras_rt::{FromJson, Json, JsonError, ToJson};
 
-/// A dense histogram over small non-negative integers (hop counts).
+/// A dense histogram over small non-negative integers (hop counts,
+/// 1-ms latency buckets).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
@@ -93,6 +94,17 @@ impl Histogram {
         self.counts.len() - 1
     }
 
+    /// `P(X ≤ x)`: the share of observations at most `x` (0.0 if
+    /// empty).
+    #[must_use]
+    pub fn cdf_at(&self, x: usize) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let at_most: u64 = self.counts.iter().take(x.saturating_add(1)).sum();
+        at_most as f64 / self.total as f64
+    }
+
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         if self.counts.len() < other.counts.len() {
@@ -102,80 +114,6 @@ impl Histogram {
             *a += b;
         }
         self.total += other.total;
-    }
-}
-
-/// An empirical CDF over latency samples (milliseconds).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Cdf {
-    sorted: Vec<u32>,
-}
-
-impl Cdf {
-    /// Builds from raw samples (takes ownership, sorts once).
-    #[must_use]
-    pub fn from_samples(mut samples: Vec<u32>) -> Self {
-        samples.sort_unstable();
-        Cdf { sorted: samples }
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if no samples were collected.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// `P(X <= x)`.
-    #[must_use]
-    pub fn at(&self, x: u32) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
-    /// The `p`-quantile (0.0 ≤ p ≤ 1.0); e.g. `quantile(0.5)` = median.
-    ///
-    /// # Panics
-    /// Panics if the CDF is empty or `p` is outside `[0, 1]`.
-    #[must_use]
-    pub fn quantile(&self, p: f64) -> u32 {
-        assert!(!self.sorted.is_empty(), "quantile of empty CDF");
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
-        let idx = ((p * (self.sorted.len() - 1) as f64).round()) as usize;
-        self.sorted[idx]
-    }
-
-    /// Mean of the samples.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        self.sorted.iter().map(|&v| u64::from(v)).sum::<u64>() as f64 / self.sorted.len() as f64
-    }
-
-    /// Evenly spaced `(x, P(X<=x))` points for plotting, from 0 to the
-    /// max sample, `points` entries.
-    #[must_use]
-    pub fn curve(&self, points: usize) -> Vec<(u32, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let max = *self.sorted.last().expect("non-empty");
-        (0..=points)
-            .map(|i| {
-                let x = (u64::from(max) * i as u64 / points as u64) as u32;
-                (x, self.at(x))
-            })
-            .collect()
     }
 }
 
@@ -208,6 +146,30 @@ impl From<RouteCost> for Sample {
     }
 }
 
+/// Latency bucket that collects every route of this many ms or more.
+/// `Sample::from` saturates a route at `u32::MAX` ms by design, and one
+/// 1-ms bucket per value up to that would allocate ≈ 34 GB. No workload
+/// comes near the bound (the largest churn p99.9 is ≈ 4.7 s), and only
+/// the histogram clamps: `total_latency_ms` stays exact.
+const LATENCY_TOP_BUCKET_MS: u32 = 1 << 16;
+
+/// Multiplier of the `latency_order` fold; odd, so multiplying by it
+/// loses no information mod 2^64.
+const ORDER_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// `ORDER_K^n`, wrapping.
+fn order_k_pow(mut n: u64) -> u64 {
+    let (mut base, mut acc) = (ORDER_K, 1u64);
+    while n > 0 {
+        if n & 1 == 1 {
+            acc = acc.wrapping_mul(base);
+        }
+        base = base.wrapping_mul(base);
+        n >>= 1;
+    }
+    acc
+}
+
 /// A mergeable metric accumulator for one routing algorithm.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
@@ -225,8 +187,16 @@ pub struct Metrics {
     pub hop_hist: Histogram,
     /// Histogram of per-request lower-layer hops (Figure 4, third curve).
     pub lower_hop_hist: Histogram,
-    /// Raw per-request latencies for the CDF (Figure 5).
-    pub latency_samples: Vec<u32>,
+    /// Histogram of per-request latency in 1-ms buckets (Figure 5 CDF
+    /// and the nearest-rank tails); routes of `LATENCY_TOP_BUCKET_MS` or
+    /// more share the top bucket.
+    pub latency_hist: Histogram,
+    /// Order-sensitive fold of the per-request latencies: `d·K + (ms+1)`
+    /// per record and `a·K^{n_b} + b` when `b`'s `n_b` requests merge
+    /// after `a`'s (wrapping). It depends only on the request-ordered
+    /// latency sequence, not on how it was chunked, so runs that record
+    /// the same latencies in another order compare unequal.
+    pub latency_order: u64,
 }
 
 impl Metrics {
@@ -239,7 +209,9 @@ impl Metrics {
         self.lower_latency_ms += u64::from(s.lower_latency_ms);
         self.hop_hist.record(s.hops as usize);
         self.lower_hop_hist.record(s.lower_hops as usize);
-        self.latency_samples.push(s.latency_ms);
+        self.latency_hist.record(s.latency_ms.min(LATENCY_TOP_BUCKET_MS) as usize);
+        self.latency_order =
+            self.latency_order.wrapping_mul(ORDER_K).wrapping_add(u64::from(s.latency_ms) + 1);
     }
 
     /// Merges a sibling accumulator (parallel-replay merge step).
@@ -252,7 +224,11 @@ impl Metrics {
         self.lower_latency_ms += other.lower_latency_ms;
         self.hop_hist.merge(&other.hop_hist);
         self.lower_hop_hist.merge(&other.lower_hop_hist);
-        self.latency_samples.extend_from_slice(&other.latency_samples);
+        self.latency_hist.merge(&other.latency_hist);
+        self.latency_order = self
+            .latency_order
+            .wrapping_mul(order_k_pow(other.requests))
+            .wrapping_add(other.latency_order);
         self
     }
 
@@ -264,13 +240,13 @@ impl Metrics {
         let avg_lower_hops = self.lower_hops as f64 / req;
         let top_hops = self.total_hops - self.lower_hops;
         let top_latency = self.total_latency_ms - self.lower_latency_ms;
-        let mut sorted = self.latency_samples.clone();
-        sorted.sort_unstable();
+        // Every bucket index is at most `LATENCY_TOP_BUCKET_MS`.
+        let tail = |q| self.latency_hist.quantile(q) as u32;
         let latency_tail = TailLatency {
-            p50_ms: nearest_rank(&sorted, 0.50),
-            p95_ms: nearest_rank(&sorted, 0.95),
-            p99_ms: nearest_rank(&sorted, 0.99),
-            p999_ms: nearest_rank(&sorted, 0.999),
+            p50_ms: tail(0.50),
+            p95_ms: tail(0.95),
+            p99_ms: tail(0.99),
+            p999_ms: tail(0.999),
         };
         Summary {
             latency_tail,
@@ -300,23 +276,6 @@ impl Metrics {
             },
         }
     }
-
-    /// The latency CDF (consumes a clone of the samples).
-    #[must_use]
-    pub fn latency_cdf(&self) -> Cdf {
-        Cdf::from_samples(self.latency_samples.clone())
-    }
-}
-
-/// The nearest-rank `q`-quantile of pre-sorted samples: the value at
-/// rank `ceil(q·N)` (1-based). 0 for an empty slice.
-fn nearest_rank(sorted: &[u32], q: f64) -> u32 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Nearest-rank tail latencies (ms) — the CDF's headline points.
@@ -375,7 +334,7 @@ pub struct Summary {
     pub avg_link_delay_top_ms: f64,
     /// Mean per-hop link delay in lower rings (§4.3: 27.758 ms).
     pub avg_link_delay_lower_ms: f64,
-    /// Nearest-rank latency tail (p50 / p95 / p99).
+    /// Nearest-rank latency tail (p50 / p95 / p99 / p99.9).
     pub latency_tail: TailLatency,
 }
 
@@ -389,26 +348,11 @@ impl FromJson for Histogram {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let counts: Vec<u64> = v.field("counts")?;
         let total: u64 = v.field("total")?;
-        if counts.iter().sum::<u64>() != total {
+        let sum = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
+        if sum != Some(total) {
             return Err(JsonError("histogram total does not match counts".into()));
         }
         Ok(Histogram { counts, total })
-    }
-}
-
-impl ToJson for Cdf {
-    fn to_json(&self) -> Json {
-        Json::obj([("sorted", self.sorted.to_json())])
-    }
-}
-
-impl FromJson for Cdf {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let sorted: Vec<u32> = v.field("sorted")?;
-        if sorted.windows(2).any(|w| w[0] > w[1]) {
-            return Err(JsonError("cdf samples must be sorted".into()));
-        }
-        Ok(Cdf { sorted })
     }
 }
 
@@ -422,14 +366,15 @@ impl ToJson for Metrics {
             ("lower_latency_ms", self.lower_latency_ms.to_json()),
             ("hop_hist", self.hop_hist.to_json()),
             ("lower_hop_hist", self.lower_hop_hist.to_json()),
-            ("latency_samples", self.latency_samples.to_json()),
+            ("latency_hist", self.latency_hist.to_json()),
+            ("latency_order", self.latency_order.to_json()),
         ])
     }
 }
 
 impl FromJson for Metrics {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Metrics {
+        let m = Metrics {
             requests: v.field("requests")?,
             total_hops: v.field("total_hops")?,
             lower_hops: v.field("lower_hops")?,
@@ -437,8 +382,13 @@ impl FromJson for Metrics {
             lower_latency_ms: v.field("lower_latency_ms")?,
             hop_hist: v.field("hop_hist")?,
             lower_hop_hist: v.field("lower_hop_hist")?,
-            latency_samples: v.field("latency_samples")?,
-        })
+            latency_hist: v.field("latency_hist")?,
+            latency_order: v.field("latency_order")?,
+        };
+        if [&m.hop_hist, &m.lower_hop_hist, &m.latency_hist].iter().any(|h| h.total != m.requests) {
+            return Err(JsonError("metrics histogram total does not match requests".into()));
+        }
+        Ok(m)
     }
 }
 
@@ -503,6 +453,10 @@ mod tests {
         let pdf = h.pdf();
         assert!((pdf[2] - 2.0 / 6.0).abs() < 1e-12);
         assert!((pdf.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert_eq!(h.cdf_at(0), 0.0);
+        assert_eq!(h.cdf_at(2), 0.5);
+        assert_eq!(h.cdf_at(3), 1.0);
+        assert_eq!(h.cdf_at(usize::MAX), 1.0);
     }
 
     #[test]
@@ -524,37 +478,114 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert!(h.pdf().is_empty());
         assert_eq!(h.max_value(), 0);
+        assert_eq!(h.cdf_at(5), 0.0);
     }
 
-    #[test]
-    fn cdf_basics() {
-        let c = Cdf::from_samples(vec![10, 20, 30, 40]);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.at(9), 0.0);
-        assert_eq!(c.at(10), 0.25);
-        assert_eq!(c.at(25), 0.5);
-        assert_eq!(c.at(40), 1.0);
-        assert_eq!(c.at(1000), 1.0);
-        assert_eq!(c.quantile(0.0), 10);
-        assert_eq!(c.quantile(1.0), 40);
-        assert!((c.mean() - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_curve_is_monotone() {
-        let c = Cdf::from_samples((0..100u32).map(|i| i * i % 301).collect());
-        let curve = c.curve(20);
-        assert_eq!(curve.len(), 21);
-        for w in curve.windows(2) {
-            assert!(w[0].1 <= w[1].1);
+    /// The sort-based nearest rank the histogram tails replaced: the
+    /// value at rank `ceil(q·N)` (1-based) of the sorted samples, 0 for
+    /// none.
+    fn nearest_rank(sorted: &[u32], q: f64) -> u32 {
+        if sorted.is_empty() {
+            return 0;
         }
-        assert!((curve.last().unwrap().1 - 1.0).abs() < 1e-12);
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
+
+    fn latency(ms: u32) -> Sample {
+        Sample { hops: 1, lower_hops: 0, latency_ms: ms, lower_latency_ms: 0 }
     }
 
     #[test]
-    #[should_panic(expected = "empty")]
-    fn cdf_quantile_empty_panics() {
-        let _ = Cdf::from_samples(vec![]).quantile(0.5);
+    fn histogram_tails_match_the_sort_reference() {
+        let mut rng = hieras_rt::Rng::seed_from_u64(31);
+        let mut cases: Vec<Vec<u32>> = vec![vec![], vec![0], vec![42], vec![9; 7], vec![0; 5]];
+        for n in [2u64, 10, 999, 1000, 4_321] {
+            let spread = 1 + rng.next_u64_below(5_000);
+            cases.push((0..n).map(|_| rng.next_u64_below(spread) as u32).collect());
+        }
+        for samples in cases {
+            let mut m = Metrics::default();
+            for &ms in &samples {
+                m.record(latency(ms));
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let reference = TailLatency {
+                p50_ms: nearest_rank(&sorted, 0.50),
+                p95_ms: nearest_rank(&sorted, 0.95),
+                p99_ms: nearest_rank(&sorted, 0.99),
+                p999_ms: nearest_rank(&sorted, 0.999),
+            };
+            assert_eq!(m.summary().latency_tail, reference, "{} samples", samples.len());
+            let max = sorted.last().copied().unwrap_or(0);
+            for x in [0, max / 3, max / 2, max, max + 1] {
+                let at_most = sorted.partition_point(|&v| v <= x);
+                let expect = if sorted.is_empty() { 0.0 } else { at_most as f64 / sorted.len() as f64 };
+                assert_eq!(m.latency_hist.cdf_at(x as usize), expect, "P(X <= {x})");
+            }
+        }
+    }
+
+    #[test]
+    fn latency_order_ignores_chunking_and_sees_order() {
+        let mut rng = hieras_rt::Rng::seed_from_u64(7);
+        let samples: Vec<u32> = (0..1_000).map(|_| rng.next_u64_below(3_000) as u32).collect();
+        let fold = |chunks: &mut dyn Iterator<Item = &[u32]>| {
+            chunks
+                .map(|c| {
+                    let mut m = Metrics::default();
+                    for &ms in c {
+                        m.record(latency(ms));
+                    }
+                    m
+                })
+                .fold(Metrics::default(), Metrics::merged)
+        };
+        let whole = fold(&mut samples.chunks(samples.len()));
+        for size in [1, 7, 256] {
+            assert_eq!(fold(&mut samples.chunks(size)), whole, "chunk size {size}");
+        }
+        let (a, b) = samples.split_at(500);
+        let swapped = fold(&mut [b, a].into_iter());
+        assert_eq!(swapped.latency_hist, whole.latency_hist);
+        assert_ne!(swapped.latency_order, whole.latency_order, "swapping two chunks is seen");
+        assert_ne!(swapped, whole);
+    }
+
+    #[test]
+    fn saturated_latency_stays_in_one_bounded_bucket() {
+        let c = RouteCost { hops: 2, lower_hops: 1, latency_ms: u64::MAX, lower_latency_ms: 5, destination: 1 };
+        let mut m = Metrics::default();
+        m.record(Sample::from(c));
+        m.record(latency(30));
+        assert_eq!(m.latency_hist.max_value(), LATENCY_TOP_BUCKET_MS as usize, "not ≈ 34 GB of buckets");
+        assert_eq!(m.latency_hist.count(LATENCY_TOP_BUCKET_MS as usize), 1);
+        assert_eq!(m.total_latency_ms, u64::from(u32::MAX) + 30, "the sum stays exact");
+        assert_eq!(m.summary().latency_tail.p99_ms, LATENCY_TOP_BUCKET_MS);
+    }
+
+    #[test]
+    fn histogram_json_with_an_overflowing_sum_is_rejected() {
+        let v = Json::parse(r#"{"counts": [18446744073709551615, 1], "total": 0}"#).unwrap();
+        assert!(Histogram::from_json(&v).is_err());
+    }
+
+    #[test]
+    fn metrics_json_with_a_histogram_total_off_requests_is_rejected() {
+        let mut m = Metrics::default();
+        m.record(latency(12));
+        m.record(latency(40));
+        assert_eq!(Metrics::from_json(&m.to_json()).unwrap(), m);
+        let mut short = Histogram::new();
+        short.record(1);
+        let mut bad = [m.clone(), m.clone(), m];
+        bad[0].hop_hist = short.clone();
+        bad[1].lower_hop_hist = short.clone();
+        bad[2].latency_hist = short;
+        for (i, b) in bad.iter().enumerate() {
+            assert!(Metrics::from_json(&b.to_json()).is_err(), "histogram {i}");
+        }
     }
 
     #[test]
@@ -666,7 +697,7 @@ mod tests {
         let m = a.merged(b);
         assert_eq!(m.requests, 2);
         assert_eq!(m.total_hops, 8);
-        assert_eq!(m.latency_samples.len(), 2);
+        assert_eq!(m.latency_hist.total(), 2);
         assert_eq!(m.hop_hist.total(), 2);
     }
 

@@ -68,7 +68,7 @@ bash benchmark/run.sh --smoke > target/benchmark_smoke.txt
 echo "==> drivers: one quick figures run; a non-zero exit fails CI"
 ts=target/timeseries
 trace=target/churn_trace
-./target/release/figures table1 table2 table3 churn scale live \
+./target/release/figures table1 table2 table3 fig4 fig5 churn scale live \
     --timeseries-out "$ts.jsonl" --trace-out "$trace.jsonl" > /dev/null
 
 echo "==> telemetry streams: validate, render, diff, convert"

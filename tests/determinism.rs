@@ -3,10 +3,10 @@
 //! claim-based distribution assigns each request index to a chunk
 //! independently of which worker claims it, and chunk accumulators
 //! merge in index order — so 1, 2, and 8 workers (on any number of
-//! physical cores) fold to the same `ComparisonResult`, including the
-//! order of `latency_samples`. The latency backend is as invisible as
-//! the thread count: hub labels are exact, so a labels-backed world
-//! replays to the metrics of the rows-backed one.
+//! physical cores) fold to the same `ComparisonResult`, including its
+//! request-order fold `latency_order`. The latency backend is as
+//! invisible as the thread count: hub labels are exact, so a
+//! labels-backed world replays to the metrics of the rows-backed one.
 
 use hieras::core::HierasConfig;
 use hieras::obs::Profiler;

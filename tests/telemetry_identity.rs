@@ -110,14 +110,18 @@ fn windows_partition_the_run_exactly() {
     assert_eq!(windowed, r.registry.counter(names::SERVE_LOOKUPS));
 
     // Latency: the merged window histograms equal one rebuilt from
-    // every routing sample — same values, not just the same count.
+    // every routing sample's 1-ms bucket — same values, not just the
+    // same count.
     let mut merged = LogHistogram::default();
     for w in &ts.windows {
         merged.merge(&w.latency);
     }
     let mut from_samples = LogHistogram::default();
-    for &ms in &r.metrics.latency_samples {
-        from_samples.record(u64::from(ms));
+    let hist = &r.metrics.latency_hist;
+    for ms in 0..=hist.max_value() {
+        for _ in 0..hist.count(ms) {
+            from_samples.record(ms as u64);
+        }
     }
     assert_eq!(merged, from_samples, "windowed latency is a reslicing of the samples");
 
@@ -165,8 +169,7 @@ fn flight_recorder_captures_reconcile_with_the_samples() {
     // Per-window top-K keeps every window's slowest lookup, so the
     // global maximum latency is necessarily among the captures.
     let slowest = ts.slow.iter().map(|s| s.latency_ms).max().unwrap();
-    let true_max =
-        r.metrics.latency_samples.iter().copied().max().map(u64::from).unwrap();
+    let true_max = r.metrics.latency_hist.max_value() as u64;
     assert_eq!(slowest, true_max, "the run's worst lookup is on tape");
 }
 
