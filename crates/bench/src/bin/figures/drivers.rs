@@ -113,15 +113,18 @@ pub fn churn(args: &Args, md: &mut String) -> Result<Json, String> {
 /// scheduler warm-up without needing criterion's statistics.
 const REPS: usize = 5;
 
-/// Peer count above which the rows backend is not swept. The wall was
-/// memory, N² `u16`s (0.8 GB at 20k, 20 GB at 100k). On the
-/// Transit-Stub worlds this sweeps it no longer stands: at 20k the
-/// rows backend holds 8.4 MB (`latency_cache.bytes`: 7 full rows,
-/// 20 013 cell tables) and warms in 0.2 s. What grows now is the cell
-/// table — peers × stub-domain routers × 2 B, ≤ 313 MB at 100k
-/// (computed, not run). The value stays until a rows point past it has
-/// a measured row of its own.
-const ROWS_CEILING: usize = 20_000;
+/// Peer count above which the rows backend is not swept. What grows
+/// with the world is the cell table of every peer's router — peers ×
+/// stub-domain routers × 2 B. Measured by this sweep (seed 20030415,
+/// 2 threads on 2 vCPUs), rows against the factored labels: at 20k,
+/// 8.4 against 3.4 MB held, 0.18–0.22 against 0.13–0.19 s to build,
+/// 0.93–1.08 against 1.61–1.87 µs a lookup; at 100k, 206 against
+/// 40 MB, 2.9 against 1.7 s, 1.78 against 3.21 µs, and a 250 MB peak.
+/// So 100k is still affordable, and sweeping rows there checks labels ≡
+/// rows at the size the labels backend is benchmarked at. At 1M the
+/// cell tables would grow about tenfold (not run); labels alone go
+/// there.
+const ROWS_CEILING: usize = 100_000;
 
 struct SizePoint {
     nodes: usize,

@@ -143,6 +143,21 @@ impl BridgeCells {
     pub(crate) fn pre(&self, v: u32) -> u32 {
         self.pre[v as usize]
     }
+
+    /// The cells inside no other cell — those whose bridge parent sits
+    /// outside every cell — in DFS post-order.
+    pub(crate) fn outermost(&self) -> impl Iterator<Item = &Cell> {
+        self.cells.iter().filter(|c| self.cell(c.parent).is_none())
+    }
+
+    /// The routers in DFS preorder: `order()[pre(v)] == v`.
+    pub(crate) fn order(&self) -> Vec<u32> {
+        let mut order = vec![NONE; self.pre.len()];
+        for (v, &p) in self.pre.iter().enumerate() {
+            order[p as usize] = v as u32;
+        }
+        order
+    }
 }
 
 impl Graph {
@@ -205,6 +220,21 @@ impl Graph {
                 self.edge_count += 1;
             }
         }
+    }
+
+    /// A copy of the graph without the edges `cut(u, v)` selects
+    /// (asked once per edge, with `u < v`).
+    #[must_use]
+    pub(crate) fn without_edges(&self, cut: impl Fn(u32, u32) -> bool) -> Graph {
+        let mut g = Graph::with_nodes(self.node_count());
+        g.index.reserve(self.edge_count);
+        for (u, edges) in self.adj.iter().enumerate() {
+            let u = u as u32;
+            for e in edges.iter().filter(|e| u < e.to && !cut(u, e.to)) {
+                g.add_edge(u, e.to, e.delay_ms);
+            }
+        }
+        g
     }
 
     /// True if the edge `u — v` exists.

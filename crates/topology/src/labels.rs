@@ -454,6 +454,143 @@ impl HubLabels {
     }
 }
 
+/// "Outside every cell" in [`Exit::outer`].
+const NO_CELL: u32 = u32::MAX;
+
+/// Where a router leaves its outermost bridge cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Exit {
+    /// Index of the outermost cell around the router, [`NO_CELL`]
+    /// outside every cell.
+    outer: u32,
+    /// The router across that cell's bridge; the router itself outside
+    /// every cell.
+    top: u32,
+    /// Clamped delay from the router to `top`: its cell-local distance
+    /// to the cell root plus the bridge. 0 outside every cell.
+    ms: u16,
+}
+
+/// Exact hub labels through bridge cells — what the labels backend of
+/// [`crate::LatencyOracle`] queries.
+///
+/// The graph's bridge decomposition (`Graph::bridge_cells`) is taken
+/// and the bridge of every *outermost* cell is cut. One [`HubLabels`]
+/// build labels that cut graph: its components are the
+/// 2-edge-connected core (with the DFS root's side of any bridge) and
+/// the outermost cells, nested cells included. One cell-local search
+/// from each outermost cell's root gives every router its `Exit`.
+/// Then `latency(u, v)` is
+///
+/// * a merge of the two cell labels when `u` and `v` sit in the same
+///   outermost cell, or both outside every cell;
+/// * `exit(u) + merge(top(u), top(v)) + exit(v)` otherwise, clamped
+///   at `u16::MAX − 1` and `u16::MAX` (unreachable) when the core merge
+///   is — exactly as the rows backend's walk through the same cells.
+///
+/// Exact by the bridge argument: a cell's bridge is its only exit, so
+/// no shortest path between two of its routers leaves it, and every
+/// path from inside to outside crosses it; nor does a shortest path
+/// between two routers outside a cell gain anything by entering it.
+/// A cross-cell query merges the short labels of two core routers.
+/// The cut labels are smaller than whole-graph labels on Transit-Stub
+/// from 4 000 routers up and on Inet, since no hub of one cell appears
+/// in another's labels; on a tiny world they can be larger, when the
+/// sampled hub order misses most cells. A graph without bridges
+/// (BRITE) has no cells and is labelled whole.
+#[derive(Debug, Clone)]
+pub struct FactoredLabels {
+    /// Labels over the cut graph.
+    labels: HubLabels,
+    /// One `Exit` per router.
+    exits: Box<[Exit]>,
+    /// Wall-clock build time, ms, decomposition and exits included
+    /// (diagnostic; not part of equality).
+    build_ms: f64,
+}
+
+impl PartialEq for FactoredLabels {
+    fn eq(&self, other: &Self) -> bool {
+        self.labels == other.labels && self.exits == other.exits
+    }
+}
+
+impl Eq for FactoredLabels {}
+
+impl FactoredLabels {
+    /// Builds the factored labels of `graph` on `exec`: bit-identical
+    /// at any thread count, as [`HubLabels::build_on`] is.
+    #[must_use]
+    pub fn build_on(exec: &Executor, graph: &Graph) -> Self {
+        let t0 = std::time::Instant::now();
+        let n = graph.node_count();
+        let cells = graph.bridge_cells();
+        let order = cells.order();
+        let mut exits: Box<[Exit]> =
+            (0..n as u32).map(|v| Exit { outer: NO_CELL, top: v, ms: 0 }).collect();
+        let mut scratch = DijkstraScratch::new();
+        let mut outermost = 0u32;
+        for cell in cells.outermost() {
+            let root = order[cell.lo as usize];
+            let from_root = graph.dijkstra_cell(root, &cells, cell, &mut scratch);
+            let members = &order[cell.lo as usize..cell.lo as usize + from_root.len()];
+            // A cell is connected: every `d` is finite, so no exit may
+            // read as unreachable.
+            for (&v, &d) in members.iter().zip(from_root) {
+                let ms = d.saturating_add(u32::from(cell.bridge_ms)).min(u32::from(u16::MAX - 1));
+                exits[v as usize] = Exit { outer: outermost, top: cell.parent, ms: ms as u16 };
+            }
+            outermost += 1;
+        }
+        let labels = if outermost == 0 {
+            HubLabels::build_on(exec, graph)
+        } else {
+            // The only edges between routers of different outermost
+            // cells (or a cell and the outside) are the cut bridges.
+            let cut =
+                graph.without_edges(|u, v| exits[u as usize].outer != exits[v as usize].outer);
+            HubLabels::build_on(exec, &cut)
+        };
+        FactoredLabels { labels, exits, build_ms: t0.elapsed().as_secs_f64() * 1e3 }
+    }
+
+    /// Exact shortest-path delay between `u` and `v` in milliseconds,
+    /// saturating at `u16::MAX - 1`; `u16::MAX` = unreachable. Matches
+    /// [`Graph::dijkstra`] rows entry for entry.
+    #[inline]
+    #[must_use]
+    pub fn latency(&self, u: u32, v: u32) -> u16 {
+        let (a, b) = (self.exits[u as usize], self.exits[v as usize]);
+        if a.outer == b.outer {
+            return self.labels.latency(u, v);
+        }
+        match self.labels.latency(a.top, b.top) {
+            u16::MAX => u16::MAX,
+            core => (u32::from(core) + u32::from(a.ms) + u32::from(b.ms))
+                .min(u32::from(u16::MAX - 1)) as u16,
+        }
+    }
+
+    /// Number of routers covered.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.exits.len()
+    }
+
+    /// Bytes held: the cut-graph label arrays plus the exit table.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.labels.bytes() + std::mem::size_of_val::<[Exit]>(&self.exits)
+    }
+
+    /// The cut-graph labels' statistics, with the build time of the
+    /// whole factored build.
+    #[must_use]
+    pub fn stats(&self) -> LabelStats {
+        LabelStats { build_ms: self.build_ms, ..self.labels.stats() }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,6 +652,34 @@ mod tests {
         let g = Graph::with_nodes(1);
         let l = HubLabels::build(&g);
         assert_eq!(l.latency(0, 0), 0);
+    }
+
+    /// Root-side, nested and sibling cells: each router outside every
+    /// cell is its own `top`; each router in a cell names its outermost
+    /// cell, the router across that cell's bridge and its delay there,
+    /// and the labels see the cut.
+    #[test]
+    fn exits_name_the_outermost_cell_and_its_bridge_parent() {
+        // 0 —3— triangle {1, 2, 3}, DFS root 0; cell {4} below 0, cell
+        // {5, 6} below 2 with {6} nested in it, cells {7} and {8} below 3.
+        let mut g = Graph::with_nodes(9);
+        let edges = [(0, 1, 3), (0, 4, 8), (1, 2, 10), (2, 3, 10), (3, 1, 10)];
+        for (u, v, w) in edges.into_iter().chain([(2, 5, 7), (5, 6, 2), (3, 7, 5), (3, 8, 6)]) {
+            g.add_edge(u, v, w);
+        }
+        let f = FactoredLabels::build_on(&Executor::new(1), &g);
+        for v in 0..4u32 {
+            assert_eq!(f.exits[v as usize], Exit { outer: NO_CELL, top: v, ms: 0 }, "router {v}");
+        }
+        let exit = |v: usize| (f.exits[v].top, f.exits[v].ms);
+        assert_eq!([exit(4), exit(5), exit(6), exit(7), exit(8)], [(0, 8), (2, 7), (2, 9), (3, 5), (3, 6)]);
+        assert_eq!(f.exits[5].outer, f.exits[6].outer, "a nested cell is in its outermost cell");
+        let mut outer: Vec<u32> = [4, 5, 7, 8].iter().map(|&v| f.exits[v].outer).collect();
+        outer.dedup();
+        assert_eq!(outer.len(), 4, "one outermost cell each");
+        assert_eq!(f.labels.latency(4, 0), u16::MAX, "bridge 0–4 is cut");
+        assert_eq!(f.labels.latency(5, 6), 2);
+        assert_eq!(f.latency(4, 8), 8 + 3 + 10 + 6);
     }
 
     #[test]

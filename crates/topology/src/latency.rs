@@ -21,13 +21,19 @@
 //!   only a bridgeless graph (BRITE) still pays a row per source.
 //!   [`RowStats`] counts which shape each entry took.
 //! * **Labels** ([`LatencyOracle::with_labels_on`]) — exact 2-hop hub
-//!   labels ([`HubLabels`]): sub-quadratic build (pruned landmark
-//!   labeling), tens of bytes per router instead of a row, queries by
-//!   sorted label merge. The backend for worlds whose underlay has no
-//!   cells to factor through, and for 10⁵ routers and beyond.
+//!   labels through the same bridge cells ([`FactoredLabels`]): the
+//!   bridge of every outermost cell is cut and the cut graph labelled
+//!   once (pruned landmark labeling, [`crate::HubLabels`]), and every
+//!   router keeps the router across its outermost cell's bridge and its
+//!   delay there. A pair inside one outermost cell is a merge of its
+//!   two labels; any other pair is that delay at both ends plus a merge
+//!   of the two core routers' short labels. Sub-quadratic build, tens
+//!   of bytes per router instead of a row. The backend for 10⁵ routers
+//!   and beyond, and for worlds with no cells to factor through
+//!   (BRITE), where it labels the whole graph.
 
 use crate::graph::{clamp_ms, BridgeCells, Cell, DijkstraScratch};
-use crate::{Graph, HubLabels, LabelStats};
+use crate::{FactoredLabels, Graph, LabelStats};
 use hieras_rt::Executor;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -43,9 +49,12 @@ use std::sync::OnceLock;
 const PRECOMPUTE_CHUNK: usize = 4;
 
 /// Slots in the per-thread direct-mapped `(u, v)` memo on the labels
-/// backend: 2^15 slots × 16 B = 512 KB per worker thread — large
-/// enough to hold a replay's working set of router pairs, small enough
-/// to live in L2.
+/// backend: 2^15 slots × 16 B = 512 KB per worker thread, small enough
+/// to live in L2. It does not hold a large replay's working set:
+/// `scale_labels100k`, which replays one set of 2 000 requests over
+/// and over, reads a hit share of 0.51 / 0.69 / 0.82 at 2^14 / 2^15 /
+/// 2^16 slots (2 threads, EXPERIMENTS.md) — the share follows
+/// capacity.
 const MEMO_SLOTS: usize = 1 << 15;
 
 /// One entry of the per-thread label-query memo.
@@ -108,7 +117,7 @@ impl LabelMemo {
     /// Answers `latency(u, v)` through the calling thread's memo,
     /// falling back to (and recording) a label merge on miss.
     #[inline]
-    fn latency(&self, labels: &HubLabels, counts: &OwnLine, u: u32, v: u32) -> u16 {
+    fn latency(&self, labels: &FactoredLabels, counts: &OwnLine, u: u32, v: u32) -> u16 {
         let (lo, hi) = if u < v { (u, v) } else { (v, u) };
         let key = (u64::from(lo) << 32) | u64::from(hi);
         let slot_i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 49) as usize;
@@ -195,8 +204,9 @@ enum Backend {
         /// The graph's bridge decomposition.
         cells: BridgeCells,
     },
-    /// Exact 2-hop hub labels, optionally memoized per thread.
-    Labels { labels: HubLabels, counts: OwnLine, memo: Option<LabelMemo> },
+    /// Exact 2-hop hub labels through bridge cells, optionally
+    /// memoized per thread.
+    Labels { labels: FactoredLabels, counts: OwnLine, memo: Option<LabelMemo> },
 }
 
 /// Exact shortest-path delays over a router graph.
@@ -247,7 +257,7 @@ impl LatencyOracle {
     /// for isolating raw merge cost in benchmarks.
     #[must_use]
     pub fn with_labels_memoized(exec: &Executor, graph: Graph, memoized: bool) -> Self {
-        let labels = HubLabels::build_on(exec, &graph);
+        let labels = FactoredLabels::build_on(exec, &graph);
         let memo =
             memoized.then(|| LabelMemo { epoch: MEMO_EPOCH.fetch_add(1, Ordering::Relaxed) });
         LatencyOracle { graph, backend: Backend::Labels { labels, counts: OwnLine::default(), memo } }
@@ -379,15 +389,7 @@ impl LatencyOracle {
             return 0;
         }
         match &self.backend {
-            // One count per query answered, memo hit or not: a hit or a
-            // miss on the memoized path, a miss (a label merge) without it.
-            Backend::Labels { labels, counts, memo } => match memo {
-                Some(m) => m.latency(labels, counts, u, v),
-                None => {
-                    counts.misses.fetch_add(1, Ordering::Relaxed);
-                    labels.latency(u, v)
-                }
-            },
+            Backend::Labels { .. } => self.label_latency(u, v),
             Backend::Rows { rows, cells, .. } => {
                 let mut row = self.resident(rows, u);
                 let mut exits = 0u32;
@@ -424,6 +426,25 @@ impl LatencyOracle {
                     u16::MAX => u16::MAX,
                     _ => u32::from(base).saturating_add(exits).min(u32::from(u16::MAX - 1)) as u16,
                 }
+            }
+        }
+    }
+
+    /// [`LatencyOracle::latency`] on the labels backend. Kept out of
+    /// line, like [`LatencyOracle::fill`], so that the rows backend's
+    /// inlined query does not set up the frame of this one.
+    #[inline(never)]
+    fn label_latency(&self, u: u32, v: u32) -> u16 {
+        let Backend::Labels { labels, counts, memo } = &self.backend else {
+            unreachable!("label_latency() is only reached from the labels backend");
+        };
+        // One count per query answered, memo hit or not: a hit or a
+        // miss on the memoized path, a miss (a label merge) without it.
+        match memo {
+            Some(m) => m.latency(labels, counts, u, v),
+            None => {
+                counts.misses.fetch_add(1, Ordering::Relaxed);
+                labels.latency(u, v)
             }
         }
     }
@@ -497,7 +518,7 @@ impl LatencyOracle {
 
     /// Bytes held by the backend: the distance entries of the resident
     /// rows (counted at row-init time, never on the query path), or
-    /// the label arrays.
+    /// the cut-graph label arrays plus the per-router exit table.
     #[must_use]
     pub fn cache_bytes(&self) -> usize {
         match &self.backend {

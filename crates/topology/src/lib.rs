@@ -21,8 +21,9 @@
 //! the quantity every routing-latency figure in the paper integrates
 //! over — through one of two exact backends: lazily built rows (a full
 //! Dijkstra row per core router, a cell-sized table per router below a
-//! bridge), or 2-hop hub labels ([`HubLabels`]) whose sub-quadratic
-//! build makes 10⁵-router graphs cheap.
+//! bridge), or 2-hop hub labels through the same bridge cells
+//! ([`FactoredLabels`] over [`HubLabels`]) whose sub-quadratic build
+//! makes 10⁵-router graphs cheap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +39,7 @@ mod transit_stub;
 pub use brite::BriteConfig;
 pub use graph::{DijkstraScratch, Edge, Graph};
 pub use inet::InetConfig;
-pub use labels::{HubLabels, LabelStats};
+pub use labels::{FactoredLabels, HubLabels, LabelStats};
 pub use latency::{LatencyOracle, RowStats};
 pub use topo::{NodeKind, Topology};
 pub use transit_stub::TransitStubConfig;

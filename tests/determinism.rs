@@ -60,17 +60,27 @@ fn experiment_build_is_deterministic() {
 
 #[test]
 fn labels_backend_replays_to_the_rows_metrics() {
-    let rows = experiment(TopologyKind::TransitStub, 300, 41);
-    let labels = Experiment::build_with(
-        rows.config.clone(),
-        &mut Profiler::new(),
-        BuildOptions { oracle: OracleBackend::Labels, ..BuildOptions::default() },
-    );
-    assert_eq!(labels.lat.backend_name(), "labels");
+    // Transit-Stub: cells nested below a bridge in every stub domain.
+    // Inet: a tree fringe of cells around a bridgeless core. BRITE: no
+    // bridges, no cells — the labels cover the whole graph.
+    let worlds = [
+        (TopologyKind::TransitStub, 300, 41),
+        (TopologyKind::Inet, 3000, 44),
+        (TopologyKind::Brite, 300, 45),
+    ];
     let exec = Executor::new(2);
-    assert_eq!(
-        labels.run_requests_on(&exec, 3_000),
-        rows.run_requests_on(&exec, 3_000),
-        "labels are exact — replay metrics must be byte-identical to rows"
-    );
+    for (kind, nodes, seed) in worlds {
+        let rows = experiment(kind, nodes, seed);
+        let labels = Experiment::build_with(
+            rows.config.clone(),
+            &mut Profiler::new(),
+            BuildOptions { oracle: OracleBackend::Labels, ..BuildOptions::default() },
+        );
+        assert_eq!(labels.lat.backend_name(), "labels");
+        assert_eq!(
+            labels.run_requests_on(&exec, 3_000),
+            rows.run_requests_on(&exec, 3_000),
+            "{kind:?}: labels are exact — replay metrics must be byte-identical to rows"
+        );
+    }
 }
