@@ -80,7 +80,7 @@ fn packed_route_matches_reference_finger_scan() {
         let mut path = PathBuf::new();
         for probe in 0..40 {
             let start = rng.next_u64_below(len) as u32;
-            let key = if rng.random_bool(0.25) {
+            let key = if rng.next_f64() < 0.25 {
                 ring.id_at(rng.next_u64_below(len) as u32) // exact member id
             } else {
                 Id(rng.next_u64() & space.mask())
@@ -155,10 +155,10 @@ fn seek_position_matches_binary_search() {
         }
         table.push(table[0]);
         let ids: Arc<[Id]> = table.into();
-        let members: Vec<u32> = if rng.random_bool(0.5) {
+        let members: Vec<u32> = if rng.next_f64() < 0.5 {
             (0..raw.len() as u32).collect()
         } else {
-            let m: Vec<u32> = (0..raw.len() as u32).filter(|_| rng.random_bool(0.6)).collect();
+            let m: Vec<u32> = (0..raw.len() as u32).filter(|_| rng.next_f64() < 0.6).collect();
             if m.is_empty() {
                 vec![0]
             } else {

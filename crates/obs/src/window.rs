@@ -888,6 +888,19 @@ mod tests {
         assert!(err.0.contains("line 3"), "{err}");
     }
 
+    /// A hostile line nested a million deep is a parse error on its
+    /// line, not a stack overflow.
+    #[test]
+    fn deeply_nested_line_is_an_error() {
+        let mut s = TelemetryShard::new(0);
+        s.lookup(0, 1);
+        let good = s.into_report("sim", 10, None).to_jsonl();
+        let deep = "[".repeat(1_000_000);
+        let err = TimeSeriesReport::parse_jsonl(&format!("{good}{deep}\n")).unwrap_err();
+        assert!(err.0.contains("line 3") && err.0.contains("nesting"), "{err}");
+        assert!(TimeSeriesReport::parse_jsonl(&deep).is_err(), "as the meta line");
+    }
+
     #[test]
     fn full_report_round_trips_through_json() {
         let mut s = TelemetryShard::new(2);

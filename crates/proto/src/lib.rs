@@ -16,7 +16,11 @@
 //! engine needs (dead-node timeouts one 250 ms RTO after the send, a
 //! hop TTL on routed messages, retried lookups, graceful leaves,
 //! silent fails, per-layer maintenance rounds). Messages stay typed
-//! [`Payload`] values end to end.
+//! [`Payload`] values end to end: the crate's private future-event
+//! list holds each one until its delivery time, ties in post order.
+//! [`TrafficStats`] counts delivered, timed-out and dropped messages;
+//! the per-kind split is the registry's `net.deliver.*` counters
+//! ([`SimNet::enable_registry`]).
 //!
 //! Protocol-vs-oracle equivalence is tested: a `SimNet` bootstrapped
 //! from a [`hieras_core::HierasOracle`] produces *hop-for-hop identical*
@@ -25,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod des;
 mod messages;
 mod sim_net;
 mod state;

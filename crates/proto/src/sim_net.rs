@@ -13,34 +13,26 @@
 //! addressed to the node they orchestrate; everything else flows
 //! through [`NodeState::handle`].
 
+use crate::des::EventQueue;
 use crate::state::states_from_oracle;
 use crate::{LayerState, NodeState, Payload};
 use hieras_core::{HierasConfig, HierasOracle, LandmarkOrder};
 use hieras_id::{Id, Key};
 use hieras_obs::{Registry, Tracer};
-use hieras_sim::EventQueue;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Message-traffic counters by purpose.
+/// Message-traffic totals. The per-kind split is the registry's
+/// `net.deliver.*` counters ([`SimNet::enable_registry`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {
-    /// Messages delivered, by payload kind.
-    pub by_kind: HashMap<&'static str, u64>,
     /// Total messages delivered.
     pub total: u64,
     /// Sends whose destination was dead and that cost the sender an
-    /// RTO (routed payloads, plus driver RPCs against dead peers).
+    /// RTO (routed messages, plus driver RPCs against dead peers).
     pub timeouts: u64,
-    /// Messages silently discarded: non-routed payloads to dead nodes
-    /// and routed payloads whose hop count exceeded the TTL.
+    /// Messages silently discarded: non-routed messages to dead nodes
+    /// and routed messages whose hop count exceeded the TTL.
     pub drops: u64,
-}
-
-impl TrafficStats {
-    fn count(&mut self, kind: &'static str) {
-        *self.by_kind.entry(kind).or_insert(0) += 1;
-        self.total += 1;
-    }
 }
 
 /// Result of one message-driven lookup.
@@ -86,11 +78,11 @@ const RTO_MS: u64 = 250;
 /// (bounds transient routing loops while pointers heal).
 const TTL: u32 = 96;
 
-#[derive(Debug, PartialEq, Eq)]
+/// A message in flight.
 struct Envelope {
     from: Id,
     to: Id,
-    msg_seq: u64,
+    msg: Payload,
 }
 
 /// A deterministic, single-threaded message-passing HIERAS network.
@@ -102,8 +94,6 @@ pub struct SimNet<'a> {
     /// Link latency between two nodes, ms.
     delay: Box<dyn Fn(Id, Id) -> u64 + 'a>,
     queue: EventQueue<Envelope>,
-    payloads: HashMap<u64, Payload>,
-    next_msg: u64,
     next_req: u64,
     stats: TrafficStats,
     config: HierasConfig,
@@ -131,8 +121,6 @@ impl<'a> SimNet<'a> {
             nodes,
             delay: Box::new(delay),
             queue: EventQueue::new(),
-            payloads: HashMap::new(),
-            next_msg: 0,
             next_req: 0,
             stats: TrafficStats::default(),
             config: oracle.config().clone(),
@@ -243,19 +231,17 @@ impl<'a> SimNet<'a> {
             r.inc(msg.send_counter());
         }
         let d = if from == to { 0 } else { (self.delay)(from, to) };
-        let seq = self.next_msg;
-        self.next_msg += 1;
-        self.payloads.insert(seq, msg);
-        self.queue.schedule_in(d, Envelope { from, to, msg_seq: seq });
+        self.queue.schedule_in(d, Envelope { from, to, msg });
     }
 
     /// Delivers one popped message: normal handling when the
-    /// destination is alive (routed payloads over the TTL are
+    /// destination is alive (routed messages over the TTL are
     /// dropped); a routed payload to a dead node becomes a
     /// [`Payload::Timeout`] fired back at the sender one RTO later;
     /// anything else to a dead node is silently dropped.
-    fn deliver(&mut self, env: Envelope, msg: Payload) {
-        if self.nodes.contains_key(&env.to) {
+    fn deliver(&mut self, env: Envelope) {
+        let Envelope { from, to, msg } = env;
+        if self.nodes.contains_key(&to) {
             if let Payload::FindSucc { hops, layer, .. }
             | Payload::FindRingSucc { hops, layer, .. } = msg
             {
@@ -273,36 +259,41 @@ impl<'a> SimNet<'a> {
                     t.instant(self.queue.now(), "hop", &[
                         ("layer", u64::from(layer)),
                         ("hops", u64::from(hops)),
-                        ("at", env.to.raw()),
+                        ("at", to.raw()),
                     ]);
                 }
             }
-            let node = self.nodes.get_mut(&env.to).expect("checked above");
-            for (dest, out) in node.handle(env.from, msg) {
-                self.post(env.to, dest, out);
+            let node = self.nodes.get_mut(&to).expect("checked above");
+            for (dest, out) in node.handle(from, msg) {
+                self.post(to, dest, out);
             }
-        } else if msg.is_routed() && env.from != env.to && self.nodes.contains_key(&env.from) {
+        } else if msg.is_routed() && from != to && self.nodes.contains_key(&from) {
             self.stats.timeouts += 1;
             if let Some(r) = self.registry.as_deref_mut() {
                 r.inc("net.timeout");
             }
-            let timeout = Payload::Timeout { dead: env.to, original: Box::new(msg) };
-            let seq = self.next_msg;
-            self.next_msg += 1;
-            self.payloads.insert(seq, timeout);
+            let timeout = Payload::Timeout { dead: to, original: Box::new(msg) };
             // Self-addressed so the sender's handler scrubs and
             // reroutes; delay = RTO, not the link latency.
-            self.queue.schedule_in(RTO_MS, Envelope {
-                from: env.from,
-                to: env.from,
-                msg_seq: seq,
-            });
+            self.queue.schedule_in(RTO_MS, Envelope { from, to: from, msg: timeout });
         } else {
             self.stats.drops += 1;
             if let Some(r) = self.registry.as_deref_mut() {
                 r.inc("net.drop.dead");
             }
         }
+    }
+
+    /// Pops the next message off the queue and counts its delivery
+    /// (`total` and `net.deliver.<kind>`); `None` once the queue is
+    /// empty.
+    fn pop_counted(&mut self) -> Option<(u64, Envelope)> {
+        let (at, env) = self.queue.pop()?;
+        self.stats.total += 1;
+        if let Some(r) = self.registry.as_deref_mut() {
+            r.inc(env.msg.deliver_counter());
+        }
+        Some((at, env))
     }
 
     /// Runs the queue until a message matching `stop` arrives at
@@ -313,16 +304,11 @@ impl<'a> SimNet<'a> {
         watch_node: Id,
         stop: impl Fn(&Payload) -> bool,
     ) -> Option<(Id, Payload, u64)> {
-        while let Some((at, env)) = self.queue.pop() {
-            let msg = self.payloads.remove(&env.msg_seq).expect("payload stored at post");
-            self.stats.count(msg.kind());
-            if let Some(r) = self.registry.as_deref_mut() {
-                r.inc(msg.deliver_counter());
+        while let Some((at, env)) = self.pop_counted() {
+            if env.to == watch_node && stop(&env.msg) {
+                return Some((env.from, env.msg, at));
             }
-            if env.to == watch_node && stop(&msg) {
-                return Some((env.from, msg, at));
-            }
-            self.deliver(env, msg);
+            self.deliver(env);
         }
         None
     }
@@ -912,13 +898,8 @@ impl<'a> SimNet<'a> {
 
     /// Delivers everything currently in flight.
     fn drain(&mut self) {
-        while let Some((_, env)) = self.queue.pop() {
-            let msg = self.payloads.remove(&env.msg_seq).expect("payload stored");
-            self.stats.count(msg.kind());
-            if let Some(r) = self.registry.as_deref_mut() {
-                r.inc(msg.deliver_counter());
-            }
-            self.deliver(env, msg);
+        while let Some((_, env)) = self.pop_counted() {
+            self.deliver(env);
         }
     }
 }
@@ -1062,16 +1043,19 @@ mod tests {
     fn traffic_stats_categorize_messages() {
         let (o, _) = build(25, 2);
         let mut net = SimNet::from_oracle(&o, &[1], delay);
+        net.enable_registry();
+        let delivered = |net: &SimNet, kind: &str| {
+            net.registry().unwrap().counter(&["net.deliver.", kind].concat())
+        };
         let _ = net.lookup(o.id_of(1), Id(42));
-        let stats = net.stats();
-        assert!(stats.total > 0);
-        assert!(stats.by_kind.contains_key("found_succ"));
-        let before = stats.total;
+        let before = net.stats().total;
+        assert!(before > 0);
+        assert!(delivered(&net, "found_succ") > 0);
         let _ = net.join(Id(0x4242_4242_4242_4242), o.id_of(0), &[5, 10]);
         assert!(net.stats().total > before);
-        assert!(net.stats().by_kind.contains_key("get_ring_table"));
-        assert!(net.stats().by_kind.contains_key("ring_table_update"));
-        assert!(net.stats().by_kind.contains_key("get_landmarks"));
+        for kind in ["get_ring_table", "ring_table_update", "get_landmarks"] {
+            assert!(delivered(&net, kind) > 0, "kind {kind}");
+        }
     }
 
     #[test]
@@ -1233,10 +1217,10 @@ mod tests {
         }
         let _ = net.join(Id(0x5151_5151_5151_5151), o.id_of(0), &[5, 10]);
         let r = net.take_registry().unwrap();
-        // Deliver counters mirror TrafficStats exactly, kind by kind.
-        for (kind, n) in &net.stats().by_kind {
-            assert_eq!(r.counter(&["net.deliver.", kind].concat()), *n, "kind {kind}");
-        }
+        // The per-kind deliver counters sum to the delivered total.
+        let delivered: u64 =
+            r.counters().filter(|(k, _)| k.starts_with("net.deliver.")).map(|(_, n)| n).sum();
+        assert_eq!(delivered, net.stats().total);
         assert_eq!(r.counter("lookup.count"), 25);
         assert_eq!(r.counter("join.count"), 1);
         assert_eq!(r.hist("lookup.hops").unwrap().sum(), total_hops);

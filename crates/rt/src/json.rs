@@ -213,9 +213,10 @@ impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed).
     ///
     /// # Errors
-    /// On malformed input, with a byte offset in the message.
+    /// On malformed input, with a byte offset in the message, and on
+    /// arrays / objects nested more than 128 deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -251,9 +252,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array / object nesting [`Json::parse`] accepts. The reader
+/// recurses once per level, so hostile input (a line of a million `[`)
+/// would otherwise overflow the stack; nothing the workspace writes
+/// nests past a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays / objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -295,8 +304,15 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if b == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => err(format!("unexpected byte `{}` at {}", b as char, self.pos)),
             None => err("unexpected end of input"),
@@ -682,6 +698,23 @@ mod tests {
         for bad in ["{", "[1,", "\"unterminated", "nul", "{\"a\" 1}", "1 2", "{\"a\":01x}"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        for (what, text) in
+            [("10^6 `[`", "[".repeat(1_000_000)), ("10^6 `{\"a\":`", "{\"a\":".repeat(1_000_000))]
+        {
+            let e = Json::parse(&text).expect_err(what);
+            assert!(e.0.contains("nesting deeper than 128"), "{what}: {e}");
+        }
+        // MAX_DEPTH levels parse; one more does not.
+        let at = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at).is_ok());
+        let past = format!("[{at}]");
+        assert!(Json::parse(&past).is_err());
+        let obj = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&obj).is_ok());
     }
 
     #[test]

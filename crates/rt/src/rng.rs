@@ -82,12 +82,6 @@ impl Rng {
         range.sample(self)
     }
 
-    /// A bernoulli draw: true with probability `p` (clamped to [0,1]).
-    #[inline]
-    pub fn random_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-
     /// Fisher–Yates shuffle in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {

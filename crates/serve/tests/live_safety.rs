@@ -1,7 +1,7 @@
 //! Snapshot-safety stress tests over real routing state.
 //!
 //! The unit tests in `epoch.rs` hammer the reclamation protocol with
-//! tiny integer payloads; here the payloads are full `ServeSnapshot`s
+//! tiny integer snapshots; here they are full `ServeSnapshot`s
 //! — multi-ring HIERAS hierarchies — and the readers are the real
 //! free-running serving loop. Two invariants under fire:
 //!

@@ -8,8 +8,10 @@
 //! threads) it is materialized — the churn engine replays it onto the
 //! event queue and the same seed always produces the same experiment.
 
-use crate::SimClock;
 use hieras_rt::{splitmix64, Json, ToJson};
+
+/// Simulated time in milliseconds since simulation start.
+pub type SimClock = u64;
 
 /// A sampling distribution for node lifetimes and inter-arrival gaps.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -17,21 +17,20 @@
 //! seed always reproduces the same numbers — bit-identical — regardless
 //! of thread count.
 //!
-//! The crate also hosts the discrete-event machinery ([`EventQueue`],
-//! [`SimClock`]) used by the message-level protocol engine
-//! (`hieras-proto`) for churn and join-cost experiments.
+//! The crate also generates churn: a [`ChurnSchedule`] of joins,
+//! leaves and fails in [`SimClock`] milliseconds, which the churn
+//! engine (`hieras-churn`) replays through the message-level protocol
+//! engine (`hieras-proto`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod churn;
-mod des;
 mod experiment;
 mod metrics;
 mod workload;
 
-pub use churn::{ChurnConfig, ChurnEvent, ChurnEventKind, ChurnSchedule, Lifetime};
-pub use des::{CancelToken, EventQueue, SimClock, TimedEvent};
+pub use churn::{ChurnConfig, ChurnEvent, ChurnEventKind, ChurnSchedule, Lifetime, SimClock};
 pub use experiment::{
     AlgoStats, BuildOptions, ComparisonResult, Experiment, ExperimentConfig, OracleBackend,
     TopologyKind,

@@ -17,7 +17,7 @@
 //! invariance as the uniform one.
 
 use hieras_id::{Id, Key};
-use hieras_rt::{Json, ToJson};
+use hieras_rt::{splitmix64, Json, ToJson};
 
 /// Requests with popularity rank at or below this count form the
 /// "hot-key subset" that cache benchmarks report separately.
@@ -177,16 +177,16 @@ impl Workload {
     /// for the uniform model, whose keys have no rank structure).
     #[must_use]
     pub fn request_detail(&self, i: usize) -> (u32, Key, Option<u32>) {
-        let mut x = self.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let a = splitmix64(&mut x);
-        let b = splitmix64(&mut x);
+        // Draw `k` of a SplitMix64 stream seeded at `x`.
+        let x = self.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let draw = |k: u64| splitmix64(x.wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        let (a, b) = (draw(0), draw(1));
         match &self.model {
             WorkloadModel::Uniform => {
                 ((a % u64::from(self.nodes)) as u32, Id(b), None)
             }
             WorkloadModel::Skew(p) => {
-                let c = splitmix64(&mut x);
-                let d = splitmix64(&mut x);
+                let (c, d) = (draw(2), draw(3));
                 let mut rank = zipf_rank(to_unit(b), p.key_universe, p.exponent);
                 let mut in_crowd = false;
                 if let Some(f) = &p.flash {
@@ -212,12 +212,13 @@ impl Workload {
     /// The stable 64-bit key identified by popularity rank `rank`.
     #[must_use]
     pub fn key_of_rank(&self, rank: u32) -> Key {
-        Id(mix(self.seed ^ 0x6b79_5f72_616e_6b21 ^ u64::from(rank)))
+        Id(splitmix64(self.seed ^ 0x6b79_5f72_616e_6b21 ^ u64::from(rank)))
     }
 
     /// Which cluster a key rank calls home (stable per seed).
     fn cluster_of_rank(&self, rank: u32, clusters: u32) -> u32 {
-        (mix(self.seed ^ 0x636c_7573_7465_7221 ^ u64::from(rank)) % u64::from(clusters)) as u32
+        let h = splitmix64(self.seed ^ 0x636c_7573_7465_7221 ^ u64::from(rank));
+        (h % u64::from(clusters)) as u32
     }
 
     /// A source drawn from cluster `cluster`'s contiguous index slice.
@@ -299,23 +300,6 @@ fn to_unit(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Stateless 64-bit finalizer (same mix as the SplitMix64 step).
-fn mix(z: u64) -> u64 {
-    let mut z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// SplitMix64 step — tiny, seedable, and stateless per request.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,11 +352,26 @@ mod tests {
     fn uniform_model_matches_legacy_derivation() {
         let w = Workload::new(128, 512, 0xdead_beef);
         for i in 0..512 {
+            // The first two outputs of a stateful SplitMix64 generator
+            // started at state `x`.
             let mut x = 0xdead_beefu64 ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let a = splitmix64(&mut x);
-            let b = splitmix64(&mut x);
+            let mut next = || {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let (a, b) = (next(), next());
             assert_eq!(w.request(i), ((a % 128) as u32, Id(b)));
         }
+        // Pinned outputs, uniform and Zipf, from before the stream's
+        // helpers were folded into `hieras_rt::splitmix64`.
+        assert_eq!(w.request(0), (27, Id(0xde58_6a31_41a1_0922)));
+        assert_eq!(w.request(511), (63, Id(0xbb8f_8d7f_f110_536a)));
+        let z = Workload::with_model(200, 8000, 7, WorkloadModel::Skew(SkewParams::zipf(0.99)));
+        assert_eq!(z.request_detail(1), (54, Id(0x61f4_444c_8989_ec89), Some(62_519)));
+        assert_eq!(z.request_detail(7999), (132, Id(0x544d_74f7_984d_98e0), Some(7)));
     }
 
     #[test]

@@ -92,8 +92,7 @@ static MEMO_EPOCH: AtomicU64 = AtomicU64::new(1);
 struct OwnLine {
     /// Queries answered from the memo.
     hits: AtomicU64,
-    /// Queries answered by a label merge: every query when the memo is
-    /// off.
+    /// Queries answered by a label merge.
     misses: AtomicU64,
 }
 
@@ -204,9 +203,9 @@ enum Backend {
         /// The graph's bridge decomposition.
         cells: BridgeCells,
     },
-    /// Exact 2-hop hub labels through bridge cells, optionally
-    /// memoized per thread.
-    Labels { labels: FactoredLabels, counts: OwnLine, memo: Option<LabelMemo> },
+    /// Exact 2-hop hub labels through bridge cells, memoized per
+    /// thread.
+    Labels { labels: FactoredLabels, counts: OwnLine, memo: LabelMemo },
 }
 
 /// Exact shortest-path delays over a router graph.
@@ -244,22 +243,13 @@ impl LatencyOracle {
     /// `exec`. The build is the whole cost — queries never run a
     /// Dijkstra — and the labels are bit-identical at any thread
     /// count. Every query answer matches the rows backend exactly.
-    /// The per-thread query memo is enabled.
+    /// Queries go through a per-thread memo, which exploits replay
+    /// lookup locality (the same router pairs recur across requests)
+    /// and never changes an answer.
     #[must_use]
     pub fn with_labels_on(exec: &Executor, graph: Graph) -> Self {
-        Self::with_labels_memoized(exec, graph, true)
-    }
-
-    /// [`LatencyOracle::with_labels_on`] with explicit control over the
-    /// per-thread query memo. The memo exploits replay lookup locality
-    /// (the same router pairs recur across requests) and never changes
-    /// an answer — disabling it exists for the memo-identity tests and
-    /// for isolating raw merge cost in benchmarks.
-    #[must_use]
-    pub fn with_labels_memoized(exec: &Executor, graph: Graph, memoized: bool) -> Self {
         let labels = FactoredLabels::build_on(exec, &graph);
-        let memo =
-            memoized.then(|| LabelMemo { epoch: MEMO_EPOCH.fetch_add(1, Ordering::Relaxed) });
+        let memo = LabelMemo { epoch: MEMO_EPOCH.fetch_add(1, Ordering::Relaxed) };
         LatencyOracle { graph, backend: Backend::Labels { labels, counts: OwnLine::default(), memo } }
     }
 
@@ -438,15 +428,9 @@ impl LatencyOracle {
         let Backend::Labels { labels, counts, memo } = &self.backend else {
             unreachable!("label_latency() is only reached from the labels backend");
         };
-        // One count per query answered, memo hit or not: a hit or a
-        // miss on the memoized path, a miss (a label merge) without it.
-        match memo {
-            Some(m) => m.latency(labels, counts, u, v),
-            None => {
-                counts.misses.fetch_add(1, Ordering::Relaxed);
-                labels.latency(u, v)
-            }
-        }
+        // One count per query answered: a memo hit or a miss (a label
+        // merge).
+        memo.latency(labels, counts, u, v)
     }
 
     /// Number of resident rows (0 on the labels backend): every source
@@ -491,13 +475,13 @@ impl LatencyOracle {
     }
 
     /// `(hits, misses)` of the per-thread query memo, if this oracle
-    /// runs on the labels backend with the memo enabled — the
-    /// `label_memo.*` metrics. Counters aggregate across threads.
+    /// runs on the labels backend — the `label_memo.*` metrics.
+    /// Counters aggregate across threads.
     #[must_use]
     pub fn memo_stats(&self) -> Option<(u64, u64)> {
         match &self.backend {
-            Backend::Labels { counts, memo: Some(_), .. } => Some(counts.totals()),
-            _ => None,
+            Backend::Labels { counts, .. } => Some(counts.totals()),
+            Backend::Rows { .. } => None,
         }
     }
 
@@ -638,69 +622,57 @@ mod tests {
     }
 
     /// The memo must be invisible in answers: every query repeated
-    /// twice (cold then memoized) against a memo-off oracle and the
-    /// rows backend, on a graph with enough pairs to force
-    /// direct-mapped slot collisions and overwrites.
+    /// twice (cold then memoized) against the rows backend, the
+    /// reference, on a graph with enough pairs to force direct-mapped
+    /// slot collisions and overwrites.
     #[test]
-    fn memoized_labels_match_unmemoized_and_rows() {
+    fn memoized_labels_match_rows() {
         let exec = Executor::new(1);
         let rows = LatencyOracle::new(line(60));
-        let memo_on = LatencyOracle::with_labels_memoized(&exec, line(60), true);
-        let memo_off = LatencyOracle::with_labels_memoized(&exec, line(60), false);
-        assert!(memo_on.memo_stats().is_some());
-        assert_eq!(memo_off.memo_stats(), None);
+        let labels = LatencyOracle::with_labels_on(&exec, line(60));
         assert_eq!(rows.memo_stats(), None);
         for pass in 0..2 {
             for u in 0..60u32 {
                 for v in 0..60u32 {
-                    let want = rows.latency(u, v);
-                    assert_eq!(memo_off.latency(u, v), want, "pass {pass} ({u},{v})");
-                    assert_eq!(memo_on.latency(u, v), want, "pass {pass} ({u},{v})");
+                    assert_eq!(labels.latency(u, v), rows.latency(u, v), "pass {pass} ({u},{v})");
                 }
             }
         }
-        let (hits, misses) = memo_on.memo_stats().expect("memo enabled");
+        let (hits, misses) = labels.memo_stats().expect("labels backend");
         assert!(hits > 0, "second pass must hit the memo");
         assert!(misses > 0, "first pass must miss the memo");
         assert_eq!(hits + misses, 2 * 60 * 59, "every non-self query goes through the memo");
-        let (_, queries) = memo_on.label_stats().expect("labels backend");
+        let (_, queries) = labels.label_stats().expect("labels backend");
         assert_eq!(queries, 2 * 60 * 59, "memo hits still count as queries");
     }
 
     /// The query counters sum to exactly the queries issued:
-    /// barrier-started threads at widths 1, 2 and 8, memo on and off.
+    /// barrier-started threads at widths 1, 2 and 8.
     #[test]
     fn label_counters_are_exact_under_concurrency() {
         const PER_THREAD: u64 = 4_000;
         let exec = Executor::new(1);
-        for memoized in [true, false] {
-            for width in [1u64, 2, 8] {
-                let o = LatencyOracle::with_labels_memoized(&exec, line(40), memoized);
-                let start = std::sync::Barrier::new(width as usize);
-                std::thread::scope(|s| {
-                    for t in 0..width {
-                        let (o, start) = (&o, &start);
-                        s.spawn(move || {
-                            start.wait();
-                            for q in 0..PER_THREAD {
-                                let u = ((q + t) % 40) as u32;
-                                let v = (u + 1 + (q % 39) as u32) % 40; // never u
-                                let _ = o.latency(u, v);
-                            }
-                        });
-                    }
-                });
-                let issued = PER_THREAD * width;
-                let (_, queries) = o.label_stats().expect("labels backend");
-                assert_eq!(queries, issued, "memo {memoized}, {width} threads");
-                match o.memo_stats() {
-                    Some((hits, misses)) => {
-                        assert!(memoized);
-                        assert_eq!(hits + misses, issued, "{width} threads");
-                    }
-                    None => assert!(!memoized, "memo on must report memo stats"),
+        for width in [1u64, 2, 8] {
+            let o = LatencyOracle::with_labels_on(&exec, line(40));
+            let start = std::sync::Barrier::new(width as usize);
+            std::thread::scope(|s| {
+                for t in 0..width {
+                    let (o, start) = (&o, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for q in 0..PER_THREAD {
+                            let u = ((q + t) % 40) as u32;
+                            let v = (u + 1 + (q % 39) as u32) % 40; // never u
+                            let _ = o.latency(u, v);
+                        }
+                    });
                 }
-            }
+            });
+            let issued = PER_THREAD * width;
+            let (_, queries) = o.label_stats().expect("labels backend");
+            assert_eq!(queries, issued, "{width} threads");
+            let (hits, misses) = o.memo_stats().expect("labels backend");
+            assert_eq!(hits + misses, issued, "{width} threads");
         }
     }
 
@@ -710,8 +682,8 @@ mod tests {
     #[test]
     fn memo_epochs_isolate_oracles() {
         let exec = Executor::new(1);
-        let a = LatencyOracle::with_labels_memoized(&exec, line(30), true);
-        let b = LatencyOracle::with_labels_memoized(&exec, triangle(), true);
+        let a = LatencyOracle::with_labels_on(&exec, line(30));
+        let b = LatencyOracle::with_labels_on(&exec, triangle());
         for u in 0..30u32 {
             for v in 0..30u32 {
                 let _ = a.latency(u, v);

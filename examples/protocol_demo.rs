@@ -30,6 +30,8 @@ fn main() {
             _ => 25,
         }
     });
+    // Per-message-type counters (`net.send.*`, `net.deliver.*`).
+    net.enable_registry();
     println!("message-level network: {} nodes\n", net.len());
 
     // A lookup, counted in protocol messages.
@@ -42,7 +44,6 @@ fn main() {
 
     // The §3.3 join choreography.
     let newcomer = Id::hash_of(b"newcomer:198.51.100.7:9000");
-    let before = net.stats().total;
     let join = net.join(newcomer, e.ids[42], &[12, 45, 130, 80]);
     println!("\njoin of {newcomer} through node[42]:");
     println!("  rings joined : {} (founded {})", join.rings_joined, join.rings_founded);
@@ -55,12 +56,12 @@ fn main() {
     let ring = net.node(newcomer).unwrap().layer(2).ring_name;
     println!("  ring name    : \"{ring}\" (ring id {})", ring.ring_id());
     println!("  traffic by kind since start:");
-    let mut kinds: Vec<_> = net.stats().by_kind.iter().collect();
-    kinds.sort();
-    for (k, v) in kinds {
-        println!("    {k:<18} {v}");
+    let registry = net.registry().expect("enabled above");
+    for (name, v) in registry.counters() {
+        if let Some(k) = name.strip_prefix("net.deliver.") {
+            println!("    {k:<18} {v}");
+        }
     }
-    let _ = before;
 
     // The newcomer is now resolvable.
     let probe = net.lookup(e.ids[0], newcomer);

@@ -79,6 +79,16 @@ done
 ./target/release/hieras-timeline --compare "$ts.jsonl" "$ts.live.jsonl" > target/timeline_compare.txt
 ./target/release/hieras-timeline --chrome-trace "$ts.slow.jsonl" "$ts.slow.chrome.json"
 ./target/release/hieras-timeline --chrome-trace "$trace.jsonl" "$trace.chrome.json"
+# Hostile input: a line nested 100 000 deep is rejected (exit 1), not
+# a stack overflow (abort, exit 134).
+deep=target/deep_nesting.jsonl
+head -c 100000 /dev/zero | tr '\0' '[' > "$deep"
+rc=0
+./target/release/hieras-timeline --check "$deep" 2> /dev/null || rc=$?
+if [ "$rc" -ne 1 ]; then
+    echo "hieras-timeline --check on $deep exited $rc, want 1" >&2
+    exit 1
+fi
 
 echo "==> examples: each runs once; a non-zero exit fails CI"
 RUSTFLAGS="-D warnings" cargo build --release --examples
