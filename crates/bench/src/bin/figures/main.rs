@@ -17,7 +17,6 @@ mod drivers;
 
 use hieras_bench::render;
 use hieras_bench::{depth_sweep, landmark_sweep, size_sweep};
-use hieras_can::{CanOracle, HierCan};
 use hieras_core::{Binning, CostReport, HierasConfig, HierasOracle, LandmarkOrder};
 use hieras_id::{Id, IdSpace};
 use hieras_pastry::PastryOracle;
@@ -32,9 +31,9 @@ use std::sync::Arc;
 const SEED: u64 = 20030415; // ICPP 2003 — any fixed seed works.
 
 /// The paper's artifacts, in `all` order.
-const PAPER_IDS: [&str; 15] = [
+const PAPER_IDS: [&str; 14] = [
     "table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-    "costs", "ablate-noise", "ablate-can", "compare-pastry",
+    "costs", "ablate-noise", "compare-pastry",
 ];
 
 /// The experiment drivers, never part of `all`: `scale --full` builds
@@ -46,7 +45,7 @@ usage: figures [<id>...] [--full] [--trace-out <path.jsonl>]
                [--timeseries-out <path.jsonl>] [--pace <sim-per-wall>]
 
 paper ids: table1 table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-           costs ablate-noise ablate-can compare-pastry, or all (the default)
+           costs ablate-noise compare-pastry, or all (the default)
 drivers:   churn scale live (never part of all)
 
 --full                   paper-scale sizes (quick is the default)
@@ -208,7 +207,6 @@ fn write_figure(id: &str, args: &Args, dir: &Path) -> Result<Figure, String> {
         "fig8" | "fig9" => fig89(&scale, &mut md),
         "costs" => costs(&scale, &mut md),
         "ablate-noise" => ablate_noise(&scale, &mut md),
-        "ablate-can" => ablate_can(&mut md),
         "compare-pastry" => compare_pastry(&scale, &mut md),
         "churn" => drivers::churn(args, &mut md)?,
         "scale" => drivers::scale(args, &mut md),
@@ -223,6 +221,7 @@ fn write_figure(id: &str, args: &Args, dir: &Path) -> Result<Figure, String> {
         ("threads", Executor::default().threads().to_json()),
         ("nproc", nproc.to_json()),
         ("full", args.full.to_json()),
+        ("git_sha", git_sha().to_json()),
     ];
     let record = Json::obj(provenance.map(|(k, v)| (k.to_owned(), v)).into_iter().chain(fields));
     let path = dir.join(format!("{id}.json"));
@@ -236,6 +235,25 @@ fn write_figure(id: &str, args: &Args, dir: &Path) -> Result<Figure, String> {
         path.display()
     );
     Ok(Figure { md, diverged })
+}
+
+/// The checked-out commit, `git rev-parse HEAD`, with `-dirty` appended
+/// when tracked files are modified; `"unknown"` when git or the
+/// repository is unavailable. Asked once per process.
+fn git_sha() -> &'static str {
+    static SHA: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    SHA.get_or_init(|| {
+        let git = |args: &[&str]| {
+            let out = std::process::Command::new("git").args(args).output().ok()?;
+            out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_owned())
+        };
+        let changes = git(&["status", "--porcelain", "--untracked-files=no"]);
+        match (git(&["rev-parse", "HEAD"]), changes) {
+            (Some(sha), Some(changes)) if !changes.is_empty() => format!("{sha}-dirty"),
+            (Some(sha), _) => sha,
+            (None, _) => "unknown".to_owned(),
+        }
+    })
 }
 
 /// Table 1: the distributed binning worked example, verbatim.
@@ -584,64 +602,6 @@ fn ablate_noise(scale: &Scale, md: &mut String) -> Json {
     Json::obj([("ablate_noise", out.to_json())])
 }
 
-/// HIERAS-over-CAN: the §3.2 transplant, CAN vs hierarchical CAN.
-fn ablate_can(md: &mut String) -> Json {
-    let cfg = ExperimentConfig {
-        kind: TopologyKind::TransitStub,
-        nodes: 1000,
-        requests: 0,
-        hieras: HierasConfig::paper(),
-        seed: SEED,
-        rtt_noise: 0.0,
-    };
-    let e = Experiment::build(cfg);
-    let n = e.ids.len();
-    let dims = 3;
-    let can = CanOracle::build(n, dims, SEED).expect("CAN builds");
-    let hier = HierCan::build(&e.orders, dims, SEED).expect("HierCan builds");
-    let w = Workload::new(n as u32, 10_000, SEED ^ 0xca);
-    let (mut ch, mut cl, mut hh, mut hl, mut lower) = (0u64, 0u64, 0u64, 0u64, 0u64);
-    for (src, key) in w.iter() {
-        let r = can.route(src, key);
-        ch += r.hops() as u64;
-        for pair in r.path.windows(2) {
-            cl += u64::from(e.peer_latency(pair[0], pair[1]));
-        }
-        let hops = hier.route(src, key);
-        hh += hops.len() as u64;
-        for hp in &hops {
-            hl += u64::from(e.peer_latency(hp.from, hp.to));
-            lower += u64::from(hp.lower);
-        }
-    }
-    let req = w.requests as f64;
-    let _ = writeln!(md, "| system | avg hops | avg latency ms | lower-hop share |");
-    let _ = writeln!(md, "|--------|---------:|---------------:|----------------:|");
-    let _ = writeln!(md, "| CAN (d={dims}) | {:.3} | {:.1} | - |", ch as f64 / req, cl as f64 / req);
-    let _ = writeln!(
-        md,
-        "| HIERAS-CAN | {:.3} | {:.1} | {:.1}% |",
-        hh as f64 / req,
-        hl as f64 / req,
-        lower as f64 / hh.max(1) as f64 * 100.0
-    );
-    let _ = writeln!(
-        md,
-        "\nHIERAS-CAN latency = {:.2}% of plain CAN",
-        hl as f64 / cl as f64 * 100.0
-    );
-    Json::obj([
-        ("can", Json::obj([
-            ("hops", (ch as f64 / req).to_json()),
-            ("latency", (cl as f64 / req).to_json()),
-        ])),
-        ("hier_can", Json::obj([
-            ("hops", (hh as f64 / req).to_json()),
-            ("latency", (hl as f64 / req).to_json()),
-        ])),
-    ])
-}
-
 /// §6 future work: HIERAS vs Pastry (with proximity neighbour
 /// selection) vs Chord on the same TS network and workload.
 fn compare_pastry(scale: &Scale, md: &mut String) -> Json {
@@ -790,9 +750,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("scratch directory removed");
         let record: Json = hieras_rt::from_str(&json).expect("record is JSON");
         assert!(record.get("table1").is_some());
-        for field in ["seed", "threads", "nproc", "full"] {
+        for field in ["seed", "threads", "nproc", "full", "git_sha"] {
             assert!(record.get(field).is_some(), "provenance field `{field}` missing");
         }
+        let sha: String = record.field("git_sha").expect("git_sha is a string");
+        assert!(!sha.is_empty(), "a commit id or `unknown`");
         assert!(!fig.diverged);
         assert!(fig.md.contains("| A | 25ms | 5ms | 30ms | 100ms |"), "markdown: {}", fig.md);
         assert!(write_figure("fig99", &args, &dir).is_err(), "unknown id");

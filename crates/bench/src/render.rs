@@ -137,7 +137,7 @@ pub fn sparkline(values: &[u64]) -> String {
     let max = values.iter().copied().max().unwrap_or(0).max(1);
     values
         .iter()
-        .map(|&v| GLYPHS[((v * 7).div_ceil(max) as usize).min(7)])
+        .map(|&v| GLYPHS[((u128::from(v) * 7).div_ceil(u128::from(max)) as usize).min(7)])
         .collect()
 }
 
@@ -185,13 +185,18 @@ pub fn timeline_table(ts: &TimeSeriesReport) -> String {
         let pct: Vec<u64> = ts
             .windows
             .iter()
-            .map(|w| (cache_hits(w) * 100).checked_div(cache_probes(w)).unwrap_or(0))
+            .map(|w| {
+                let pct = (u128::from(cache_hits(w)) * 100).checked_div(cache_probes(w).into());
+                pct.map_or(0, |p| u64::try_from(p).unwrap_or(u64::MAX))
+            })
             .collect();
         let _ = writeln!(s, "cache % {}", sparkline(&pct));
         let (hits, probes) = ts
             .windows
             .iter()
-            .fold((0u64, 0u64), |(h, p), w| (h + cache_hits(w), p + cache_probes(w)));
+            .fold((0u64, 0u64), |(h, p), w| {
+                (h.saturating_add(cache_hits(w)), p.saturating_add(cache_probes(w)))
+            });
         let _ = writeln!(
             s,
             "# cache: {hits} hits / {probes} lookups ({:.1}%), per-window {}",
@@ -212,9 +217,9 @@ pub fn timeline_table(ts: &TimeSeriesReport) -> String {
     );
     for w in &ts.windows {
         let per_sec = w.lookups as f64 * 1000.0 / ts.meta.window_ms as f64;
-        let churn = w.health.counter(names::SERVE_EPOCH_JOINS)
-            + w.health.counter(names::SERVE_EPOCH_LEAVES)
-            + w.health.counter(names::SERVE_EPOCH_FAILS);
+        let churn = [names::SERVE_EPOCH_JOINS, names::SERVE_EPOCH_LEAVES, names::SERVE_EPOCH_FAILS]
+            .iter()
+            .fold(0u64, |sum, &name| sum.saturating_add(w.health.counter(name)));
         let _ = writeln!(
             s,
             "| {} | {} | {:.0} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
@@ -325,7 +330,7 @@ pub fn timeline_compare(a: &TimeSeriesReport, b: &TimeSeriesReport) -> String {
             w.map_or_else(|| "-".to_owned(), |w| f(w).to_string())
         };
         let delta = |f: fn(&hieras_obs::TelemetryWindow) -> u64| match (wa, wb) {
-            (Some(x), Some(y)) => format!("{:+}", f(y) as i64 - f(x) as i64),
+            (Some(x), Some(y)) => format!("{:+}", i128::from(f(y)) - i128::from(f(x))),
             _ => "-".to_owned(),
         };
         let _ = writeln!(
@@ -351,7 +356,7 @@ pub fn timeline_compare(a: &TimeSeriesReport, b: &TimeSeriesReport) -> String {
         volumes.sort_unstable();
         let median = volumes.get(volumes.len() / 2).copied().unwrap_or(0);
         let crowded: Vec<&hieras_obs::TelemetryWindow> = if median > 0 {
-            ts.windows.iter().filter(|w| w.lookups >= 3 * median).collect()
+            ts.windows.iter().filter(|w| w.lookups >= median.saturating_mul(3)).collect()
         } else {
             Vec::new()
         };
@@ -433,6 +438,7 @@ mod tests {
         assert_eq!(sparkline(&[0, 1]), "▁█");
         assert_eq!(sparkline(&[0, 0, 0]), "▁▁▁", "an all-zero series renders all-low");
         assert_eq!(sparkline(&[8, 4, 1]).chars().count(), 3);
+        assert_eq!(sparkline(&[u64::MAX, 3]), "█▂", "no overflow at the top of the range");
     }
 
     fn demo_report() -> hieras_obs::TimeSeriesReport {

@@ -178,6 +178,16 @@ impl FromJson for LogHistogram {
         if h.counts.iter().sum::<u64>() != h.total {
             return Err(JsonError("log histogram total does not match counts".into()));
         }
+        // `quantile` clamps into [min, max]; an empty histogram is the
+        // all-zero one `new` builds.
+        let consistent = if h.total == 0 {
+            h.min == 0 && h.max == 0 && h.sum == 0
+        } else {
+            h.min <= h.max
+        };
+        if !consistent {
+            return Err(JsonError("log histogram min/max/sum inconsistent with its total".into()));
+        }
         Ok(h)
     }
 }

@@ -539,7 +539,7 @@ pub struct TimeSeriesMeta {
     /// Window clock: `"sim"` (schedule time — deterministic) or
     /// `"wall"` (free-running wall clock).
     pub mode: String,
-    /// Window width on that clock, ms.
+    /// Window width on that clock, ms (positive; parsing rejects 0).
     pub window_ms: u64,
 }
 
@@ -559,7 +559,11 @@ impl FromJson for TimeSeriesMeta {
         if schema != TIMESERIES_SCHEMA {
             return Err(JsonError(format!("unknown timeseries schema `{schema}`")));
         }
-        Ok(TimeSeriesMeta { mode: v.field("mode")?, window_ms: v.field("window_ms")? })
+        let window_ms: u64 = v.field("window_ms")?;
+        if window_ms == 0 {
+            return Err(JsonError("timeseries window_ms must be positive".into()));
+        }
+        Ok(TimeSeriesMeta { mode: v.field("mode")?, window_ms })
     }
 }
 
@@ -587,10 +591,10 @@ impl TimeSeriesReport {
         self.windows.len()
     }
 
-    /// Lookups across all windows.
+    /// Lookups across all windows (saturating).
     #[must_use]
     pub fn total_lookups(&self) -> u64 {
-        self.windows.iter().map(|w| w.lookups).sum()
+        self.windows.iter().fold(0u64, |sum, w| sum.saturating_add(w.lookups))
     }
 
     /// The JSONL stream: one meta line, then one compact line per
@@ -886,6 +890,17 @@ mod tests {
         let good = s.into_report("sim", 10, None).to_jsonl();
         let err = TimeSeriesReport::parse_jsonl(&format!("{good}not json\n")).unwrap_err();
         assert!(err.0.contains("line 3"), "{err}");
+        // JSON that would break the renderer: a histogram whose
+        // min > max (its quantile clamp panics), a zero window width.
+        let (meta, window) = good.split_once('\n').unwrap();
+        let bad = window.replace(r#""min":1,"max":1"#, r#""min":5,"max":3"#);
+        assert_ne!(bad, window);
+        let err = TimeSeriesReport::parse_jsonl(&format!("{meta}\n{bad}")).unwrap_err();
+        assert!(err.0.contains("line 2") && err.0.contains("min"), "{err}");
+        let zero = meta.replace(r#""window_ms":10"#, r#""window_ms":0"#);
+        assert_ne!(zero, meta);
+        let err = TimeSeriesReport::parse_jsonl(&format!("{zero}\n{window}")).unwrap_err();
+        assert!(err.0.contains("window_ms"), "{err}");
     }
 
     /// A hostile line nested a million deep is a parse error on its

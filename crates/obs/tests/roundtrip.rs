@@ -32,6 +32,15 @@ fn log_histogram_rejects_inconsistent_totals() {
         }
     }
     assert!(LogHistogram::from_json(&json).is_err());
+    // `quantile` clamps into [min, max]: min > max would panic there,
+    // and an empty histogram is all zeros.
+    for bad in [
+        r#"{"counts":[0,1],"total":1,"sum":1,"min":5,"max":3}"#,
+        r#"{"counts":[0],"total":0,"sum":0,"min":1,"max":1}"#,
+        r#"{"counts":[],"total":0,"sum":7,"min":0,"max":0}"#,
+    ] {
+        assert!(from_str::<LogHistogram>(bad).is_err(), "{bad} must be rejected");
+    }
 }
 
 #[test]

@@ -1,12 +1,10 @@
-//! Baseline shoot-out: Chord vs Pastry (proximity tables) vs HIERAS vs
-//! CAN vs hierarchical CAN, all over the same Transit-Stub internetwork
-//! and the same workload.
+//! Baseline shoot-out: Chord vs Pastry (proximity tables) vs HIERAS,
+//! all over the same Transit-Stub internetwork and the same workload.
 //!
 //! ```text
 //! cargo run --release --example baselines
 //! ```
 
-use hieras::can::{CanOracle, HierCan};
 use hieras::core::HierasConfig;
 use hieras::pastry::PastryOracle;
 use hieras::prelude::*;
@@ -25,33 +23,19 @@ fn main() {
     });
     let pastry =
         PastryOracle::build(e.ids.clone(), |a, b| e.peer_latency(a, b)).expect("distinct ids");
-    let can = CanOracle::build(NODES, 3, 17).expect("CAN builds");
-    let hier_can = HierCan::build(&e.orders, 3, 17).expect("HierCan builds");
     let w = Workload::new(NODES as u32, REQUESTS, 4242);
 
     // Chord + HIERAS via the experiment replay.
     let r = e.run_requests(REQUESTS);
     let (c, h) = (r.chord.summary(), r.hieras.summary());
 
-    // Pastry / CAN / HierCan measured over the same latency oracle.
+    // Pastry measured over the same latency oracle.
     let (mut ph, mut pl) = (0u64, 0u64);
-    let (mut nh, mut nl) = (0u64, 0u64);
-    let (mut gh, mut gl) = (0u64, 0u64);
     for (src, key) in w.iter() {
         let p = pastry.route(src, key);
         ph += p.hops() as u64;
         for pair in p.path.windows(2) {
             pl += u64::from(e.peer_latency(pair[0], pair[1]));
-        }
-        let cr = can.route(src, key);
-        nh += cr.hops() as u64;
-        for pair in cr.path.windows(2) {
-            nl += u64::from(e.peer_latency(pair[0], pair[1]));
-        }
-        let hops = hier_can.route(src, key);
-        gh += hops.len() as u64;
-        for hp in &hops {
-            gl += u64::from(e.peer_latency(hp.from, hp.to));
         }
     }
     let q = REQUESTS as f64;
@@ -72,20 +56,8 @@ fn main() {
         pl as f64 / q,
         (pl as f64 / q) / c.avg_latency_ms * 100.0
     );
-    println!(
-        "| CAN (d=3) | {:.3} | {:.1} | {:.1}% |",
-        nh as f64 / q,
-        nl as f64 / q,
-        (nl as f64 / q) / c.avg_latency_ms * 100.0
-    );
-    println!(
-        "| HIERAS-CAN (2-layer) | {:.3} | {:.1} | {:.1}% |",
-        gh as f64 / q,
-        gl as f64 / q,
-        (gl as f64 / q) / c.avg_latency_ms * 100.0
-    );
-    println!("\nNotes: Pastry and CAN resolve keys to their own notion of the key's home");
-    println!("(numerically closest node / zone owner), so hop paths differ per system;");
+    println!("\nNotes: Pastry resolves keys to its own notion of the key's home");
+    println!("(the numerically closest node), so hop paths differ per system;");
     println!("each pays its full lookup cost on the same underlay, which is the fair");
     println!("comparison the HIERAS paper's §6 sketches as future work.");
 }

@@ -1,6 +1,6 @@
 //! Churn: nodes join, fail silently, and leave while lookups continue.
 //!
-//! Drives the message engine by hand (the `churn` bench binary does
+//! Drives the message engine by hand (`figures churn` does
 //! the same through `hieras::churn::run_churn`, with a depth-1 Chord
 //! baseline beside it): §3.3 joins, graceful leaves, silent fails found
 //! through RTO timeouts, and per-layer check-predecessor / stabilize /

@@ -68,7 +68,7 @@ bash benchmark/run.sh --smoke > target/benchmark_smoke.txt
 echo "==> drivers: one quick figures run; a non-zero exit fails CI"
 ts=target/timeseries
 trace=target/churn_trace
-./target/release/figures table1 table2 table3 fig4 fig5 churn scale live \
+./target/release/figures all churn scale live \
     --timeseries-out "$ts.jsonl" --trace-out "$trace.jsonl" > /dev/null
 
 echo "==> telemetry streams: validate, render, diff, convert"
@@ -79,16 +79,24 @@ done
 ./target/release/hieras-timeline --compare "$ts.jsonl" "$ts.live.jsonl" > target/timeline_compare.txt
 ./target/release/hieras-timeline --chrome-trace "$ts.slow.jsonl" "$ts.slow.chrome.json"
 ./target/release/hieras-timeline --chrome-trace "$trace.jsonl" "$trace.chrome.json"
-# Hostile input: a line nested 100 000 deep is rejected (exit 1), not
-# a stack overflow (abort, exit 134).
+# Hostile input is rejected (exit 1), not a crash: a line nested
+# 100 000 deep (a stack overflow would abort, exit 134) and a window
+# whose latency histogram has min > max (a quantile panic, exit 101).
 deep=target/deep_nesting.jsonl
 head -c 100000 /dev/zero | tr '\0' '[' > "$deep"
-rc=0
-./target/release/hieras-timeline --check "$deep" 2> /dev/null || rc=$?
-if [ "$rc" -ne 1 ]; then
-    echo "hieras-timeline --check on $deep exited $rc, want 1" >&2
-    exit 1
-fi
+minmax=target/min_over_max.jsonl
+{
+    echo '{"schema":"hieras.timeseries/v1","mode":"sim","window_ms":1000}'
+    echo '{"window":0,"lookups":1,"failures":0,"retries":0,"p50_ms":1,"p95_ms":1,"p99_ms":1,"p999_ms":1,"latency_ms":{"counts":[0,1],"total":1,"sum":1,"min":5,"max":3},"health":{"counters":{},"gauges":{},"hists":{}}}'
+} > "$minmax"
+for bad in "$deep" "$minmax"; do
+    rc=0
+    ./target/release/hieras-timeline --check "$bad" 2> /dev/null || rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "hieras-timeline --check on $bad exited $rc, want 1" >&2
+        exit 1
+    fi
+done
 
 echo "==> examples: each runs once; a non-zero exit fails CI"
 RUSTFLAGS="-D warnings" cargo build --release --examples

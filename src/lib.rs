@@ -20,8 +20,6 @@
 //! * [`serve`] — the live serving engine: epoch-published snapshots,
 //!   incremental maintenance under churn, the reader-side hot-key
 //!   cache (quiesced, deterministic and free-running modes).
-//! * [`can`] — CAN underlay and hierarchical CAN (the paper's §3.2
-//!   extension claim, implemented).
 //! * [`pastry`] — Pastry prefix-routing baseline for the cross-DHT
 //!   comparison.
 //! * [`obs`] — metric registry, span tracer, windowed telemetry and
@@ -37,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use hieras_can as can;
 pub use hieras_chord as chord;
 pub use hieras_churn as churn;
 pub use hieras_core as core;
