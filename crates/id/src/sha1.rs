@@ -84,12 +84,16 @@ impl Sha1 {
     /// Finishes the computation and returns the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length,
+        // written straight into the block — one extra block when fewer
+        // than 9 bytes are left for the marker and the length.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf[..56].fill(0);
         }
-        // `update` would keep growing `len`; splice the length in manually.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);

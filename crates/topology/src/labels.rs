@@ -16,7 +16,11 @@
 //! d(u, v) = min over hubs h ∈ label(u) ∩ label(v) of d(u,h) + d(h,v)
 //! ```
 //!
-//! Construction processes vertices in a deterministic
+//! No shortest path leaves a connected component, so each component is
+//! labelled on its own: copied out with local vertex indices, ranked,
+//! and pruned without ever seeing another component's labels.
+//!
+//! A component's hubs are processed in a deterministic
 //! *sampled-betweenness* order: a fixed, seeded set of shortest-path
 //! trees is computed and vertices are ranked by how many sampled
 //! shortest paths run through them (degree, then index, break ties).
@@ -24,45 +28,29 @@
 //! "covers the most shortest paths" — and on internet-shaped graphs it
 //! ranks the transit backbone above merely well-connected stub routers,
 //! yielding measurably shorter labels than degree order. Each hub then
-//! runs one *pruned* Dijkstra: when a visited vertex's distance is
-//! already covered by previously committed labels, the search neither
-//! labels nor expands it. On a Transit-Stub instance the transit
-//! routers are ranked first and every later search collapses to its own
-//! stub domain — total work scales with the label size, not `N²`.
+//! runs one *pruned* Dijkstra, strictly in rank order: when a visited
+//! vertex's distance is already covered by the labels of earlier hubs,
+//! the search neither labels nor expands it. On a Transit-Stub instance
+//! the transit routers are ranked first and every later search
+//! collapses to its own stub domain — total work scales with the label
+//! size, not `N²`. Pruning is exact under any hub order; a sequential
+//! pass gives the smallest labels for a given order.
 //!
-//! Hubs are processed in fixed geometric warm-up batches (1, 2, 4, …,
-//! [`MAX_BATCH`]); within a batch every pruned Dijkstra sees only the
-//! labels committed by *prior* batches, so each batch is a pure
-//! function of the previous state and [`Executor::par_fill`] can run
-//! it on any number of threads with **bit-identical** results. (Less
-//! intra-batch pruning only ever adds redundant — still exact —
-//! entries, and the schedule is fixed, so the label set is a pure
-//! function of the graph.)
+//! The components, not the hubs, are what run in parallel: they are
+//! spread over the [`Executor`] largest first. Each component's labels
+//! are a pure function of that component, and its ranks are offset by
+//! a base fixed by the component numbering, so the whole index is
+//! **bit-identical** at any thread count.
 
-use crate::graph::DijkstraScratch;
+use crate::graph::{DijkstraScratch, Edge};
 use crate::Graph;
 use hieras_rt::{Executor, Rng};
-use std::cell::RefCell;
+use std::cmp::Reverse;
 
-/// Hubs per full-speed batch. Must not depend on the thread count —
-/// it defines the commit schedule and therefore the exact label set.
-/// The geometric warm-up (1, 2, 4, … hubs) keeps the earliest, most
-/// widely covering hubs pruning each other near-sequentially; by the
-/// time batches reach this size the searches are local and intra-batch
-/// redundancy is negligible.
-const MAX_BATCH: usize = 256;
-
-/// Hubs per work chunk inside a batch. Small: one pruned search is
-/// microseconds to milliseconds, and chunk order fixes the merge.
-const LABEL_CHUNK: usize = 2;
-
-/// Shortest-path trees sampled to score the betweenness hub order.
-/// Fixed — it is part of the label-set definition, like [`MAX_BATCH`].
+/// Shortest-path trees sampled per component to score its hub order
+/// (every vertex of a smaller component roots one). Fixed — it is part
+/// of the label-set definition.
 const BETWEENNESS_SAMPLES: usize = 32;
-
-/// Sample roots per betweenness work chunk: bounds the number of live
-/// 8-byte-per-vertex accumulators while leaving 16 chunks to spread.
-const BETWEENNESS_CHUNK: usize = 2;
 
 /// Size/effort statistics of a built [`HubLabels`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,7 +78,9 @@ pub struct HubLabels {
     /// CSR offsets into `entries`, one slice per vertex.
     offsets: Box<[u32]>,
     /// Per-vertex label entries, packed `(hub_rank << 32) | distance`,
-    /// sorted ascending by hub rank (commit order guarantees it).
+    /// sorted ascending by hub rank (commit order guarantees it). Ranks
+    /// are unique across the graph, so labels of two components never
+    /// share a hub.
     entries: Box<[u64]>,
     /// Number of distinct hubs used by at least one label.
     hubs: usize,
@@ -106,56 +96,121 @@ impl PartialEq for HubLabels {
 
 impl Eq for HubLabels {}
 
-/// Per-worker working memory for one pruned Dijkstra: the shared
-/// [`DijkstraScratch`] (tentative distances + Dial bucket ring, reset
-/// lazily through `touched`) plus the current hub's committed label
-/// scattered by rank for O(|label|) cover queries.
-#[derive(Default)]
-struct LabelScratch {
-    dij: DijkstraScratch,
-    /// Vertices whose tentative distance was set this run.
-    touched: Vec<u32>,
-    /// Distance from the current hub to committed hub `rank`;
-    /// `u32::MAX` = hub not on the current root's label.
-    hub_dist_of_rank: Vec<u32>,
-    /// Ranks set in `hub_dist_of_rank`, for O(|label|) reset.
-    marked: Vec<u32>,
+/// The connected components of a graph, numbered in order of their
+/// smallest vertex. Component `c` holds `members[start[c]..start[c + 1]]`,
+/// ascending — the order that gives its vertices their local indices.
+struct Components {
+    start: Vec<u32>,
+    members: Vec<u32>,
+    /// Each vertex's component.
+    comp: Vec<u32>,
+    /// Each vertex's local index within its component.
+    local: Vec<u32>,
 }
 
-impl LabelScratch {
-    /// Grows the arrays to cover `n` vertices and `nb` buckets,
-    /// keeping prior allocations. Distances are maintained reset by
-    /// the lazy `touched`/`marked` lists, so this never refills them.
-    fn ensure(&mut self, n: usize, nb: usize) {
-        if self.dij.dist.len() < n {
-            self.dij.dist.resize(n, u32::MAX);
+impl Components {
+    fn of(graph: &Graph) -> Self {
+        let n = graph.node_count();
+        let mut comp = vec![u32::MAX; n];
+        let mut start = vec![0u32];
+        let mut stack = Vec::new();
+        for s in 0..n as u32 {
+            if comp[s as usize] != u32::MAX {
+                continue;
+            }
+            let c = start.len() as u32 - 1;
+            comp[s as usize] = c;
+            stack.push(s);
+            let mut size = 0u32;
+            while let Some(u) = stack.pop() {
+                size += 1;
+                for e in graph.neighbors(u) {
+                    if comp[e.to as usize] == u32::MAX {
+                        comp[e.to as usize] = c;
+                        stack.push(e.to);
+                    }
+                }
+            }
+            start.push(start[c as usize] + size);
         }
-        if self.dij.buckets.len() < nb {
-            self.dij.buckets.resize_with(nb, Vec::new);
+        // Counting sort by component; ascending `v` keeps members sorted.
+        let mut fill = start.clone();
+        let mut members = vec![0u32; n];
+        let mut local = vec![0u32; n];
+        for v in 0..n {
+            let c = comp[v] as usize;
+            members[fill[c] as usize] = v as u32;
+            local[v] = fill[c] - start[c];
+            fill[c] += 1;
         }
-        if self.hub_dist_of_rank.len() < n {
-            self.hub_dist_of_rank.resize(n, u32::MAX);
+        Components { start, members, comp, local }
+    }
+
+    fn count(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn size(&self, c: usize) -> usize {
+        (self.start[c + 1] - self.start[c]) as usize
+    }
+
+    /// Component `c` copied out with local vertex indices; each
+    /// adjacency list keeps the graph's edge order.
+    fn copy_out(&self, graph: &Graph, c: usize) -> Component {
+        let members = &self.members[self.start[c] as usize..self.start[c + 1] as usize];
+        let mut offsets = Vec::with_capacity(members.len() + 1);
+        offsets.push(0u32);
+        let mut adj = Vec::new();
+        for &v in members {
+            adj.extend(graph.neighbors(v).iter().map(|e| Edge {
+                to: self.local[e.to as usize],
+                delay_ms: e.delay_ms,
+            }));
+            offsets.push(u32::try_from(adj.len()).expect("component edges overflow u32"));
         }
+        let nb = adj.iter().map(|e| usize::from(e.delay_ms)).max().unwrap_or(0) + 1;
+        Component { offsets, adj, nb }
     }
 }
 
-thread_local! {
-    /// One scratch per worker thread. Purely an allocation cache: the
-    /// labels produced are independent of scratch state, so reuse
-    /// cannot perturb determinism.
-    static SCRATCH: RefCell<LabelScratch> = RefCell::new(LabelScratch::default());
+/// One connected component as a CSR adjacency over local indices.
+struct Component {
+    offsets: Vec<u32>,
+    adj: Vec<Edge>,
+    /// Dial buckets a search needs: the component's largest delay + 1.
+    /// Any larger ring settles vertices in the same order.
+    nb: usize,
+}
+
+impl Component {
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn neighbors(&self, u: u32) -> &[Edge] {
+        &self.adj[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
+    }
+}
+
+/// One component's labels: a CSR over its local indices, entries packed
+/// `(hub_rank << 32) | distance` with the component's rank base added.
+#[derive(Clone, Default)]
+struct ComponentLabels {
+    offsets: Vec<u32>,
+    entries: Vec<u64>,
+    hubs: usize,
 }
 
 /// Adds one sampled shortest-path tree rooted at `root` into `scores`.
 ///
-/// Runs a canonical Dial-bucket Dijkstra (deterministic: single
-/// threaded, LIFO buckets, the parent of a vertex is whichever strict
-/// relaxation fixed its final distance), then accumulates subtree
-/// sizes in reverse settle order — `size[v]` counts the sampled
-/// shortest paths from `root` that pass through `v`, the standard
-/// one-tree term of sampled betweenness centrality.
-fn accumulate_sp_tree(graph: &Graph, root: u32, nb: usize, scores: &mut [u64]) {
-    let n = graph.node_count();
+/// Runs a canonical Dial-bucket Dijkstra (deterministic: LIFO buckets,
+/// the parent of a vertex is whichever strict relaxation fixed its
+/// final distance), then accumulates subtree sizes in reverse settle
+/// order — `size[v]` counts the sampled shortest paths from `root`
+/// that pass through `v`, the standard one-tree term of sampled
+/// betweenness centrality.
+fn accumulate_sp_tree(comp: &Component, root: u32, scores: &mut [u64]) {
+    let (n, nb) = (comp.len(), comp.nb);
     let mut dist = vec![u32::MAX; n];
     let mut parent = vec![u32::MAX; n];
     let mut settled: Vec<u32> = Vec::with_capacity(n);
@@ -172,7 +227,7 @@ fn accumulate_sp_tree(graph: &Graph, root: u32, nb: usize, scores: &mut [u64]) {
                 continue; // superseded entry
             }
             settled.push(u);
-            for e in graph.neighbors(u) {
+            for e in comp.neighbors(u) {
                 let nd = d as u32 + u32::from(e.delay_ms);
                 if nd < dist[e.to as usize] {
                     dist[e.to as usize] = nd;
@@ -201,64 +256,46 @@ fn accumulate_sp_tree(graph: &Graph, root: u32, nb: usize, scores: &mut [u64]) {
     }
 }
 
-/// Deterministic hub priority: sampled-betweenness score descending,
-/// then degree descending, then index. The sample-root set is seeded
-/// from the vertex count alone, so the order — and therefore the label
-/// set — is a pure function of the graph at any thread count.
-fn hub_order(exec: &Executor, graph: &Graph) -> Vec<u32> {
-    let n = graph.node_count();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let k = BETWEENNESS_SAMPLES.min(n);
+/// Deterministic hub priority within one component: sampled-betweenness
+/// score descending, then degree descending, then local index. The
+/// sample roots are seeded from the component's size alone, so the
+/// order is a pure function of the component.
+fn hub_order(comp: &Component) -> Vec<u32> {
+    let n = comp.len();
     let mut scores = vec![0u64; n];
-    if k > 0 {
-        let mut rng = Rng::seed_from_u64(0x4_8655_2615_u64 ^ (n as u64).rotate_left(17));
-        let roots = rng.sample_indices(n, k);
-        let nb = usize::from(graph.max_delay()) + 1;
-        scores = exec.par_fold(
-            k,
-            BETWEENNESS_CHUNK,
-            || vec![0u64; n],
-            |acc, i| accumulate_sp_tree(graph, roots[i] as u32, nb, acc),
-            |mut a, b| {
-                // Element-wise u64 sums: exact and order-independent,
-                // so the merge is trivially thread-invariant.
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        );
+    let mut rng = Rng::seed_from_u64(0x4_8655_2615_u64 ^ (n as u64).rotate_left(17));
+    for root in rng.sample_indices(n, BETWEENNESS_SAMPLES.min(n)) {
+        accumulate_sp_tree(comp, root as u32, &mut scores);
     }
-    order.sort_by_key(|&v| {
-        (u64::MAX - scores[v as usize], usize::MAX - graph.degree(v), v)
-    });
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    let degree = |v: u32| comp.offsets[v as usize + 1] - comp.offsets[v as usize];
+    order.sort_by_key(|&v| (Reverse(scores[v as usize]), Reverse(degree(v)), v));
     order
 }
 
-/// One pruned Dijkstra from `root`: returns the `(vertex, distance)`
-/// pairs this hub must label, in deterministic settle order. Pruning
-/// consults only `committed` (labels from prior batches), making the
-/// result a pure function of `(graph, committed, root)`.
-fn pruned_dijkstra(
-    graph: &Graph,
-    committed: &[Vec<(u32, u32)>],
-    root: u32,
-    nb: usize,
-) -> Vec<(u32, u32)> {
-    SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        scratch.ensure(graph.node_count(), nb);
-        let LabelScratch { dij, touched, hub_dist_of_rank, marked } = scratch;
-        let (dist, buckets) = (&mut dij.dist, &mut dij.buckets);
-        let mut out = Vec::new();
+/// Pruned landmark labeling of one component: one pruned Dijkstra per
+/// hub, strictly in rank order, each pruning against every label
+/// committed before it. Ranks start at `base`.
+fn label_component(comp: &Component, base: u32) -> ComponentLabels {
+    let (n, nb) = (comp.len(), comp.nb);
+    let order = hub_order(comp);
+    // `(local rank, distance)` pairs, ascending by rank.
+    let mut labels: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+    let mut dij = DijkstraScratch::new();
+    dij.reset(n, nb);
+    let (dist, buckets) = (&mut dij.dist, &mut dij.buckets);
+    let mut touched: Vec<u32> = Vec::new();
+    // Distance from the current root to hub `rank`; `u32::MAX` = not on
+    // the root's label. Turns each cover test into O(|label(u)|).
+    let mut root_dist_of_rank = vec![u32::MAX; n];
+    let mut hubs = 0usize;
 
-        // Scatter the root's committed label for O(|label(u)|) cover
-        // queries at every visited vertex u.
-        for &(rank, d) in &committed[root as usize] {
-            hub_dist_of_rank[rank as usize] = d;
-            marked.push(rank);
+    for (rank, &root) in order.iter().enumerate() {
+        let rank = rank as u32;
+        for &(r, d) in &labels[root as usize] {
+            root_dist_of_rank[r as usize] = d;
         }
-
+        let mut labelled = false;
         let mut pending = 1usize;
         dist[root as usize] = 0;
         touched.push(root);
@@ -272,16 +309,19 @@ fn pruned_dijkstra(
                     continue; // superseded entry
                 }
                 // Pruning test: is d(root, u) already achieved through
-                // a committed hub common to both labels?
-                let covered = committed[u as usize].iter().any(|&(rank, du)| {
-                    let dr = hub_dist_of_rank[rank as usize];
+                // an earlier hub common to both labels?
+                let covered = labels[u as usize].iter().any(|&(r, du)| {
+                    let dr = root_dist_of_rank[r as usize];
                     dr != u32::MAX && u64::from(dr) + u64::from(du) <= d as u64
                 });
                 if covered {
                     continue;
                 }
-                out.push((u, d as u32));
-                for e in graph.neighbors(u) {
+                // `rank` is not scattered above, so this entry never
+                // prunes the rest of its own search.
+                labels[u as usize].push((rank, d as u32));
+                labelled = true;
+                for e in comp.neighbors(u) {
                     let nd = d as u32 + u32::from(e.delay_ms);
                     if nd < dist[e.to as usize] {
                         if dist[e.to as usize] == u32::MAX {
@@ -295,18 +335,28 @@ fn pruned_dijkstra(
             }
             d += 1;
         }
-
-        // Lazy reset: only what this run wrote.
-        for &t in touched.iter() {
+        hubs += usize::from(labelled);
+        // Lazy reset: only what this search wrote.
+        for &t in &touched {
             dist[t as usize] = u32::MAX;
         }
         touched.clear();
-        for &r in marked.iter() {
-            hub_dist_of_rank[r as usize] = u32::MAX;
+        for &(r, _) in &labels[root as usize] {
+            root_dist_of_rank[r as usize] = u32::MAX;
         }
-        marked.clear();
-        out
-    })
+    }
+
+    let mut out = ComponentLabels {
+        offsets: Vec::with_capacity(n + 1),
+        entries: Vec::with_capacity(labels.iter().map(Vec::len).sum::<usize>()),
+        hubs,
+    };
+    out.offsets.push(0);
+    for label in &labels {
+        out.entries.extend(label.iter().map(|&(r, d)| (u64::from(base + r) << 32) | u64::from(d)));
+        out.offsets.push(u32::try_from(out.entries.len()).expect("label entries overflow u32"));
+    }
+    out
 }
 
 impl HubLabels {
@@ -317,68 +367,64 @@ impl HubLabels {
         Self::build_on(&Executor::default(), graph)
     }
 
-    /// Builds exact hub labels for `graph`, parallelized on `exec`.
+    /// Builds exact hub labels for `graph`, one connected component at
+    /// a time, the components spread over `exec`.
     ///
-    /// The hub order (sampled betweenness, see [`hub_order`]), the
-    /// batch schedule, and the per-batch chunk size are all fixed, so
-    /// the resulting labels are **bit-identical at any thread count**
-    /// — asserted by `tests/label_equivalence.rs`.
+    /// Each component's hub order (sampled betweenness, see
+    /// [`hub_order`]) and labels depend on that component alone, and
+    /// its ranks start at the number of vertices in the components
+    /// numbered before it, so the resulting labels are **bit-identical
+    /// at any thread count** — asserted by `tests/label_equivalence.rs`.
     #[must_use]
     pub fn build_on(exec: &Executor, graph: &Graph) -> Self {
         let t0 = std::time::Instant::now();
-        let n = graph.node_count();
+        let parts = Components::of(graph);
 
-        let order = hub_order(exec, graph);
-
-        let nb = usize::from(graph.max_delay()) + 1;
-        let mut committed: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        let mut hubs = 0usize;
-
-        let mut start = 0usize;
-        let mut batch = 1usize;
-        while start < n {
-            let size = batch.min(n - start);
-            let mut results: Vec<Vec<(u32, u32)>> = vec![Vec::new(); size];
-            {
-                let committed = &committed;
-                let order = &order;
-                exec.par_fill(&mut results, LABEL_CHUNK, |i| {
-                    pruned_dijkstra(graph, committed, order[start + i], nb)
-                });
+        // Largest first, in rounds of at most one largest component's
+        // vertices per worker. `par_fill` clones each round's results
+        // into memory this thread owns before the next round, so what
+        // the workers free is reused by the next round rather than
+        // kept resident.
+        let mut by_size: Vec<usize> = (0..parts.count()).collect();
+        by_size.sort_by_key(|&c| (Reverse(parts.size(c)), c));
+        let budget = exec.threads() * by_size.first().map_or(0, |&c| parts.size(c));
+        let mut done = vec![ComponentLabels::default(); parts.count()];
+        let mut next = 0usize;
+        while next < by_size.len() {
+            let (mut end, mut total) = (next, 0usize);
+            while end < by_size.len() && total + parts.size(by_size[end]) <= budget {
+                total += parts.size(by_size[end]);
+                end += 1;
             }
-            // Commit sequentially in rank order; each vertex's list
-            // stays sorted by hub rank by construction.
-            for (i, ins) in results.into_iter().enumerate() {
-                let rank = (start + i) as u32;
-                if !ins.is_empty() {
-                    hubs += 1;
-                }
-                for (v, d) in ins {
-                    committed[v as usize].push((rank, d));
-                }
+            let round = &by_size[next..end];
+            let mut out = vec![ComponentLabels::default(); round.len()];
+            exec.par_fill(&mut out, 1, |i| {
+                let c = round[i];
+                label_component(&parts.copy_out(graph, c), parts.start[c])
+            });
+            for (&c, labels) in round.iter().zip(out) {
+                done[c] = labels;
             }
-            start += size;
-            if batch < MAX_BATCH {
-                batch *= 2;
-            }
+            next = end;
         }
 
-        // Flatten to CSR with packed entries.
-        let total: usize = committed.iter().map(Vec::len).sum();
+        // Scatter into one CSR indexed by global vertex.
+        let n = graph.node_count();
+        let total: usize = done.iter().map(|l| l.entries.len()).sum();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut entries = Vec::with_capacity(total);
         offsets.push(0u32);
-        for label in &committed {
-            for &(rank, d) in label {
-                entries.push((u64::from(rank) << 32) | u64::from(d));
-            }
+        for v in 0..n {
+            let l = &done[parts.comp[v] as usize];
+            let i = parts.local[v] as usize;
+            entries.extend_from_slice(&l.entries[l.offsets[i] as usize..l.offsets[i + 1] as usize]);
             offsets.push(u32::try_from(entries.len()).expect("label entries overflow u32"));
         }
 
         HubLabels {
             offsets: offsets.into_boxed_slice(),
             entries: entries.into_boxed_slice(),
-            hubs,
+            hubs: done.iter().map(|l| l.hubs).sum(),
             build_ms: t0.elapsed().as_secs_f64() * 1e3,
         }
     }
@@ -476,9 +522,10 @@ struct Exit {
 ///
 /// The graph's bridge decomposition (`Graph::bridge_cells`) is taken
 /// and the bridge of every *outermost* cell is cut. One [`HubLabels`]
-/// build labels that cut graph: its components are the
-/// 2-edge-connected core (with the DFS root's side of any bridge) and
-/// the outermost cells, nested cells included. One cell-local search
+/// build labels that cut graph, one component at a time: its
+/// components are the 2-edge-connected core (with the DFS root's side
+/// of any bridge) and the outermost cells, nested cells included, so
+/// each cell is ranked and pruned on its own. One cell-local search
 /// from each outermost cell's root gives every router its `Exit`.
 /// Then `latency(u, v)` is
 ///
@@ -494,9 +541,9 @@ struct Exit {
 /// between two routers outside a cell gain anything by entering it.
 /// A cross-cell query merges the short labels of two core routers.
 /// The cut labels are smaller than whole-graph labels on Transit-Stub
-/// from 4 000 routers up and on Inet, since no hub of one cell appears
-/// in another's labels; on a tiny world they can be larger, when the
-/// sampled hub order misses most cells. A graph without bridges
+/// and Inet — no hub of one cell appears in another's labels, and each
+/// cell's hub order is sampled from that cell — 3 727 against 6 083
+/// entries on an 800-peer Transit-Stub world. A graph without bridges
 /// (BRITE) has no cells and is labelled whole.
 #[derive(Debug, Clone)]
 pub struct FactoredLabels {
@@ -680,6 +727,44 @@ mod tests {
         assert_eq!(f.labels.latency(4, 0), u16::MAX, "bridge 0–4 is cut");
         assert_eq!(f.labels.latency(5, 6), 2);
         assert_eq!(f.latency(4, 8), 8 + 3 + 10 + 6);
+    }
+
+    /// Each router's label as `(hub router, distance)` pairs. A hub's
+    /// own label holds it at distance 0 — the one such entry of its
+    /// rank when no link has zero delay — which names the router
+    /// behind every rank.
+    fn labels_by_router(l: &HubLabels) -> Vec<Vec<(u32, u64)>> {
+        let n = l.node_count() as u32;
+        let mut router_of_rank = std::collections::HashMap::new();
+        for v in 0..n {
+            for &e in l.label(v).iter().filter(|&&e| e as u32 == 0) {
+                assert_eq!(router_of_rank.insert(e >> 32, v), None, "rank {} twice", e >> 32);
+            }
+        }
+        let by_router = |v| l.label(v).iter().map(|&e| (router_of_rank[&(e >> 32)], e & 0xffff_ffff));
+        (0..n).map(|v| by_router(v).collect()).collect()
+    }
+
+    /// Appending one more cell (a triangle hung off a core router by a
+    /// single bridge) leaves every other router's label untouched: a
+    /// component is ranked and pruned on its own.
+    #[test]
+    fn a_cells_labels_depend_on_that_cell_alone() {
+        let world = crate::TransitStubConfig::for_peers(2000, 31).generate().graph;
+        let exec = Executor::new(2);
+        let before = FactoredLabels::build_on(&exec, &world);
+        let core = (0..world.node_count()).find(|&v| before.exits[v].outer == NO_CELL).unwrap();
+        let mut grown = world.clone();
+        let [a, b, c] = [grown.add_node(), grown.add_node(), grown.add_node()];
+        for (u, v) in [(a, b), (b, c), (c, a)] {
+            grown.add_edge(u, v, 3);
+        }
+        grown.add_edge(core as u32, a, 20);
+        let after = FactoredLabels::build_on(&exec, &grown);
+        assert_ne!(after.exits[a as usize].outer, NO_CELL, "the new triangle is a cell");
+        let (old, new) = (labels_by_router(&before.labels), labels_by_router(&after.labels));
+        assert_eq!(old[..], new[..world.node_count()]);
+        assert_eq!(after.latency(a, core as u32), 20);
     }
 
     #[test]

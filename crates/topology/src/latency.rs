@@ -23,7 +23,9 @@
 //! * **Labels** ([`LatencyOracle::with_labels_on`]) — exact 2-hop hub
 //!   labels through the same bridge cells ([`FactoredLabels`]): the
 //!   bridge of every outermost cell is cut and the cut graph labelled
-//!   once (pruned landmark labeling, [`crate::HubLabels`]), and every
+//!   one component at a time — the core and each outermost cell with
+//!   its own hub order, the components spread over the executor
+//!   (pruned landmark labeling, [`crate::HubLabels`]) — and every
 //!   router keeps the router across its outermost cell's bridge and its
 //!   delay there. A pair inside one outermost cell is a merge of its
 //!   two labels; any other pair is that delay at both ends plus a merge

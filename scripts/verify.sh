@@ -17,15 +17,21 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "==> zero-dependency audit: crate manifests reference only workspace crates"
-# Every [dependencies]/[dev-dependencies] entry in every crate manifest
-# must be a workspace hieras-* crate (`foo.workspace = true` or
+# Every entry of every table whose name ends in `dependencies]` —
+# [dependencies], [dev-dependencies], [build-dependencies] and their
+# [target.'cfg(...)'.…] forms — in every crate manifest must be a
+# workspace hieras-* crate (`foo.workspace = true` or
 # `foo = { workspace = true, ... }`). Anything else — a version
 # requirement, a git/registry source — is an external dependency and
-# fails CI before the build can try to touch the network.
+# fails CI before the build can try to touch the network. So does
+# every one-dependency table ([dependencies.rand] and the like): no
+# manifest here uses that form.
 bad=$(awk '
     /^\[/ {
-        in_deps = ($0 ~ /^\[(dev-|build-)?dependencies\]/)
         in_wsdeps = ($0 ~ /^\[workspace\.dependencies\]/)
+        in_deps = !in_wsdeps && ($0 ~ /^\[[^]]*dependencies\]/)
+        if ($0 ~ /^\[[^]]*dependencies\.[^]]*\]/)
+            printf "%s: %s\n", FILENAME, $0
     }
     in_deps && /^[A-Za-z0-9_.-]+[[:space:]]*=/ {
         name = $1
