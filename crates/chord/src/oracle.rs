@@ -19,7 +19,7 @@
 
 use crate::{PathBuf, RingArenaPool};
 use hieras_id::{Id, IdSpace, Key};
-use hieras_rt::Executor;
+use hieras_rt::{fingerprint, fingerprint_u32, splitmix64, Executor};
 use std::sync::{Arc, OnceLock};
 
 /// Errors constructing a ring.
@@ -346,23 +346,13 @@ impl RingView {
     #[must_use]
     pub fn arena_digest(&self) -> u64 {
         *self.digest.get_or_init(|| {
-            let mut h = hieras_rt::splitmix64(
-                0x5ee4_a12e_5000_0000
-                    ^ u64::from(self.space.bits())
-                    ^ (self.members.len() as u64) << 8,
-            );
-            let mut mix = |v: u64| h = hieras_rt::splitmix64(h ^ v);
-            for &m in &self.members {
-                mix(u64::from(m));
-            }
-            for &id in &self.member_ids {
-                mix(id.0);
-            }
-            for &s in &self.seek {
-                mix(u64::from(s));
-            }
-            mix(u64::from(self.seek_shift));
-            h
+            let seed = 0x5ee4_a12e_5000_0000
+                ^ u64::from(self.space.bits())
+                ^ (self.members.len() as u64) << 8;
+            let h = fingerprint_u32(seed, &self.members);
+            let h = fingerprint(h, &self.member_ids, |id| id.0);
+            let h = fingerprint_u32(h, &self.seek);
+            splitmix64(h ^ u64::from(self.seek_shift))
         })
     }
 
@@ -942,6 +932,31 @@ mod tests {
         assert_eq!(delta, full);
         assert_eq!(delta.arena_digest(), full.arena_digest());
         assert_eq!(delta.members(), &[7, 0, 2, 3, 5]);
+    }
+
+    #[test]
+    fn arena_digest_covers_every_array_and_the_shift() {
+        let ids = ids_of(&[10, 50, 90, 130, 170, 210, 240, 5]);
+        let r = RingView::build(s8(), ids, &[0, 1, 2, 3, 5]).unwrap();
+        // A copy with one piece perturbed and a fresh digest cache.
+        let with = |f: &dyn Fn(&mut RingView)| {
+            let mut c = RingView {
+                space: r.space,
+                ids: Arc::clone(&r.ids),
+                members: r.members.clone(),
+                member_ids: r.member_ids.clone(),
+                seek: r.seek.clone(),
+                seek_shift: r.seek_shift,
+                digest: OnceLock::new(),
+            };
+            f(&mut c);
+            c.arena_digest()
+        };
+        assert_eq!(with(&|_| {}), r.arena_digest());
+        assert_ne!(with(&|c| c.members[2] = 7), r.arena_digest(), "members");
+        assert_ne!(with(&|c| c.member_ids[2].0 += 1), r.arena_digest(), "member_ids");
+        assert_ne!(with(&|c| c.seek[1] += 1), r.arena_digest(), "seek");
+        assert_ne!(with(&|c| c.seek_shift += 1), r.arena_digest(), "seek_shift");
     }
 
     #[test]

@@ -168,11 +168,13 @@ impl MembershipReplay {
     /// from.
     #[must_use]
     pub fn live_members(&self) -> Vec<u32> {
-        self.live
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &alive)| alive.then_some(i as u32))
-            .collect()
+        let mut out = Vec::with_capacity(self.live_count as usize);
+        for (i, &alive) in self.live.iter().enumerate() {
+            if alive {
+                out.push(i as u32);
+            }
+        }
+        out
     }
 
     /// Whether node `node` is currently live.

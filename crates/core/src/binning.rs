@@ -96,6 +96,17 @@ impl LandmarkOrder {
         (0..self.len()).map(move |i| (self.digits >> (60 - 4 * i)) as u8 & 0xf)
     }
 
+    /// One injective `u64` for `(digits, len)`: every held digit plus
+    /// one, packed as stored. Held nibbles are 1–10 and the rest stay 0
+    /// (digits past `len` are never set), so the nonzero nibbles give
+    /// back the length and, less one, the digits — a 16-digit order
+    /// fills all 64 bits without meeting a shorter one.
+    #[must_use]
+    pub(crate) fn code(self) -> u64 {
+        // No nibble carries: 9 + 1 < 16.
+        self.digits + (0x1111_1111_1111_1111 & head_mask(self.len()))
+    }
+
     /// The first `len` digits (all of them when `len` is larger).
     #[must_use]
     pub(crate) fn prefix(&self, len: usize) -> LandmarkOrder {
@@ -350,15 +361,23 @@ mod tests {
         let dropped = |d: &[u8], i: usize| -> Vec<u8> {
             d.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &x)| x).collect()
         };
+        // `code` is injective: the digits and length decode back out.
+        let decode = |c: u64| -> Vec<u8> {
+            let nibbles = (0..MAX_DIGITS).map(|i| (c >> (60 - 4 * i)) as u8 & 0xf);
+            nibbles.take_while(|&n| n != 0).map(|n| n - 1).collect()
+        };
         let packed: Vec<LandmarkOrder> =
             cases.iter().map(|d| LandmarkOrder::new(d).unwrap()).collect();
         for (i, (d, o)) in cases.iter().zip(&packed).enumerate() {
             assert_eq!((o.len(), o.is_empty()), (d.len(), d.is_empty()));
             assert_eq!(o.name(), name(d), "case {i}");
             assert_eq!(o.ring_id(), Id::hash_of(name(d).as_bytes()), "case {i}");
+            assert_eq!(decode(o.code()), *d, "case {i}");
             for k in 0..=MAX_DIGITS + 1 {
                 assert_eq!(o.prefix(k).name(), name(&d[..k.min(d.len())]), "case {i} prefix {k}");
                 assert_eq!(o.drop_landmark(k).name(), name(&dropped(d, k)), "case {i} drop {k}");
+                assert_eq!(decode(o.prefix(k).code()), d[..k.min(d.len())], "case {i} prefix {k}");
+                assert_eq!(decode(o.drop_landmark(k).code()), dropped(d, k), "case {i} drop {k}");
             }
             assert_eq!(LandmarkOrder::from_json(&o.to_json()), Ok(*o));
             assert_eq!(o.name().parse::<LandmarkOrder>(), Ok(*o));

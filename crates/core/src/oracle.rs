@@ -11,7 +11,7 @@ use crate::{ConfigError, HierasConfig, LandmarkOrder, RingTable, RouteTrace};
 use crate::trace::{HopRecord, RouteCost};
 use hieras_chord::{PathBuf, RingArenaPool, RingBuildError, RingView};
 use hieras_id::{Id, IdSpace, Key};
-use hieras_rt::{splitmix64, Executor};
+use hieras_rt::{fingerprint, fingerprint_u32, splitmix64, Executor};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -177,14 +177,7 @@ impl OrderTable {
     /// Order-sensitive digest of every entry's length and digits.
     fn digest(&self) -> u64 {
         *self.digest.get_or_init(|| {
-            let mut h = splitmix64(0x0a4d_e45a_7ab1_e000 ^ self.list.len() as u64);
-            for o in &self.list {
-                h = splitmix64(h ^ o.len() as u64);
-                for d in o.digits() {
-                    h = splitmix64(h ^ u64::from(d));
-                }
-            }
-            h
+            fingerprint(0x0a4d_e45a_7ab1_e000, &self.list, |o| o.code())
         })
     }
 }
@@ -943,9 +936,7 @@ impl HierasOracle {
                 }
                 h = splitmix64(h ^ ring.arena_digest());
             }
-            for &r in layer.ring_of_node.iter() {
-                h = splitmix64(h ^ u64::from(r));
-            }
+            h = fingerprint_u32(h, &layer.ring_of_node);
         }
         for (name, t) in &self.ring_tables {
             // The name enters as its ASCII digits.
@@ -1255,6 +1246,34 @@ mod tests {
         )
         .unwrap();
         let _ = o.route(3, Id(42));
+    }
+
+    /// The identity gates compare digest to digest, so each piece of
+    /// state the digest covers must move it on its own.
+    #[test]
+    fn hierarchy_digest_covers_node_maps_orders_and_ring_tables() {
+        let (o, _) = two_bin_system();
+        let base = o.hierarchy_digest();
+        assert_eq!(o.clone().hierarchy_digest(), base);
+
+        let mut m = o.clone();
+        let mut map = m.layers[1].ring_of_node.to_vec();
+        map[4] ^= 1;
+        m.layers[1].ring_of_node = map.into();
+        assert_ne!(m.hierarchy_digest(), base, "one ring_of_node entry");
+
+        let mut m = o.clone();
+        let mut list = m.orders.list.clone();
+        list[4] = ord("01");
+        m.orders = Arc::new(OrderTable { list, digest: OnceLock::new() });
+        assert_ne!(m.hierarchy_digest(), base, "one order");
+
+        let mut m = o.clone();
+        let t = m.ring_tables.get_mut(&ord("00")).unwrap();
+        let before = t.entry_points().to_vec();
+        t.observe(Id(1));
+        assert_ne!(t.entry_points(), before);
+        assert_ne!(m.hierarchy_digest(), base, "one ring-table entry point");
     }
 
     /// Field-by-field structural equality: every ring arena, ring

@@ -16,6 +16,9 @@
 //!   reader, plus the [`ToJson`]/[`FromJson`] traits the config,
 //!   metrics and figure structs implement by hand (replaces
 //!   `serde`/`serde_json`).
+//! * [`fingerprint`] / [`fingerprint_u32`] — a multi-lane SplitMix64
+//!   hash of whole arrays, the one kernel behind every per-epoch digest
+//!   and snapshot checksum.
 //!
 //! The zero-dependency policy is documented in the repository's
 //! DESIGN.md; new code must build on these primitives instead of
@@ -24,10 +27,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fingerprint;
 mod json;
 mod par;
 mod rng;
 
+pub use fingerprint::{fingerprint, fingerprint_u32};
 pub use json::{from_str, to_string, to_string_pretty, FromJson, Json, JsonError, ToJson};
 pub use par::Executor;
 pub use rng::{Rng, SampleRange};

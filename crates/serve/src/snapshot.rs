@@ -2,22 +2,24 @@
 
 use hieras_core::HierasOracle;
 use hieras_id::Id;
-use hieras_rt::splitmix64;
+use hieras_rt::{fingerprint_u32, splitmix64};
 use std::sync::Arc;
 
 /// One epoch's routing state: the hierarchy over the live membership,
 /// the membership itself, and a checksum binding the two to the epoch
 /// they were published under. Readers route against this without
-/// locks; [`ServeSnapshot::verify`] catches any torn mix of two
-/// epochs (a membership from one, rings from another) — the invariant
-/// the snapshot-safety stress test hammers.
+/// locks; [`ServeSnapshot::verify`] catches a torn mix of two epochs
+/// whose epoch number, live list or global-ring membership differs
+/// from the sealed ones — the invariant the snapshot-safety stress
+/// test hammers.
 #[derive(Debug, Clone)]
 pub struct ServeSnapshot {
     /// The hierarchy over exactly the live peers (global indices).
     pub oracle: HierasOracle,
     /// Live peer indices, ascending.
     pub live: Arc<[u32]>,
-    /// `splitmix64` chain over the epoch and the membership.
+    /// [`fingerprint_u32`] of the epoch, the live list and the global
+    /// ring's members (in ring order).
     pub checksum: u64,
 }
 
@@ -35,26 +37,23 @@ impl ServeSnapshot {
             live.len(),
             "oracle membership and live set disagree"
         );
-        let checksum = Self::checksum_of(epoch, &live);
+        let checksum = Self::checksum_of(epoch, &oracle, &live);
         ServeSnapshot { oracle, live, checksum }
     }
 
-    fn checksum_of(epoch: u64, live: &[u32]) -> u64 {
-        let mut x = splitmix64(epoch ^ 0x5e7e_5e7e_5e7e_5e7e);
-        x = splitmix64(x ^ live.len() as u64);
-        for &m in live {
-            x = splitmix64(x ^ u64::from(m));
-        }
-        x
+    fn checksum_of(epoch: u64, oracle: &HierasOracle, live: &[u32]) -> u64 {
+        let x = fingerprint_u32(epoch ^ 0x5e7e_5e7e_5e7e_5e7e, live);
+        fingerprint_u32(x, oracle.global_ring().members())
     }
 
     /// Recomputes the checksum against `epoch` and re-checks the
-    /// ring/membership size agreement. False for any snapshot whose
-    /// pieces come from two different epochs.
+    /// ring/membership size agreement. True only when the epoch, the
+    /// live list and the global ring's member list all hash as sealed.
+    /// The lower layers and the id arenas are not re-hashed.
     #[must_use]
     pub fn verify(&self, epoch: u64) -> bool {
         self.oracle.global_ring().len() == self.live.len()
-            && self.checksum == Self::checksum_of(epoch, &self.live)
+            && self.checksum == Self::checksum_of(epoch, &self.oracle, &self.live)
     }
 
     /// Number of live peers.
@@ -129,6 +128,20 @@ mod tests {
         // fails even under the right epoch.
         let other: Arc<[u32]> = vec![0, 1, 2, 5].into();
         let torn = ServeSnapshot { oracle: snap.oracle.clone(), live: other, checksum: snap.checksum };
+        assert!(!torn.verify(3));
+    }
+
+    #[test]
+    fn verify_rejects_rings_torn_from_a_same_size_membership() {
+        let live: Arc<[u32]> = vec![0, 1, 2, 5, 7].into();
+        let snap = ServeSnapshot::new(3, oracle_over(&live, 8), Arc::clone(&live));
+        // Rings from an epoch where peer 3 stood in for peer 2: same
+        // size, same live list, the sealed checksum.
+        let torn = ServeSnapshot {
+            oracle: oracle_over(&[0, 1, 3, 5, 7], 8),
+            live: Arc::clone(&live),
+            checksum: snap.checksum,
+        };
         assert!(!torn.verify(3));
     }
 
