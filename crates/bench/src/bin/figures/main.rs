@@ -23,6 +23,7 @@ use hieras_pastry::PastryOracle;
 use hieras_proto::SimNet;
 use hieras_rt::{Executor, Json, ToJson};
 use hieras_sim::{Experiment, ExperimentConfig, TopologyKind, Workload};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -39,6 +40,11 @@ const PAPER_IDS: [&str; 14] = [
 /// The experiment drivers, never part of `all`: `scale --full` builds
 /// a 1 M-peer world.
 const DRIVER_IDS: [&str; 3] = ["churn", "scale", "live"];
+
+/// Paper ids that are two views of one sweep: a pair shares one job,
+/// so its sweep runs once per process and both records come from it.
+const PAIRS: [[&str; 2]; 4] =
+    [["fig2", "fig3"], ["fig4", "fig5"], ["fig6", "fig7"], ["fig8", "fig9"]];
 
 const USAGE: &str = "\
 usage: figures [<id>...] [--full] [--trace-out <path.jsonl>]
@@ -156,25 +162,41 @@ fn main() {
         eprintln!("{msg}");
         std::process::exit(2);
     });
-    for &id in &args.ids {
-        let fig = write_figure(id, &args, Path::new("results")).unwrap_or_else(|e| {
-            eprintln!("figures: {id}: {e}");
+    for job in jobs(&args.ids) {
+        let figs = write_job(&job, &args, Path::new("results")).unwrap_or_else(|e| {
+            eprintln!("figures: {}: {e}", job.join(" "));
             std::process::exit(1);
         });
-        let printed = std::io::stdout().write_all(fig.md.as_bytes());
-        if fig.diverged {
-            eprintln!("figures: {id}: labels-backend metrics diverged from the rows baseline");
-            std::process::exit(1);
-        }
-        // `figures <id> | head` closes stdout early; the JSON is
-        // already on disk, so a closed pipe just ends the run.
-        if let Err(e) = printed {
-            if e.kind() == std::io::ErrorKind::BrokenPipe {
-                return;
+        for (id, fig) in job.iter().zip(figs) {
+            let printed = std::io::stdout().write_all(fig.md.as_bytes());
+            if fig.diverged {
+                eprintln!("figures: {id}: labels-backend metrics diverged from the rows baseline");
+                std::process::exit(1);
             }
-            panic!("failed printing to stdout: {e}");
+            // `figures <id> | head` closes stdout early; the JSON is
+            // already on disk, so a closed pipe just ends the run.
+            if let Err(e) = printed {
+                if e.kind() == std::io::ErrorKind::BrokenPipe {
+                    return;
+                }
+                panic!("failed printing to stdout: {e}");
+            }
         }
     }
+}
+
+/// Groups `ids` into jobs in first-appearance order: the ids of one
+/// [`PAIRS`] entry share a job, every other id is a job of its own.
+fn jobs(ids: &[&'static str]) -> Vec<Vec<&'static str>> {
+    let mut out: Vec<Vec<&'static str>> = Vec::new();
+    for &id in ids {
+        let pair = PAIRS.iter().find(|pair| pair.contains(&id));
+        match out.iter_mut().find(|job| pair.is_some_and(|pair| pair.contains(&job[0]))) {
+            Some(job) => job.push(id),
+            None => out.push(vec![id]),
+        }
+    }
+    out
 }
 
 /// A generated artifact whose JSON record is on disk.
@@ -186,32 +208,35 @@ struct Figure {
     diverged: bool,
 }
 
-/// Generates artifact `id` and writes its JSON record, provenance
-/// first, to `<dir>/<id>.json` **before** anything reaches stdout: the
-/// returned markdown is the caller's to print.
+/// Generates the artifacts of one job (see [`jobs`]) from one
+/// computation and writes the shared JSON record, provenance first, to
+/// `<dir>/<id>.json` for every id of the job **before** anything
+/// reaches stdout: the returned markdown, one per id, is the caller's
+/// to print.
 ///
 /// # Errors
-/// An unknown id (nothing is written), a driver's side file or the
+/// An unknown id (nothing is written), a driver's side file or a
 /// record that cannot be written.
-fn write_figure(id: &str, args: &Args, dir: &Path) -> Result<Figure, String> {
+fn write_job(job: &[&str], args: &Args, dir: &Path) -> Result<Vec<Figure>, String> {
     let started = std::time::Instant::now();
     let scale = if args.full { Scale::full() } else { Scale::quick() };
-    let mut md = format!("\n## {id}\n\n");
-    let record = match id {
-        "table1" => table1(&mut md),
-        "table2" => table2(&mut md),
-        "table3" => table3(&mut md),
-        "fig2" | "fig3" => fig23(id, &scale, &mut md),
-        "fig4" | "fig5" => fig45(id, &scale, &mut md),
-        "fig6" | "fig7" => fig67(id, &scale, &mut md),
-        "fig8" | "fig9" => fig89(&scale, &mut md),
-        "costs" => costs(&scale, &mut md),
-        "ablate-noise" => ablate_noise(&scale, &mut md),
-        "compare-pastry" => compare_pastry(&scale, &mut md),
-        "churn" => drivers::churn(args, &mut md)?,
-        "scale" => drivers::scale(args, &mut md),
-        "live" => drivers::live(args, &mut md)?,
-        _ => return Err(format!("unknown figure id `{id}`")),
+    let mut mds: Vec<String> = job.iter().map(|id| format!("\n## {id}\n\n")).collect();
+    let md = &mut mds[0];
+    let record = match job[0] {
+        "table1" => table1(md),
+        "table2" => table2(md),
+        "table3" => table3(md),
+        "fig2" | "fig3" => fig23(job, &scale, &mut mds),
+        "fig4" | "fig5" => fig45(job, &scale, &mut mds),
+        "fig6" | "fig7" => fig67(job, &scale, &mut mds),
+        "fig8" | "fig9" => fig89(&scale, &mut mds),
+        "costs" => costs(&scale, md),
+        "ablate-noise" => ablate_noise(&scale, md),
+        "compare-pastry" => compare_pastry(&scale, md),
+        "churn" => drivers::churn(args, md)?,
+        "scale" => drivers::scale(args, md),
+        "live" => drivers::live(args, md)?,
+        id => return Err(format!("unknown figure id `{id}`")),
     };
     let diverged = record.get("metrics_match_rows") == Some(&Json::Bool(false));
     let Json::Obj(fields) = record else { unreachable!("every record is a JSON object") };
@@ -223,18 +248,20 @@ fn write_figure(id: &str, args: &Args, dir: &Path) -> Result<Figure, String> {
         ("full", args.full.to_json()),
         ("git_sha", git_sha().to_json()),
     ];
-    let record = Json::obj(provenance.map(|(k, v)| (k.to_owned(), v)).into_iter().chain(fields));
-    let path = dir.join(format!("{id}.json"));
-    std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&path, record.dump_pretty()))
-        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
-    let _ = writeln!(
-        md,
-        "\n_(generated in {:.1}s; JSON at {})_",
-        started.elapsed().as_secs_f64(),
-        path.display()
-    );
-    Ok(Figure { md, diverged })
+    let record = Json::obj(provenance.map(|(k, v)| (k.to_owned(), v)).into_iter().chain(fields))
+        .dump_pretty();
+    job.iter()
+        .zip(mds)
+        .map(|(id, mut md)| {
+            let path = dir.join(format!("{id}.json"));
+            std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(&path, &record))
+                .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+            let secs = started.elapsed().as_secs_f64();
+            let _ = writeln!(md, "\n_(generated in {secs:.1}s; JSON at {})_", path.display());
+            Ok(Figure { md, diverged })
+        })
+        .collect()
 }
 
 /// The checked-out commit, `git rev-parse HEAD`, with `-dirty` appended
@@ -371,7 +398,7 @@ fn table3(md: &mut String) -> Json {
 }
 
 /// Figures 2 & 3: hops / latency vs network size across models.
-fn fig23(id: &str, scale: &Scale, md: &mut String) -> Json {
+fn fig23(job: &[&str], scale: &Scale, mds: &mut [String]) -> Json {
     let mut rows = Vec::new();
     for (kind, sizes) in [
         (TopologyKind::TransitStub, &scale.sizes),
@@ -380,16 +407,15 @@ fn fig23(id: &str, scale: &Scale, md: &mut String) -> Json {
     ] {
         rows.extend(size_sweep(kind, sizes, scale.requests, SEED));
     }
-    if id == "fig2" {
-        md.push_str(&render::fig2_table(&rows));
-    } else {
-        md.push_str(&render::fig3_table(&rows));
+    for (&id, md) in job.iter().zip(mds) {
+        let table = if id == "fig2" { render::fig2_table(&rows) } else { render::fig3_table(&rows) };
+        md.push_str(&table);
     }
     Json::obj([("rows", rows.to_json())])
 }
 
 /// Figures 4 & 5: hop PDF and latency CDF on one large TS network.
-fn fig45(id: &str, scale: &Scale, md: &mut String) -> Json {
+fn fig45(job: &[&str], scale: &Scale, mds: &mut [String]) -> Json {
     let cfg = ExperimentConfig {
         kind: TopologyKind::TransitStub,
         nodes: scale.dist_nodes,
@@ -401,45 +427,47 @@ fn fig45(id: &str, scale: &Scale, md: &mut String) -> Json {
     let e = Experiment::build(cfg);
     let r = e.run();
     let (cs, hs) = (r.chord.summary(), r.hieras.summary());
-    if id == "fig4" {
-        md.push_str(&render::pdf_table(
-            &r.chord.hop_hist.pdf(),
-            &r.hieras.hop_hist.pdf(),
-            &r.hieras.lower_hop_hist.pdf(),
-        ));
-        let _ = writeln!(
-            md,
-            "\navg hops: Chord {:.4}, HIERAS {:.4} ({:+.2}%); lower-layer hops/request {:.3} ({:.2}% of all hops)",
-            cs.avg_hops,
-            hs.avg_hops,
-            (hs.avg_hops / cs.avg_hops - 1.0) * 100.0,
-            hs.avg_lower_hops,
-            hs.lower_hop_share * 100.0
-        );
-    } else {
-        let (chord, hieras) = (&r.chord.latency_hist, &r.hieras.latency_hist);
-        let max = chord.max_value();
-        let points: Vec<(u32, f64, f64)> = (0..=30)
-            .map(|i| {
-                let x = max * i / 30;
-                (x as u32, chord.cdf_at(x), hieras.cdf_at(x))
-            })
-            .collect();
-        md.push_str(&render::cdf_table(&points));
-        let _ = writeln!(
-            md,
-            "\navg latency: Chord {:.2} ms, HIERAS {:.2} ms ({:.2}% of Chord)",
-            cs.avg_latency_ms,
-            hs.avg_latency_ms,
-            hs.avg_latency_ms / cs.avg_latency_ms * 100.0
-        );
-        let _ = writeln!(
-            md,
-            "avg link delay: top layer {:.2} ms, lower layers {:.3} ms; lower-layer latency share {:.2}%",
-            hs.avg_link_delay_top_ms,
-            hs.avg_link_delay_lower_ms,
-            hs.lower_latency_share * 100.0
-        );
+    for (&id, md) in job.iter().zip(mds) {
+        if id == "fig4" {
+            md.push_str(&render::pdf_table(
+                &r.chord.hop_hist.pdf(),
+                &r.hieras.hop_hist.pdf(),
+                &r.hieras.lower_hop_hist.pdf(),
+            ));
+            let _ = writeln!(
+                md,
+                "\navg hops: Chord {:.4}, HIERAS {:.4} ({:+.2}%); lower-layer hops/request {:.3} ({:.2}% of all hops)",
+                cs.avg_hops,
+                hs.avg_hops,
+                (hs.avg_hops / cs.avg_hops - 1.0) * 100.0,
+                hs.avg_lower_hops,
+                hs.lower_hop_share * 100.0
+            );
+        } else {
+            let (chord, hieras) = (&r.chord.latency_hist, &r.hieras.latency_hist);
+            let max = chord.max_value();
+            let points: Vec<(u32, f64, f64)> = (0..=30)
+                .map(|i| {
+                    let x = max * i / 30;
+                    (x as u32, chord.cdf_at(x), hieras.cdf_at(x))
+                })
+                .collect();
+            md.push_str(&render::cdf_table(&points));
+            let _ = writeln!(
+                md,
+                "\navg latency: Chord {:.2} ms, HIERAS {:.2} ms ({:.2}% of Chord)",
+                cs.avg_latency_ms,
+                hs.avg_latency_ms,
+                hs.avg_latency_ms / cs.avg_latency_ms * 100.0
+            );
+            let _ = writeln!(
+                md,
+                "avg link delay: top layer {:.2} ms, lower layers {:.3} ms; lower-layer latency share {:.2}%",
+                hs.avg_link_delay_top_ms,
+                hs.avg_link_delay_lower_ms,
+                hs.lower_latency_share * 100.0
+            );
+        }
     }
     Json::obj([
         ("chord", cs.to_json()),
@@ -451,16 +479,17 @@ fn fig45(id: &str, scale: &Scale, md: &mut String) -> Json {
 }
 
 /// Figures 6 & 7: landmark-count sweep.
-fn fig67(id: &str, scale: &Scale, md: &mut String) -> Json {
+fn fig67(job: &[&str], scale: &Scale, mds: &mut [String]) -> Json {
     let landmarks: Vec<usize> = (2..=12).collect();
     let rows = landmark_sweep(scale.dist_nodes, scale.requests, &landmarks, SEED);
-    md.push_str(&render::landmark_table(&rows));
-    if id == "fig7" {
-        if let Some(best) = rows.iter().min_by(|a, b| {
-            (a.hieras.avg_latency_ms / a.chord.avg_latency_ms)
-                .partial_cmp(&(b.hieras.avg_latency_ms / b.chord.avg_latency_ms))
-                .expect("finite")
-        }) {
+    let best = rows.iter().min_by(|a, b| {
+        (a.hieras.avg_latency_ms / a.chord.avg_latency_ms)
+            .partial_cmp(&(b.hieras.avg_latency_ms / b.chord.avg_latency_ms))
+            .expect("finite")
+    });
+    for (&id, md) in job.iter().zip(mds) {
+        md.push_str(&render::landmark_table(&rows));
+        if let (Some(best), "fig7") = (best, id) {
             let _ = writeln!(
                 md,
                 "\nbest: {} landmarks — HIERAS latency {:.2}% of Chord",
@@ -472,10 +501,12 @@ fn fig67(id: &str, scale: &Scale, md: &mut String) -> Json {
     Json::obj([("rows", rows.to_json())])
 }
 
-/// Figures 8 & 9: hierarchy-depth sweep.
-fn fig89(scale: &Scale, md: &mut String) -> Json {
+/// Figures 8 & 9: hierarchy-depth sweep (one table serves both).
+fn fig89(scale: &Scale, mds: &mut [String]) -> Json {
     let rows = depth_sweep(&scale.depth_sizes, &[2, 3, 4], scale.requests, SEED);
-    md.push_str(&render::depth_table(&rows));
+    for md in mds {
+        md.push_str(&render::depth_table(&rows));
+    }
     Json::obj([("rows", rows.to_json())])
 }
 
@@ -520,42 +551,45 @@ fn costs(scale: &Scale, md: &mut String) -> Json {
         reports.push(rep);
     }
 
-    // Join message counts: the same ten arrivals on the same world
-    // through the one message engine — the two-layer hierarchy against
-    // its depth-1 self, which is plain Chord — so both are in messages.
+    // Join message counts: ten peers of one 410-peer world join the
+    // other 400 through the one message engine — the two-layer
+    // hierarchy against its depth-1 self, which is plain Chord — each
+    // with its own id and measured landmark RTTs. Peers are numbered
+    // by landmark order, so the joiners are spread over that order
+    // (every 41st peer), not taken from the end, which is one ring.
     let cfg = ExperimentConfig {
         kind: TopologyKind::TransitStub,
-        nodes: 400,
+        nodes: 410,
         requests: 0,
         hieras: HierasConfig::paper(),
         seed: SEED,
         rtt_noise: 0.0,
     };
     let e = Experiment::build(cfg);
-    let idx_of = |id: Id| e.ids.iter().position(|&i| i == id);
-    let delay = |a: Id, b: Id| match (idx_of(a), idx_of(b)) {
-        (Some(x), Some(y)) => u64::from(e.lat.latency(e.router_of[x], e.router_of[y])),
-        _ => 30, // joining node not yet placed: nominal delay
-    };
-    let join_msgs = |oracle: &HierasOracle| -> Vec<u64> {
-        let mut net = SimNet::from_oracle(oracle, &e.landmarks, delay);
-        (0..10u64)
-            .map(|j| {
-                let new_id = Id::hash_of(format!("joiner-{j}").as_bytes());
-                let boot = e.ids[(j as usize * 37) % e.ids.len()];
-                net.join(new_id, boot, &[15, 40, 120, 60]).messages
+    let (joiners, members): (Vec<u32>, Vec<u32>) = (0..410).partition(|p| p % 41 == 0);
+    let peer_of: HashMap<Id, u32> = e.ids.iter().zip(0..).map(|(&id, p)| (id, p)).collect();
+    let delay = |a: Id, b: Id| u64::from(e.peer_latency(peer_of[&a], peer_of[&b]));
+    let join_msgs = |config: Option<&HierasConfig>| -> Vec<u64> {
+        let oracle = e
+            .subset_hieras_on(&Executor::default(), &members, None, config)
+            .expect("a validated configuration over distinct ids");
+        let mut net = SimNet::from_oracle(&oracle, &e.landmarks, delay);
+        joiners
+            .iter()
+            .enumerate()
+            .map(|(j, &p)| {
+                let boot = e.ids[members[(j * 37) % members.len()] as usize];
+                net.join(e.ids[p as usize], boot, e.landmark_rtts(p as usize)).messages
             })
             .collect()
     };
-    let plain = HierasConfig { depth: 1, landmarks: 0, binning: Binning::paper() };
-    let chord = HierasOracle::build(IdSpace::full(), e.ids.clone(), e.orders.clone(), plain)
-        .expect("a single ring over distinct ids");
-    let hieras_join = join_msgs(&e.hieras);
-    let chord_join = join_msgs(&chord);
+    let hieras_join = join_msgs(None);
+    let chord_join =
+        join_msgs(Some(&HierasConfig { depth: 1, landmarks: 0, binning: Binning::paper() }));
     let avg = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len() as f64;
     let _ = writeln!(
         md,
-        "\njoin cost (N = 400, message-level): HIERAS (2-layer) {:.1} msgs/join; Chord (the same engine, depth 1) {:.1} msgs/join; ratio {:.2}x",
+        "\njoin cost (10 peers joining 400, message-level): HIERAS (2-layer) {:.1} msgs/join; Chord (the same engine, depth 1) {:.1} msgs/join; ratio {:.2}x",
         avg(&hieras_join),
         avg(&chord_join),
         avg(&hieras_join) / avg(&chord_join)
@@ -707,6 +741,19 @@ mod tests {
     }
 
     #[test]
+    fn each_pair_is_one_job() {
+        let jobs_of = |argv: &[&str]| jobs(&parse_args(argv).unwrap().ids);
+        assert_eq!(jobs_of(&["fig2", "fig3"]), [["fig2", "fig3"]]);
+        assert_eq!(jobs_of(&["fig3", "table1", "fig2"]), [vec!["fig3", "fig2"], vec!["table1"]]);
+        let all = jobs_of(&["all"]);
+        assert_eq!(all.len(), PAPER_IDS.len() - PAIRS.len());
+        for pair in PAIRS {
+            assert_eq!(all.iter().filter(|job| job[..] == pair[..]).count(), 1, "{pair:?}");
+        }
+        assert!(all.iter().flatten().eq(PAPER_IDS.iter()), "every id once, in all order");
+    }
+
+    #[test]
     fn unknown_arguments_print_the_usage() {
         for bad in ["--nope", "--smoke", "--obs", "--quick", "fig99", "ALL"] {
             let err = parse_args(&["table1", bad]).unwrap_err();
@@ -745,7 +792,9 @@ mod tests {
     fn json_record_is_on_disk_before_any_markdown_is_printed() {
         let dir = scratch("record");
         let args = Args::default();
-        let fig = write_figure("table1", &args, &dir).expect("table1 is a figure id");
+        let figs = write_job(&["table1"], &args, &dir).expect("table1 is a figure id");
+        assert_eq!(figs.len(), 1, "one figure per id");
+        let fig = &figs[0];
         let json = std::fs::read_to_string(dir.join("table1.json")).expect("record written");
         std::fs::remove_dir_all(&dir).expect("scratch directory removed");
         let record: Json = hieras_rt::from_str(&json).expect("record is JSON");
@@ -757,7 +806,7 @@ mod tests {
         assert!(!sha.is_empty(), "a commit id or `unknown`");
         assert!(!fig.diverged);
         assert!(fig.md.contains("| A | 25ms | 5ms | 30ms | 100ms |"), "markdown: {}", fig.md);
-        assert!(write_figure("fig99", &args, &dir).is_err(), "unknown id");
+        assert!(write_job(&["fig99"], &args, &dir).is_err(), "unknown id");
         assert!(!dir.exists(), "an unknown id writes nothing");
     }
 
@@ -766,7 +815,7 @@ mod tests {
         // A results "directory" below a regular file cannot be created.
         let file = scratch("blocker");
         std::fs::write(&file, "").expect("scratch file written");
-        let err = write_figure("table1", &Args::default(), &file.join("results"));
+        let err = write_job(&["table1"], &Args::default(), &file.join("results"));
         std::fs::remove_file(&file).expect("scratch file removed");
         let err = err.err().expect("the write must fail");
         assert!(err.contains("could not write"), "{err}");

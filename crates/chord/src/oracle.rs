@@ -632,10 +632,12 @@ impl RingView {
 /// Plain Chord over the full membership — the paper's baseline.
 ///
 /// A thin wrapper around [`RingView`] covering every node, speaking
-/// *global node indices*.
+/// *global node indices*. The ring is shared by [`Arc`], so a
+/// hierarchy's global layer can serve as the baseline without a second
+/// copy ([`ChordOracle::from_ring`]).
 #[derive(Debug, Clone)]
 pub struct ChordOracle {
-    ring: RingView,
+    ring: Arc<RingView>,
 }
 
 impl ChordOracle {
@@ -659,7 +661,13 @@ impl ChordOracle {
         ids: Arc<[Id]>,
     ) -> Result<Self, RingBuildError> {
         let members: Vec<u32> = (0..ids.len() as u32).collect();
-        Ok(ChordOracle { ring: RingView::build_on(exec, space, ids, &members)? })
+        Ok(Self::from_ring(Arc::new(RingView::build_on(exec, space, ids, &members)?)))
+    }
+
+    /// Wraps an already built ring, sharing it.
+    #[must_use]
+    pub fn from_ring(ring: Arc<RingView>) -> Self {
+        ChordOracle { ring }
     }
 
     /// The underlying ring view.

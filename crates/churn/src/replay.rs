@@ -11,7 +11,8 @@
 
 use hieras_sim::{ChurnEventKind, ChurnSchedule, SimClock};
 
-/// What one [`MembershipReplay::apply_next`] batch did to the overlay.
+/// What one [`MembershipReplay::apply_next_recording`] batch did to the
+/// overlay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayDelta {
     /// Events consumed from the schedule (≤ the requested batch size).
@@ -73,19 +74,14 @@ impl MembershipReplay {
         MembershipReplay { schedule, next: 0, live, live_count: initial_nodes, now_ms: 0 }
     }
 
-    /// Applies up to `max_events` further events and reports what
-    /// changed. A departure that would drop the last live node is
-    /// skipped (counted in [`ReplayDelta::refused`]) — the overlay
-    /// never empties.
-    pub fn apply_next(&mut self, max_events: usize) -> ReplayDelta {
-        self.apply_core(max_events, None)
-    }
-
-    /// Like [`MembershipReplay::apply_next`], but also records the
-    /// batch's *net* membership movement into `joined` / `departed`
-    /// (both cleared first): a node that came up and went down within
-    /// one batch appears in neither list. This is exactly the delta
-    /// shape incremental snapshot maintenance consumes.
+    /// Applies up to `max_events` further events, reports what changed,
+    /// and records the batch's *net* membership movement into `joined`
+    /// / `departed` (both cleared first): a node that came up and went
+    /// down within one batch appears in neither list. This is exactly
+    /// the delta shape incremental snapshot maintenance consumes. A
+    /// departure that would drop the last live node is skipped
+    /// (counted in [`ReplayDelta::refused`]) — the overlay never
+    /// empties.
     pub fn apply_next_recording(
         &mut self,
         max_events: usize,
@@ -94,14 +90,6 @@ impl MembershipReplay {
     ) -> ReplayDelta {
         joined.clear();
         departed.clear();
-        self.apply_core(max_events, Some((joined, departed)))
-    }
-
-    fn apply_core(
-        &mut self,
-        max_events: usize,
-        mut rec: Option<(&mut Vec<u32>, &mut Vec<u32>)>,
-    ) -> ReplayDelta {
         let mut delta = ReplayDelta { now_ms: self.now_ms, ..ReplayDelta::default() };
         while delta.applied < max_events {
             let Some(ev) = self.schedule.events.get(self.next) else {
@@ -117,13 +105,11 @@ impl MembershipReplay {
                         self.live[node as usize] = true;
                         self.live_count += 1;
                         delta.joins += 1;
-                        if let Some((joined, departed)) = rec.as_mut() {
-                            // A rejoin inside the batch cancels out.
-                            if let Some(i) = departed.iter().position(|&d| d == node) {
-                                departed.swap_remove(i);
-                            } else {
-                                joined.push(node);
-                            }
+                        // A rejoin inside the batch cancels out.
+                        if let Some(i) = departed.iter().position(|&d| d == node) {
+                            departed.swap_remove(i);
+                        } else {
+                            joined.push(node);
                         }
                     }
                 }
@@ -142,12 +128,10 @@ impl MembershipReplay {
                     } else {
                         delta.fails += 1;
                     }
-                    if let Some((joined, departed)) = rec.as_mut() {
-                        if let Some(i) = joined.iter().position(|&j| j == node) {
-                            joined.swap_remove(i);
-                        } else {
-                            departed.push(node);
-                        }
+                    if let Some(i) = joined.iter().position(|&j| j == node) {
+                        joined.swap_remove(i);
+                    } else {
+                        departed.push(node);
                     }
                 }
             }
@@ -177,12 +161,6 @@ impl MembershipReplay {
         out
     }
 
-    /// Whether node `node` is currently live.
-    #[must_use]
-    pub fn is_live(&self, node: u32) -> bool {
-        self.live.get(node as usize).copied().unwrap_or(false)
-    }
-
     /// Number of live nodes.
     #[must_use]
     pub fn live_count(&self) -> u32 {
@@ -199,12 +177,6 @@ impl MembershipReplay {
     #[must_use]
     pub fn is_done(&self) -> bool {
         self.next >= self.schedule.events.len()
-    }
-
-    /// Events not yet applied.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.schedule.events.len() - self.next
     }
 }
 
@@ -226,6 +198,11 @@ mod tests {
         .schedule()
     }
 
+    /// One batch of `max_events`, its net movement discarded.
+    fn apply(replay: &mut MembershipReplay, max_events: usize) -> ReplayDelta {
+        replay.apply_next_recording(max_events, &mut Vec::new(), &mut Vec::new())
+    }
+
     #[test]
     fn replay_tracks_live_set_through_full_schedule() {
         let sched = schedule(30, 10, 10_000);
@@ -235,7 +212,7 @@ mod tests {
         let mut joins = 0u32;
         let mut departures = 0u32;
         loop {
-            let d = replay.apply_next(7);
+            let d = apply(&mut replay, 7);
             joins += d.joins;
             departures += d.leaves + d.fails;
             assert_eq!(
@@ -248,7 +225,6 @@ mod tests {
             }
         }
         assert!(replay.is_done());
-        assert_eq!(replay.remaining(), 0);
         assert_eq!(joins, 10, "every arrival joins inside the horizon");
         assert!(departures > 0, "the exponential lifetimes must kill someone");
         assert_eq!(replay.live_count(), 30 + joins - departures);
@@ -256,7 +232,7 @@ mod tests {
         assert!(replay.now_ms() > 0 && replay.now_ms() <= 10_000);
         // Replays are deterministic: a second pass lands identically.
         let mut again = MembershipReplay::new(30, sched);
-        while !again.apply_next(usize::MAX).done {}
+        while !apply(&mut again, usize::MAX).done {}
         assert_eq!(again.live_members(), replay.live_members());
     }
 
@@ -264,24 +240,21 @@ mod tests {
     fn batches_respect_the_event_budget() {
         let sched = schedule(20, 5, 8_000);
         let total = sched.events.len();
-        let mut replay = MembershipReplay::new(20, sched);
-        let d = replay.apply_next(3);
+        let mut replay = MembershipReplay::new(20, sched.clone());
+        let d = apply(&mut replay, 3);
         assert_eq!(d.applied, 3.min(total));
-        assert_eq!(replay.remaining(), total - d.applied);
+        assert_eq!(replay.next_event_at(), sched.events.get(d.applied).map(|e| e.at));
     }
 
     #[test]
     fn recording_replay_tracks_net_movement() {
         let sched = schedule(25, 8, 10_000);
-        let mut plain = MembershipReplay::new(25, sched.clone());
         let mut rec = MembershipReplay::new(25, sched);
         let mut joined = Vec::new();
         let mut departed = Vec::new();
         loop {
             let before = rec.live_members();
-            let d1 = plain.apply_next(5);
-            let d2 = rec.apply_next_recording(5, &mut joined, &mut departed);
-            assert_eq!(d1, d2, "recording must not change replay semantics");
+            let d = rec.apply_next_recording(5, &mut joined, &mut departed);
             // Net movement applied to the pre-batch membership must
             // reproduce the post-batch membership.
             let mut expect = before;
@@ -291,11 +264,10 @@ mod tests {
             assert_eq!(expect, rec.live_members());
             // Net lists never overlap.
             assert!(joined.iter().all(|j| !departed.contains(j)));
-            if d2.done {
+            if d.done {
                 break;
             }
         }
-        assert_eq!(plain.live_members(), rec.live_members());
     }
 
     #[test]
@@ -304,7 +276,7 @@ mod tests {
         let first = sched.events.first().map(|e| e.at);
         let mut replay = MembershipReplay::new(10, sched);
         assert_eq!(replay.next_event_at(), first);
-        while !replay.apply_next(1).done {
+        while !apply(&mut replay, 1).done {
             let at = replay.next_event_at().expect("events remain");
             assert!(at >= replay.now_ms(), "schedule is time-ordered");
         }
@@ -326,9 +298,8 @@ mod tests {
         }
         .schedule();
         let mut replay = MembershipReplay::new(1, sched);
-        let d = replay.apply_next(usize::MAX);
+        let d = apply(&mut replay, usize::MAX);
         assert!(d.refused >= 1, "last-node departure must be refused");
-        assert_eq!(replay.live_count(), 1);
-        assert!(replay.is_live(0));
+        assert_eq!(replay.live_members(), [0]);
     }
 }

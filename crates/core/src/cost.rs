@@ -9,7 +9,7 @@
 //! bench target.
 
 use crate::HierasOracle;
-use hieras_rt::{FromJson, Json, JsonError, ToJson};
+use hieras_rt::{Json, ToJson};
 
 /// Bytes we charge per routing-table entry: 8-byte node id + 4-byte
 /// IPv4 address + 2-byte port, padded to 16 for alignment — the same
@@ -88,20 +88,6 @@ impl ToJson for CostReport {
             ("ring_table_count", self.ring_table_count.to_json()),
             ("bytes_per_node", self.bytes_per_node.to_json()),
         ])
-    }
-}
-
-impl FromJson for CostReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CostReport {
-            depth: v.field("depth")?,
-            nodes: v.field("nodes")?,
-            finger_entries: v.field("finger_entries")?,
-            distinct_finger_entries: v.field("distinct_finger_entries")?,
-            succ_list_entries: v.field("succ_list_entries")?,
-            ring_table_count: v.field("ring_table_count")?,
-            bytes_per_node: v.field("bytes_per_node")?,
-        })
     }
 }
 

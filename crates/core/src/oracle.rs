@@ -9,7 +9,7 @@
 
 use crate::{ConfigError, HierasConfig, LandmarkOrder, RingTable, RouteTrace};
 use crate::trace::{HopRecord, RouteCost};
-use hieras_chord::{PathBuf, RingArenaPool, RingBuildError, RingView};
+use hieras_chord::{ChordOracle, PathBuf, RingArenaPool, RingBuildError, RingView};
 use hieras_id::{Id, IdSpace, Key};
 use hieras_rt::{fingerprint, fingerprint_u32, splitmix64, Executor};
 use std::collections::BTreeMap;
@@ -507,6 +507,14 @@ impl HierasOracle {
     #[must_use]
     pub fn global_ring(&self) -> &RingView {
         &self.layers[0].rings[0]
+    }
+
+    /// The global ring as a plain Chord oracle, sharing this
+    /// hierarchy's ring: layer 1 *is* the Chord ring over every member
+    /// (§2), so the baseline needs no second build.
+    #[must_use]
+    pub fn chord(&self) -> ChordOracle {
+        ChordOracle::from_ring(Arc::clone(&self.layers[0].rings[0]))
     }
 
     /// Global node index owning `key` (ground truth = Chord owner).

@@ -29,7 +29,7 @@
 #![warn(missing_docs)]
 
 use hieras_id::{Id, Key};
-use hieras_rt::{FromJson, Json, JsonError, ToJson};
+use hieras_rt::{Json, ToJson};
 use std::sync::Arc;
 
 /// Digits per id: 64-bit ids, base-16 → 16 digits.
@@ -83,16 +83,6 @@ impl PastryPath {
 impl ToJson for PastryPath {
     fn to_json(&self) -> Json {
         Json::obj([("path", self.path.to_json())])
-    }
-}
-
-impl FromJson for PastryPath {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let r = PastryPath { path: v.field("path")? };
-        if r.path.is_empty() {
-            return Err(JsonError("Pastry path must be non-empty".into()));
-        }
-        Ok(r)
     }
 }
 

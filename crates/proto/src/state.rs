@@ -382,9 +382,11 @@ impl NodeState {
     }
 }
 
-/// Extracts every node's protocol state from a built oracle — the
+/// Extracts every member's protocol state from a built oracle — the
 /// "warm bootstrap" used to initialize transports with a consistent,
-/// fully stabilized network.
+/// fully stabilized network. An oracle over a subset of its id table
+/// ([`HierasOracle::build_members_on`]) yields its members only; the
+/// other ids are free to join later.
 #[must_use]
 pub fn states_from_oracle(oracle: &HierasOracle, landmarks: &[u32]) -> Vec<NodeState> {
     let space = oracle.space();
@@ -424,6 +426,8 @@ pub fn states_from_oracle(oracle: &HierasOracle, landmarks: &[u32]) -> Vec<NodeS
         let holder = oracle.ring_table_holder(table.ring_id);
         states[holder as usize].ring_tables.insert(table.ring_name, table.clone());
     }
+    // Every member sits in the global ring; an id in no ring is none.
+    states.retain(|s| !s.layers.is_empty());
     states
 }
 
@@ -431,6 +435,7 @@ pub fn states_from_oracle(oracle: &HierasOracle, landmarks: &[u32]) -> Vec<NodeS
 mod tests {
     use super::*;
     use hieras_core::{Binning, HierasConfig};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn oracle() -> HierasOracle {
@@ -465,6 +470,22 @@ mod tests {
         // Ring tables distributed to holders only.
         let held: usize = states.iter().map(|s| s.ring_tables.len()).sum();
         assert_eq!(held, o.ring_tables().len());
+    }
+
+    #[test]
+    fn a_subset_oracle_bootstraps_its_members_only() {
+        let full = oracle();
+        let ids: Arc<[Id]> = (0..16).map(|n| full.id_of(n)).collect::<Vec<_>>().into();
+        let orders = (0..16).map(|n| full.layers()[1].ring_name_of(n)).collect();
+        let members: Vec<u32> = (0..16).step_by(2).collect();
+        let exec = hieras_rt::Executor::new(1);
+        let config = full.config().clone();
+        let o =
+            HierasOracle::build_members_on(&exec, IdSpace::full(), ids, orders, &members, config)
+                .unwrap();
+        let got: BTreeSet<Id> = states_from_oracle(&o, &[]).iter().map(|s| s.id).collect();
+        let want: BTreeSet<Id> = members.iter().map(|&m| o.id_of(m)).collect();
+        assert_eq!(got, want, "non-members are left free to join");
     }
 
     #[test]

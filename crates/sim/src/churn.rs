@@ -22,15 +22,6 @@ pub enum Lifetime {
         /// Mean of the distribution, ms.
         mean_ms: f64,
     },
-    /// Pareto with scale `x_m` and shape `alpha` (heavy-tailed session
-    /// times, as measured in deployed P2P systems; finite mean requires
-    /// `alpha > 1`).
-    Pareto {
-        /// Scale parameter `x_m` (minimum value), ms.
-        scale_ms: f64,
-        /// Shape parameter `alpha`.
-        shape: f64,
-    },
     /// Every sample is exactly `ms` (degenerate; useful in tests).
     Fixed {
         /// The constant value, ms.
@@ -48,26 +39,15 @@ impl Lifetime {
         let u = ((raw >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
         match *self {
             Lifetime::Exponential { mean_ms } => (-mean_ms * u.ln()).round() as SimClock,
-            Lifetime::Pareto { scale_ms, shape } => {
-                (scale_ms / u.powf(1.0 / shape)).round() as SimClock
-            }
             Lifetime::Fixed { ms } => ms,
         }
     }
 
-    /// The distribution's theoretical mean, ms (infinite-mean Pareto
-    /// shapes return `f64::INFINITY`).
+    /// The distribution's theoretical mean, ms.
     #[must_use]
     pub fn mean_ms(&self) -> f64 {
         match *self {
             Lifetime::Exponential { mean_ms } => mean_ms,
-            Lifetime::Pareto { scale_ms, shape } => {
-                if shape > 1.0 {
-                    scale_ms * shape / (shape - 1.0)
-                } else {
-                    f64::INFINITY
-                }
-            }
             Lifetime::Fixed { ms } => ms as f64,
         }
     }
@@ -79,11 +59,6 @@ impl ToJson for Lifetime {
             Lifetime::Exponential { mean_ms } => Json::obj([
                 ("dist", "exponential".to_json()),
                 ("mean_ms", mean_ms.to_json()),
-            ]),
-            Lifetime::Pareto { scale_ms, shape } => Json::obj([
-                ("dist", "pareto".to_json()),
-                ("scale_ms", scale_ms.to_json()),
-                ("shape", shape.to_json()),
             ]),
             Lifetime::Fixed { ms } => {
                 Json::obj([("dist", "fixed".to_json()), ("ms", ms.to_json())])
@@ -321,23 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn pareto_empirical_mean_within_tolerance() {
-        // Shape 3 keeps the variance finite so the sample mean settles.
-        let d = Lifetime::Pareto { scale_ms: 4_000.0, shape: 3.0 };
-        let n = 20_000u64;
-        let sum: u64 = (0..n).map(|i| d.sample(9, i)).sum();
-        let mean = sum as f64 / n as f64;
-        let want = d.mean_ms();
-        assert!((mean - want).abs() / want < 0.05, "pareto mean {mean} vs theoretical {want}");
-        assert!((0..n).all(|i| d.sample(9, i) >= 4_000), "pareto samples below scale");
-    }
-
-    #[test]
-    fn fixed_is_degenerate_and_infinite_mean_pareto_flagged() {
+    fn fixed_is_degenerate() {
         let f = Lifetime::Fixed { ms: 123 };
         assert_eq!(f.sample(1, 99), 123);
         assert_eq!(f.mean_ms(), 123.0);
-        assert_eq!(Lifetime::Pareto { scale_ms: 1.0, shape: 0.9 }.mean_ms(), f64::INFINITY);
     }
 
     #[test]

@@ -146,12 +146,6 @@ impl ToJson for ComparisonResult {
     }
 }
 
-impl FromJson for ComparisonResult {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ComparisonResult { chord: v.field("chord")?, hieras: v.field("hieras")? })
-    }
-}
-
 /// Per-algorithm view used by sweep helpers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgoStats {
@@ -220,7 +214,7 @@ pub struct Experiment {
     pub config: ExperimentConfig,
     /// The generated internetwork.
     pub topo: Topology,
-    /// Latency oracle over the router graph.
+    /// Latency oracle over the router graph (it shares `topo.graph`).
     pub lat: LatencyOracle,
     /// Attachment router of each overlay peer.
     pub router_of: Vec<u32>,
@@ -233,7 +227,8 @@ pub struct Experiment {
     landmark_rtts: Vec<u16>,
     /// Landmark orders per peer (after optional noise).
     pub orders: Vec<LandmarkOrder>,
-    /// The Chord baseline.
+    /// The Chord baseline: the hierarchy's own global ring
+    /// ([`HierasOracle::chord`]), shared, not rebuilt.
     pub chord: ChordOracle,
     /// The HIERAS hierarchy.
     pub hieras: HierasOracle,
@@ -248,7 +243,8 @@ impl Experiment {
     pub const REPLAY_CHUNK: usize = 256;
 
     /// Assembles the experiment: generates the topology, places peers,
-    /// measures landmark RTTs, bins, and builds both DHTs.
+    /// measures landmark RTTs, bins, and builds the hierarchy, whose
+    /// global ring doubles as the Chord baseline.
     ///
     /// This is the expensive step (it warms the latency rows of every
     /// peer router in parallel); [`Experiment::run`] afterwards is pure
@@ -264,9 +260,10 @@ impl Experiment {
 
     /// [`Experiment::build`] with every assembly phase timed into
     /// `prof` as a `build` scope (topology generation, peer placement,
-    /// landmark selection, binning, id generation, both DHT builds,
-    /// and the parallel latency precompute). The built experiment is
-    /// identical to an unprofiled build.
+    /// landmark selection, binning, id generation, the hierarchy build
+    /// — whose global ring is the Chord baseline — and the parallel
+    /// latency precompute). The built experiment is identical to an
+    /// unprofiled build.
     ///
     /// # Panics
     /// As [`Experiment::build`].
@@ -299,9 +296,10 @@ impl Experiment {
         // labels backend (the rows backend defers its own to
         // latency_precompute / query time), so it gets its own phase.
         prof.start("latency_oracle");
+        let graph = Arc::clone(&topo.graph);
         let lat = match opts.oracle {
-            OracleBackend::Rows => LatencyOracle::new(topo.graph.clone()),
-            OracleBackend::Labels => LatencyOracle::with_labels_on(&opts.exec, topo.graph.clone()),
+            OracleBackend::Rows => LatencyOracle::new(graph),
+            OracleBackend::Labels => LatencyOracle::with_labels_on(&opts.exec, graph),
         };
         prof.end();
 
@@ -376,15 +374,10 @@ impl Experiment {
         }
         let ids: Arc<[Id]> = ids.into();
         prof.end();
-        let space = IdSpace::full();
-        prof.start("chord_build");
-        let chord =
-            ChordOracle::build_on(&opts.exec, space, Arc::clone(&ids)).expect("ids are distinct");
-        prof.end();
         prof.start("hieras_build");
         let hieras = HierasOracle::build_on(
             &opts.exec,
-            space,
+            IdSpace::full(),
             Arc::clone(&ids),
             orders.clone(),
             config.hieras.clone(),
@@ -414,7 +407,7 @@ impl Experiment {
             landmarks,
             landmark_rtts,
             orders,
-            chord,
+            chord: hieras.chord(),
             hieras,
         }
     }
@@ -630,6 +623,19 @@ mod tests {
     }
 
     #[test]
+    fn one_graph_and_one_global_ring_per_world() {
+        for oracle in [OracleBackend::Rows, OracleBackend::Labels] {
+            let e = Experiment::build_with(
+                ExperimentConfig { nodes: 120, ..small_cfg() },
+                &mut Profiler::new(),
+                BuildOptions { oracle, ..BuildOptions::default() },
+            );
+            assert!(std::ptr::eq(e.lat.graph(), &*e.topo.graph), "{} oracle", oracle.label());
+            assert!(std::ptr::eq(e.chord.ring(), e.hieras.global_ring()), "{}", oracle.label());
+        }
+    }
+
+    #[test]
     fn hieras_beats_chord_on_latency_in_ts_model() {
         let e = Experiment::build(small_cfg());
         let r = e.run();
@@ -673,7 +679,7 @@ mod tests {
             report.phases[0].children.iter().map(|p| p.name.as_str()).collect();
         for want in
             ["topology", "place_peers", "latency_oracle", "landmarks", "binning",
-             "locality_pack", "ids", "chord_build", "hieras_build", "latency_precompute"]
+             "locality_pack", "ids", "hieras_build", "latency_precompute"]
         {
             assert!(children.contains(&want), "phase {want} missing from {children:?}");
         }

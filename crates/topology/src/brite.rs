@@ -168,7 +168,7 @@ impl BriteConfig {
         }
 
         let attach_candidates = (0..n as u32).collect();
-        Topology { graph, kind: vec![NodeKind::Router; n], attach_candidates, domain: (0..n as u32).collect(), model: "brite" }
+        Topology { graph: graph.into_shared(), kind: vec![NodeKind::Router; n], attach_candidates, domain: (0..n as u32).collect(), model: "brite" }
     }
 }
 

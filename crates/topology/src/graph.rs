@@ -4,6 +4,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// A directed half-edge in the adjacency list (every undirected link
 /// is stored twice).
@@ -170,6 +171,15 @@ impl Graph {
             edge_count: 0,
             max_delay: 0,
         }
+    }
+
+    /// Hands a generated graph over for sharing: one packed copy, each
+    /// adjacency list allocated at its length in node order, behind an
+    /// [`Arc`]. The working graph, with its growth slack and its lists
+    /// scattered by interleaved insertion, is dropped.
+    #[must_use]
+    pub fn into_shared(self) -> Arc<Graph> {
+        Arc::new(self.clone())
     }
 
     /// Number of nodes.

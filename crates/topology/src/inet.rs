@@ -180,7 +180,7 @@ impl InetConfig {
         repair_connectivity(exec, &mut graph, &coords, delay);
 
         let attach_candidates = (0..n as u32).collect();
-        Topology { graph, kind: vec![NodeKind::Router; n], attach_candidates, domain: (0..n as u32).collect(), model: "inet" }
+        Topology { graph: graph.into_shared(), kind: vec![NodeKind::Router; n], attach_candidates, domain: (0..n as u32).collect(), model: "inet" }
     }
 }
 

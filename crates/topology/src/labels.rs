@@ -754,7 +754,7 @@ mod tests {
         let exec = Executor::new(2);
         let before = FactoredLabels::build_on(&exec, &world);
         let core = (0..world.node_count()).find(|&v| before.exits[v].outer == NO_CELL).unwrap();
-        let mut grown = world.clone();
+        let mut grown = Graph::clone(&world);
         let [a, b, c] = [grown.add_node(), grown.add_node(), grown.add_node()];
         for (u, v) in [(a, b), (b, c), (c, a)] {
             grown.add_edge(u, v, 3);

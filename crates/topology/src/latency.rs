@@ -39,7 +39,7 @@ use crate::{FactoredLabels, Graph, LabelStats};
 use hieras_rt::Executor;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Sources per work chunk for parallel row precomputation. Sized for
 /// the expensive case — a full search is a fraction of a millisecond
@@ -213,10 +213,11 @@ enum Backend {
 /// Exact shortest-path delays over a router graph.
 ///
 /// Cheap to share by reference across threads; all methods take
-/// `&self`.
+/// `&self`. The graph is held by [`Arc`], so a world's
+/// [`crate::Topology`] and its oracle share one copy.
 #[derive(Debug)]
 pub struct LatencyOracle {
-    graph: Graph,
+    graph: Arc<Graph>,
     backend: Backend,
 }
 
@@ -224,7 +225,8 @@ impl LatencyOracle {
     /// Wraps a router graph with the rows backend. The bridges are
     /// found (one DFS); no shortest paths are computed yet.
     #[must_use]
-    pub fn new(graph: Graph) -> Self {
+    pub fn new(graph: impl Into<Arc<Graph>>) -> Self {
+        let graph = graph.into();
         let n = graph.node_count();
         let mut rows = Vec::with_capacity(n);
         rows.resize_with(n, OnceLock::new);
@@ -249,7 +251,8 @@ impl LatencyOracle {
     /// lookup locality (the same router pairs recur across requests)
     /// and never changes an answer.
     #[must_use]
-    pub fn with_labels_on(exec: &Executor, graph: Graph) -> Self {
+    pub fn with_labels_on(exec: &Executor, graph: impl Into<Arc<Graph>>) -> Self {
+        let graph = graph.into();
         let labels = FactoredLabels::build_on(exec, &graph);
         let memo = LabelMemo { epoch: MEMO_EPOCH.fetch_add(1, Ordering::Relaxed) };
         LatencyOracle { graph, backend: Backend::Labels { labels, counts: OwnLine::default(), memo } }

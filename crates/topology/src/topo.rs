@@ -4,6 +4,7 @@
 
 use crate::{Graph, LatencyOracle};
 use hieras_rt::Rng;
+use std::sync::Arc;
 
 /// Role of a router in the generated internetwork.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,8 +20,9 @@ pub enum NodeKind {
 /// A generated internetwork: router graph + roles + attachment points.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    /// The router-level graph.
-    pub graph: Graph,
+    /// The router-level graph, shared with the [`LatencyOracle`] built
+    /// over it.
+    pub graph: Arc<Graph>,
     /// Role of each router.
     pub kind: Vec<NodeKind>,
     /// Routers on which overlay peers may attach (stub routers for the

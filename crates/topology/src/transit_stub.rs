@@ -246,7 +246,7 @@ impl TransitStubConfig {
         }
         debug_assert_eq!(attach_candidates.len() + transit_total, total);
 
-        Topology { graph, kind, attach_candidates, domain, model: "transit-stub" }
+        Topology { graph: graph.into_shared(), kind, attach_candidates, domain, model: "transit-stub" }
     }
 }
 

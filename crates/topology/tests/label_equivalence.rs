@@ -101,7 +101,7 @@ fn label_build_is_bit_identical_across_thread_counts() {
         TransitStubConfig::for_peers(4000, 14).generate().graph,
         InetConfig::for_peers(3000, 22).generate().graph,
         BriteConfig::for_peers(800, 23).generate().graph,
-        every_cell_shape(),
+        every_cell_shape().into(),
     ];
     for (i, g) in graphs.iter().enumerate() {
         let base = HubLabels::build_on(&Executor::new(1), g);

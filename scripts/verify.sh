@@ -64,13 +64,6 @@ echo "==> lint: clippy's default set over every target (deny warnings)"
 # passes the release build above.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> frozen benchmark: builds against these crates, passes its output checks"
-# benchmark/ is its own workspace — the root test run never compiles
-# it. Its checks (brute-force owners, live == deterministic ==
-# full-rebuild digest, staged pipeline == engine) fail on stderr.
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
-bash benchmark/run.sh --smoke > target/benchmark_smoke.txt
-
 echo "==> drivers: one quick figures run; a non-zero exit fails CI"
 ts=target/timeseries
 trace=target/churn_trace
@@ -110,5 +103,15 @@ for example in examples/*.rs; do
     name=$(basename "$example" .rs)
     ./target/release/examples/"$name" > /dev/null
 done
+
+echo "==> frozen benchmark: builds against these crates, passes its output checks"
+# benchmark/ is its own workspace — the root test run never compiles
+# it. Its checks (brute-force owners, live == deterministic ==
+# full-rebuild digest, staged pipeline == engine) fail on stderr.
+# It runs last: building it rewrites the tracked benchmark/Cargo.lock,
+# and every figures record above stamps `git_sha` with `-dirty` once a
+# tracked file is modified.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke > target/benchmark_smoke.txt
 
 echo "==> verify OK"
