@@ -28,7 +28,7 @@ impl ToJson for LandmarkFail {
 
 /// A domain-correlated failure injected mid-run: after the given churn
 /// event, every live peer attached to one Transit-Stub failure domain
-/// ([`hieras_topology::Topology::domain`]) fails silently at the same
+/// (`hieras_topology::Topology::domain`) fails silently at the same
 /// instant — a power cut or uplink loss at a site, against which the
 /// independent-death lifetime model says nothing. The victim is the
 /// most-populated live domain at that instant (deterministic), capped

@@ -175,7 +175,8 @@ impl FromJson for LogHistogram {
             min: v.field("min")?,
             max: v.field("max")?,
         };
-        if h.counts.iter().sum::<u64>() != h.total {
+        // Checked: counts near `u64::MAX` must not overflow the sum.
+        if h.counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) != Some(h.total) {
             return Err(JsonError("log histogram total does not match counts".into()));
         }
         // `quantile` clamps into [min, max]; an empty histogram is the
@@ -471,6 +472,15 @@ mod tests {
         assert_eq!(abc.counter("count"), 13);
         assert_eq!(abc.gauge("peak"), Some(9));
         assert_eq!(abc.hist("lat").unwrap().total(), 6);
+    }
+
+    /// Counts whose sum overflows `u64` make an inconsistent histogram,
+    /// not an overflow panic.
+    #[test]
+    fn overflowing_counts_are_rejected() {
+        let text = r#"{"counts":[18446744073709551615,1],"total":0,"sum":0,"min":0,"max":0}"#;
+        let json = hieras_rt::Json::parse(text).expect("valid JSON");
+        assert!(<LogHistogram as hieras_rt::FromJson>::from_json(&json).is_err());
     }
 
     #[test]

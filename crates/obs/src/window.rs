@@ -344,7 +344,7 @@ impl TelemetryShard {
     ///
     /// A same-window lookup **strictly below** the floor is outranked
     /// by the K entries at or above it (greater latency dominates
-    /// [`slow_rank`] regardless of tie-breaks), so it can never enter
+    /// `slow_rank` regardless of tie-breaks), so it can never enter
     /// the window's final merged top-K — producers may share the
     /// largest floor across shards as an exact capture-pruning hint.
     #[must_use]
@@ -368,7 +368,7 @@ impl TelemetryShard {
     }
 
     /// `window`'s flight-recorder entries held so far, for a producer
-    /// to complete in place. Rank ([`slow_rank`]) never reads `path`,
+    /// to complete in place. Rank (`slow_rank`) never reads `path`,
     /// so filling it cannot reorder the top-K.
     pub fn slow_mut(&mut self, window: u64) -> impl Iterator<Item = &mut SlowLookup> {
         let open: &mut [SlowLookup] =

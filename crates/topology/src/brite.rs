@@ -7,7 +7,7 @@
 //! in BRITE are propagation delays — proportional to Euclidean
 //! distance — which is exactly what this module produces.
 
-use crate::{Graph, NodeKind, Topology};
+use crate::{GraphBuilder, NodeKind, Topology};
 use hieras_rt::{Executor, FromJson, Json, JsonError, Rng, ToJson};
 
 /// Candidate count from which the per-link weight vector is computed in
@@ -92,7 +92,7 @@ impl BriteConfig {
             (d * self.ms_per_unit).round().clamp(1.0, f64::from(u16::MAX - 1)) as u16
         };
 
-        let mut graph = Graph::with_nodes(n);
+        let mut graph = GraphBuilder::with_nodes(n);
         // Seed clique over the first m+1 nodes.
         for u in 0..=m {
             for v in (u + 1)..=m {

@@ -14,7 +14,8 @@
 //! experiments start at 3000 nodes; [`InetConfig::for_peers`] enforces
 //! the same minimum.
 
-use crate::{Graph, NodeKind, Topology};
+use crate::graph::Components;
+use crate::{GraphBuilder, NodeKind, Topology};
 use hieras_rt::{Executor, FromJson, Json, JsonError, Rng, ToJson};
 
 /// Main-component size from which the connectivity repair's
@@ -144,7 +145,7 @@ impl InetConfig {
             want[node] = degrees[rank];
         }
 
-        let mut graph = Graph::with_nodes(n);
+        let mut graph = GraphBuilder::with_nodes(n);
         let delay = |a: (f64, f64), b: (f64, f64)| -> u16 {
             let d = ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt();
             (d * self.ms_per_unit).round().clamp(1.0, f64::from(u16::MAX - 1)) as u16
@@ -187,46 +188,23 @@ impl InetConfig {
 /// Joins all components to the largest one with shortest planar links.
 fn repair_connectivity(
     exec: &Executor,
-    graph: &mut Graph,
+    graph: &mut GraphBuilder,
     coords: &[(f64, f64)],
     delay: impl Fn((f64, f64), (f64, f64)) -> u16,
 ) {
     let n = graph.node_count();
-    let mut comp = vec![usize::MAX; n];
-    let mut n_comp = 0usize;
-    for start in 0..n {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        let id = n_comp;
-        n_comp += 1;
-        let mut stack = vec![start as u32];
-        comp[start] = id;
-        while let Some(u) = stack.pop() {
-            for e in graph.neighbors(u).to_vec() {
-                if comp[e.to as usize] == usize::MAX {
-                    comp[e.to as usize] = id;
-                    stack.push(e.to);
-                }
-            }
-        }
-    }
-    if n_comp <= 1 {
+    let parts = Components::walk(n, |u| graph.neighbors(u), |_, _| true);
+    if parts.count() <= 1 {
         return;
     }
-    // Find the largest component.
-    let mut sizes = vec![0usize; n_comp];
-    for &c in &comp {
-        sizes[c] += 1;
-    }
-    let main = sizes.iter().enumerate().max_by_key(|&(_, s)| *s).map_or(0, |(i, _)| i);
+    // The largest component (the last of equal sizes).
+    let main = (0..parts.count()).max_by_key(|&c| parts.size(c)).unwrap_or(0);
     // Representative of main component nearest to each foreign node.
-    let main_nodes: Vec<u32> =
-        (0..n).filter(|&i| comp[i] == main).map(|i| i as u32).collect();
-    let mut linked = vec![false; n_comp];
+    let main_nodes = parts.members(main);
+    let mut linked = vec![false; parts.count()];
     linked[main] = true;
     for u in 0..n {
-        let c = comp[u];
+        let c = parts.comp[u] as usize;
         if linked[c] {
             continue;
         }

@@ -42,7 +42,7 @@
 //! a base fixed by the component numbering, so the whole index is
 //! **bit-identical** at any thread count.
 
-use crate::graph::{DijkstraScratch, Edge};
+use crate::graph::{clamp_ms, Components, DialScratch};
 use crate::Graph;
 use hieras_rt::{Executor, Rng};
 use std::cmp::Reverse;
@@ -96,102 +96,6 @@ impl PartialEq for HubLabels {
 
 impl Eq for HubLabels {}
 
-/// The connected components of a graph, numbered in order of their
-/// smallest vertex. Component `c` holds `members[start[c]..start[c + 1]]`,
-/// ascending — the order that gives its vertices their local indices.
-struct Components {
-    start: Vec<u32>,
-    members: Vec<u32>,
-    /// Each vertex's component.
-    comp: Vec<u32>,
-    /// Each vertex's local index within its component.
-    local: Vec<u32>,
-}
-
-impl Components {
-    fn of(graph: &Graph) -> Self {
-        let n = graph.node_count();
-        let mut comp = vec![u32::MAX; n];
-        let mut start = vec![0u32];
-        let mut stack = Vec::new();
-        for s in 0..n as u32 {
-            if comp[s as usize] != u32::MAX {
-                continue;
-            }
-            let c = start.len() as u32 - 1;
-            comp[s as usize] = c;
-            stack.push(s);
-            let mut size = 0u32;
-            while let Some(u) = stack.pop() {
-                size += 1;
-                for e in graph.neighbors(u) {
-                    if comp[e.to as usize] == u32::MAX {
-                        comp[e.to as usize] = c;
-                        stack.push(e.to);
-                    }
-                }
-            }
-            start.push(start[c as usize] + size);
-        }
-        // Counting sort by component; ascending `v` keeps members sorted.
-        let mut fill = start.clone();
-        let mut members = vec![0u32; n];
-        let mut local = vec![0u32; n];
-        for v in 0..n {
-            let c = comp[v] as usize;
-            members[fill[c] as usize] = v as u32;
-            local[v] = fill[c] - start[c];
-            fill[c] += 1;
-        }
-        Components { start, members, comp, local }
-    }
-
-    fn count(&self) -> usize {
-        self.start.len() - 1
-    }
-
-    fn size(&self, c: usize) -> usize {
-        (self.start[c + 1] - self.start[c]) as usize
-    }
-
-    /// Component `c` copied out with local vertex indices; each
-    /// adjacency list keeps the graph's edge order.
-    fn copy_out(&self, graph: &Graph, c: usize) -> Component {
-        let members = &self.members[self.start[c] as usize..self.start[c + 1] as usize];
-        let mut offsets = Vec::with_capacity(members.len() + 1);
-        offsets.push(0u32);
-        let mut adj = Vec::new();
-        for &v in members {
-            adj.extend(graph.neighbors(v).iter().map(|e| Edge {
-                to: self.local[e.to as usize],
-                delay_ms: e.delay_ms,
-            }));
-            offsets.push(u32::try_from(adj.len()).expect("component edges overflow u32"));
-        }
-        let nb = adj.iter().map(|e| usize::from(e.delay_ms)).max().unwrap_or(0) + 1;
-        Component { offsets, adj, nb }
-    }
-}
-
-/// One connected component as a CSR adjacency over local indices.
-struct Component {
-    offsets: Vec<u32>,
-    adj: Vec<Edge>,
-    /// Dial buckets a search needs: the component's largest delay + 1.
-    /// Any larger ring settles vertices in the same order.
-    nb: usize,
-}
-
-impl Component {
-    fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn neighbors(&self, u: u32) -> &[Edge] {
-        &self.adj[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
-    }
-}
-
 /// One component's labels: a CSR over its local indices, entries packed
 /// `(hub_rank << 32) | distance` with the component's rank base added.
 #[derive(Clone, Default)]
@@ -203,42 +107,21 @@ struct ComponentLabels {
 
 /// Adds one sampled shortest-path tree rooted at `root` into `scores`.
 ///
-/// Runs a canonical Dial-bucket Dijkstra (deterministic: LIFO buckets,
-/// the parent of a vertex is whichever strict relaxation fixed its
-/// final distance), then accumulates subtree sizes in reverse settle
-/// order — `size[v]` counts the sampled shortest paths from `root`
-/// that pass through `v`, the standard one-tree term of sampled
-/// betweenness centrality.
-fn accumulate_sp_tree(comp: &Component, root: u32, scores: &mut [u64]) {
-    let (n, nb) = (comp.len(), comp.nb);
-    let mut dist = vec![u32::MAX; n];
+/// Runs the canonical Dial search ([`Graph::dial`]: LIFO buckets, the
+/// parent of a vertex is whichever strict relaxation fixed its final
+/// distance), then accumulates subtree sizes in reverse settle order —
+/// `size[v]` counts the sampled shortest paths from `root` that pass
+/// through `v`, the standard one-tree term of sampled betweenness
+/// centrality.
+fn accumulate_sp_tree(comp: &Graph, root: u32, scores: &mut [u64], scratch: &mut DialScratch) {
+    let n = comp.node_count();
     let mut parent = vec![u32::MAX; n];
     let mut settled: Vec<u32> = Vec::with_capacity(n);
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    dist[root as usize] = 0;
-    buckets[0].push(root);
-    let mut pending = 1usize;
-    let mut d = 0usize;
-    while pending > 0 {
-        let b = d % nb;
-        while let Some(u) = buckets[b].pop() {
-            pending -= 1;
-            if dist[u as usize] != d as u32 {
-                continue; // superseded entry
-            }
-            settled.push(u);
-            for e in comp.neighbors(u) {
-                let nd = d as u32 + u32::from(e.delay_ms);
-                if nd < dist[e.to as usize] {
-                    dist[e.to as usize] = nd;
-                    parent[e.to as usize] = u;
-                    buckets[nd as usize % nb].push(e.to);
-                    pending += 1;
-                }
-            }
-        }
-        d += 1;
-    }
+    let settle = |u, _| {
+        settled.push(u);
+        true
+    };
+    comp.dial(root, n, |v| Some(v as usize), scratch, settle, |u, v| parent[v as usize] = u);
     // A vertex's parent settles strictly before it, so reverse settle
     // order sees every child before its parent.
     let mut size = vec![1u64; n];
@@ -260,31 +143,27 @@ fn accumulate_sp_tree(comp: &Component, root: u32, scores: &mut [u64]) {
 /// score descending, then degree descending, then local index. The
 /// sample roots are seeded from the component's size alone, so the
 /// order is a pure function of the component.
-fn hub_order(comp: &Component) -> Vec<u32> {
-    let n = comp.len();
+fn hub_order(comp: &Graph, scratch: &mut DialScratch) -> Vec<u32> {
+    let n = comp.node_count();
     let mut scores = vec![0u64; n];
     let mut rng = Rng::seed_from_u64(0x4_8655_2615_u64 ^ (n as u64).rotate_left(17));
     for root in rng.sample_indices(n, BETWEENNESS_SAMPLES.min(n)) {
-        accumulate_sp_tree(comp, root as u32, &mut scores);
+        accumulate_sp_tree(comp, root as u32, &mut scores, scratch);
     }
     let mut order: Vec<u32> = (0..n as u32).collect();
-    let degree = |v: u32| comp.offsets[v as usize + 1] - comp.offsets[v as usize];
-    order.sort_by_key(|&v| (Reverse(scores[v as usize]), Reverse(degree(v)), v));
+    order.sort_by_key(|&v| (Reverse(scores[v as usize]), Reverse(comp.degree(v)), v));
     order
 }
 
 /// Pruned landmark labeling of one component: one pruned Dijkstra per
 /// hub, strictly in rank order, each pruning against every label
 /// committed before it. Ranks start at `base`.
-fn label_component(comp: &Component, base: u32) -> ComponentLabels {
-    let (n, nb) = (comp.len(), comp.nb);
-    let order = hub_order(comp);
+fn label_component(comp: &Graph, base: u32) -> ComponentLabels {
+    let n = comp.node_count();
+    let mut scratch = DialScratch::default();
+    let order = hub_order(comp, &mut scratch);
     // `(local rank, distance)` pairs, ascending by rank.
     let mut labels: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-    let mut dij = DijkstraScratch::new();
-    dij.reset(n, nb);
-    let (dist, buckets) = (&mut dij.dist, &mut dij.buckets);
-    let mut touched: Vec<u32> = Vec::new();
     // Distance from the current root to hub `rank`; `u32::MAX` = not on
     // the root's label. Turns each cover test into O(|label(u)|).
     let mut root_dist_of_rank = vec![u32::MAX; n];
@@ -296,51 +175,24 @@ fn label_component(comp: &Component, base: u32) -> ComponentLabels {
             root_dist_of_rank[r as usize] = d;
         }
         let mut labelled = false;
-        let mut pending = 1usize;
-        dist[root as usize] = 0;
-        touched.push(root);
-        buckets[0].push(root);
-        let mut d = 0usize;
-        while pending > 0 {
-            let b = d % nb;
-            while let Some(u) = buckets[b].pop() {
-                pending -= 1;
-                if dist[u as usize] != d as u32 {
-                    continue; // superseded entry
-                }
-                // Pruning test: is d(root, u) already achieved through
-                // an earlier hub common to both labels?
-                let covered = labels[u as usize].iter().any(|&(r, du)| {
-                    let dr = root_dist_of_rank[r as usize];
-                    dr != u32::MAX && u64::from(dr) + u64::from(du) <= d as u64
-                });
-                if covered {
-                    continue;
-                }
-                // `rank` is not scattered above, so this entry never
-                // prunes the rest of its own search.
-                labels[u as usize].push((rank, d as u32));
+        // Settles `u` at `d`, labelling and expanding it unless d(root,
+        // u) is already achieved through an earlier hub common to both
+        // labels.
+        let settle = |u: u32, d: u32| {
+            let covered = labels[u as usize].iter().any(|&(r, du)| {
+                let dr = root_dist_of_rank[r as usize];
+                dr != u32::MAX && u64::from(dr) + u64::from(du) <= u64::from(d)
+            });
+            // `rank` is not scattered above, so this entry never prunes
+            // the rest of its own search.
+            if !covered {
+                labels[u as usize].push((rank, d));
                 labelled = true;
-                for e in comp.neighbors(u) {
-                    let nd = d as u32 + u32::from(e.delay_ms);
-                    if nd < dist[e.to as usize] {
-                        if dist[e.to as usize] == u32::MAX {
-                            touched.push(e.to);
-                        }
-                        dist[e.to as usize] = nd;
-                        buckets[nd as usize % nb].push(e.to);
-                        pending += 1;
-                    }
-                }
             }
-            d += 1;
-        }
+            !covered
+        };
+        comp.dial(root, n, |v| Some(v as usize), &mut scratch, settle, |_, _| {});
         hubs += usize::from(labelled);
-        // Lazy reset: only what this search wrote.
-        for &t in &touched {
-            dist[t as usize] = u32::MAX;
-        }
-        touched.clear();
         for &(r, _) in &labels[root as usize] {
             root_dist_of_rank[r as usize] = u32::MAX;
         }
@@ -371,14 +223,20 @@ impl HubLabels {
     /// a time, the components spread over `exec`.
     ///
     /// Each component's hub order (sampled betweenness, see
-    /// [`hub_order`]) and labels depend on that component alone, and
+    /// `hub_order`) and labels depend on that component alone, and
     /// its ranks start at the number of vertices in the components
     /// numbered before it, so the resulting labels are **bit-identical
     /// at any thread count** — asserted by `tests/label_equivalence.rs`.
     #[must_use]
     pub fn build_on(exec: &Executor, graph: &Graph) -> Self {
+        Self::build_cut(exec, graph, |_, _| true)
+    }
+
+    /// [`HubLabels::build_on`] over `graph` less the links `keep(u, v)`
+    /// drops, each component copied straight out of `graph`.
+    fn build_cut(exec: &Executor, graph: &Graph, keep: impl Fn(u32, u32) -> bool + Sync) -> Self {
         let t0 = std::time::Instant::now();
-        let parts = Components::of(graph);
+        let parts = Components::walk(graph.node_count(), |u| graph.neighbors(u), &keep);
 
         // Largest first, in rounds of at most one largest component's
         // vertices per worker. `par_fill` clones each round's results
@@ -400,7 +258,7 @@ impl HubLabels {
             let mut out = vec![ComponentLabels::default(); round.len()];
             exec.par_fill(&mut out, 1, |i| {
                 let c = round[i];
-                label_component(&parts.copy_out(graph, c), parts.start[c])
+                label_component(&parts.copy_out(graph, c, &keep), parts.start[c])
             });
             for (&c, labels) in round.iter().zip(out) {
                 done[c] = labels;
@@ -575,29 +433,21 @@ impl FactoredLabels {
         let order = cells.order();
         let mut exits: Box<[Exit]> =
             (0..n as u32).map(|v| Exit { outer: NO_CELL, top: v, ms: 0 }).collect();
-        let mut scratch = DijkstraScratch::new();
-        let mut outermost = 0u32;
-        for cell in cells.outermost() {
+        for (outer, cell) in (0u32..).zip(cells.outermost()) {
             let root = order[cell.lo as usize];
-            let from_root = graph.dijkstra_cell(root, &cells, cell, &mut scratch);
+            let from_root = graph.dijkstra_cell(root, &cells, cell);
             let members = &order[cell.lo as usize..cell.lo as usize + from_root.len()];
             // A cell is connected: every `d` is finite, so no exit may
             // read as unreachable.
-            for (&v, &d) in members.iter().zip(from_root) {
-                let ms = d.saturating_add(u32::from(cell.bridge_ms)).min(u32::from(u16::MAX - 1));
-                exits[v as usize] = Exit { outer: outermost, top: cell.parent, ms: ms as u16 };
+            for (&v, &d) in members.iter().zip(&from_root[..]) {
+                let ms = clamp_ms(u32::from(d) + u32::from(cell.bridge_ms));
+                exits[v as usize] = Exit { outer, top: cell.parent, ms };
             }
-            outermost += 1;
         }
-        let labels = if outermost == 0 {
-            HubLabels::build_on(exec, graph)
-        } else {
-            // The only edges between routers of different outermost
-            // cells (or a cell and the outside) are the cut bridges.
-            let cut =
-                graph.without_edges(|u, v| exits[u as usize].outer != exits[v as usize].outer);
-            HubLabels::build_on(exec, &cut)
-        };
+        // The only edges between routers of different outermost cells
+        // (or a cell and the outside) are the cut bridges.
+        let same_outer = |u: u32, v: u32| exits[u as usize].outer == exits[v as usize].outer;
+        let labels = HubLabels::build_cut(exec, graph, same_outer);
         FactoredLabels { labels, exits, build_ms: t0.elapsed().as_secs_f64() * 1e3 }
     }
 
@@ -641,6 +491,16 @@ impl FactoredLabels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
+
+    /// A packed graph of `n` routers with the given links.
+    fn graph(n: usize, links: &[(u32, u32, u16)]) -> Graph {
+        let mut g = GraphBuilder::with_nodes(n);
+        for &(u, v, w) in links {
+            g.add_edge(u, v, w);
+        }
+        g.build()
+    }
 
     fn assert_exact(g: &Graph, labels: &HubLabels) {
         for u in 0..g.node_count() as u32 {
@@ -654,18 +514,13 @@ mod tests {
 
     #[test]
     fn triangle_labels_are_exact() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(0, 1, 10);
-        g.add_edge(1, 2, 10);
-        g.add_edge(0, 2, 50);
+        let g = graph(3, &[(0, 1, 10), (1, 2, 10), (0, 2, 50)]);
         assert_exact(&g, &HubLabels::build(&g));
     }
 
     #[test]
     fn disconnected_pairs_report_unreachable() {
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(0, 1, 7);
-        g.add_edge(2, 3, 9);
+        let g = graph(4, &[(0, 1, 7), (2, 3, 9)]);
         let l = HubLabels::build(&g);
         assert_eq!(l.latency(0, 1), 7);
         assert_eq!(l.latency(0, 2), u16::MAX);
@@ -675,18 +530,13 @@ mod tests {
 
     #[test]
     fn zero_weight_edges_are_exact() {
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(0, 1, 0);
-        g.add_edge(1, 2, 3);
-        g.add_edge(2, 3, 0);
+        let g = graph(4, &[(0, 1, 0), (1, 2, 3), (2, 3, 0)]);
         assert_exact(&g, &HubLabels::build(&g));
     }
 
     #[test]
     fn saturating_distances_match_rows() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(0, 1, u16::MAX - 1);
-        g.add_edge(1, 2, u16::MAX - 1);
+        let g = graph(3, &[(0, 1, u16::MAX - 1), (1, 2, u16::MAX - 1)]);
         let l = HubLabels::build(&g);
         assert_eq!(l.latency(0, 2), u16::MAX - 1, "saturated, still reachable");
         assert_exact(&g, &l);
@@ -694,10 +544,9 @@ mod tests {
 
     #[test]
     fn empty_and_single_node_graphs() {
-        let l = HubLabels::build(&Graph::with_nodes(0));
+        let l = HubLabels::build(&graph(0, &[]));
         assert_eq!(l.node_count(), 0);
-        let g = Graph::with_nodes(1);
-        let l = HubLabels::build(&g);
+        let l = HubLabels::build(&graph(1, &[]));
         assert_eq!(l.latency(0, 0), 0);
     }
 
@@ -709,11 +558,10 @@ mod tests {
     fn exits_name_the_outermost_cell_and_its_bridge_parent() {
         // 0 —3— triangle {1, 2, 3}, DFS root 0; cell {4} below 0, cell
         // {5, 6} below 2 with {6} nested in it, cells {7} and {8} below 3.
-        let mut g = Graph::with_nodes(9);
-        let edges = [(0, 1, 3), (0, 4, 8), (1, 2, 10), (2, 3, 10), (3, 1, 10)];
-        for (u, v, w) in edges.into_iter().chain([(2, 5, 7), (5, 6, 2), (3, 7, 5), (3, 8, 6)]) {
-            g.add_edge(u, v, w);
-        }
+        let g = graph(9, &[
+            (0, 1, 3), (0, 4, 8), (1, 2, 10), (2, 3, 10), (3, 1, 10),
+            (2, 5, 7), (5, 6, 2), (3, 7, 5), (3, 8, 6),
+        ]);
         let f = FactoredLabels::build_on(&Executor::new(1), &g);
         for v in 0..4u32 {
             assert_eq!(f.exits[v as usize], Exit { outer: NO_CELL, top: v, ms: 0 }, "router {v}");
@@ -754,12 +602,13 @@ mod tests {
         let exec = Executor::new(2);
         let before = FactoredLabels::build_on(&exec, &world);
         let core = (0..world.node_count()).find(|&v| before.exits[v].outer == NO_CELL).unwrap();
-        let mut grown = Graph::clone(&world);
+        let mut grown = world.to_builder();
         let [a, b, c] = [grown.add_node(), grown.add_node(), grown.add_node()];
         for (u, v) in [(a, b), (b, c), (c, a)] {
             grown.add_edge(u, v, 3);
         }
         grown.add_edge(core as u32, a, 20);
+        let grown = grown.build();
         let after = FactoredLabels::build_on(&exec, &grown);
         assert_ne!(after.exits[a as usize].outer, NO_CELL, "the new triangle is a cell");
         let (old, new) = (labels_by_router(&before.labels), labels_by_router(&after.labels));
@@ -769,10 +618,7 @@ mod tests {
 
     #[test]
     fn stats_reconcile_with_structure() {
-        let mut g = Graph::with_nodes(5);
-        for i in 0..4 {
-            g.add_edge(i, i + 1, 2);
-        }
+        let g = graph(5, &[(0, 1, 2), (1, 2, 2), (2, 3, 2), (3, 4, 2)]);
         let l = HubLabels::build(&g);
         let s = l.stats();
         assert_eq!(s.entries, l.entries.len());

@@ -34,7 +34,7 @@
 //!   and beyond, and for worlds with no cells to factor through
 //!   (BRITE), where it labels the whole graph.
 
-use crate::graph::{clamp_ms, BridgeCells, Cell, DijkstraScratch};
+use crate::graph::{clamp_ms, BridgeCells, Cell};
 use crate::{FactoredLabels, Graph, LabelStats};
 use hieras_rt::Executor;
 use std::cell::RefCell;
@@ -301,9 +301,8 @@ impl LatencyOracle {
     /// The row of `src`, a router of `cell`, given the resident row of
     /// the router across the cell's bridge.
     fn compose(&self, src: u32, cells: &BridgeCells, cell: &Cell, above: &Row) -> Row {
-        let mut scratch = DijkstraScratch::new();
-        let inside = self.graph.dijkstra_cell(src, cells, cell, &mut scratch);
-        let exit = clamp_ms(inside[0].saturating_add(u32::from(cell.bridge_ms)));
+        let inside = self.graph.dijkstra_cell(src, cells, cell);
+        let exit = clamp_ms(u32::from(inside[0]) + u32::from(cell.bridge_ms));
         let (top, top_exit, outer_lo, outer_len) = match above {
             Row::Dense(_) => (cell.parent, exit, cell.lo, inside.len() as u32),
             Row::Celled { top, top_exit, outer_lo, outer_len, .. } => {
@@ -314,7 +313,7 @@ impl LatencyOracle {
             parent: cell.parent,
             exit,
             lo: cell.lo,
-            inside: inside.iter().map(|&d| clamp_ms(d)).collect(),
+            inside,
             top,
             top_exit,
             outer_lo,
@@ -520,21 +519,22 @@ impl LatencyOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
 
     fn triangle() -> Graph {
-        let mut g = Graph::with_nodes(3);
+        let mut g = GraphBuilder::with_nodes(3);
         g.add_edge(0, 1, 10);
         g.add_edge(1, 2, 10);
         g.add_edge(0, 2, 50);
-        g
+        g.build()
     }
 
     fn line(n: u32) -> Graph {
-        let mut g = Graph::with_nodes(n as usize);
+        let mut g = GraphBuilder::with_nodes(n as usize);
         for i in 0..n - 1 {
             g.add_edge(i, i + 1, 5);
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -578,11 +578,11 @@ mod tests {
     #[test]
     fn cache_bytes_counts_cell_tables_not_full_rows() {
         // Triangle 0-1-2 with the tail 2-3-4: {3, 4} and {4} are cells.
-        let mut g = triangle();
+        let mut g = triangle().to_builder();
         let (a, b) = (g.add_node(), g.add_node());
         g.add_edge(2, a, 7);
         g.add_edge(a, b, 9);
-        let o = LatencyOracle::new(g);
+        let o = LatencyOracle::new(g.build());
         assert_eq!(o.latency(b, 0), 9 + 7 + 20);
         assert_eq!(o.row_stats(), RowStats { searched: 1, composed: 2 });
         assert_eq!(o.cache_bytes(), (5 + 2 + 1) * 2, "row of 2, cell table of 3, of 4");

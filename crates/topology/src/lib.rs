@@ -37,7 +37,7 @@ mod topo;
 mod transit_stub;
 
 pub use brite::BriteConfig;
-pub use graph::{DijkstraScratch, Edge, Graph};
+pub use graph::{Edge, Graph, GraphBuilder};
 pub use inet::InetConfig;
 pub use labels::{FactoredLabels, HubLabels, LabelStats};
 pub use latency::{LatencyOracle, RowStats};

@@ -9,7 +9,7 @@
 //! 5 ms. Inter-transit-domain links (which the paper does not list) use
 //! the intra-transit delay, as in common GT-ITM parameterizations.
 
-use crate::{Graph, NodeKind, Topology};
+use crate::{GraphBuilder, NodeKind, Topology};
 use hieras_rt::{Executor, FromJson, Json, JsonError, Rng, ToJson};
 
 /// Parameters for the Transit-Stub generator.
@@ -151,7 +151,7 @@ impl TransitStubConfig {
         let mut rng = Rng::seed_from_u64(self.seed);
         let transit_total = self.transit_domains * self.transit_nodes_per_domain;
         let total = transit_total + self.stub_router_count();
-        let mut graph = Graph::with_nodes(total);
+        let mut graph = GraphBuilder::with_nodes(total);
         let mut kind = vec![NodeKind::Stub; total];
 
         // Transit routers occupy indices [0, transit_total); domain d owns
@@ -255,7 +255,7 @@ impl TransitStubConfig {
 /// probability `extra_prob` per candidate pair, capped to keep density
 /// linear in the domain size.
 fn connect_random(
-    graph: &mut Graph,
+    graph: &mut GraphBuilder,
     nodes: &[u32],
     delay: u16,
     extra_prob: f64,

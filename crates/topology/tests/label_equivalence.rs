@@ -8,8 +8,8 @@
 
 use hieras_rt::{Executor, Rng};
 use hieras_topology::{
-    BriteConfig, FactoredLabels, Graph, HubLabels, InetConfig, LatencyOracle, Topology,
-    TransitStubConfig,
+    BriteConfig, FactoredLabels, Graph, GraphBuilder, HubLabels, InetConfig, LatencyOracle,
+    Topology, TransitStubConfig,
 };
 
 /// Every label query against every Dijkstra row, source-sampled for
@@ -47,7 +47,7 @@ fn assert_model_labeled(topo: &Topology, tag: &str) {
 fn random_graph(rng: &mut Rng) -> Graph {
     let n = rng.random_range(2usize..40);
     let islands = rng.random_range(0usize..4);
-    let mut g = Graph::with_nodes(n + islands);
+    let mut g = GraphBuilder::with_nodes(n + islands);
     for i in 1..n {
         let j = rng.random_range(0usize..i) as u32;
         g.add_edge(i as u32, j, rng.random_range(0u16..=50));
@@ -57,7 +57,7 @@ fn random_graph(rng: &mut Rng) -> Graph {
         let v = rng.random_range(0usize..n) as u32;
         g.add_edge(u, v, rng.random_range(0u16..=50));
     }
-    g
+    g.build()
 }
 
 #[test]
@@ -162,7 +162,7 @@ fn factored_labels_match_dijkstra_on_the_models() {
     let exec = Executor::new(2);
     let worlds = [
         (TransitStubConfig::for_peers(800, 11).generate(), (3_727, 6_083)),
-        (TransitStubConfig::for_peers(4000, 14).generate(), (32_446, 56_288)),
+        (TransitStubConfig::for_peers(4000, 14).generate(), (32_420, 56_288)),
         (InetConfig::for_peers(3000, 12).generate(), (14_640, 49_847)),
         (BriteConfig::for_peers(1000, 13).generate(), (13_497, 13_497)),
     ];
@@ -190,7 +190,7 @@ fn factored_labels_match_dijkstra_on_the_models() {
 /// All pairs — core–core, core–cell, same cell, nested, sibling,
 /// root side, across components (`u16::MAX`, never `u16::MAX − 1`).
 fn every_cell_shape() -> Graph {
-    let mut g = Graph::with_nodes(17);
+    let mut g = GraphBuilder::with_nodes(17);
     let edges = [
         (0, 1, 3),
         (0, 4, 8),
@@ -214,7 +214,7 @@ fn every_cell_shape() -> Graph {
     for (u, v, w) in edges {
         g.add_edge(u, v, w);
     }
-    g
+    g.build()
 }
 
 #[test]
@@ -243,13 +243,14 @@ fn factored_sums_saturate_exactly_as_rows() {
         for k in 0..4u16 {
             // Core cycle 0-1-2-3; cell {4, 5} below 0 (nested {5}),
             // cell {6} below 1, and an unreachable router 7.
-            let mut g = Graph::with_nodes(8);
+            let mut g = GraphBuilder::with_nodes(8);
             for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
                 g.add_edge(u, v, core_ms);
             }
             g.add_edge(0, 4, 17_000 + k);
             g.add_edge(4, 5, 1);
             g.add_edge(1, 6, 18_533);
+            let g = g.build();
             assert_backends_agree(&g, &format!("core {core_ms}, k {k}"));
             let labels = LatencyOracle::with_labels_on(&Executor::new(1), g);
             let want = (u32::from(core_ms) + 17_000 + u32::from(k) + 18_533).min(65_534);

@@ -11,7 +11,8 @@
 
 use hieras_rt::{Executor, Rng};
 use hieras_topology::{
-    BriteConfig, Graph, InetConfig, LatencyOracle, RowStats, Topology, TransitStubConfig,
+    BriteConfig, Graph, GraphBuilder, InetConfig, LatencyOracle, RowStats, Topology,
+    TransitStubConfig,
 };
 use std::sync::Barrier;
 
@@ -64,7 +65,7 @@ fn brite_rows_match_heap() {
 /// push sums across the `u16::MAX - 1` clamp.
 fn awkward_graph(rng: &mut Rng, heavy: bool) -> Graph {
     let n = rng.random_range(2usize..40);
-    let mut g = Graph::with_nodes(n);
+    let mut g = GraphBuilder::with_nodes(n);
     let delay = |rng: &mut Rng| match rng.random_range(0u32..8) {
         0 => 0,
         1 if heavy => rng.random_range(20_000u16..=u16::MAX - 1),
@@ -81,7 +82,7 @@ fn awkward_graph(rng: &mut Rng, heavy: bool) -> Graph {
         let v = rng.random_range(0usize..n) as u32;
         g.add_edge(u, v, delay(rng));
     }
-    g
+    g.build()
 }
 
 #[test]
@@ -102,10 +103,11 @@ fn forests_zero_weights_and_saturating_delays_match_heap() {
 #[test]
 fn saturating_path_clamps_and_marks_unreachable() {
     const TOP: u16 = u16::MAX - 1;
-    let mut g = Graph::with_nodes(7);
+    let mut g = GraphBuilder::with_nodes(7);
     for i in 1..6 {
         g.add_edge(i - 1, i, TOP);
     }
+    let g = g.build();
     assert_rows_match_heap(&g, "saturating path");
     let oracle = LatencyOracle::new(g);
     assert_eq!(oracle.row(5), &[TOP, TOP, TOP, TOP, TOP, 0, u16::MAX]);
@@ -132,7 +134,7 @@ fn one_end_clamp_equals_the_nested_clamps_at_the_boundary() {
     {
         // Ring 0..6 (the core), chain 5 — 6 — 7 — 8 below it, and a
         // second component 9 — 10.
-        let mut g = Graph::with_nodes(11);
+        let mut g = GraphBuilder::with_nodes(11);
         for i in 0..6 {
             g.add_edge(i, (i + 1) % 6, 1);
         }
@@ -140,6 +142,7 @@ fn one_end_clamp_equals_the_nested_clamps_at_the_boundary() {
         g.add_edge(6, 7, b2);
         g.add_edge(7, 8, b3);
         g.add_edge(9, 10, TOP);
+        let g = g.build();
         let oracle = LatencyOracle::new(g.clone());
         let label = format!("bridges ({b1}, {b2}, {b3})");
         for v in 0..6u32 {

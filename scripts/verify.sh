@@ -64,6 +64,11 @@ echo "==> lint: clippy's default set over every target (deny warnings)"
 # passes the release build above.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> docs: rustdoc over every crate (deny warnings)"
+# Broken or private intra-doc links are rustdoc warnings, which no
+# build or lint step above sees.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> drivers: one quick figures run; a non-zero exit fails CI"
 ts=target/timeseries
 trace=target/churn_trace
