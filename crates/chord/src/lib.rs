@@ -26,4 +26,4 @@ mod pool;
 
 pub use oracle::{ChordOracle, RingBuildError, RingView};
 pub use path::PathBuf;
-pub use pool::{ArenaPoolStats, RingArenaPool};
+pub use pool::{ArenaPoolStats, RingArenaPool, RingArenas};

@@ -17,7 +17,7 @@
 //! predecessor, so routing never needs the table at all and produces
 //! hop sequences byte-identical to the per-node tables it replaces.
 
-use crate::{PathBuf, RingArenaPool};
+use crate::{PathBuf, RingArenaPool, RingArenas};
 use hieras_id::{Id, IdSpace, Key};
 use hieras_rt::{fingerprint, fingerprint_u32, splitmix64, Executor};
 use std::sync::{Arc, OnceLock};
@@ -140,6 +140,23 @@ impl RingView {
         ids: Arc<[Id]>,
         members: &[u32],
     ) -> Result<Self, RingBuildError> {
+        Self::build_in(exec, space, ids, members, RingArenas::default())
+    }
+
+    /// [`RingView::build_on`] into recycled `arenas` (see
+    /// [`RingArenaPool::take_ring`]): the buffers come empty, so only
+    /// their capacity carries over and the ring is the one `build_on`
+    /// makes.
+    ///
+    /// # Errors
+    /// See [`RingBuildError`].
+    pub fn build_in(
+        exec: &Executor,
+        space: IdSpace,
+        ids: Arc<[Id]>,
+        members: &[u32],
+        arenas: RingArenas,
+    ) -> Result<Self, RingBuildError> {
         if members.is_empty() {
             return Err(RingBuildError::Empty);
         }
@@ -149,7 +166,8 @@ impl RingView {
                 return Err(RingBuildError::OutOfSpace(id));
             }
         }
-        let mut sorted: Vec<u32> = members.to_vec();
+        let RingArenas { members: mut sorted, mut member_ids, seek } = arenas;
+        sorted.extend_from_slice(members);
         sorted.sort_unstable_by_key(|&m| ids[m as usize]);
         for w in sorted.windows(2) {
             if ids[w[0] as usize] == ids[w[1] as usize] {
@@ -160,7 +178,7 @@ impl RingView {
         let len = members.len();
         let parallel = exec.threads() > 1;
         // Ring-ordered id arena, one contiguous allocation.
-        let mut member_ids = vec![Id(0); len];
+        member_ids.resize(len, Id(0));
         let id_entry = |j: usize| ids[members[j] as usize];
         if len >= Self::PAR_ARENA_THRESHOLD && parallel {
             exec.par_fill(&mut member_ids, Self::PAR_ARENA_CHUNK, id_entry);
@@ -169,7 +187,7 @@ impl RingView {
                 *slot = id_entry(j);
             }
         }
-        let (seek, seek_shift) = Self::seek_index(space, &member_ids, Vec::new());
+        let (seek, seek_shift) = Self::seek_index(space, &member_ids, seek);
         Ok(RingView { space, ids, members, member_ids, seek, seek_shift, digest: OnceLock::new() })
     }
 
@@ -177,6 +195,11 @@ impl RingView {
     /// bucket per member.
     fn seek_bits(space: IdSpace, len: usize) -> u32 {
         len.next_power_of_two().trailing_zeros().min(space.bits()).min(Self::MAX_SEEK_BITS)
+    }
+
+    /// Entries of the seek index of a `len`-member ring.
+    pub(crate) fn seek_len(space: IdSpace, len: usize) -> usize {
+        (1usize << Self::seek_bits(space, len)) + 1
     }
 
     /// Seek bucket of an in-space `id` (a one-bucket grid over the full
@@ -278,11 +301,8 @@ impl RingView {
         }
         // Each insertion's slot: the old position it goes in front of.
         let slots: Vec<usize> = ins.iter().map(|&(id, _)| self.seek_pos(id)).collect();
-        let seek_len = (1usize << Self::seek_bits(self.space, new_len)) + 1;
-        let same_grid = seek_len == self.seek.len();
-        let mut members = pool.take_u32(new_len);
-        let mut member_ids = pool.take_ids(new_len);
-        let mut seek = pool.take_u32(seek_len);
+        let RingArenas { mut members, mut member_ids, mut seek } = pool.take_ring(self.space, new_len);
+        let same_grid = Self::seek_len(self.space, new_len) == self.seek.len();
         // Walk the change points in id order. Up to each one the
         // survivors are one contiguous run of the old arenas — exactly
         // the id-sorted arrays a full build's sort would produce — and,

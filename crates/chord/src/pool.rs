@@ -5,12 +5,13 @@
 //! round-trip through the allocator just to be reallocated at nearly
 //! the same size for the next delta application. [`RingArenaPool`] is a
 //! bounded free-list the maintenance thread owns exclusively (no
-//! locks): dismantled rings deposit their buffers, delta builds
-//! withdraw the smallest one large enough, and past the bound the
-//! oldest buffer is dropped, so the pool neither hoards a whole
+//! locks): dismantled rings deposit their buffers, delta and full
+//! builds withdraw the smallest one large enough, and past the bound
+//! the oldest buffer is dropped, so the pool neither hoards a whole
 //! history of arenas nor stays full of ones nothing asks for.
 
-use hieras_id::Id;
+use crate::RingView;
+use hieras_id::{Id, IdSpace};
 
 /// Cumulative reuse counters of one pool — the source feeding the
 /// `serve.epoch.arena_reuse.*` metrics.
@@ -23,6 +24,18 @@ pub struct ArenaPoolStats {
     /// Deposits that cost a buffer: the pool was at capacity (its
     /// oldest buffer made way) or the buffer was not worth keeping.
     pub dropped: u64,
+}
+
+/// The three arena buffers of one ring — member indices, id arena,
+/// seek index — withdrawn together for one build
+/// ([`RingArenaPool::take_ring`], [`RingView::build_in`]). The default
+/// is three unallocated buffers: a build into it allocates each at its
+/// exact size.
+#[derive(Debug, Default)]
+pub struct RingArenas {
+    pub(crate) members: Vec<u32>,
+    pub(crate) member_ids: Vec<Id>,
+    pub(crate) seek: Vec<u32>,
 }
 
 /// A bounded free-list of ring-arena buffers (`u32` index/seek arrays
@@ -78,6 +91,17 @@ impl RingArenaPool {
                 b
             }
             None => Vec::with_capacity(min),
+        }
+    }
+
+    /// Withdraws the arenas of a `len`-member ring over `space`: the
+    /// member buffer, then the id arena, then the (larger) seek index,
+    /// each the best fit the pool holds.
+    pub fn take_ring(&mut self, space: IdSpace, len: usize) -> RingArenas {
+        RingArenas {
+            members: self.take_u32(len),
+            member_ids: self.take_ids(len),
+            seek: self.take_u32(RingView::seek_len(space, len)),
         }
     }
 

@@ -9,11 +9,12 @@
 
 use crate::{ConfigError, HierasConfig, LandmarkOrder, RingTable, RouteTrace};
 use crate::trace::{HopRecord, RouteCost};
-use hieras_chord::{ChordOracle, PathBuf, RingArenaPool, RingBuildError, RingView};
+use hieras_chord::{ChordOracle, PathBuf, RingArenaPool, RingArenas, RingBuildError, RingView};
 use hieras_id::{Id, IdSpace, Key};
 use hieras_rt::{fingerprint, fingerprint_u32, splitmix64, Executor};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Errors building a [`HierasOracle`].
 #[derive(Debug, Clone, PartialEq)]
@@ -331,6 +332,26 @@ impl HierasOracle {
         members: &[u32],
         config: HierasConfig,
     ) -> Result<Self, HierasBuildError> {
+        let mut pool = RingArenaPool::disabled();
+        Self::build_members_pooled_on(exec, space, ids, orders, members, config, &mut pool)
+    }
+
+    /// [`HierasOracle::build_members_on`] with every ring's arenas
+    /// drawn from `pool` — the serving maintainer's full rebuild, which
+    /// then reuses what the hierarchy it replaces retired instead of
+    /// growing the heap by a hierarchy per rebuild. Identical output.
+    ///
+    /// # Errors
+    /// See [`HierasBuildError`].
+    pub fn build_members_pooled_on(
+        exec: &Executor,
+        space: IdSpace,
+        ids: Arc<[Id]>,
+        orders: Vec<LandmarkOrder>,
+        members: &[u32],
+        config: HierasConfig,
+        pool: &mut RingArenaPool,
+    ) -> Result<Self, HierasBuildError> {
         config.validate()?;
         if orders.len() != ids.len() {
             return Err(HierasBuildError::OrderCount { expected: ids.len(), got: orders.len() });
@@ -397,16 +418,34 @@ impl HierasOracle {
             .enumerate()
             .flat_map(|(li, p)| (0..p.names.len()).map(move |ri| (li, ri)))
             .collect();
+        // The pool is single-owner: withdraw every job's arenas here
+        // and hand each job its own. Largest ring first, so the big
+        // retired buffers go to the rings that need them rather than
+        // to a small ring that nothing smaller fits.
+        let ring_len = |j: usize| protos[jobs[j].0].members[jobs[j].1].len();
+        let mut arenas: Vec<Mutex<RingArenas>> = jobs.iter().map(|_| Mutex::default()).collect();
+        let mut by_size: Vec<usize> = (0..jobs.len()).collect();
+        by_size.sort_by_key(|&j| Reverse(ring_len(j)));
+        for j in by_size {
+            *arenas[j].get_mut().expect("not shared yet") = pool.take_ring(space, ring_len(j));
+        }
         let built: Vec<Result<RingView, RingBuildError>> = exec.par_fold(
             jobs.len(),
             1,
             Vec::new,
             |acc, j| {
                 let (li, ri) = jobs[j];
+                let arenas = std::mem::take(&mut *arenas[j].lock().expect("one job per slot"));
                 // Inner parallelism only pays off for the big rings
                 // (the global ring); small rings build serially inside
                 // their own job.
-                acc.push(RingView::build_on(exec, space, Arc::clone(&ids), &protos[li].members[ri]));
+                acc.push(RingView::build_in(
+                    exec,
+                    space,
+                    Arc::clone(&ids),
+                    &protos[li].members[ri],
+                    arenas,
+                ));
             },
             |mut a, mut b| {
                 a.append(&mut b);

@@ -11,7 +11,10 @@
 //! Superseded hierarchies are retired into the delta path's arena pool
 //! two epochs late, as the serving engine's publisher does, so every
 //! later delta builds in recycled arenas: a ring's cached digest must
-//! die with the ring, never follow its buffers into the next one.
+//! die with the ring, never follow its buffers into the next one. The
+//! full rebuilds build in the arenas of the round before's
+//! ([`HierasOracle::build_members_pooled_on`]), so they are held to the
+//! same identity.
 
 use hieras_core::{
     Binning, HierasConfig, HierasDelta, HierasOracle, LandmarkOrder, RingArenaPool,
@@ -83,6 +86,7 @@ fn run_history(exec: &Executor, seed: u64) -> Vec<u64> {
     )
     .expect("seed membership builds");
     let mut pool = RingArenaPool::new(64);
+    let mut full_pool = RingArenaPool::new(64);
     // Epochs a reader may still pin: retired, not yet reclaimed.
     let mut lagging: VecDeque<HierasOracle> = VecDeque::new();
     let mut digests = vec![cur.hierarchy_digest()];
@@ -151,13 +155,14 @@ fn run_history(exec: &Executor, seed: u64) -> Vec<u64> {
         let inc = cur
             .apply_delta_on(exec, &delta, &orders, &mut pool)
             .expect("recorded churn batches are valid deltas");
-        let full = HierasOracle::build_members_on(
+        let full = HierasOracle::build_members_pooled_on(
             exec,
             w.space,
             Arc::clone(&w.ids),
             orders.clone(),
             &members(&live),
             w.config.clone(),
+            &mut full_pool,
         )
         .expect("post-batch membership builds");
         // Byte identity: every arena, numbering and table — compressed
@@ -179,12 +184,14 @@ fn run_history(exec: &Executor, seed: u64) -> Vec<u64> {
             assert_eq!(a.destination(), b.destination());
         }
         digests.push(full.hierarchy_digest());
+        full.recycle_into(&mut full_pool);
         lagging.push_back(std::mem::replace(&mut cur, inc));
         if lagging.len() > 2 {
             lagging.pop_front().expect("non-empty").recycle_into(&mut pool);
         }
     }
     assert!(pool.stats().reused > 0, "no delta ever built in a recycled arena");
+    assert!(full_pool.stats().reused > 0, "no full rebuild ever built in a recycled arena");
     digests
 }
 
