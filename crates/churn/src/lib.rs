@@ -30,10 +30,11 @@
 
 mod config;
 mod engine;
-mod replay;
 mod report;
 
 pub use config::{ChurnExperimentConfig, DomainFail, LandmarkFail};
 pub use engine::{run_churn, run_churn_traced, ChurnObs, CHURN_WINDOW_MS};
-pub use replay::{MembershipReplay, ReplayDelta};
+/// The liveness cursor lives beside [`hieras_sim::ChurnSchedule`];
+/// re-exported so existing paths keep working.
+pub use hieras_sim::{MembershipReplay, ReplayDelta};
 pub use report::{AlgoChurnStats, ChurnReport, EventCounts, MaintStats};

@@ -34,6 +34,7 @@
 mod binning;
 mod config;
 mod cost;
+mod node_map;
 mod oracle;
 mod ring_table;
 mod trace;
@@ -41,7 +42,10 @@ mod trace;
 pub use binning::{Binning, LandmarkOrder};
 pub use config::{ConfigError, HierasConfig};
 pub use cost::CostReport;
-pub use oracle::{DeltaStats, FingerRow, HierasBuildError, HierasDelta, HierasOracle, Layer, RingArenaStats};
+pub use oracle::{
+    DeltaStats, FingerRow, HierasBuildError, HierasDelta, HierasOracle, Layer, OrderTable,
+    RingArenaStats,
+};
 pub use hieras_chord::{ArenaPoolStats, PathBuf, RingArenaPool};
 pub use ring_table::RingTable;
 pub use trace::{HopRecord, RouteCost, RouteTrace};

@@ -8,10 +8,11 @@
 //! restricted to the ring's membership.
 
 use crate::{ConfigError, HierasConfig, LandmarkOrder, RingTable, RouteTrace};
+use crate::node_map::NodeMap;
 use crate::trace::{HopRecord, RouteCost};
 use hieras_chord::{ChordOracle, PathBuf, RingArenaPool, RingArenas, RingBuildError, RingView};
 use hieras_id::{Id, IdSpace, Key};
-use hieras_rt::{fingerprint, fingerprint_u32, splitmix64, Executor};
+use hieras_rt::{fingerprint, splitmix64, Executor};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -109,9 +110,9 @@ pub struct Layer {
     /// Ring names ([`HierasConfig::ring_key`]), sorted, parallel to
     /// `rings`.
     names: Vec<LandmarkOrder>,
-    /// Ring index (into `rings`) of each global node; shared across
-    /// epochs whose membership at this layer did not move.
-    ring_of_node: Arc<[u32]>,
+    /// Ring index (into `rings`) of each global node, in chunks shared
+    /// with every epoch that did not write to them.
+    ring_of_node: NodeMap,
 }
 
 impl Layer {
@@ -128,20 +129,20 @@ impl Layer {
     /// via [`HierasOracle::build_members_on`] exclude dead nodes).
     #[must_use]
     pub fn ring_of(&self, node: u32) -> &RingView {
-        &self.rings[self.ring_of_node[node as usize] as usize]
+        &self.rings[self.ring_of_node.at(node) as usize]
     }
 
     /// The name of the ring containing `node`.
     #[must_use]
     pub fn ring_name_of(&self, node: u32) -> LandmarkOrder {
-        self.names[self.ring_of_node[node as usize] as usize]
+        self.names[self.ring_of_node.at(node) as usize]
     }
 
     /// Ring index of `node` at this layer, or `None` for a non-member.
     #[must_use]
     pub fn ring_index_of(&self, node: u32) -> Option<u32> {
-        match self.ring_of_node.get(node as usize) {
-            Some(&r) if r != u32::MAX => Some(r),
+        match self.ring_of_node.get(node) {
+            Some(r) if r != u32::MAX => Some(r),
             _ => None,
         }
     }
@@ -166,20 +167,63 @@ pub struct FingerRow {
     pub successors: Vec<u32>,
 }
 
-/// The per-node landmark orders with their lazily computed digest:
-/// every epoch sharing the table shares the one hashing of it.
+/// The per-node landmark orders a hierarchy was built from, behind
+/// one shared allocation. Every epoch whose binning did not move holds
+/// the same table — a clone bumps a reference count — and its digest
+/// is hashed once for all of them. A re-bin makes a new table; nothing
+/// writes into a shared one.
+#[derive(Debug, Clone)]
+pub struct OrderTable(Arc<OrderList>);
+
 #[derive(Debug)]
-struct OrderTable {
+struct OrderList {
     list: Vec<LandmarkOrder>,
     digest: OnceLock<u64>,
 }
 
 impl OrderTable {
+    /// Seals `list` as a table.
+    #[must_use]
+    pub fn new(list: Vec<LandmarkOrder>) -> Self {
+        OrderTable(Arc::new(OrderList { list, digest: OnceLock::new() }))
+    }
+
+    /// True when `orders` is this table's own memory: the same
+    /// allocation and the same length. Identical memory means
+    /// identical contents, so a caller handed this table back needs no
+    /// entry-by-entry comparison.
+    #[must_use]
+    pub fn is(&self, orders: &[LandmarkOrder]) -> bool {
+        std::ptr::eq(self.0.list.as_ptr(), orders.as_ptr()) && self.0.list.len() == orders.len()
+    }
+
+    /// The list back when this handle is the table's last owner — how
+    /// a maintainer recycles a retired table's buffer for its next
+    /// re-bin; `None` while any other handle shares it.
+    #[must_use]
+    pub fn into_list(self) -> Option<Vec<LandmarkOrder>> {
+        Arc::try_unwrap(self.0).ok().map(|t| t.list)
+    }
+
     /// Order-sensitive digest of every entry's length and digits.
     fn digest(&self) -> u64 {
-        *self.digest.get_or_init(|| {
-            fingerprint(0x0a4d_e45a_7ab1_e000, &self.list, |o| o.code())
+        *self.0.digest.get_or_init(|| {
+            fingerprint(0x0a4d_e45a_7ab1_e000, &self.0.list, |o| o.code())
         })
+    }
+}
+
+impl From<Vec<LandmarkOrder>> for OrderTable {
+    fn from(list: Vec<LandmarkOrder>) -> Self {
+        OrderTable::new(list)
+    }
+}
+
+impl std::ops::Deref for OrderTable {
+    type Target = [LandmarkOrder];
+
+    fn deref(&self) -> &[LandmarkOrder] {
+        &self.0.list
     }
 }
 
@@ -215,9 +259,8 @@ pub struct HierasOracle {
     ids: Arc<[Id]>,
     config: HierasConfig,
     /// Per-node landmark orders; shared across epochs whose binning
-    /// did not move (delta applications clone-and-patch only when a
-    /// join or re-bin changed an entry).
-    orders: Arc<OrderTable>,
+    /// did not move.
+    orders: OrderTable,
     /// `layers[j-1]` is layer `j`; `layers[0]` is the global ring.
     layers: Vec<Layer>,
     /// Ring tables of every non-global ring, keyed by ring name.
@@ -340,6 +383,8 @@ impl HierasOracle {
     /// drawn from `pool` — the serving maintainer's full rebuild, which
     /// then reuses what the hierarchy it replaces retired instead of
     /// growing the heap by a hierarchy per rebuild. Identical output.
+    /// `orders` may be an [`OrderTable`] another hierarchy already
+    /// holds: the new one shares it instead of copying it.
     ///
     /// # Errors
     /// See [`HierasBuildError`].
@@ -347,11 +392,12 @@ impl HierasOracle {
         exec: &Executor,
         space: IdSpace,
         ids: Arc<[Id]>,
-        orders: Vec<LandmarkOrder>,
+        orders: impl Into<OrderTable>,
         members: &[u32],
         config: HierasConfig,
         pool: &mut RingArenaPool,
     ) -> Result<Self, HierasBuildError> {
+        let orders: OrderTable = orders.into();
         config.validate()?;
         if orders.len() != ids.len() {
             return Err(HierasBuildError::OrderCount { expected: ids.len(), got: orders.len() });
@@ -372,34 +418,79 @@ impl HierasOracle {
             }
         }
         let n = ids.len();
+        // Ascending members fill each node→ring map chunk by chunk.
+        let sorted: Vec<u32>;
+        let members = if members.is_sorted() {
+            members
+        } else {
+            let mut v = members.to_vec();
+            v.sort_unstable();
+            sorted = v;
+            &sorted
+        };
         // Phase 1 — group members into rings, one independent job per
         // layer (chunk = 1 layer; merged in ascending layer order).
         struct LayerProto {
             layer_no: usize,
             names: Vec<LandmarkOrder>,
-            members: Vec<Vec<u32>>,
-            ring_of_node: Box<[u32]>,
+            /// Ring `r` holds `members[starts[r]..starts[r + 1]]`.
+            starts: Vec<usize>,
+            members: Vec<u32>,
+            ring_of_node: NodeMap,
         }
         let group_layer = |layer_no: usize| -> LayerProto {
-            // Rings are numbered in name order, deterministically.
-            let mut groups: BTreeMap<LandmarkOrder, Vec<u32>> = BTreeMap::new();
-            for &i in members {
-                groups.entry(config.ring_key(layer_no, &orders[i as usize])).or_default().push(i);
-            }
-            // Non-members keep u32::MAX, so `ring_of` on a dead node
-            // trips an index panic instead of silently routing.
-            let mut ring_of_node = vec![u32::MAX; n].into_boxed_slice();
-            let (names, members) = groups
-                .into_iter()
-                .enumerate()
-                .map(|(ri, (name, members))| {
-                    for &m in &members {
-                        ring_of_node[m as usize] = ri as u32;
+            // Pass 1: every member's ring, numbered as first seen, and
+            // every ring's size, so the grouping is one exact
+            // allocation. Locality-packed node tables put a ring's
+            // members side by side: a run of one key costs one map
+            // lookup.
+            let mut first_seen: BTreeMap<LandmarkOrder, u32> = BTreeMap::new();
+            let mut sizes: Vec<usize> = Vec::new();
+            let mut grouped = vec![0u32; members.len()];
+            let mut last: Option<(LandmarkOrder, u32)> = None;
+            for (slot, &i) in grouped.iter_mut().zip(members) {
+                let k = config.ring_key(layer_no, &orders[i as usize]);
+                let g = match last {
+                    Some((lk, g)) if lk == k => g,
+                    _ => {
+                        let g = *first_seen.entry(k).or_insert_with(|| {
+                            sizes.push(0);
+                            sizes.len() as u32 - 1
+                        });
+                        last = Some((k, g));
+                        g
                     }
-                    (name, members)
-                })
-                .unzip();
-            LayerProto { layer_no, names, members, ring_of_node }
+                };
+                sizes[g as usize] += 1;
+                *slot = g;
+            }
+            // Rings are numbered in name order, deterministically.
+            let mut rank = vec![0u32; sizes.len()];
+            let mut names = Vec::with_capacity(sizes.len());
+            let mut starts = Vec::with_capacity(sizes.len() + 1);
+            let mut at = 0;
+            for (ri, (&name, &g)) in first_seen.iter().enumerate() {
+                rank[g as usize] = ri as u32;
+                names.push(name);
+                starts.push(at);
+                at += sizes[g as usize];
+            }
+            starts.push(at);
+            // Pass 2: the node→ring map, chunk by chunk. Non-members
+            // keep u32::MAX, so `ring_of` on a dead node trips an index
+            // panic instead of silently routing.
+            let ring_of_node = NodeMap::from_sorted(
+                n,
+                members.iter().zip(&grouped).map(|(&i, &g)| (i, rank[g as usize])),
+            );
+            // Pass 3: each ring's members, in member order.
+            let mut fill = starts.clone();
+            for &i in members {
+                let ri = ring_of_node.at(i) as usize;
+                grouped[fill[ri]] = i;
+                fill[ri] += 1;
+            }
+            LayerProto { layer_no, names, starts, members: grouped, ring_of_node }
         };
         let protos: Vec<LayerProto> = exec.par_fold(
             config.depth,
@@ -422,7 +513,11 @@ impl HierasOracle {
         // and hand each job its own. Largest ring first, so the big
         // retired buffers go to the rings that need them rather than
         // to a small ring that nothing smaller fits.
-        let ring_len = |j: usize| protos[jobs[j].0].members[jobs[j].1].len();
+        let ring_members = |j: usize| {
+            let (p, ri) = (&protos[jobs[j].0], jobs[j].1);
+            &p.members[p.starts[ri]..p.starts[ri + 1]]
+        };
+        let ring_len = |j: usize| ring_members(j).len();
         let mut arenas: Vec<Mutex<RingArenas>> = jobs.iter().map(|_| Mutex::default()).collect();
         let mut by_size: Vec<usize> = (0..jobs.len()).collect();
         by_size.sort_by_key(|&j| Reverse(ring_len(j)));
@@ -434,7 +529,6 @@ impl HierasOracle {
             1,
             Vec::new,
             |acc, j| {
-                let (li, ri) = jobs[j];
                 let arenas = std::mem::take(&mut *arenas[j].lock().expect("one job per slot"));
                 // Inner parallelism only pays off for the big rings
                 // (the global ring); small rings build serially inside
@@ -443,7 +537,7 @@ impl HierasOracle {
                     exec,
                     space,
                     Arc::clone(&ids),
-                    &protos[li].members[ri],
+                    ring_members(j),
                     arenas,
                 ));
             },
@@ -463,7 +557,7 @@ impl HierasOracle {
                 layer_no: proto.layer_no,
                 rings,
                 names: proto.names,
-                ring_of_node: proto.ring_of_node.into(),
+                ring_of_node: proto.ring_of_node,
             });
         }
         // Ring tables for every non-global ring (§3.1).
@@ -471,7 +565,6 @@ impl HierasOracle {
         for &name in layers[1..].iter().flat_map(|layer| &layer.names) {
             refresh_table(&mut ring_tables, &layers, name);
         }
-        let orders = Arc::new(OrderTable { list: orders, digest: OnceLock::new() });
         Ok(HierasOracle { space, ids, config, orders, layers, ring_tables })
     }
 
@@ -500,6 +593,14 @@ impl HierasOracle {
     #[must_use]
     pub fn config(&self) -> &HierasConfig {
         &self.config
+    }
+
+    /// The per-node landmark orders this hierarchy was built from.
+    /// Handing this table back to [`HierasOracle::apply_delta_on`]
+    /// skips its entry-by-entry check.
+    #[must_use]
+    pub fn orders(&self) -> &OrderTable {
+        &self.orders
     }
 
     /// Number of peers.
@@ -629,7 +730,8 @@ impl HierasOracle {
             if cur == owner {
                 return cur;
             }
-            let ring = layer.ring_of(cur);
+            // Layer 1 is one ring: no node→ring map to read.
+            let ring = if layer.layer_no == 1 { &*layer.rings[0] } else { layer.ring_of(cur) };
             let pos = ring.position_of(cur).expect("node is member of its own ring");
             if layer.layer_no == 1 {
                 ring.route_into(pos, key, scratch);
@@ -723,13 +825,13 @@ impl HierasOracle {
         let key = |order: &LandmarkOrder| self.config.ring_key(layer_no, order);
         let mut changes: BTreeMap<LandmarkOrder, (Vec<u32>, Vec<u32>)> = BTreeMap::new();
         for &m in delta.departed {
-            changes.entry(key(&self.orders.list[m as usize])).or_default().0.push(m);
+            changes.entry(key(&self.orders[m as usize])).or_default().0.push(m);
         }
         for &m in delta.joined {
             changes.entry(key(&orders[m as usize])).or_default().1.push(m);
         }
         for &m in delta.rebinned {
-            let old = key(&self.orders.list[m as usize]);
+            let old = key(&self.orders[m as usize]);
             let new = key(&orders[m as usize]);
             if old != new {
                 changes.entry(old).or_default().0.push(m);
@@ -758,6 +860,41 @@ impl HierasOracle {
         DeltaStats { touched_rings: touched, total_rings: total }
     }
 
+    /// The order table the delta's hierarchy holds. This hierarchy's
+    /// own table is shared without a look at its entries: the same
+    /// memory holds the same orders. Any other table is compared entry
+    /// by entry — a live member whose order moved without being
+    /// declared is misuse, since sharing its rings would silently
+    /// diverge from a full rebuild — and copied when an entry moved.
+    /// The declared set is sorted once and walked beside the scan, so
+    /// the check costs O(n + |delta| log |delta|) however many entries
+    /// differ.
+    fn sync_orders(
+        &self,
+        delta: &HierasDelta<'_>,
+        orders: &[LandmarkOrder],
+    ) -> Result<OrderTable, HierasBuildError> {
+        if self.orders.is(orders) {
+            return Ok(self.orders.clone());
+        }
+        let mut declared: Vec<u32> =
+            delta.rebinned.iter().chain(delta.joined).chain(delta.departed).copied().collect();
+        declared.sort_unstable();
+        let mut declared = declared.into_iter().peekable();
+        let mut changed = false;
+        for (i, (new, old)) in orders.iter().zip(self.orders.iter()).enumerate() {
+            if new != old {
+                let node = i as u32;
+                while declared.next_if(|&d| d < node).is_some() {}
+                if declared.peek() != Some(&node) && self.layers[0].ring_index_of(node).is_some() {
+                    return Err(HierasBuildError::UndeclaredRebin { node });
+                }
+                changed = true;
+            }
+        }
+        Ok(if changed { OrderTable::new(orders.to_vec()) } else { self.orders.clone() })
+    }
+
     /// Applies one epoch's membership/binning delta, producing a new
     /// hierarchy **byte-identical** to
     /// [`HierasOracle::build_members_on`] over the post-delta
@@ -769,18 +906,19 @@ impl HierasOracle {
     /// disappear. Ring tables are recomputed for touched ring names
     /// only, from the ends of their rings' arenas.
     ///
-    /// What is decided per epoch is proportional to the delta; what is
-    /// *copied* is not: each touched ring's arenas and every touched
-    /// layer's node→ring map are streamed once (`memcpy` speed), and
-    /// the check that no live member's order moved undeclared reads
-    /// the whole order table. At 5 000 peers a 4-event epoch costs
-    /// ≈ 0.2× what it did with a per-member merge, a seek index
-    /// rebuilt by binary search and per-member table observations
-    /// (EXPERIMENTS.md § Incremental maintenance has the stack).
+    /// What is decided and copied per epoch follows the delta, except
+    /// for the touched rings themselves: each touched ring's arenas are
+    /// streamed once (`memcpy` speed), each touched layer's node→ring
+    /// map copies only the chunks the delta writes to (all of them
+    /// when a ring is born or dies and the rings renumber), and the
+    /// order table is shared outright when `orders` is this
+    /// hierarchy's own ([`HierasOracle::orders`]). Any other `orders`
+    /// is read whole, to check that no live member's order moved
+    /// undeclared, and copied when an entry moved.
     ///
     /// `orders` is the caller's full (global-sized) order table after
     /// this epoch's re-binning; entries may differ from the builder's
-    /// copy only for `joined`/`rebinned`/dead nodes.
+    /// table only for `joined`/`rebinned`/dead nodes.
     ///
     /// # Errors
     /// See [`HierasBuildError`]; notably
@@ -820,27 +958,7 @@ impl HierasOracle {
                 return Err(HierasBuildError::Ring(RingBuildError::NotAMember(m)));
             }
         }
-        // Order-table sync: adopt `orders` wholesale when any entry
-        // moved. A live member moving undeclared is misuse — sharing
-        // its rings would silently diverge from a full rebuild.
-        let mut orders_changed = false;
-        for (i, o) in orders.iter().enumerate() {
-            if *o != self.orders.list[i] {
-                let node = i as u32;
-                let declared = delta.rebinned.contains(&node)
-                    || delta.joined.contains(&node)
-                    || delta.departed.contains(&node);
-                if !declared && self.layers[0].ring_index_of(node).is_some() {
-                    return Err(HierasBuildError::UndeclaredRebin { node });
-                }
-                orders_changed = true;
-            }
-        }
-        let new_orders = if orders_changed {
-            Arc::new(OrderTable { list: orders.to_vec(), digest: OnceLock::new() })
-        } else {
-            Arc::clone(&self.orders)
-        };
+        let new_orders = self.sync_orders(delta, orders)?;
         let mut new_layers = Vec::with_capacity(self.layers.len());
         let mut touched_names: Vec<LandmarkOrder> = Vec::new();
         for layer in &self.layers {
@@ -922,30 +1040,26 @@ impl HierasOracle {
             // Re-point every node at its ring: a straight copy unless
             // a birth or death renumbered the surviving rings.
             let renumbered = old_to_new.iter().enumerate().any(|(oi, &ni)| ni != oi as u32);
-            let mut map: Vec<u32> = if renumbered {
-                layer
-                    .ring_of_node
-                    .iter()
-                    .map(|&r| if r == u32::MAX { u32::MAX } else { old_to_new[r as usize] })
-                    .collect()
+            let mut map = if renumbered {
+                layer.ring_of_node.renumbered(&old_to_new)
             } else {
-                layer.ring_of_node.to_vec()
+                layer.ring_of_node.clone()
             };
             for &m in delta.departed {
-                map[m as usize] = u32::MAX;
+                map.set(m, u32::MAX);
             }
             for &m in delta.joined.iter().chain(delta.rebinned) {
                 let name = self.config.ring_key(layer.layer_no, &orders[m as usize]);
                 let ri = new_names
                     .binary_search(&name)
                     .expect("a joined/re-binned node's target ring exists");
-                map[m as usize] = ri as u32;
+                map.set(m, ri as u32);
             }
             new_layers.push(Layer {
                 layer_no: layer.layer_no,
                 rings: new_rings,
                 names: new_names,
-                ring_of_node: map.into(),
+                ring_of_node: map,
             });
         }
         // Ring tables: recompute touched names only, as the full build
@@ -968,10 +1082,10 @@ impl HierasOracle {
     /// names, packed arenas, node→ring maps, ring tables (sorted by
     /// name), and the order table. Two oracles with equal digests
     /// route identically; the delta-vs-full identity gates chain this
-    /// across whole runs. Rings and the order table enter through
-    /// their own cached digests, so an epoch re-hashes only the rings
-    /// it copied, its node→ring maps and ring tables, and the order
-    /// table when binning moved.
+    /// across whole runs. Rings, node→ring map chunks and the order
+    /// table enter through their own cached digests, so an epoch
+    /// re-hashes only the rings and chunks it copied, its ring tables,
+    /// and the order table when binning moved.
     #[must_use]
     pub fn hierarchy_digest(&self) -> u64 {
         let mut h = splitmix64(0x48ae_5a11_d161_57a1 ^ self.layers.len() as u64);
@@ -983,7 +1097,7 @@ impl HierasOracle {
                 }
                 h = splitmix64(h ^ ring.arena_digest());
             }
-            h = fingerprint_u32(h, &layer.ring_of_node);
+            h = layer.ring_of_node.digest(h);
         }
         for (name, t) in &self.ring_tables {
             // The name enters as its ASCII digits.
@@ -1018,6 +1132,7 @@ impl HierasOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node_map::CHUNK;
     use crate::Binning;
 
     fn ord(digits: &str) -> LandmarkOrder {
@@ -1304,15 +1419,14 @@ mod tests {
         assert_eq!(o.clone().hierarchy_digest(), base);
 
         let mut m = o.clone();
-        let mut map = m.layers[1].ring_of_node.to_vec();
-        map[4] ^= 1;
-        m.layers[1].ring_of_node = map.into();
+        let r = m.layers[1].ring_of_node.at(4);
+        m.layers[1].ring_of_node.set(4, r ^ 1);
         assert_ne!(m.hierarchy_digest(), base, "one ring_of_node entry");
 
         let mut m = o.clone();
-        let mut list = m.orders.list.clone();
+        let mut list = m.orders.to_vec();
         list[4] = ord("01");
-        m.orders = Arc::new(OrderTable { list, digest: OnceLock::new() });
+        m.orders = OrderTable::new(list);
         assert_ne!(m.hierarchy_digest(), base, "one order");
 
         let mut m = o.clone();
@@ -1321,6 +1435,68 @@ mod tests {
         t.observe(Id(1));
         assert_ne!(t.entry_points(), before);
         assert_ne!(m.hierarchy_digest(), base, "one ring-table entry point");
+
+        // A map of several chunks: one entry in any chunk, the first,
+        // a middle one and the short last one, moves the digest.
+        let (space, ids, orders, config) = chunked_inputs(3 * CHUNK + 40);
+        let o = HierasOracle::build(space, ids, orders, config).unwrap();
+        let base = o.hierarchy_digest();
+        for node in [0, CHUNK as u32 + 7, 2 * CHUNK as u32 - 1, 3 * CHUNK as u32 + 39] {
+            for layer in 0..2 {
+                let mut m = o.clone();
+                let _ = m.hierarchy_digest(); // cache every chunk's digest
+                let r = m.layers[layer].ring_of_node.at(node);
+                m.layers[layer].ring_of_node.set(node, r ^ 1);
+                assert_ne!(m.hierarchy_digest(), base, "layer {layer} node {node}");
+            }
+        }
+    }
+
+    /// `n` nodes over two stub domains in alternating runs of 300, so
+    /// both rings span every chunk.
+    fn chunked_inputs(n: usize) -> (IdSpace, Arc<[Id]>, Vec<LandmarkOrder>, HierasConfig) {
+        let ids: Arc<[Id]> = (0..n as u64)
+            .map(|i| Id(splitmix64(i ^ 0xc4a2)))
+            .collect::<Vec<_>>()
+            .into();
+        let orders = (0..n).map(|i| ord(if (i / 300) % 2 == 0 { "00" } else { "22" })).collect();
+        let config = HierasConfig { depth: 2, landmarks: 2, binning: Binning::paper() };
+        (IdSpace::full(), ids, orders, config)
+    }
+
+    /// A four-event delta copies the map chunks it writes to and
+    /// shares every other chunk, and the order table, with its parent.
+    #[test]
+    fn delta_copies_only_the_chunks_it_writes() {
+        let (space, ids, orders, config) = chunked_inputs(4 * CHUNK + 3);
+        let exec = Executor::new(1);
+        let n = ids.len() as u32;
+        let members: Vec<u32> = (0..n).filter(|&m| m != 5).collect();
+        let base = HierasOracle::build_members_on(
+            &exec,
+            space,
+            Arc::clone(&ids),
+            orders.clone(),
+            &members,
+            config.clone(),
+        )
+        .unwrap();
+        // Node 5 joins and node 6 leaves (chunk 0), node 2 * CHUNK + 1
+        // leaves and node 4 * CHUNK + 2 (the short last chunk) leaves.
+        let departed = [6, 2 * CHUNK as u32 + 1, 4 * CHUNK as u32 + 2];
+        let delta = HierasDelta { joined: &[5], departed: &departed, rebinned: &[] };
+        let inc = base
+            .apply_delta_on(&exec, &delta, base.orders(), &mut RingArenaPool::disabled())
+            .unwrap();
+        assert!(inc.orders.0.list.as_ptr() == base.orders.0.list.as_ptr(), "table shared");
+        for (li, lb) in inc.layers().iter().zip(base.layers()) {
+            let shared = li.ring_of_node.shared_chunks(&lb.ring_of_node);
+            assert_eq!(shared, 2, "layer {}: chunks 1 and 3 untouched", li.layer_no);
+        }
+        let post: Vec<u32> = (0..n).filter(|&m| !departed.contains(&m)).collect();
+        let full =
+            HierasOracle::build_members_on(&exec, space, ids, orders, &post, config).unwrap();
+        assert_same(&inc, &full);
     }
 
     /// Field-by-field structural equality: every ring arena, ring
@@ -1333,7 +1509,7 @@ mod tests {
                 assert_eq!(na, nb, "layer {}", la.layer_no);
                 assert_eq!(ra, rb, "layer {} ring {}", la.layer_no, na.name());
             }
-            assert_eq!(&*la.ring_of_node, &*lb.ring_of_node, "layer {}", la.layer_no);
+            assert_eq!(la.ring_of_node, lb.ring_of_node, "layer {}", la.layer_no);
         }
         assert_eq!(a.hierarchy_digest(), b.hierarchy_digest());
     }
@@ -1470,6 +1646,31 @@ mod tests {
         let delta = HierasDelta { rebinned: &[7], ..HierasDelta::default() };
         let err = o2.apply_delta_on(&exec, &delta, &orders, &mut pool).unwrap_err();
         assert_eq!(err, HierasBuildError::Ring(RingBuildError::NotAMember(7)));
+        // A copy of the hierarchy's own table is foreign memory: it is
+        // checked entry by entry, so an undeclared move still errors.
+        let mut copy = o.orders().to_vec();
+        copy[3] = ord("00");
+        let err = o
+            .apply_delta_on(&exec, &HierasDelta::default(), &copy, &mut pool)
+            .unwrap_err();
+        assert_eq!(err, HierasBuildError::UndeclaredRebin { node: 3 });
+        // A prefix of the own table is not the own table.
+        let err = o
+            .apply_delta_on(&exec, &HierasDelta::default(), &o.orders()[..11], &mut pool)
+            .unwrap_err();
+        assert_eq!(err, HierasBuildError::OrderCount { expected: 12, got: 11 });
+        // Every odd node re-binned, declared out of order: the sorted
+        // walk accepts exactly the declared moves.
+        let mut all_moved = orders.clone();
+        let odd: Vec<u32> = (0..12u32).rev().filter(|m| m % 2 == 1).collect();
+        for &m in &odd {
+            all_moved[m as usize] = ord("00");
+        }
+        let delta = HierasDelta { rebinned: &odd, ..HierasDelta::default() };
+        assert!(o.apply_delta_on(&exec, &delta, &all_moved, &mut pool).is_ok());
+        let delta = HierasDelta { rebinned: &odd[1..], ..HierasDelta::default() };
+        let err = o.apply_delta_on(&exec, &delta, &all_moved, &mut pool).unwrap_err();
+        assert_eq!(err, HierasBuildError::UndeclaredRebin { node: odd[0] });
         // Out-of-range node indices.
         let delta = HierasDelta { joined: &[99], ..HierasDelta::default() };
         let err = o.apply_delta_on(&exec, &delta, &orders, &mut pool).unwrap_err();

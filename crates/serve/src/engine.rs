@@ -2,7 +2,7 @@
 //!
 //! [`ServeEngine`] wires the three building blocks together: an
 //! [`Experiment`] supplies the world (ids, landmark orders, latency
-//! oracle), a [`hieras_churn::MembershipReplay`] supplies *who is
+//! oracle), a [`hieras_sim::MembershipReplay`] supplies *who is
 //! alive after the next K events*, and the [`crate::epoch`] machinery
 //! carries each rebuilt hierarchy from the maintenance thread to the
 //! readers without ever blocking a lookup.
@@ -50,13 +50,13 @@ use crate::epoch::{epoch_pair, EpochHandle, EpochStats, Publisher, Reader};
 use crate::snapshot::ServeSnapshot;
 use crate::telemetry::{MaintStats, TelemetryConfig};
 use hieras_chord::PathBuf;
-use hieras_churn::MembershipReplay;
-use hieras_core::{HierasDelta, HierasOracle, LandmarkOrder, RingArenaPool};
+use hieras_core::{HierasDelta, HierasOracle, LandmarkOrder, OrderTable, RingArenaPool};
 use hieras_id::{Id, Key};
 use hieras_obs::{names, HopRecord, Registry, SlowLookup, TelemetryShard, TimeSeriesReport};
 use hieras_rt::{splitmix64, Executor};
 use hieras_sim::{
-    ChurnConfig, Experiment, Metrics, Sample, SkewParams, Workload, WorkloadModel, HOT_RANK_MAX,
+    ChurnConfig, Experiment, MembershipReplay, Metrics, Sample, SkewParams, Workload,
+    WorkloadModel, HOT_RANK_MAX,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -334,15 +334,22 @@ struct ChurnRun {
     exec: Executor,
     turnover: f64,
     replay: MembershipReplay,
-    /// The maintainer's private ring orders, which re-binning mutates.
-    orders: Vec<LandmarkOrder>,
+    /// The published live list, ascending, shared with the current
+    /// snapshot: the next epoch's list is merged from it.
+    live: Arc<Vec<u32>>,
+    /// Live-list buffers taken back from reclaimed snapshots.
+    spare_live: Vec<Vec<u32>>,
+    /// An order-table buffer taken back from a retired table; the next
+    /// re-bin copies the published table into it.
+    spare_orders: Vec<LandmarkOrder>,
     pb: Publisher<ServeSnapshot>,
     reg: Registry,
     /// Maintenance rounds run so far.
     round: u64,
     /// The published hierarchy — the base every delta applies onto. It
     /// shares its ring `Arc`s with the snapshot readers hold, so a
-    /// delta copies only touched rings.
+    /// delta copies only touched rings, and its order table is the
+    /// maintainer's: a batch without a re-bin hands it back unchanged.
     cur: HierasOracle,
     pool: RingArenaPool,
     joined: Vec<u32>,
@@ -357,6 +364,30 @@ struct ChurnRun {
     stats: MaintStats,
 }
 
+/// The maintenance side of a churning run, stepped by the caller one
+/// round at a time — the round [`ServeEngine::run_deterministic`] and
+/// [`ServeEngine::run_live`] run between their readers' batches: apply
+/// the next event batch, re-bin when due, rebuild, publish, reclaim.
+/// No reader is attached, so each retired snapshot is reclaimed in the
+/// round that retires it. Made by [`ServeEngine::maintainer`].
+pub struct Maintainer<'a> {
+    engine: ServeEngine<'a>,
+    run: ChurnRun,
+}
+
+impl Maintainer<'_> {
+    /// Runs one maintenance round; true once the schedule is exhausted.
+    pub fn round(&mut self) -> bool {
+        self.engine.maintain(&mut self.run)
+    }
+
+    /// The maintenance profile so far.
+    #[must_use]
+    pub fn stats(&self) -> &MaintStats {
+        &self.run.stats
+    }
+}
+
 /// The serving engine over one experiment's world.
 #[derive(Clone, Copy)]
 pub struct ServeEngine<'a> {
@@ -368,6 +399,8 @@ impl<'a> ServeEngine<'a> {
     /// Retired arenas a maintainer plausibly holds between delta
     /// epochs: a few rings per layer, three buffers each.
     const POOL_SLACK: usize = 64;
+    /// Live-list buffers the maintainer keeps for its next epochs.
+    const LIVE_SPARES: usize = 4;
 
     /// Creates the engine.
     ///
@@ -581,20 +614,14 @@ impl<'a> ServeEngine<'a> {
         }
     }
 
-    /// Builds the snapshot of `epoch` over `members` with the given
-    /// ring orders.
-    fn snapshot(
-        &self,
-        exec: &Executor,
-        epoch: u64,
-        members: Vec<u32>,
-        orders: &[LandmarkOrder],
-    ) -> ServeSnapshot {
+    /// Builds the snapshot of `epoch` over `members` with the
+    /// experiment's ring orders.
+    fn snapshot(&self, exec: &Executor, epoch: u64, members: Arc<Vec<u32>>) -> ServeSnapshot {
         let oracle = self
             .exp
-            .subset_hieras_on(exec, &members, Some(orders), None)
+            .subset_hieras_on(exec, &members, None, None)
             .expect("live membership is a valid non-empty subset");
-        ServeSnapshot::new(epoch, oracle, members.into())
+        ServeSnapshot::new(epoch, oracle, members)
     }
 
     /// Re-measures every live peer's landmark RTTs under fresh
@@ -665,16 +692,31 @@ impl<'a> ServeEngine<'a> {
             &mut run.joined,
             &mut run.departed,
         );
+        // The membership is fixed once the batch is applied: merge the
+        // batch into the last epoch's live list, in a recycled buffer.
+        if delta.changed() {
+            let mut live = run.spare_live.pop().unwrap_or_default();
+            MembershipReplay::merge_live(&run.live, &run.joined, &run.departed, &mut live);
+            run.live = Arc::new(live);
+        }
         let mut rebin_us = 0u64;
         run.rebinned.clear();
         let rebin_every = self.cfg.rebin_every;
-        // The membership is fixed once the batch is applied, so a
-        // re-bin epoch's live set also serves its publish.
-        let mut live = None;
+        // A re-bin writes into a copy of the published order table in
+        // a recycled buffer; the copy becomes the next table only if
+        // some order moved.
+        let mut rebinned_orders = None;
         let rebinned = if rebin_every > 0 && run.round.is_multiple_of(rebin_every) {
             let tr = Instant::now();
-            let members = live.insert(run.replay.live_members());
-            let changed = self.rebin(run.round, members, &mut run.orders, &mut run.rebinned);
+            let mut orders = std::mem::take(&mut run.spare_orders);
+            orders.clear();
+            orders.extend_from_slice(run.cur.orders());
+            let changed = self.rebin(run.round, &run.live, &mut orders, &mut run.rebinned);
+            if changed > 0 {
+                rebinned_orders = Some(orders);
+            } else {
+                run.spare_orders = orders;
+            }
             rebin_us = tr.elapsed().as_micros() as u64;
             run.stats.rebin_rounds += 1;
             run.stats.rebinned_peers += changed;
@@ -691,10 +733,12 @@ impl<'a> ServeEngine<'a> {
             // A peer that joined this very batch is not a member of the
             // base hierarchy yet — its (possibly re-binned) order rides
             // in with the join, not as a re-bin.
-            run.rebinned.retain(|m| !run.joined.contains(m));
-            let members = live.unwrap_or_else(|| run.replay.live_members());
+            run.rebinned.retain(|m| run.joined.binary_search(m).is_err());
             let next = run.pb.published_epoch() + 1;
             let tp = Instant::now();
+            // Without a re-bin this is the published hierarchy's own
+            // table, which the delta shares without reading it.
+            let orders: &[LandmarkOrder] = rebinned_orders.as_deref().unwrap_or(run.cur.orders());
             let hdelta = HierasDelta {
                 joined: &run.joined,
                 departed: &run.departed,
@@ -705,25 +749,30 @@ impl<'a> ServeEngine<'a> {
             // as the documented "never fall back", not a comparison.
             let frac = self.cfg.delta_max_ring_fraction;
             used_delta = frac >= 1.0
-                || (frac > 0.0
-                    && run.cur.delta_touch_stats(&hdelta, &run.orders).fraction() <= frac);
+                || (frac > 0.0 && run.cur.delta_touch_stats(&hdelta, orders).fraction() <= frac);
             let oracle = if used_delta {
                 run.cur
-                    .apply_delta_on(&run.exec, &hdelta, &run.orders, &mut run.pool)
+                    .apply_delta_on(&run.exec, &hdelta, orders, &mut run.pool)
                     .expect("a recorded churn delta over the live membership is valid")
             } else {
+                // A full rebuild takes the table whole: the re-binned
+                // buffer moves in, the published table is shared.
+                let table = match rebinned_orders.take() {
+                    Some(list) => OrderTable::new(list),
+                    None => run.cur.orders().clone(),
+                };
                 HierasOracle::build_members_pooled_on(
                     &run.exec,
                     self.exp.hieras.space(),
                     Arc::clone(&self.exp.ids),
-                    run.orders.clone(),
-                    &members,
+                    table,
+                    &run.live,
                     self.exp.hieras.config().clone(),
                     &mut run.pool,
                 )
                 .expect("live membership is a valid non-empty subset")
             };
-            let snap = ServeSnapshot::new(next, oracle.clone(), members.into());
+            let snap = ServeSnapshot::new(next, oracle.clone(), Arc::clone(&run.live));
             rebuild_us = tp.elapsed().as_micros() as u64;
             run.pb.publish(snap);
             publish_us = tp.elapsed().as_micros() as u64;
@@ -746,6 +795,10 @@ impl<'a> ServeEngine<'a> {
             run.reg.inc_by(names::SERVE_LEAVES, u64::from(delta.leaves));
             run.reg.inc_by(names::SERVE_FAILS, u64::from(delta.fails));
             run.reg.inc_by(names::SERVE_REBINNED, rebinned);
+        }
+        // The delta path copied a re-binned table into its own.
+        if let Some(list) = rebinned_orders {
+            run.spare_orders = list;
         }
         self.reclaim(run);
         if self.cfg.telemetry.enabled {
@@ -781,12 +834,25 @@ impl<'a> ServeEngine<'a> {
         delta.done
     }
 
-    /// Salvages the retired snapshots the publisher solely owns back
-    /// into the arena pool — the next rebuild, delta or full, builds
-    /// in them.
+    /// Salvages the retired snapshots the publisher solely owns: ring
+    /// arenas into the arena pool — the next rebuild, delta or full,
+    /// builds in them — and the live list and order table, when no
+    /// newer epoch shares them, into the buffers the next epochs'
+    /// lists and the next re-bin write into.
     fn reclaim(&self, run: &mut ChurnRun) {
-        let pool = &mut run.pool;
-        let freed = run.pb.reclaim_with(|snap| snap.oracle.recycle_into(pool));
+        let ChurnRun { pb, pool, spare_live, spare_orders, .. } = run;
+        let freed = pb.reclaim_with(|snap| {
+            let orders = snap.oracle.orders().clone();
+            snap.oracle.recycle_into(pool);
+            if let Some(list) = orders.into_list() {
+                *spare_orders = list;
+            }
+            if let Ok(live) = Arc::try_unwrap(snap.live) {
+                if spare_live.len() < Self::LIVE_SPARES {
+                    spare_live.push(live);
+                }
+            }
+        });
         run.reg.inc_by(names::SERVE_SNAPSHOTS_RECLAIMED, freed as u64);
     }
 
@@ -797,8 +863,8 @@ impl<'a> ServeEngine<'a> {
         let schedule = self.cfg.churn.schedule();
         let turnover = schedule.turnover(self.cfg.churn.initial_nodes);
         let replay = MembershipReplay::new(self.cfg.churn.initial_nodes, schedule);
-        let orders: Vec<LandmarkOrder> = self.exp.orders.clone();
-        let snap0 = self.snapshot(&exec, 0, replay.live_members(), &orders);
+        let live = Arc::new(replay.live_members());
+        let snap0 = self.snapshot(&exec, 0, Arc::clone(&live));
         assert!(snap0.verify(0), "initial snapshot failed verification");
         let cur = snap0.oracle.clone();
         // A full rebuild draws one set of arenas per ring and retires
@@ -812,7 +878,9 @@ impl<'a> ServeEngine<'a> {
             exec,
             turnover,
             replay,
-            orders,
+            live,
+            spare_live: Vec::with_capacity(Self::LIVE_SPARES),
+            spare_orders: Vec::new(),
             pb,
             reg: Registry::new(),
             round: 0,
@@ -921,7 +989,7 @@ impl<'a> ServeEngine<'a> {
         let n = self.exp.config.nodes;
         assert!(w.nodes as usize <= n, "workload sources exceed the experiment's peers");
         let members: Vec<u32> = (0..n as u32).collect();
-        let snap = self.snapshot(exec, 0, members, &self.exp.orders);
+        let snap = self.snapshot(exec, 0, Arc::new(members));
         assert!(snap.verify(0), "freshly built snapshot failed verification");
         let win = Window::new(false);
         let t0 = Instant::now();
@@ -996,6 +1064,15 @@ impl<'a> ServeEngine<'a> {
         let wall_ns = t0.elapsed().as_nanos() as u64;
         drop(rd);
         self.finish(run, vec![(total, local)], wall_ns)
+    }
+
+    /// The maintainer of a churning run over this engine's schedule,
+    /// set up as the deterministic mode sets it up (epoch 0 published
+    /// over the initial membership), its rebuilds on `exec`.
+    #[must_use]
+    pub fn maintainer(&self, exec: Executor) -> Maintainer<'a> {
+        let (run, _handle) = self.start(exec, false);
+        Maintainer { engine: *self, run }
     }
 
     /// Free-running serving: `cfg.readers` real reader threads

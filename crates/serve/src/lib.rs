@@ -17,7 +17,7 @@
 //! * [`ServeEngine`] — the service loop. N readers execute
 //!   allocation-free lookups against their pinned snapshot while the
 //!   maintenance thread replays a churn schedule
-//!   ([`hieras_churn::MembershipReplay`]) onto a private membership
+//!   ([`hieras_sim::MembershipReplay`]) onto a private membership
 //!   copy, rebuilds the hierarchy, and publishes. One lookup path
 //!   (evaluator → telemetry recorder → reader accumulator), three
 //!   drivers: quiesced (no churn — one executor fold, the replay-bench
@@ -46,7 +46,7 @@ mod snapshot;
 mod telemetry;
 
 pub use cache::{CacheConfig, CacheStats, LookupCache};
-pub use engine::{LiveReport, ServeConfig, ServeEngine, WorkloadReport};
+pub use engine::{LiveReport, Maintainer, ServeConfig, ServeEngine, WorkloadReport};
 pub use epoch::{epoch_pair, EpochHandle, EpochStats, Publisher, Reader, Versioned};
 pub use snapshot::ServeSnapshot;
 pub use telemetry::{MaintStats, TelemetryConfig};

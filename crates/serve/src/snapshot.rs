@@ -16,8 +16,10 @@ use std::sync::Arc;
 pub struct ServeSnapshot {
     /// The hierarchy over exactly the live peers (global indices).
     pub oracle: HierasOracle,
-    /// Live peer indices, ascending.
-    pub live: Arc<[u32]>,
+    /// Live peer indices, ascending. A `Vec` behind the `Arc`, so the
+    /// maintainer can take the buffer back once the snapshot retires
+    /// and merge the next epoch's list into it.
+    pub live: Arc<Vec<u32>>,
     /// [`fingerprint_u32`] of the epoch, the live list and the global
     /// ring's members (in ring order).
     pub checksum: u64,
@@ -25,13 +27,13 @@ pub struct ServeSnapshot {
 
 impl ServeSnapshot {
     /// Assembles a snapshot for `epoch` and seals it with its
-    /// checksum.
+    /// checksum. The live list is held as given, not copied.
     ///
     /// # Panics
     /// Panics if the oracle's global ring does not hold exactly the
     /// live peers — a snapshot must be internally consistent at birth.
     #[must_use]
-    pub fn new(epoch: u64, oracle: HierasOracle, live: Arc<[u32]>) -> Self {
+    pub fn new(epoch: u64, oracle: HierasOracle, live: Arc<Vec<u32>>) -> Self {
         assert_eq!(
             oracle.global_ring().len(),
             live.len(),
@@ -120,20 +122,20 @@ mod tests {
 
     #[test]
     fn verify_accepts_its_own_epoch_and_rejects_others() {
-        let live: Arc<[u32]> = vec![0, 1, 2, 5, 7].into();
+        let live = Arc::new(vec![0, 1, 2, 5, 7]);
         let snap = ServeSnapshot::new(3, oracle_over(&live, 8), Arc::clone(&live));
         assert!(snap.verify(3));
         assert!(!snap.verify(2), "checksum must bind the epoch");
         // A torn snapshot — membership swapped for another epoch's —
         // fails even under the right epoch.
-        let other: Arc<[u32]> = vec![0, 1, 2, 5].into();
+        let other = Arc::new(vec![0, 1, 2, 5]);
         let torn = ServeSnapshot { oracle: snap.oracle.clone(), live: other, checksum: snap.checksum };
         assert!(!torn.verify(3));
     }
 
     #[test]
     fn verify_rejects_rings_torn_from_a_same_size_membership() {
-        let live: Arc<[u32]> = vec![0, 1, 2, 5, 7].into();
+        let live = Arc::new(vec![0, 1, 2, 5, 7]);
         let snap = ServeSnapshot::new(3, oracle_over(&live, 8), Arc::clone(&live));
         // Rings from an epoch where peer 3 stood in for peer 2: same
         // size, same live list, the sealed checksum.
@@ -147,7 +149,7 @@ mod tests {
 
     #[test]
     fn requests_stay_inside_the_live_set() {
-        let live: Arc<[u32]> = vec![1, 3, 4, 6].into();
+        let live = Arc::new(vec![1, 3, 4, 6]);
         let snap = ServeSnapshot::new(0, oracle_over(&live, 8), Arc::clone(&live));
         for i in 0..500u64 {
             let (src, _) = snap.request(42, i);

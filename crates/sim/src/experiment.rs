@@ -3,7 +3,7 @@
 use crate::metrics::{Metrics, Sample};
 use crate::Workload;
 use hieras_chord::{ChordOracle, PathBuf};
-use hieras_core::{HierasConfig, HierasOracle, LandmarkOrder};
+use hieras_core::{HierasConfig, HierasOracle, LandmarkOrder, RingArenaPool};
 use hieras_id::{Id, IdSpace};
 use hieras_obs::{names, Profiler, Registry};
 use hieras_topology::{BriteConfig, InetConfig, LatencyOracle, Topology, TransitStubConfig};
@@ -437,7 +437,8 @@ impl Experiment {
     /// churn epoch); `orders` and `config` default to this experiment's
     /// own when `None`, or carry re-binned orders after a landmark
     /// change. The resulting oracle shares this experiment's id table
-    /// (`Arc` clone) and speaks global indices, so
+    /// (`Arc` clone) — and, with `orders` `None`, its hierarchy's order
+    /// table — and speaks global indices, so
     /// [`Experiment::peer_latency`] remains the link callback.
     ///
     /// # Errors
@@ -449,13 +450,15 @@ impl Experiment {
         orders: Option<&[LandmarkOrder]>,
         config: Option<&HierasConfig>,
     ) -> Result<HierasOracle, hieras_core::HierasBuildError> {
-        HierasOracle::build_members_on(
+        let orders = orders.map_or_else(|| self.hieras.orders().clone(), |o| o.to_vec().into());
+        HierasOracle::build_members_pooled_on(
             exec,
             self.hieras.space(),
             Arc::clone(&self.ids),
-            orders.unwrap_or(&self.orders).to_vec(),
+            orders,
             members,
             config.unwrap_or(self.hieras.config()).clone(),
+            &mut RingArenaPool::disabled(),
         )
     }
 

@@ -20,7 +20,8 @@
 //! The crate also generates churn: a [`ChurnSchedule`] of joins,
 //! leaves and fails in [`SimClock`] milliseconds, which the churn
 //! engine (`hieras-churn`) replays through the message-level protocol
-//! engine (`hieras-proto`).
+//! engine (`hieras-proto`), and [`MembershipReplay`] replays as bare
+//! liveness for the serving engine (`hieras-serve`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +29,7 @@
 mod churn;
 mod experiment;
 mod metrics;
+mod replay;
 mod workload;
 
 pub use churn::{ChurnConfig, ChurnEvent, ChurnEventKind, ChurnSchedule, Lifetime, SimClock};
@@ -36,6 +38,7 @@ pub use experiment::{
     TopologyKind,
 };
 pub use metrics::{Histogram, Metrics, Sample, Summary, TailLatency};
+pub use replay::{MembershipReplay, ReplayDelta};
 pub use workload::{
     FlashCrowd, SkewParams, Workload, WorkloadModel, WorkloadSpec, HOT_RANK_MAX,
 };

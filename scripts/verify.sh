@@ -59,6 +59,11 @@ RUSTFLAGS="-D warnings" cargo build --workspace --release
 echo "==> tier 1: workspace tests"
 cargo test -q --workspace
 
+echo "==> allocation gate at 5 k and 50 k peers (release; ignored in debug)"
+# tests/epoch_alloc.rs runs 2 k / 20 k in tier 1; these sizes take
+# minutes unoptimised.
+cargo test -q --release --offline --test epoch_alloc -- --ignored
+
 echo "==> lint: clippy's default set over every target (deny warnings)"
 # Test targets too: a rustc warning there (an unused import, say)
 # passes the release build above.
