@@ -807,45 +807,66 @@ impl HierasOracle {
         rows
     }
 
-    /// Per-ring movement of a delta at one layer, keyed by ring name
-    /// (sorted): `name → (removals, insertions)`. Departures group
-    /// under the node's *old* order (the one it was grouped by),
-    /// joins under the *new* one; a re-bin whose ring key is unchanged
-    /// at this layer touches nothing.
+    /// Walks a delta's movement at one layer: `f(ring, node, joins)`
+    /// once per node leaving (`joins == false`) or entering a ring.
+    /// Departures leave the ring of the node's *old* order (the one it
+    /// was grouped by), joins enter the ring of the *new* one; a
+    /// re-bin whose ring key is unchanged at this layer moves nothing.
     ///
     /// # Panics
     /// Panics if the delta names out-of-range nodes (the public
     /// callers validate first).
+    fn walk_changes(
+        &self,
+        layer_no: usize,
+        delta: &HierasDelta<'_>,
+        orders: &[LandmarkOrder],
+        mut f: impl FnMut(LandmarkOrder, u32, bool),
+    ) {
+        let key = |order: &LandmarkOrder| self.config.ring_key(layer_no, order);
+        for &m in delta.departed {
+            f(key(&self.orders[m as usize]), m, false);
+        }
+        for &m in delta.joined {
+            f(key(&orders[m as usize]), m, true);
+        }
+        for &m in delta.rebinned {
+            let old = key(&self.orders[m as usize]);
+            let new = key(&orders[m as usize]);
+            if old != new {
+                f(old, m, false);
+                f(new, m, true);
+            }
+        }
+    }
+
+    /// Per-ring movement of a delta at one layer, keyed by ring name
+    /// (sorted): `name → (removals, insertions)`, from
+    /// [`Self::walk_changes`].
     fn layer_changes(
         &self,
         layer_no: usize,
         delta: &HierasDelta<'_>,
         orders: &[LandmarkOrder],
     ) -> BTreeMap<LandmarkOrder, (Vec<u32>, Vec<u32>)> {
-        let key = |order: &LandmarkOrder| self.config.ring_key(layer_no, order);
         let mut changes: BTreeMap<LandmarkOrder, (Vec<u32>, Vec<u32>)> = BTreeMap::new();
-        for &m in delta.departed {
-            changes.entry(key(&self.orders[m as usize])).or_default().0.push(m);
-        }
-        for &m in delta.joined {
-            changes.entry(key(&orders[m as usize])).or_default().1.push(m);
-        }
-        for &m in delta.rebinned {
-            let old = key(&self.orders[m as usize]);
-            let new = key(&orders[m as usize]);
-            if old != new {
-                changes.entry(old).or_default().0.push(m);
-                changes.entry(new).or_default().1.push(m);
+        self.walk_changes(layer_no, delta, orders, |ring, m, joins| {
+            let (removals, insertions) = changes.entry(ring).or_default();
+            if joins {
+                insertions.push(m);
+            } else {
+                removals.push(m);
             }
-        }
+        });
         changes
     }
 
     /// How many rings `delta` would touch versus the hierarchy total —
-    /// the cheap (`O(|delta| · depth)` ring-name hashing, no builds)
-    /// probe the serve maintainer uses to pick the incremental path
-    /// when the churn batch is local and fall back to a full rebuild
-    /// when it is not.
+    /// the cheap (one sort of the `O(|delta|)` touched ring names per
+    /// layer, no builds) probe the serve maintainer uses to pick the
+    /// incremental path when the churn batch is local and fall back to
+    /// a full rebuild when it is not. A ring counts once per layer
+    /// however many of the delta's nodes leave or enter it.
     ///
     /// # Panics
     /// Panics if the delta names out-of-range nodes.
@@ -853,9 +874,16 @@ impl HierasOracle {
     pub fn delta_touch_stats(&self, delta: &HierasDelta<'_>, orders: &[LandmarkOrder]) -> DeltaStats {
         let mut touched = 0usize;
         let mut total = 0usize;
+        let mut rings = Vec::with_capacity(
+            delta.departed.len() + delta.joined.len() + 2 * delta.rebinned.len(),
+        );
         for layer in &self.layers {
             total += layer.rings.len();
-            touched += self.layer_changes(layer.layer_no, delta, orders).len();
+            rings.clear();
+            self.walk_changes(layer.layer_no, delta, orders, |ring, _, _| rings.push(ring));
+            rings.sort_unstable();
+            rings.dedup();
+            touched += rings.len();
         }
         DeltaStats { touched_rings: touched, total_rings: total }
     }
@@ -1772,6 +1800,55 @@ mod tests {
         let delta = HierasDelta { rebinned: &[3], ..HierasDelta::default() };
         let s = o.delta_touch_stats(&delta, &after);
         assert_eq!((s.touched_rings, s.total_rings), (2, 3));
+
+        // Random deltas over a three-layer, four-landmark world: the
+        // count is the number of rings `layer_changes` moves nodes in.
+        let n = 300u64;
+        let ids: Arc<[Id]> =
+            (0..n).map(|i| Id(splitmix64(i))).collect::<Vec<_>>().into();
+        let binning = Binning::paper();
+        let order_of = |seed: u64| {
+            let rtts: Vec<u16> =
+                (0..4u64).map(|l| (splitmix64(seed ^ (l << 32)) % 160) as u16).collect();
+            binning.order(&rtts)
+        };
+        let orders: Vec<LandmarkOrder> = (0..n).map(order_of).collect();
+        let config = HierasConfig { depth: 3, landmarks: 4, binning: binning.clone() };
+        let members: Vec<u32> = (0..n as u32).filter(|m| !m.is_multiple_of(5)).collect();
+        let o = HierasOracle::build_members_on(
+            &exec,
+            IdSpace::full(),
+            ids,
+            orders.clone(),
+            &members,
+            config,
+        )
+        .unwrap();
+        for case in 0..40u64 {
+            let pick = |salt: u64, m: &u32| splitmix64(case ^ salt ^ u64::from(*m)).is_multiple_of(16);
+            let departed: Vec<u32> = members.iter().filter(|m| pick(1, m)).copied().collect();
+            let rebinned: Vec<u32> = members
+                .iter()
+                .filter(|m| !departed.contains(m) && pick(2, m))
+                .copied()
+                .collect();
+            let joined: Vec<u32> =
+                (0..n as u32).filter(|m| m.is_multiple_of(5) && pick(3, m)).collect();
+            let mut after = orders.clone();
+            for &m in &rebinned {
+                after[m as usize] = order_of(splitmix64(case) ^ u64::from(m));
+            }
+            let delta = HierasDelta { departed: &departed, joined: &joined, rebinned: &rebinned };
+            let s = o.delta_touch_stats(&delta, &after);
+            let expected: usize = o
+                .layers
+                .iter()
+                .map(|l| o.layer_changes(l.layer_no, &delta, &after).len())
+                .sum();
+            assert_eq!(s.touched_rings, expected, "case {case}");
+            assert_eq!(s.total_rings, o.layers.iter().map(|l| l.rings.len()).sum::<usize>());
+            assert!(s.touched_rings > 0, "case {case} moved nothing");
+        }
     }
 
     #[test]

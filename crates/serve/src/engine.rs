@@ -55,8 +55,8 @@ use hieras_id::{Id, Key};
 use hieras_obs::{names, HopRecord, Registry, SlowLookup, TelemetryShard, TimeSeriesReport};
 use hieras_rt::{splitmix64, Executor};
 use hieras_sim::{
-    ChurnConfig, Experiment, MembershipReplay, Metrics, Sample, SkewParams, Workload,
-    WorkloadModel, HOT_RANK_MAX,
+    ChurnConfig, Experiment, MembershipReplay, Metrics, Sample, Workload, WorkloadModel,
+    HOT_RANK_MAX,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -123,13 +123,13 @@ pub struct ServeConfig {
     /// one across their whole run, invalidated wholesale on every
     /// epoch adoption.
     pub cache: CacheConfig,
-    /// Draw model of the serving request streams. `Uniform` keeps the
-    /// historical derivation bit-exactly; `Skew` draws Zipf-popular
-    /// keys (stable per stream seed, so hot keys stay hot across
-    /// epochs within a stream) with clustered sources over the live
-    /// set. Flash-crowd overlays are a replay-workload feature and are
-    /// ignored here — serving streams have no fixed request count to
-    /// anchor the window on.
+    /// Draw model of the serving request streams. Every stream is a
+    /// [`Workload`] over the live set, seeded per round (lock-step)
+    /// or per reader (free-running); its source indices map through
+    /// the snapshot's live array. `Uniform` draws the paper's uniform
+    /// sources and keys; `Skew` draws Zipf-popular keys (stable per
+    /// stream seed, so hot keys stay hot across epochs within a
+    /// stream) with clustered sources.
     pub workload: WorkloadModel,
 }
 
@@ -577,41 +577,20 @@ impl<'a> ServeEngine<'a> {
         }
     }
 
-    /// The skewed serving workload over `live_len` live peers, or
-    /// `None` for the uniform model (which keeps the historical
-    /// per-stream derivation bit-exactly). Sources index the live
-    /// array; flash overlays are stripped (see [`ServeConfig`]).
-    fn serve_workload(&self, live_len: usize, stream: u64) -> Option<Workload> {
-        match self.cfg.workload {
-            WorkloadModel::Uniform => None,
-            WorkloadModel::Skew(p) => Some(Workload::with_model(
-                live_len.max(1) as u32,
-                usize::MAX,
-                stream,
-                WorkloadModel::Skew(SkewParams { flash: None, ..p }),
-            )),
-        }
+    /// The serving request stream `stream` over `live_len` live peers:
+    /// the configured model, drawing sources as indices into the
+    /// snapshot's live array.
+    fn serve_workload(&self, live_len: usize, stream: u64) -> Workload {
+        Workload::with_model(live_len.max(1) as u32, usize::MAX, stream, self.cfg.workload)
     }
 
-    /// Draws serving request `i` of stream `stream` against `snap`:
-    /// the legacy uniform sampler, or the skewed model mapped onto the
-    /// live set.
+    /// Draws serving request `i` of `w` against `snap`, mapping the
+    /// drawn source index onto the live peer it names.
     #[inline]
-    fn draw(
-        &self,
-        snap: &ServeSnapshot,
-        sw: &Option<Workload>,
-        stream: u64,
-        i: u64,
-    ) -> (u32, Key) {
-        match sw {
-            None => snap.request(stream, i),
-            #[allow(clippy::cast_possible_truncation)] // request indices fit usize
-            Some(w) => {
-                let (si, key, _) = w.request_detail(i as usize);
-                (snap.live[si as usize], key)
-            }
-        }
+    #[allow(clippy::cast_possible_truncation)] // request indices fit usize
+    fn draw(snap: &ServeSnapshot, w: &Workload, i: u64) -> (u32, Key) {
+        let (si, key) = w.request(i as usize);
+        (snap.live[si as usize], key)
     }
 
     /// Builds the snapshot of `epoch` over `members` with the
@@ -1049,7 +1028,7 @@ impl<'a> ServeEngine<'a> {
                 Experiment::REPLAY_CHUNK,
                 || ReaderAcc::new(&self.cfg),
                 |acc, i| {
-                    let (src, key) = self.draw(snap, &sw, stream, i as u64);
+                    let (src, key) = Self::draw(snap, &sw, i as u64);
                     self.serve(snap, acc, &win, src, key, (round << 32) | i as u64);
                 },
                 ReaderAcc::merged,
@@ -1126,7 +1105,7 @@ impl<'a> ServeEngine<'a> {
                             let sw = self.serve_workload(snap.live_count(), stream);
                             let (since, before) = (i, acc.cache.stats);
                             for _ in 0..self.cfg.refresh_batch {
-                                let (src, key) = self.draw(snap, &sw, stream, i);
+                                let (src, key) = Self::draw(snap, &sw, i);
                                 self.serve(snap, &mut acc, &win, src, key, i);
                                 i += 1;
                             }
@@ -1177,7 +1156,7 @@ impl<'a> ServeEngine<'a> {
 mod tests {
     use super::*;
     use hieras_obs::SloSpec;
-    use hieras_sim::{ExperimentConfig, Lifetime};
+    use hieras_sim::{ExperimentConfig, Lifetime, SkewParams};
 
     fn tiny() -> (Experiment, ServeConfig) {
         let mut cfg = ExperimentConfig::paper(60, 11);
@@ -1210,6 +1189,32 @@ mod tests {
             workload: WorkloadModel::Uniform,
         };
         (exp, serve)
+    }
+
+    #[test]
+    fn draws_map_the_workload_stream_onto_the_live_set() {
+        let (exp, mut cfg) = tiny();
+        // Every third peer: a strict subset, so an unmapped index or
+        // one drawn modulo the full peer count would show.
+        let live: Arc<Vec<u32>> = Arc::new((0..60).step_by(3).collect());
+        for model in [WorkloadModel::Uniform, WorkloadModel::Skew(SkewParams::zipf(0.99))] {
+            cfg.workload = model;
+            let engine = ServeEngine::new(&exp, cfg);
+            let snap = engine.snapshot(&Executor::new(1), 0, Arc::clone(&live));
+            for stream in [7u64, 0xabcd] {
+                let w = engine.serve_workload(snap.live_count(), stream);
+                let again = engine.serve_workload(snap.live_count(), stream);
+                for i in 0..2000u64 {
+                    let (src, key) = ServeEngine::draw(&snap, &w, i);
+                    assert!(live.contains(&src), "request {i} drew dead source {src}");
+                    assert_eq!(ServeEngine::draw(&snap, &again, i), (src, key));
+                    if model == WorkloadModel::Uniform {
+                        let x = splitmix64(stream ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                        assert_eq!(src, live[(x % live.len() as u64) as usize]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1448,18 +1453,15 @@ mod tests {
     fn cached_deterministic_serving_is_identical_at_any_width() {
         let (exp, mut cfg) = tiny();
         cfg.cache = CacheConfig::on();
-        cfg.workload = WorkloadModel::Skew(SkewParams {
-            // A small key universe so even 64-lookup rounds re-draw
-            // hot keys inside one chunk-scoped cache.
-            key_universe: 128,
-            ..SkewParams::zipf(1.1)
-        });
+        // Zipf(1.1)'s head is heavy enough that even 64-lookup rounds
+        // re-draw hot keys inside one chunk-scoped cache.
+        cfg.workload = WorkloadModel::Skew(SkewParams::zipf(1.1));
         cfg.telemetry = TelemetryConfig::on();
         let engine = ServeEngine::new(&exp, cfg);
         let base = engine.run_deterministic(&Executor::new(1));
         assert!(
             base.registry.counter(names::SERVE_CACHE_HITS) > 0,
-            "a 128-key Zipf(1.1) stream must hit the chunk cache"
+            "a Zipf(1.1) stream must hit the chunk cache"
         );
         assert_eq!(
             base.registry.counter(names::SERVE_CACHE_HITS)
@@ -1497,10 +1499,7 @@ mod tests {
         // Verified hits under real churn: a stale cached answer served
         // after an epoch flip would panic inside the evaluator.
         cfg.cache = CacheConfig::on().verified();
-        cfg.workload = WorkloadModel::Skew(SkewParams {
-            key_universe: 128,
-            ..SkewParams::zipf(1.1)
-        });
+        cfg.workload = WorkloadModel::Skew(SkewParams::zipf(1.1));
         // Pace the maintainer (~50 ms of wall clock for the 20 s
         // schedule) so readers serve across many epoch flips.
         cfg.pace = 400.0;

@@ -1,8 +1,7 @@
 //! The immutable unit the serving engine publishes per epoch.
 
 use hieras_core::HierasOracle;
-use hieras_id::Id;
-use hieras_rt::{fingerprint_u32, splitmix64};
+use hieras_rt::fingerprint_u32;
 use std::sync::Arc;
 
 /// One epoch's routing state: the hierarchy over the live membership,
@@ -76,25 +75,13 @@ impl ServeSnapshot {
             .and_then(|l| l.ring_index_of(owner))
             .unwrap_or(u32::MAX)
     }
-
-    /// Deterministic lookup-source + key sampler over the live set:
-    /// the serving analogue of `hieras_sim::Workload::request`, indexed
-    /// so any thread can draw request `i` of stream `seed` without
-    /// shared state.
-    #[must_use]
-    pub fn request(&self, seed: u64, i: u64) -> (u32, Id) {
-        let x = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let a = splitmix64(x);
-        let b = splitmix64(a);
-        (self.live[(a % self.live.len() as u64) as usize], Id(b))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hieras_core::{Binning, HierasConfig};
-    use hieras_id::IdSpace;
+    use hieras_id::{Id, IdSpace};
 
     fn oracle_over(live: &[u32], n: u64) -> HierasOracle {
         let ids: Arc<[Id]> = (0..n)
@@ -145,18 +132,5 @@ mod tests {
             checksum: snap.checksum,
         };
         assert!(!torn.verify(3));
-    }
-
-    #[test]
-    fn requests_stay_inside_the_live_set() {
-        let live = Arc::new(vec![1, 3, 4, 6]);
-        let snap = ServeSnapshot::new(0, oracle_over(&live, 8), Arc::clone(&live));
-        for i in 0..500u64 {
-            let (src, _) = snap.request(42, i);
-            assert!(live.contains(&src), "request {i} drew dead source {src}");
-        }
-        // Deterministic in (seed, index).
-        assert_eq!(snap.request(42, 7), snap.request(42, 7));
-        assert_ne!(snap.request(42, 7).1, snap.request(43, 7).1);
     }
 }

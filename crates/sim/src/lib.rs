@@ -39,6 +39,4 @@ pub use experiment::{
 };
 pub use metrics::{Histogram, Metrics, Sample, Summary, TailLatency};
 pub use replay::{MembershipReplay, ReplayDelta};
-pub use workload::{
-    FlashCrowd, SkewParams, Workload, WorkloadModel, WorkloadSpec, HOT_RANK_MAX,
-};
+pub use workload::{SkewParams, Workload, WorkloadModel, WorkloadSpec, HOT_RANK_MAX};

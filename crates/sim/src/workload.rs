@@ -10,11 +10,9 @@
 //! Zipf-popular keys (bounded-Pareto inverse CDF — O(1), no frequency
 //! tables), landmark-clustered source draws (peers are numbered
 //! locality-packed, so a contiguous index slice approximates one
-//! landmark region), and an optional time-windowed [`FlashCrowd`] that
-//! redirects a fraction of requests in one stretch of the stream onto
-//! a small hot key region. All of it is a pure function of
-//! `(seed, i)`, so the skewed streams inherit the same thread
-//! invariance as the uniform one.
+//! landmark region). All of it is a pure function of `(seed, i)`, so
+//! the skewed stream inherits the same thread invariance as the
+//! uniform one.
 
 use hieras_id::{Id, Key};
 use hieras_rt::{splitmix64, Json, ToJson};
@@ -23,84 +21,30 @@ use hieras_rt::{splitmix64, Json, ToJson};
 /// "hot-key subset" that cache benchmarks report separately.
 pub const HOT_RANK_MAX: u32 = 16;
 
-/// A time-windowed flash crowd: inside the window
-/// `[start, start + len)` (fractions of the request-index range), each
-/// request is redirected with probability `intensity` onto one of
-/// `region` hot keys, with its source drawn from those keys' home
-/// clusters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlashCrowd {
-    /// Window start as a fraction of the request stream (0..1).
-    pub start: f64,
-    /// Window length as a fraction of the request stream.
-    pub len: f64,
-    /// Probability a request inside the window joins the crowd.
-    pub intensity: f64,
-    /// Number of distinct keys the crowd piles onto.
-    pub region: u32,
-}
+/// Number of distinct keys a skewed stream draws (popularity ranks
+/// `1..=KEY_UNIVERSE`).
+const KEY_UNIVERSE: u32 = 65_536;
+/// Number of source clusters (≈ landmark regions; peers are
+/// locality-packed so cluster `c` is one contiguous index slice).
+const CLUSTERS: u32 = 8;
+/// Probability a skewed request's source comes from its key's home
+/// cluster rather than uniformly from all peers.
+const CLUSTER_BIAS: f64 = 0.7;
 
-impl FlashCrowd {
-    /// The standard smoke flash crowd: the middle fifth of the stream,
-    /// 80% of requests piling onto 4 keys.
-    #[must_use]
-    pub fn standard() -> Self {
-        FlashCrowd { start: 0.4, len: 0.2, intensity: 0.8, region: 4 }
-    }
-
-    fn active(&self, i: usize, requests: usize) -> bool {
-        let frac = if requests == 0 { 0.0 } else { i as f64 / requests as f64 };
-        frac >= self.start && frac < self.start + self.len
-    }
-}
-
-impl ToJson for FlashCrowd {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("start", self.start.to_json()),
-            ("len", self.len.to_json()),
-            ("intensity", self.intensity.to_json()),
-            ("region", self.region.to_json()),
-        ])
-    }
-}
-
-/// Skewed-draw parameters shared by the Zipf and flash-crowd models.
+/// Skewed-draw parameters: Zipf keys over a 64k-key universe with
+/// 8 source clusters at 70% home-cluster bias.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewParams {
     /// Zipf exponent `s` (0 = uniform over the universe, 0.99 = the
     /// classic web-trace figure, >1 = heavy head).
     pub exponent: f64,
-    /// Number of distinct keys (popularity ranks 1..=universe).
-    pub key_universe: u32,
-    /// Number of source clusters (≈ landmark regions; peers are
-    /// locality-packed so cluster `c` is one contiguous index slice).
-    pub clusters: u32,
-    /// Probability a request's source comes from its key's home
-    /// cluster rather than uniformly from all peers.
-    pub cluster_bias: f64,
-    /// Optional flash-crowd overlay.
-    pub flash: Option<FlashCrowd>,
 }
 
 impl SkewParams {
-    /// Zipf(`exponent`) keys over a 64k-key universe with 8 source
-    /// clusters at 70% home-cluster bias — the bench sweep's default.
+    /// Zipf(`exponent`) keys with clustered sources.
     #[must_use]
     pub fn zipf(exponent: f64) -> Self {
-        SkewParams {
-            exponent,
-            key_universe: 65_536,
-            clusters: 8,
-            cluster_bias: 0.7,
-            flash: None,
-        }
-    }
-
-    /// The Zipf(0.99) smoke model with the standard flash crowd.
-    #[must_use]
-    pub fn flash_crowd() -> Self {
-        SkewParams { flash: Some(FlashCrowd::standard()), ..SkewParams::zipf(0.99) }
+        SkewParams { exponent }
     }
 }
 
@@ -111,7 +55,7 @@ pub enum WorkloadModel {
     /// derivation is bit-exact with the pre-skew `Workload`, so every
     /// historical metric stays byte-identical.
     Uniform,
-    /// Zipf keys, clustered sources, optional flash crowd.
+    /// Zipf keys, clustered sources.
     Skew(SkewParams),
 }
 
@@ -121,7 +65,6 @@ impl WorkloadModel {
     pub fn name(&self) -> &'static str {
         match self {
             WorkloadModel::Uniform => "uniform",
-            WorkloadModel::Skew(p) if p.flash.is_some() => "flash",
             WorkloadModel::Skew(_) => "zipf",
         }
     }
@@ -154,15 +97,10 @@ impl Workload {
     /// Creates a workload with an explicit draw model.
     ///
     /// # Panics
-    /// Panics if `nodes == 0`, or if a skewed model has an empty key
-    /// universe or zero clusters.
+    /// Panics if `nodes == 0`.
     #[must_use]
     pub fn with_model(nodes: u32, requests: usize, seed: u64, model: WorkloadModel) -> Self {
         assert!(nodes > 0, "workload needs at least one node");
-        if let WorkloadModel::Skew(p) = &model {
-            assert!(p.key_universe > 0, "skewed workload needs a non-empty key universe");
-            assert!(p.clusters > 0, "skewed workload needs at least one cluster");
-        }
         Workload { nodes, requests, seed, model }
     }
 
@@ -186,21 +124,9 @@ impl Workload {
                 ((a % u64::from(self.nodes)) as u32, Id(b), None)
             }
             WorkloadModel::Skew(p) => {
-                let (c, d) = (draw(2), draw(3));
-                let mut rank = zipf_rank(to_unit(b), p.key_universe, p.exponent);
-                let mut in_crowd = false;
-                if let Some(f) = &p.flash {
-                    if f.active(i, self.requests) && to_unit(d) < f.intensity {
-                        // Pile onto a small region of top ranks; the
-                        // crowd's keys are the globally hottest ones,
-                        // which is what a breaking-news spike does.
-                        rank = 1 + (d >> 32) as u32 % f.region.max(1);
-                        in_crowd = true;
-                    }
-                }
-                let cluster = self.cluster_of_rank(rank, p.clusters);
-                let src = if in_crowd || to_unit(c) < p.cluster_bias {
-                    self.cluster_source(cluster, p.clusters, a)
+                let rank = zipf_rank(to_unit(b), KEY_UNIVERSE, p.exponent);
+                let src = if to_unit(draw(2)) < CLUSTER_BIAS {
+                    self.cluster_source(self.cluster_of_rank(rank), a)
                 } else {
                     (a % u64::from(self.nodes)) as u32
                 };
@@ -216,14 +142,14 @@ impl Workload {
     }
 
     /// Which cluster a key rank calls home (stable per seed).
-    fn cluster_of_rank(&self, rank: u32, clusters: u32) -> u32 {
+    fn cluster_of_rank(&self, rank: u32) -> u32 {
         let h = splitmix64(self.seed ^ 0x636c_7573_7465_7221 ^ u64::from(rank));
-        (h % u64::from(clusters)) as u32
+        (h % u64::from(CLUSTERS)) as u32
     }
 
     /// A source drawn from cluster `cluster`'s contiguous index slice.
-    fn cluster_source(&self, cluster: u32, clusters: u32, entropy: u64) -> u32 {
-        let clusters = clusters.min(self.nodes);
+    fn cluster_source(&self, cluster: u32, entropy: u64) -> u32 {
+        let clusters = CLUSTERS.min(self.nodes);
         let cluster = cluster % clusters;
         let lo = (u64::from(self.nodes) * u64::from(cluster) / u64::from(clusters)) as u32;
         let hi = (u64::from(self.nodes) * u64::from(cluster + 1) / u64::from(clusters)) as u32;
@@ -268,12 +194,6 @@ impl ToJson for WorkloadSpec {
         ];
         if let WorkloadModel::Skew(p) = &self.model {
             fields.push(("zipf_exponent", p.exponent.to_json()));
-            fields.push(("key_universe", p.key_universe.to_json()));
-            fields.push(("clusters", p.clusters.to_json()));
-            fields.push(("cluster_bias", p.cluster_bias.to_json()));
-            if let Some(f) = &p.flash {
-                fields.push(("flash", f.to_json()));
-            }
         }
         Json::obj(fields)
     }
@@ -416,51 +336,32 @@ mod tests {
     }
 
     #[test]
-    fn flash_crowd_spikes_inside_its_window_only() {
-        let w = Workload::with_model(
-            100,
-            10_000,
-            21,
-            WorkloadModel::Skew(SkewParams::flash_crowd()),
-        );
-        let region = 4u32;
-        let in_window = |i: usize| (0.4..0.6).contains(&(i as f64 / 10_000.0));
-        let mut crowd_inside = 0usize;
-        let mut crowd_outside = 0usize;
-        for i in 0..10_000 {
-            let (_, _, rank) = w.request_detail(i);
-            if rank.expect("rank") <= region {
-                if in_window(i) {
-                    crowd_inside += 1;
-                } else {
-                    crowd_outside += 1;
-                }
-            }
-        }
-        // The window holds 2000 requests at 80% redirect intensity on
-        // top of the Zipf base rate; outside it only the base rate
-        // (~12% of draws land in the top 4 ranks at s=0.99) remains.
-        assert!(crowd_inside > 1600, "flash window under-spiked: {crowd_inside}");
-        assert!(
-            crowd_outside < 8000 / 4,
-            "flash leaked outside its window: {crowd_outside}"
-        );
-    }
-
-    #[test]
     fn clustered_sources_concentrate_per_key() {
-        let p = SkewParams { cluster_bias: 1.0, ..SkewParams::zipf(0.99) };
-        let w = Workload::with_model(800, 4000, 9, WorkloadModel::Skew(p));
-        // With bias 1.0 every draw of a given rank must come from one
-        // contiguous slice of 100 peer indices (800 peers, 8 clusters).
-        let mut slice_of_rank: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        for i in 0..4000 {
+        let w = Workload::with_model(800, 40_000, 9, WorkloadModel::Skew(SkewParams::zipf(0.99)));
+        // Each rank calls one of 8 contiguous 100-peer slices home
+        // (800 peers). A draw takes its source from there with
+        // probability 0.7, otherwise uniformly — which lands in the
+        // home slice one time in 8 more: 0.7 + 0.3 / 8 ≈ 0.7375.
+        let mut home = 0usize;
+        let mut slices_of_rank: std::collections::HashMap<u32, [u32; 8]> =
+            std::collections::HashMap::new();
+        for i in 0..40_000 {
             let (src, _, rank) = w.request_detail(i);
+            let rank = rank.expect("rank");
             let slice = src / 100;
-            let prev = slice_of_rank.entry(rank.expect("rank")).or_insert(slice);
-            assert_eq!(*prev, slice, "rank {:?} drew from two clusters", rank);
+            assert!(slice < 8);
+            if slice == w.cluster_of_rank(rank) {
+                home += 1;
+            }
+            slices_of_rank.entry(rank).or_default()[slice as usize] += 1;
         }
-        assert!(slice_of_rank.len() > 8, "too few distinct ranks to trust the test");
+        let share = home as f64 / 40_000.0;
+        assert!((0.72..0.755).contains(&share), "home-slice share {share}");
+        // The hottest rank's draws concentrate on its home slice.
+        let hot = slices_of_rank[&1];
+        let peak = *hot.iter().max().expect("8 slices");
+        assert_eq!(peak, hot[w.cluster_of_rank(1) as usize]);
+        assert!(f64::from(peak) > 0.65 * f64::from(hot.iter().sum::<u32>()), "{hot:?}");
     }
 
     #[test]
@@ -473,12 +374,5 @@ mod tests {
             .dump();
         assert!(z.contains("\"model\":\"zipf\""), "{z}");
         assert!(z.contains("\"zipf_exponent\""), "{z}");
-        let f =
-            Workload::with_model(10, 10, 5, WorkloadModel::Skew(SkewParams::flash_crowd()))
-                .spec()
-                .to_json()
-                .dump();
-        assert!(f.contains("\"model\":\"flash\""), "{f}");
-        assert!(f.contains("\"intensity\""), "{f}");
     }
 }

@@ -96,8 +96,8 @@ fn quiesced_mode_equals_the_replay_under_every_workload_model() {
     let wide = engine.run_quiesced_workload(&Executor::new(8), &exp.replay_workload(1500));
     assert_eq!(wide.metrics, replay.hieras);
 
-    // The same identity with the workload as the input: uniform, three
-    // Zipf exponents and a flash crowd, each replayed cache-off against
+    // The same identity with the workload as the input: uniform and
+    // three Zipf exponents, each replayed cache-off against
     // `run_workload_on`, then cache-on in verify mode (every hit is
     // re-routed and cross-checked inside the evaluator).
     let cached = ServeEngine::new(&exp, ServeConfig { cache: CacheConfig::on().verified(), ..cfg });
@@ -106,7 +106,6 @@ fn quiesced_mode_equals_the_replay_under_every_workload_model() {
         ("zipf_0.8", WorkloadModel::Skew(SkewParams::zipf(0.8))),
         ("zipf_0.99", WorkloadModel::Skew(SkewParams::zipf(0.99))),
         ("zipf_1.2", WorkloadModel::Skew(SkewParams::zipf(1.2))),
-        ("flash", WorkloadModel::Skew(SkewParams::flash_crowd())),
     ] {
         let w = Workload::with_model(150, 1500, 7 ^ 0x517c_c1b7, model);
         let off = engine.run_quiesced_workload(&exec, &w);
