@@ -788,6 +788,67 @@ mod tests {
         assert!(err.contains("--pace needs the `live` id"), "{err}");
     }
 
+    /// A seeded mutation fuzz of the command line, after
+    /// `tests/hostile_input.rs`: argv vectors drawn from the ids, the
+    /// options and junk tokens (empty strings, repeated options, an
+    /// option last without its value, paces that are not finite,
+    /// negative or out of range). Each must parse to `Ok` or to an
+    /// `Err` carrying the usage, never panic; every `Ok` keeps
+    /// `parse`'s invariants.
+    #[test]
+    fn hostile_command_lines_never_panic_the_parser() {
+        const CASES: usize = 5_000;
+        const OPTIONS: [&str; 5] = ["--full", "--trace-out", "--timeseries-out", "--pace", "all"];
+        const PACES: [&str; 9] = ["NaN", "inf", "-inf", "-0", "1e400", "-1", "0", "2.5", "1e-400"];
+        const JUNK: [&str; 12] =
+            ["", " ", "-", "--", "--pace=1", "--FULL", "ALL", "fig99", "t.jsonl", "\0", "é", "-1"];
+        let mut rng = hieras_rt::Rng::seed_from_u64(0xc11);
+        let (mut accepted, mut with_pace) = (0usize, 0usize);
+        for case in 0..CASES {
+            let mut argv = Vec::new();
+            for _ in 0..rng.random_range(0usize..7) {
+                let pool: &[&str] = match rng.random_range(0u32..5) {
+                    0 => &PAPER_IDS,
+                    1 => &DRIVER_IDS,
+                    2 => &OPTIONS,
+                    3 => &PACES,
+                    _ => &JUNK,
+                };
+                let token = *rng.choose(pool).expect("a non-empty pool");
+                argv.push(token.to_owned());
+                if token == "--pace" && rng.random_range(0u32..2) == 0 {
+                    argv.push((*rng.choose(&PACES).expect("paces")).to_owned());
+                }
+            }
+            let outcome = std::panic::catch_unwind(|| parse(argv.clone()));
+            let parsed = outcome.unwrap_or_else(|_| panic!("case {case} panicked on {argv:?}"));
+            let a = match parsed {
+                Ok(a) => a,
+                Err(err) => {
+                    assert!(err.starts_with("figures: "), "case {case} {argv:?}: {err}");
+                    assert!(err.ends_with(USAGE), "case {case} {argv:?}: no usage in {err}");
+                    continue;
+                }
+            };
+            accepted += 1;
+            assert!(!a.ids.is_empty(), "case {case} {argv:?}: no id means all");
+            for (set, id) in [
+                (a.trace_out.is_some(), "churn"),
+                (a.timeseries_out.is_some(), "live"),
+                (a.pace.is_some(), "live"),
+            ] {
+                assert!(!set || a.ids.contains(&id), "case {case} {argv:?}: no `{id}` id");
+            }
+            if let Some(pace) = a.pace {
+                with_pace += 1;
+                assert!(pace.is_finite() && pace >= 0.0, "case {case} {argv:?}: pace {pace}");
+            }
+        }
+        // Neither answer may swallow the corpus, and some paces get through.
+        assert!(accepted > CASES / 10 && accepted < CASES * 9 / 10, "{accepted} accepted");
+        assert!(with_pace > 0, "no accepted case set a pace");
+    }
+
     #[test]
     fn json_record_is_on_disk_before_any_markdown_is_printed() {
         let dir = scratch("record");

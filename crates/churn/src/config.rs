@@ -1,7 +1,6 @@
 //! Churn-experiment configuration.
 
 use hieras_core::HierasConfig;
-use hieras_rt::{Json, ToJson};
 use hieras_sim::{ChurnConfig, TopologyKind};
 
 /// A landmark death injected mid-run: after the given churn event the
@@ -17,15 +16,6 @@ pub struct LandmarkFail {
     pub landmark: u32,
 }
 
-impl ToJson for LandmarkFail {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("after_event", self.after_event.to_json()),
-            ("landmark", self.landmark.to_json()),
-        ])
-    }
-}
-
 /// A domain-correlated failure injected mid-run: after the given churn
 /// event, every live peer attached to one Transit-Stub failure domain
 /// (`hieras_topology::Topology::domain`) fails silently at the same
@@ -37,12 +27,6 @@ impl ToJson for LandmarkFail {
 pub struct DomainFail {
     /// The domain dies once this many churn events have fired.
     pub after_event: u32,
-}
-
-impl ToJson for DomainFail {
-    fn to_json(&self) -> Json {
-        Json::obj([("after_event", self.after_event.to_json())])
-    }
 }
 
 /// Full description of one churn experiment.
@@ -84,36 +68,5 @@ impl ChurnExperimentConfig {
             landmark_fail: None,
             domain_fail: None,
         }
-    }
-}
-
-impl ToJson for ChurnExperimentConfig {
-    fn to_json(&self) -> Json {
-        // ChurnConfig lives in hieras-sim without a ToJson impl of its
-        // own; serialize its public fields here.
-        let churn = Json::obj([
-            ("initial_nodes", self.churn.initial_nodes.to_json()),
-            ("arrivals", self.churn.arrivals.to_json()),
-            ("inter_arrival", self.churn.inter_arrival.to_json()),
-            ("lifetime", self.churn.lifetime.to_json()),
-            ("graceful_fraction", self.churn.graceful_fraction.to_json()),
-            ("horizon_ms", self.churn.horizon_ms.to_json()),
-            ("seed", self.churn.seed.to_json()),
-        ]);
-        Json::obj([
-            ("kind", self.kind.to_json()),
-            ("hieras", self.hieras.to_json()),
-            ("churn", churn),
-            ("lookups_per_event", self.lookups_per_event.to_json()),
-            ("maintenance_every", self.maintenance_every.to_json()),
-            ("landmark_fail", match self.landmark_fail {
-                Some(lf) => lf.to_json(),
-                None => Json::Null,
-            }),
-            ("domain_fail", match self.domain_fail {
-                Some(df) => df.to_json(),
-                None => Json::Null,
-            }),
-        ])
     }
 }

@@ -16,8 +16,8 @@
 
 use core::fmt::Write as _;
 use core::str::FromStr;
+use crate::ConfigError;
 use hieras_id::Id;
-use hieras_rt::{FromJson, Json, JsonError, ToJson};
 
 /// Most digits a [`LandmarkOrder`] holds: sixteen 4-bit digits fill
 /// one `u64`.
@@ -39,26 +39,14 @@ pub struct LandmarkOrder {
     len: u8,
 }
 
-impl ToJson for LandmarkOrder {
-    fn to_json(&self) -> Json {
-        self.digits().collect::<Vec<u8>>().to_json()
-    }
-}
-
-impl FromJson for LandmarkOrder {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        LandmarkOrder::new(&Vec::<u8>::from_json(v)?)
-    }
-}
-
 /// Parses a ring name as the paper prints it: 0–16 ASCII digits.
 impl FromStr for LandmarkOrder {
-    type Err = JsonError;
+    type Err = ConfigError;
 
-    fn from_str(s: &str) -> Result<Self, JsonError> {
+    fn from_str(s: &str) -> Result<Self, ConfigError> {
         // Non-digits wrap to values above 9, which `collect` rejects.
         LandmarkOrder::collect(s.bytes().map(|b| b.wrapping_sub(b'0')))
-            .map_err(|_| JsonError(format!("ring name {s:?} is not 0-{MAX_DIGITS} digits")))
+            .ok_or_else(|| ConfigError::BadLandmarkOrder(format!("{s:?}")))
     }
 }
 
@@ -71,24 +59,25 @@ impl LandmarkOrder {
     /// The order with the given digits, e.g. `&[1, 0, 1, 2]` for "1012".
     ///
     /// # Errors
-    /// A digit above 9, or more than 16 digits.
-    pub fn new(digits: &[u8]) -> Result<Self, JsonError> {
+    /// [`ConfigError::BadLandmarkOrder`] for a digit above 9 or more
+    /// than 16 digits.
+    pub fn new(digits: &[u8]) -> Result<Self, ConfigError> {
         Self::collect(digits.iter().copied())
+            .ok_or_else(|| ConfigError::BadLandmarkOrder(format!("{digits:?}")))
     }
 
-    /// Packs `digits`, checking each is 0–9 and that there are at most 16.
-    fn collect(digits: impl IntoIterator<Item = u8>) -> Result<Self, JsonError> {
+    /// Packs `digits`, or `None` unless each is 0–9 and there are at
+    /// most 16.
+    fn collect(digits: impl IntoIterator<Item = u8>) -> Option<Self> {
         let mut o = LandmarkOrder { digits: 0, len: 0 };
         for d in digits {
             if d > 9 || o.len() == MAX_DIGITS {
-                return Err(JsonError(format!(
-                    "a landmark order is at most {MAX_DIGITS} digits of 0-9"
-                )));
+                return None;
             }
             o.digits |= u64::from(d) << (60 - 4 * u32::from(o.len));
             o.len += 1;
         }
-        Ok(o)
+        Some(o)
     }
 
     /// The digits, first landmark first.
@@ -173,22 +162,6 @@ impl core::fmt::Display for LandmarkOrder {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Binning {
     bounds: Vec<u16>,
-}
-
-impl ToJson for Binning {
-    fn to_json(&self) -> Json {
-        Json::obj([("bounds", self.bounds.to_json())])
-    }
-}
-
-impl FromJson for Binning {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let bounds: Vec<u16> = v.field("bounds")?;
-        if bounds.is_empty() || bounds.len() > 9 || bounds.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(JsonError("binning bounds must be 1-9 ascending values".into()));
-        }
-        Ok(Binning { bounds })
-    }
 }
 
 impl Binning {
@@ -346,7 +319,7 @@ mod tests {
 
     /// The packed value against a plain `Vec<u8>` / `String` reference,
     /// over random 0–16-digit strings: order, prefixes, landmark drops,
-    /// names, ring ids, the JSON and ring-name round trips. The first
+    /// names, ring ids and the ring-name round trip. The first
     /// rows are the worked cases of the paper's examples.
     #[test]
     fn packed_order_matches_digit_string_reference() {
@@ -379,7 +352,6 @@ mod tests {
                 assert_eq!(decode(o.prefix(k).code()), d[..k.min(d.len())], "case {i} prefix {k}");
                 assert_eq!(decode(o.drop_landmark(k).code()), dropped(d, k), "case {i} drop {k}");
             }
-            assert_eq!(LandmarkOrder::from_json(&o.to_json()), Ok(*o));
             assert_eq!(o.name().parse::<LandmarkOrder>(), Ok(*o));
             let j = rng.random_range(0..cases.len());
             assert_eq!(o.cmp(&packed[j]), d.cmp(&cases[j]), "cases {i} vs {j}");
@@ -397,11 +369,13 @@ mod tests {
     #[test]
     fn out_of_range_orders_are_rejected() {
         assert!(LandmarkOrder::new(&[9]).is_ok());
-        assert!(LandmarkOrder::new(&[12]).is_err());
+        let err = LandmarkOrder::new(&[12]).unwrap_err();
+        assert_eq!(err, ConfigError::BadLandmarkOrder("[12]".into()));
         assert!(LandmarkOrder::new(&[0; MAX_DIGITS]).is_ok());
         assert!(LandmarkOrder::new(&[0; MAX_DIGITS + 1]).is_err());
         for bad in ["7x", "x", "-1", "1 2", "٣", "01234567890123456"] {
-            assert!(bad.parse::<LandmarkOrder>().is_err(), "{bad:?}");
+            let err = bad.parse::<LandmarkOrder>().unwrap_err();
+            assert_eq!(err, ConfigError::BadLandmarkOrder(format!("{bad:?}")));
         }
         assert_eq!("".parse::<LandmarkOrder>().unwrap().name(), "");
     }

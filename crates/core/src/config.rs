@@ -2,7 +2,6 @@
 
 use crate::binning::MAX_DIGITS;
 use crate::{Binning, LandmarkOrder};
-use hieras_rt::{FromJson, Json, JsonError, ToJson};
 
 /// Errors validating a [`HierasConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,6 +12,9 @@ pub enum ConfigError {
     NoLandmarks,
     /// More landmarks than a [`LandmarkOrder`] has digits (16).
     TooManyLandmarks(usize),
+    /// A landmark order (ring name) that is not 0–16 digits of 0–9;
+    /// carries the rejected input as written.
+    BadLandmarkOrder(String),
 }
 
 impl core::fmt::Display for ConfigError {
@@ -22,6 +24,9 @@ impl core::fmt::Display for ConfigError {
             ConfigError::NoLandmarks => write!(f, "depth >= 2 requires at least one landmark"),
             ConfigError::TooManyLandmarks(n) => {
                 write!(f, "at most {MAX_DIGITS} landmarks are supported, got {n}")
+            }
+            ConfigError::BadLandmarkOrder(s) => {
+                write!(f, "landmark order {s} is not 0-{MAX_DIGITS} digits of 0-9")
             }
         }
     }
@@ -103,28 +108,6 @@ impl HierasConfig {
         }
         // ceil((layer-1) * L / (depth-1))
         ((layer - 1) * self.landmarks).div_ceil(self.depth - 1)
-    }
-}
-
-impl ToJson for HierasConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("depth", self.depth.to_json()),
-            ("landmarks", self.landmarks.to_json()),
-            ("binning", self.binning.to_json()),
-        ])
-    }
-}
-
-impl FromJson for HierasConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let c = HierasConfig {
-            depth: v.field("depth")?,
-            landmarks: v.field("landmarks")?,
-            binning: v.field("binning")?,
-        };
-        c.validate().map_err(|e| JsonError(e.to_string()))?;
-        Ok(c)
     }
 }
 

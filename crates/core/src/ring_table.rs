@@ -15,7 +15,6 @@
 
 use crate::LandmarkOrder;
 use hieras_id::Id;
-use hieras_rt::{FromJson, Json, JsonError, ToJson};
 
 /// The paper's Table 3 structure: ringid, ringname and four member
 /// slots (largest, second-largest, smallest, second-smallest id).
@@ -152,36 +151,6 @@ impl RingTable {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-}
-
-impl ToJson for RingTable {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("ring_id", self.ring_id.to_json()),
-            ("ring_name", self.ring_name.name().to_json()),
-            ("members", self.members.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RingTable {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let members: Vec<Id> = v.field("members")?;
-        if members.len() > 4 || members.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(JsonError("ring table members must be <= 4 ascending ids".into()));
-        }
-        let ring_name: LandmarkOrder = v.field::<String>("ring_name")?.parse()?;
-        // The id is a function of the name; a table carrying any other
-        // would be stored at, and looked up from, the wrong holder.
-        let ring_id: Id = v.field("ring_id")?;
-        if ring_id != ring_name.ring_id() {
-            return Err(JsonError(format!(
-                "ring table id {ring_id} is not the ring id of \"{}\"",
-                ring_name.name()
-            )));
-        }
-        Ok(RingTable { ring_id, ring_name, members })
     }
 }
 

@@ -1,7 +1,5 @@
 //! Per-hop routing traces — the raw material for every figure.
 
-use hieras_rt::{FromJson, Json, JsonError, ToJson};
-
 /// One routing hop: the message moved from global node `from` to
 /// global node `to`, using the finger table of layer `layer`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,34 +83,6 @@ pub struct RouteCost {
     pub lower_latency_ms: u64,
     /// The node the key resolved to.
     pub destination: u32,
-}
-
-impl ToJson for HopRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("from", self.from.to_json()),
-            ("to", self.to.to_json()),
-            ("layer", self.layer.to_json()),
-        ])
-    }
-}
-
-impl FromJson for HopRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(HopRecord { from: v.field("from")?, to: v.field("to")?, layer: v.field("layer")? })
-    }
-}
-
-impl ToJson for RouteTrace {
-    fn to_json(&self) -> Json {
-        Json::obj([("origin", self.origin.to_json()), ("hops", self.hops.to_json())])
-    }
-}
-
-impl FromJson for RouteTrace {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RouteTrace { origin: v.field("origin")?, hops: v.field("hops")? })
-    }
 }
 
 #[cfg(test)]

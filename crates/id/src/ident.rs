@@ -1,7 +1,6 @@
 //! The [`Id`] newtype: a point on the identifier circle.
 
 use crate::Sha1;
-use hieras_rt::{FromJson, Json, JsonError, ToJson};
 
 /// A point on the identifier circle.
 ///
@@ -16,19 +15,6 @@ use hieras_rt::{FromJson, Json, JsonError, ToJson};
 /// [`crate::IdSpace`], because they depend on the ring size.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Id(pub u64);
-
-impl ToJson for Id {
-    /// Transparent: an `Id` serializes as its bare `u64`.
-    fn to_json(&self) -> Json {
-        Json::U64(self.0)
-    }
-}
-
-impl FromJson for Id {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_u64().map(Id).ok_or_else(|| JsonError("expected id (u64)".into()))
-    }
-}
 
 impl Id {
     /// The identifier `0`.

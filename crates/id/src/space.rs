@@ -7,7 +7,6 @@
 //! bug-prone part of Chord implementations.
 
 use crate::Id;
-use hieras_rt::{FromJson, Json, JsonError, ToJson};
 
 /// Errors constructing or using an identifier space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,19 +37,6 @@ impl std::error::Error for SpaceError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdSpace {
     bits: u32,
-}
-
-impl ToJson for IdSpace {
-    fn to_json(&self) -> Json {
-        Json::obj([("bits", Json::U64(u64::from(self.bits)))])
-    }
-}
-
-impl FromJson for IdSpace {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let bits: u32 = v.field("bits")?;
-        IdSpace::new(bits).map_err(|e| JsonError(e.to_string()))
-    }
 }
 
 impl Default for IdSpace {

@@ -5,7 +5,8 @@
 //! cost. This crate gives every layer of the reproduction the
 //! instruments to answer those questions live instead of only as
 //! end-of-run aggregates — with zero external dependencies, on the
-//! same `hieras_rt` JSON the rest of the workspace serializes through.
+//! same `hieras_rt` JSON the rest of the workspace writes its records
+//! with.
 //!
 //! Three instruments, designed around the workspace's two invariants
 //! (determinism at any thread count; near-zero cost when off):
@@ -32,8 +33,12 @@
 //!   deterministic runs emit bit-identical windows at any reader
 //!   count.
 //!
-//! Every type round-trips through [`hieras_rt::ToJson`] /
-//! [`hieras_rt::FromJson`].
+//! Every reported type writes itself through [`hieras_rt::ToJson`].
+//! The two streams a program reads back parse through
+//! [`hieras_rt::FromJson`]: the window stream
+//! ([`TimeSeriesReport::parse_jsonl`]: its meta line, [`TelemetryWindow`],
+//! [`LogHistogram`], [`Registry`]) and the span trace
+//! ([`Tracer::parse_jsonl`]: [`TraceEvent`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -130,17 +130,6 @@ impl ToJson for HopRecord {
     }
 }
 
-impl FromJson for HopRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(HopRecord {
-            from: v.field("from")?,
-            to: v.field("to")?,
-            layer: v.field("layer")?,
-            ms: v.field("ms")?,
-        })
-    }
-}
-
 /// A flight-recorded lookup: one of the K slowest of its window, with
 /// its full hop trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,19 +195,6 @@ impl ToJson for SlowLookup {
             ("seq", self.seq.to_json()),
             ("path", Json::Arr(self.path.iter().map(ToJson::to_json).collect())),
         ])
-    }
-}
-
-impl FromJson for SlowLookup {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(SlowLookup {
-            window: v.field("window")?,
-            latency_ms: v.field("latency_ms")?,
-            src: v.field("src")?,
-            key: v.field("key")?,
-            seq: v.field("seq")?,
-            path: v.field("path")?,
-        })
     }
 }
 
@@ -462,24 +438,6 @@ impl SloSpec {
     }
 }
 
-impl ToJson for SloSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("p99_ms", self.p99_ms.to_json()),
-            ("max_failure_ppm", self.max_failure_ppm.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SloSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(SloSpec {
-            p99_ms: v.field("p99_ms")?,
-            max_failure_ppm: v.field("max_failure_ppm")?,
-        })
-    }
-}
-
 /// One window that violated the [`SloSpec`], with the epoch/churn
 /// events that ran inside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -515,21 +473,6 @@ impl ToJson for SloBreach {
             ("epochs_published", self.epochs_published.to_json()),
             ("churn_events", self.churn_events.to_json()),
         ])
-    }
-}
-
-impl FromJson for SloBreach {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(SloBreach {
-            window: v.field("window")?,
-            lookups: v.field("lookups")?,
-            p99_ms: v.field("p99_ms")?,
-            failure_ppm: v.field("failure_ppm")?,
-            p99_over: v.field("p99_over")?,
-            failures_over: v.field("failures_over")?,
-            epochs_published: v.field("epochs_published")?,
-            churn_events: v.field("churn_events")?,
-        })
     }
 }
 
@@ -679,17 +622,6 @@ impl ToJson for TimeSeriesReport {
             ("slow", Json::Arr(self.slow.iter().map(ToJson::to_json).collect())),
             ("breaches", Json::Arr(self.breaches.iter().map(ToJson::to_json).collect())),
         ])
-    }
-}
-
-impl FromJson for TimeSeriesReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(TimeSeriesReport {
-            meta: v.field("meta")?,
-            windows: v.field("windows")?,
-            slow: v.field("slow")?,
-            breaches: v.field("breaches")?,
-        })
     }
 }
 
@@ -914,23 +846,6 @@ mod tests {
         let err = TimeSeriesReport::parse_jsonl(&format!("{good}{deep}\n")).unwrap_err();
         assert!(err.0.contains("line 3") && err.0.contains("nesting"), "{err}");
         assert!(TimeSeriesReport::parse_jsonl(&deep).is_err(), "as the meta line");
-    }
-
-    #[test]
-    fn full_report_round_trips_through_json() {
-        let mut s = TelemetryShard::new(2);
-        s.lookup(0, 10);
-        s.lookup_failed(0);
-        if s.lookup_qualifies(0, 900) {
-            s.admit_slow(slow(0, 900, 7));
-        }
-        let spec = SloSpec { p99_ms: 1, max_failure_ppm: 1 };
-        let r = s.into_report("wall", 250, Some(spec));
-        assert!(!r.slow.is_empty() && !r.breaches.is_empty());
-        let back = TimeSeriesReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-        let spec_back = SloSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(spec_back, spec);
     }
 
     #[test]

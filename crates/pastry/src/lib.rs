@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 use hieras_id::{Id, Key};
-use hieras_rt::{Json, ToJson};
 use std::sync::Arc;
 
 /// Digits per id: 64-bit ids, base-16 → 16 digits.
@@ -77,12 +76,6 @@ impl PastryPath {
     #[must_use]
     pub fn owner(&self) -> u32 {
         *self.path.last().expect("path never empty")
-    }
-}
-
-impl ToJson for PastryPath {
-    fn to_json(&self) -> Json {
-        Json::obj([("path", self.path.to_json())])
     }
 }
 

@@ -13,9 +13,10 @@
 //!   `par_fold` produces bit-identical results at any thread count
 //!   (replaces `rayon` in the replay and APSP hot paths).
 //! * [`Json`] — a minimal JSON value, writer and recursive-descent
-//!   reader, plus the [`ToJson`]/[`FromJson`] traits the config,
-//!   metrics and figure structs implement by hand (replaces
-//!   `serde`/`serde_json`).
+//!   reader (replaces `serde`/`serde_json`). Records implement
+//!   [`ToJson`] by hand; [`FromJson`] is implemented only by what a
+//!   program reads back — the telemetry window stream and the span
+//!   trace that `hieras-timeline` parses.
 //! * [`fingerprint`] / [`fingerprint_u32`] — a multi-lane SplitMix64
 //!   hash of whole arrays, the one kernel behind every per-epoch digest
 //!   and snapshot checksum.

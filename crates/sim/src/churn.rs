@@ -195,16 +195,6 @@ pub struct ChurnEvent {
     pub kind: ChurnEventKind,
 }
 
-impl ToJson for ChurnEvent {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("at", self.at.to_json()),
-            ("kind", self.kind.label().to_json()),
-            ("node", self.kind.node().to_json()),
-        ])
-    }
-}
-
 /// A materialized, time-sorted churn schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnSchedule {

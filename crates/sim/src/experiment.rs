@@ -7,7 +7,7 @@ use hieras_core::{HierasConfig, HierasOracle, LandmarkOrder, RingArenaPool};
 use hieras_id::{Id, IdSpace};
 use hieras_obs::{names, Profiler, Registry};
 use hieras_topology::{BriteConfig, InetConfig, LatencyOracle, Topology, TransitStubConfig};
-use hieras_rt::{Executor, FromJson, Json, JsonError, Rng, ToJson};
+use hieras_rt::{Executor, Rng};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -40,30 +40,6 @@ impl TopologyKind {
             }
             TopologyKind::Inet => InetConfig::for_peers(peers, seed).generate_on(exec),
             TopologyKind::Brite => BriteConfig::for_peers(peers, seed).generate_on(exec),
-        }
-    }
-}
-
-impl ToJson for TopologyKind {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                TopologyKind::TransitStub => "transit_stub",
-                TopologyKind::Inet => "inet",
-                TopologyKind::Brite => "brite",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl FromJson for TopologyKind {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("transit_stub") => Ok(TopologyKind::TransitStub),
-            Some("inet") => Ok(TopologyKind::Inet),
-            Some("brite") => Ok(TopologyKind::Brite),
-            _ => Err(JsonError("expected topology kind string".into())),
         }
     }
 }
@@ -105,32 +81,6 @@ impl ExperimentConfig {
     }
 }
 
-impl ToJson for ExperimentConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("kind", self.kind.to_json()),
-            ("nodes", self.nodes.to_json()),
-            ("requests", self.requests.to_json()),
-            ("hieras", self.hieras.to_json()),
-            ("seed", self.seed.to_json()),
-            ("rtt_noise", self.rtt_noise.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ExperimentConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ExperimentConfig {
-            kind: v.field("kind")?,
-            nodes: v.field("nodes")?,
-            requests: v.field("requests")?,
-            hieras: v.field("hieras")?,
-            seed: v.field("seed")?,
-            rtt_noise: v.field("rtt_noise")?,
-        })
-    }
-}
-
 /// Replay results for both algorithms over the identical workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonResult {
@@ -138,12 +88,6 @@ pub struct ComparisonResult {
     pub chord: Metrics,
     /// HIERAS metrics.
     pub hieras: Metrics,
-}
-
-impl ToJson for ComparisonResult {
-    fn to_json(&self) -> Json {
-        Json::obj([("chord", self.chord.to_json()), ("hieras", self.hieras.to_json())])
-    }
 }
 
 /// Per-algorithm view used by sweep helpers.

@@ -5,7 +5,7 @@
 //! the hot path (hpc-parallel guide idiom).
 
 use hieras_core::RouteCost;
-use hieras_rt::{FromJson, Json, JsonError, ToJson};
+use hieras_rt::{Json, ToJson};
 
 /// A dense histogram over small non-negative integers (hop counts,
 /// 1-ms latency buckets).
@@ -303,17 +303,6 @@ impl ToJson for TailLatency {
     }
 }
 
-impl FromJson for TailLatency {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(TailLatency {
-            p50_ms: v.field("p50_ms")?,
-            p95_ms: v.field("p95_ms")?,
-            p99_ms: v.field("p99_ms")?,
-            p999_ms: v.field("p999_ms")?,
-        })
-    }
-}
-
 /// Headline statistics for one algorithm on one experiment — the
 /// numbers the paper's figures plot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -338,60 +327,6 @@ pub struct Summary {
     pub latency_tail: TailLatency,
 }
 
-impl ToJson for Histogram {
-    fn to_json(&self) -> Json {
-        Json::obj([("counts", self.counts.to_json()), ("total", self.total.to_json())])
-    }
-}
-
-impl FromJson for Histogram {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let counts: Vec<u64> = v.field("counts")?;
-        let total: u64 = v.field("total")?;
-        let sum = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
-        if sum != Some(total) {
-            return Err(JsonError("histogram total does not match counts".into()));
-        }
-        Ok(Histogram { counts, total })
-    }
-}
-
-impl ToJson for Metrics {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("requests", self.requests.to_json()),
-            ("total_hops", self.total_hops.to_json()),
-            ("lower_hops", self.lower_hops.to_json()),
-            ("total_latency_ms", self.total_latency_ms.to_json()),
-            ("lower_latency_ms", self.lower_latency_ms.to_json()),
-            ("hop_hist", self.hop_hist.to_json()),
-            ("lower_hop_hist", self.lower_hop_hist.to_json()),
-            ("latency_hist", self.latency_hist.to_json()),
-            ("latency_order", self.latency_order.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Metrics {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let m = Metrics {
-            requests: v.field("requests")?,
-            total_hops: v.field("total_hops")?,
-            lower_hops: v.field("lower_hops")?,
-            total_latency_ms: v.field("total_latency_ms")?,
-            lower_latency_ms: v.field("lower_latency_ms")?,
-            hop_hist: v.field("hop_hist")?,
-            lower_hop_hist: v.field("lower_hop_hist")?,
-            latency_hist: v.field("latency_hist")?,
-            latency_order: v.field("latency_order")?,
-        };
-        if [&m.hop_hist, &m.lower_hop_hist, &m.latency_hist].iter().any(|h| h.total != m.requests) {
-            return Err(JsonError("metrics histogram total does not match requests".into()));
-        }
-        Ok(m)
-    }
-}
-
 impl ToJson for Summary {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -405,22 +340,6 @@ impl ToJson for Summary {
             ("avg_link_delay_lower_ms", self.avg_link_delay_lower_ms.to_json()),
             ("latency_tail", self.latency_tail.to_json()),
         ])
-    }
-}
-
-impl FromJson for Summary {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Summary {
-            requests: v.field("requests")?,
-            avg_hops: v.field("avg_hops")?,
-            avg_latency_ms: v.field("avg_latency_ms")?,
-            avg_lower_hops: v.field("avg_lower_hops")?,
-            lower_hop_share: v.field("lower_hop_share")?,
-            lower_latency_share: v.field("lower_latency_share")?,
-            avg_link_delay_top_ms: v.field("avg_link_delay_top_ms")?,
-            avg_link_delay_lower_ms: v.field("avg_link_delay_lower_ms")?,
-            latency_tail: v.field("latency_tail")?,
-        })
     }
 }
 
@@ -566,29 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_json_with_an_overflowing_sum_is_rejected() {
-        let v = Json::parse(r#"{"counts": [18446744073709551615, 1], "total": 0}"#).unwrap();
-        assert!(Histogram::from_json(&v).is_err());
-    }
-
-    #[test]
-    fn metrics_json_with_a_histogram_total_off_requests_is_rejected() {
-        let mut m = Metrics::default();
-        m.record(latency(12));
-        m.record(latency(40));
-        assert_eq!(Metrics::from_json(&m.to_json()).unwrap(), m);
-        let mut short = Histogram::new();
-        short.record(1);
-        let mut bad = [m.clone(), m.clone(), m];
-        bad[0].hop_hist = short.clone();
-        bad[1].lower_hop_hist = short.clone();
-        bad[2].latency_hist = short;
-        for (i, b) in bad.iter().enumerate() {
-            assert!(Metrics::from_json(&b.to_json()).is_err(), "histogram {i}");
-        }
-    }
-
-    #[test]
     fn histogram_quantile_nearest_rank() {
         // Empty → 0 at every q.
         let empty = Histogram::new();
@@ -658,18 +554,6 @@ mod tests {
         let t = m.summary().latency_tail;
         assert_eq!(t.p99_ms, 990);
         assert_eq!(t.p999_ms, 999);
-    }
-
-    #[test]
-    fn tail_latency_round_trips_in_summary_json() {
-        let mut m = Metrics::default();
-        for ms in [5u32, 15, 25] {
-            m.record(Sample { hops: 2, lower_hops: 1, latency_ms: ms, lower_latency_ms: 1 });
-        }
-        let s = m.summary();
-        let back = Summary::from_json(&s.to_json()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.latency_tail.p50_ms, 15);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! distance — which is exactly what this module produces.
 
 use crate::{GraphBuilder, NodeKind, Topology};
-use hieras_rt::{Executor, FromJson, Json, JsonError, Rng, ToJson};
+use hieras_rt::{Executor, Rng};
 
 /// Candidate count from which the per-link weight vector is computed in
 /// parallel. Below this a single dispatch costs more than the `exp()`
@@ -169,32 +169,6 @@ impl BriteConfig {
 
         let attach_candidates = (0..n as u32).collect();
         Topology { graph: graph.into_shared(), kind: vec![NodeKind::Router; n], attach_candidates, domain: (0..n as u32).collect(), model: "brite" }
-    }
-}
-
-impl ToJson for BriteConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("nodes", self.nodes.to_json()),
-            ("links_per_node", self.links_per_node.to_json()),
-            ("plane", self.plane.to_json()),
-            ("ms_per_unit", self.ms_per_unit.to_json()),
-            ("waxman_beta", self.waxman_beta.to_json()),
-            ("seed", self.seed.to_json()),
-        ])
-    }
-}
-
-impl FromJson for BriteConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(BriteConfig {
-            nodes: v.field("nodes")?,
-            links_per_node: v.field("links_per_node")?,
-            plane: v.field("plane")?,
-            ms_per_unit: v.field("ms_per_unit")?,
-            waxman_beta: v.field("waxman_beta")?,
-            seed: v.field("seed")?,
-        })
     }
 }
 

@@ -16,7 +16,7 @@
 
 use crate::graph::Components;
 use crate::{GraphBuilder, NodeKind, Topology};
-use hieras_rt::{Executor, FromJson, Json, JsonError, Rng, ToJson};
+use hieras_rt::{Executor, Rng};
 
 /// Main-component size from which the connectivity repair's
 /// nearest-node scan runs in parallel. The scan is a pure min
@@ -45,32 +45,6 @@ pub struct InetConfig {
     pub ms_per_unit: f64,
     /// RNG seed.
     pub seed: u64,
-}
-
-impl ToJson for InetConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("nodes", self.nodes.to_json()),
-            ("alpha", self.alpha.to_json()),
-            ("max_degree_frac", self.max_degree_frac.to_json()),
-            ("plane", self.plane.to_json()),
-            ("ms_per_unit", self.ms_per_unit.to_json()),
-            ("seed", self.seed.to_json()),
-        ])
-    }
-}
-
-impl FromJson for InetConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(InetConfig {
-            nodes: v.field("nodes")?,
-            alpha: v.field("alpha")?,
-            max_degree_frac: v.field("max_degree_frac")?,
-            plane: v.field("plane")?,
-            ms_per_unit: v.field("ms_per_unit")?,
-            seed: v.field("seed")?,
-        })
-    }
 }
 
 impl InetConfig {

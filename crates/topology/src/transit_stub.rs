@@ -10,7 +10,7 @@
 //! the intra-transit delay, as in common GT-ITM parameterizations.
 
 use crate::{GraphBuilder, NodeKind, Topology};
-use hieras_rt::{Executor, FromJson, Json, JsonError, Rng, ToJson};
+use hieras_rt::{Executor, Rng};
 
 /// Parameters for the Transit-Stub generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,38 +34,6 @@ pub struct TransitStubConfig {
     pub extra_edge_prob: f64,
     /// RNG seed; the generator is fully deterministic given the config.
     pub seed: u64,
-}
-
-impl ToJson for TransitStubConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("transit_domains", self.transit_domains.to_json()),
-            ("transit_nodes_per_domain", self.transit_nodes_per_domain.to_json()),
-            ("stub_domains_per_transit", self.stub_domains_per_transit.to_json()),
-            ("stub_nodes_per_domain", self.stub_nodes_per_domain.to_json()),
-            ("intra_transit_ms", self.intra_transit_ms.to_json()),
-            ("transit_stub_ms", self.transit_stub_ms.to_json()),
-            ("intra_stub_ms", self.intra_stub_ms.to_json()),
-            ("extra_edge_prob", self.extra_edge_prob.to_json()),
-            ("seed", self.seed.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TransitStubConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(TransitStubConfig {
-            transit_domains: v.field("transit_domains")?,
-            transit_nodes_per_domain: v.field("transit_nodes_per_domain")?,
-            stub_domains_per_transit: v.field("stub_domains_per_transit")?,
-            stub_nodes_per_domain: v.field("stub_nodes_per_domain")?,
-            intra_transit_ms: v.field("intra_transit_ms")?,
-            transit_stub_ms: v.field("transit_stub_ms")?,
-            intra_stub_ms: v.field("intra_stub_ms")?,
-            extra_edge_prob: v.field("extra_edge_prob")?,
-            seed: v.field("seed")?,
-        })
-    }
 }
 
 impl TransitStubConfig {

@@ -124,4 +124,23 @@ echo "==> frozen benchmark: builds against these crates, passes its output check
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke > target/benchmark_smoke.txt
 
+echo "==> size: crate source lines outside the unit tests (informational, not a gate)"
+# Non-blank, non-`//` lines of every crates/*/src .rs file, each file
+# cut at its `#[cfg(test)]` + `mod tests` pair: the one line count
+# CHANGES.md and ROADMAP.md quote.
+lines=$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { done = 0; held = 0 }
+    done { next }
+    held {
+        held = 0
+        if ($0 ~ /^[[:space:]]*mod tests/) { done = 1; next }
+        n++
+    }
+    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = 1; next }
+    /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+    { n++ }
+    END { print n + 0 }
+' {} +)
+echo "crate source lines (non-blank, non-//, above mod tests): $lines"
+
 echo "==> verify OK"

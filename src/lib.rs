@@ -25,8 +25,9 @@
 //! * [`obs`] — metric registry, span tracer, windowed telemetry and
 //!   the flight recorder every instrumented run reports through.
 //! * [`rt`] — the zero-dependency runtime: deterministic parallel
-//!   executor, seeded PRNG, and the JSON reader/writer every other
-//!   crate serializes with.
+//!   executor, seeded PRNG, and the JSON writer every record goes
+//!   through, with the reader behind the two streams a program reads
+//!   back (telemetry windows and span traces).
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, and
 //! `EXPERIMENTS.md` for the paper-versus-measured record of every

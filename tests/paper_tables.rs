@@ -1,8 +1,9 @@
 //! Byte-level reproduction of the paper's worked examples: Table 1
 //! (binning orders), Table 2 (two-layer finger tables of node 121) and
-//! Table 3 (ring-table structure).
+//! Table 3 (ring-table structure), and the ring names those tables are
+//! keyed by.
 
-use hieras::core::{Binning, HierasConfig, HierasOracle, LandmarkOrder};
+use hieras::core::{Binning, ConfigError, HierasConfig, HierasOracle, LandmarkOrder};
 use hieras::id::{Id, IdSpace};
 use std::sync::Arc;
 
@@ -106,6 +107,30 @@ fn table3_structure() {
     assert!(t.should_update(Id(120))); // smaller than 2nd smallest
     assert!(t.should_update(Id(250))); // larger than 2nd largest
     assert!(!t.should_update(Id(150))); // middle of the pack
+}
+
+/// Hostile landmark orders, ring names and landmark counts are config
+/// errors, never a panic or a clamp: `[9]` and `[12]` once rendered to
+/// the same ring name "9" and shared one ring table.
+#[test]
+fn out_of_range_orders_and_ring_names_are_rejected() {
+    let bad_order = |r: Result<LandmarkOrder, ConfigError>| {
+        matches!(r, Err(ConfigError::BadLandmarkOrder(_)))
+    };
+    assert!(LandmarkOrder::new(&[9]).is_ok());
+    for bad in [&[12][..], &[0, 10], &[255], &[0; 17]] {
+        assert!(bad_order(LandmarkOrder::new(bad)), "order {bad:?}");
+    }
+    assert!("012".parse::<LandmarkOrder>().is_ok());
+    assert!("".parse::<LandmarkOrder>().is_ok(), "the global ring's name");
+    for bad in ["7x", "x", "-1", "0123456789012345678"] {
+        assert!(bad_order(bad.parse()), "ring name {bad:?}");
+    }
+    let mut cfg = HierasConfig::paper();
+    cfg.landmarks = 16;
+    assert_eq!(cfg.validate(), Ok(()));
+    cfg.landmarks = 17;
+    assert_eq!(cfg.validate(), Err(ConfigError::TooManyLandmarks(17)), "17 landmarks");
 }
 
 /// §3.2's worked latency example: 6 hops at 100 ms vs 4 lower hops at
