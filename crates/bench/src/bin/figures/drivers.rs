@@ -6,9 +6,10 @@
 //!   fired mid-run, read against `mixed` to price simultaneous site
 //!   loss), HIERAS against the same message engine at depth 1 (Chord).
 //!   Each scenario carries its registry snapshot (`net.*` counters,
-//!   `lookup.*` / `join.*` histograms, `churn.*` event counters) and
-//!   its sim-windowed lookup time series; the reports are
-//!   bit-identical to an uninstrumented run.
+//!   `lookup.*` / `join.*` histograms, the `churn.repair.rounds`
+//!   counter; the event counts are the report's `events`) and its
+//!   sim-windowed lookup time series; the reports are bit-identical
+//!   to an uninstrumented run.
 //! * `scale` — how far the replay engine stretches: 1 k → 1 M peers on
 //!   the rows and labels latency-oracle backends.
 //! * `live` — `hieras-serve`'s two churning modes over one world with

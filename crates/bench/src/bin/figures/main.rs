@@ -13,6 +13,8 @@
 //! record). An unknown id or option prints the usage and exits 2
 //! before any work; a record that cannot be written exits 1.
 
+#![forbid(unsafe_code)]
+
 mod drivers;
 
 use hieras_bench::render;

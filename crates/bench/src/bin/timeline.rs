@@ -19,6 +19,8 @@
 //!   --trace-out`, or the `.slow.jsonl` flight-recorder sibling) to
 //!   Chrome trace-event JSON, loadable in `about:tracing` / Perfetto.
 
+#![forbid(unsafe_code)]
+
 use hieras_bench::{timeline_compare, timeline_table};
 use hieras_obs::{chrome_trace, TimeSeriesReport, Tracer};
 use hieras_rt::ToJson;

@@ -213,7 +213,7 @@ fn reused_scratch_receives_the_path_a_fresh_one_does() {
     let oracle = ChordOracle::build(IdSpace::full(), scrambled_ids(257)).expect("valid oracle");
     let mut rng = Rng::seed_from_u64(0xfeed_beef);
     let mut scratch = PathBuf::new();
-    // Pre-dirty the scratch (past the inline capacity) so the test
+    // Pre-dirty the scratch (longer than any route here) so the test
     // catches any state leaking between lookups.
     for p in 0..40 {
         scratch.push(p * 3 + 1);

@@ -162,7 +162,6 @@ impl<'a> Side<'a> {
             if outcome.is_some() {
                 return (true, attempt);
             }
-            self.count("churn.join.retry", 1);
         }
         (false, JOIN_ATTEMPTS)
     }
@@ -171,7 +170,6 @@ impl<'a> Side<'a> {
         let span = self.open("churn.leave", &[("ev", ev_no), ("node", id.raw())]);
         let (_, d) = self.charged(0, |m| &mut m.repair_msgs, |net| net.leave_node(id));
         self.close(span, &[("messages", d.total)]);
-        self.count("churn.leave", 1);
     }
 
     fn fail(&mut self, id: Id, ev_no: u64) {
@@ -180,7 +178,6 @@ impl<'a> Side<'a> {
         if let Some(t) = self.net.tracer_mut() {
             t.instant(now, "churn.fail", &[("ev", ev_no), ("node", id.raw())]);
         }
-        self.count("churn.fail", 1);
     }
 
     /// A whole failure domain dies at one instant: `kill` fail
@@ -193,7 +190,6 @@ impl<'a> Side<'a> {
             self.net.fail_node(id);
         }
         self.close(span, &[("killed", kill.len() as u64)]);
-        self.count("churn.domain_fail.killed", kill.len() as u64);
     }
 
     /// One application lookup under the retry budget, scored against
@@ -377,7 +373,6 @@ fn run_churn_impl(
                     counts.join_aborts += 1;
                 }
                 h.close(span, &[("joined", u64::from(joined))]);
-                h.count(if joined { "churn.join.ok" } else { "churn.join.abort" }, 1);
             }
             ChurnEventKind::Leave { node } => {
                 let id = exp.ids[node as usize];
@@ -440,7 +435,6 @@ fn run_churn_impl(
                 });
                 counts.rebinned += moved;
                 h.close(span, &[("moved", moved), ("messages", d.total)]);
-                h.count("churn.rebinned", moved);
             }
         }
 
@@ -481,17 +475,12 @@ fn run_churn_impl(
             "per-layer attribution must account for all traffic"
         );
     }
-    let pop_end = h.net.len();
-    if let Some(r) = h.net.registry_mut() {
-        r.gauge_set("churn.population.start", initial as i64);
-        r.gauge_set("churn.population.end", pop_end as i64);
-    }
     let traffic = h.net.stats();
     let report = ChurnReport {
         turnover: schedule.turnover(churn.initial_nodes),
         events: counts,
         population_start: initial,
-        population_end: pop_end,
+        population_end: h.net.len(),
         messages_total: traffic.total,
         timeouts_total: traffic.timeouts,
         drops_total: traffic.drops,
@@ -570,12 +559,6 @@ mod tests {
         let (traced, obs) = run_churn_traced(&cfg, 1 << 16);
         assert_eq!(plain, traced, "instrumentation must not perturb the run");
         let r = &obs.registry;
-        // Event counters mirror the report's accounting.
-        assert_eq!(r.counter("churn.join.ok"), traced.events.joins);
-        assert_eq!(r.counter("churn.join.abort"), traced.events.join_aborts);
-        assert_eq!(r.counter("churn.leave"), traced.events.leaves);
-        assert_eq!(r.counter("churn.fail"), traced.events.fails);
-        assert_eq!(r.counter("churn.join.retry"), traced.events.join_retries);
         // Every delivered message was counted by kind.
         let delivered: u64 = r
             .counters()
@@ -586,7 +569,6 @@ mod tests {
         // Timeouts too — including the maintenance-path RTOs charged
         // by the dead-successor scrub and predecessor checks.
         assert_eq!(r.counter("net.timeout"), traced.timeouts_total);
-        assert_eq!(r.gauge("churn.population.end"), Some(traced.population_end as i64));
         // Lookup histogram covers every application lookup.
         assert_eq!(
             r.hist("lookup.latency_ms").expect("lookups ran").total()

@@ -304,6 +304,7 @@ impl LookupCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hieras_sim::{SkewParams, Workload, WorkloadModel};
 
     const SUM: u64 = 0xabcd_ef01_2345_6789;
 
@@ -369,6 +370,35 @@ mod tests {
         c.insert(2, 20, 0);
         assert_eq!(c.get(2), Some((20, 0)));
         assert_eq!(c.get(1), Some((10, 0)), "displaced entry lives in the LRU");
+    }
+
+    /// The admission sketch and the LRU earn their keep: on Zipf(0.99)
+    /// traffic the cache hits clearly more often than a plain
+    /// direct-mapped, always-overwrite table of the same slots and
+    /// hash. (That plain table on `serve_hot5k` raised
+    /// `route_hops_mean` 4.225 → 4.463 and `route_ms_p50` 585 → 705.)
+    #[test]
+    fn zipf_hit_rate_beats_plain_direct_mapped() {
+        let zipf = WorkloadModel::Skew(SkewParams::zipf(0.99));
+        let w = Workload::with_model(1_000, 50_000, 1, zipf);
+        let mut c = LookupCache::new(CacheConfig::on());
+        c.bind(SUM);
+        let mut plain: Vec<Option<u64>> = vec![None; 1 << SLOTS_POW];
+        let mut plain_hits = 0u64;
+        for (_, key) in w.iter() {
+            if c.get(key.0).is_none() {
+                c.insert(key.0, 0, 0);
+            }
+            let s = c.slot_of(key.0);
+            if plain[s] == Some(key.0) {
+                plain_hits += 1;
+            } else {
+                plain[s] = Some(key.0);
+            }
+        }
+        let (ours, plain) = (c.stats.hit_rate(), plain_hits as f64 / w.requests as f64);
+        println!("hit rate: cache {ours:.3}, plain direct-mapped {plain:.3}");
+        assert!(ours >= plain + 0.03, "cache {ours:.3} vs plain direct-mapped {plain:.3}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl TopologyKind {
             TopologyKind::TransitStub => {
                 TransitStubConfig::for_peers(peers, seed).generate_on(exec)
             }
-            TopologyKind::Inet => InetConfig::for_peers(peers, seed).generate_on(exec),
+            TopologyKind::Inet => InetConfig::for_peers(peers, seed).generate(),
             TopologyKind::Brite => BriteConfig::for_peers(peers, seed).generate_on(exec),
         }
     }
@@ -88,15 +88,6 @@ pub struct ComparisonResult {
     pub chord: Metrics,
     /// HIERAS metrics.
     pub hieras: Metrics,
-}
-
-/// Per-algorithm view used by sweep helpers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgoStats {
-    /// The Chord baseline.
-    Chord,
-    /// HIERAS.
-    Hieras,
 }
 
 /// Which [`LatencyOracle`] backend an experiment builds on. Every
@@ -199,27 +190,18 @@ impl Experiment {
     /// astronomically unlikely failure to find distinct 64-bit ids.
     #[must_use]
     pub fn build(config: ExperimentConfig) -> Self {
-        Self::build_profiled(config, &mut Profiler::new())
+        Self::build_with(config, &mut Profiler::new(), BuildOptions::default())
     }
 
-    /// [`Experiment::build`] with every assembly phase timed into
-    /// `prof` as a `build` scope (topology generation, peer placement,
-    /// landmark selection, binning, id generation, the hierarchy build
-    /// — whose global ring is the Chord baseline — and the parallel
-    /// latency precompute). The built experiment is identical to an
-    /// unprofiled build.
-    ///
-    /// # Panics
-    /// As [`Experiment::build`].
-    #[must_use]
-    pub fn build_profiled(config: ExperimentConfig, prof: &mut Profiler) -> Self {
-        Self::build_with(config, prof, BuildOptions::default())
-    }
-
-    /// [`Experiment::build_profiled`] with explicit [`BuildOptions`]:
-    /// the parallel phases (finger tables, label builds, latency
+    /// [`Experiment::build`] with explicit [`BuildOptions`] and every
+    /// assembly phase timed into `prof` as a `build` scope (topology
+    /// generation, peer placement, landmark selection, binning, id
+    /// generation, the hierarchy build — whose global ring is the
+    /// Chord baseline — and the parallel latency precompute). The
+    /// parallel phases (finger tables, label builds, latency
     /// precompute) run on `opts.exec`, and the latency oracle is built
-    /// on the backend `opts.oracle` selects.
+    /// on the backend `opts.oracle` selects; the built experiment is
+    /// identical to an unprofiled build.
     ///
     /// # Panics
     /// As [`Experiment::build`].
@@ -614,9 +596,10 @@ mod tests {
     #[test]
     fn profiled_build_records_every_phase() {
         let mut prof = Profiler::new();
-        let e = Experiment::build_profiled(
+        let e = Experiment::build_with(
             ExperimentConfig { nodes: 120, ..small_cfg() },
             &mut prof,
+            BuildOptions::default(),
         );
         assert_eq!(e.ids.len(), 120);
         let report = prof.report();

@@ -34,8 +34,7 @@ mod workload;
 
 pub use churn::{ChurnConfig, ChurnEvent, ChurnEventKind, ChurnSchedule, Lifetime, SimClock};
 pub use experiment::{
-    AlgoStats, BuildOptions, ComparisonResult, Experiment, ExperimentConfig, OracleBackend,
-    TopologyKind,
+    BuildOptions, ComparisonResult, Experiment, ExperimentConfig, OracleBackend, TopologyKind,
 };
 pub use metrics::{Histogram, Metrics, Sample, Summary, TailLatency};
 pub use replay::{MembershipReplay, ReplayDelta};

@@ -16,17 +16,7 @@
 
 use crate::graph::Components;
 use crate::{GraphBuilder, NodeKind, Topology};
-use hieras_rt::{Executor, Rng};
-
-/// Main-component size from which the connectivity repair's
-/// nearest-node scan runs in parallel. The scan is a pure min
-/// reduction (no float accumulation), so the threshold only trades
-/// dispatch overhead against scan time — the result is identical on
-/// any thread count.
-const PAR_REPAIR_THRESHOLD: usize = 1 << 16;
-
-/// Main-component nodes per parallel repair-scan chunk.
-const PAR_REPAIR_CHUNK: usize = 8192;
+use hieras_rt::Rng;
 
 /// Parameters for the Inet-style generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,25 +52,12 @@ impl InetConfig {
         }
     }
 
-    /// Generates the topology on the default executor.
+    /// Generates the topology.
     ///
     /// # Panics
     /// Panics if `nodes < 4` or `alpha <= 1.0`.
     #[must_use]
     pub fn generate(&self) -> Topology {
-        self.generate_on(&Executor::default())
-    }
-
-    /// [`InetConfig::generate`] on a caller-supplied executor: the
-    /// connectivity-repair pass scans the main component for each
-    /// stranded node's nearest neighbour in parallel. The scan is an
-    /// exact min reduction, so the graph is bit-identical at any
-    /// thread count.
-    ///
-    /// # Panics
-    /// Panics if `nodes < 4` or `alpha <= 1.0`.
-    #[must_use]
-    pub fn generate_on(&self, exec: &Executor) -> Topology {
         assert!(self.nodes >= 4, "Inet model needs at least 4 nodes");
         assert!(self.alpha > 1.0, "power-law exponent must exceed 1");
         let mut rng = Rng::seed_from_u64(self.seed);
@@ -152,7 +129,7 @@ impl InetConfig {
         // Connectivity repair: link every non-main component to the
         // largest component through its closest (planar) node, mimicking
         // Inet's connected-core guarantee.
-        repair_connectivity(exec, &mut graph, &coords, delay);
+        repair_connectivity(&mut graph, &coords, delay);
 
         let attach_candidates = (0..n as u32).collect();
         Topology { graph: graph.into_shared(), kind: vec![NodeKind::Router; n], attach_candidates, domain: (0..n as u32).collect(), model: "inet" }
@@ -161,7 +138,6 @@ impl InetConfig {
 
 /// Joins all components to the largest one with shortest planar links.
 fn repair_connectivity(
-    exec: &Executor,
     graph: &mut GraphBuilder,
     coords: &[(f64, f64)],
     delay: impl Fn((f64, f64), (f64, f64)) -> u16,
@@ -182,24 +158,11 @@ fn repair_connectivity(
         if linked[c] {
             continue;
         }
-        // Closest main-component node on the plane. The key orders by
-        // squared distance first (`to_bits` is order-preserving for the
-        // non-negative distances here), then by node index, so the min
-        // is unique and the reduction order cannot matter.
+        // Closest main-component node on the plane: least squared
+        // distance (`to_bits` is order-preserving for the non-negative
+        // distances here), then least node index.
         let key = |a: u32| -> (u64, u32) { (dist2(coords[u], coords[a as usize]).to_bits(), a) };
-        let best = if main_nodes.len() >= PAR_REPAIR_THRESHOLD {
-            exec.par_fold(
-                main_nodes.len(),
-                PAR_REPAIR_CHUNK,
-                || (u64::MAX, u32::MAX),
-                |acc, i| *acc = (*acc).min(key(main_nodes[i])),
-                |a, b| a.min(b),
-            )
-        } else {
-            main_nodes.iter().map(|&a| key(a)).min().expect("main component non-empty")
-        };
-        let v = best.1;
-        assert!(v != u32::MAX, "main component non-empty");
+        let v = main_nodes.iter().map(|&a| key(a)).min().expect("main component non-empty").1;
         graph.add_edge(u as u32, v, delay(coords[u], coords[v as usize]));
         linked[c] = true;
     }

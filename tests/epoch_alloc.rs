@@ -1,5 +1,6 @@
-//! Allocation gate: a delta epoch allocates what its batch touched,
-//! not what the overlay holds.
+//! Allocation gates: a delta epoch allocates what its batch touched,
+//! not what the overlay holds; a lookup on a warm path scratch
+//! allocates nothing.
 //!
 //! A counting global allocator tallies the bytes each thread asks for;
 //! the maintainer's rebuilds run on a one-thread executor, which runs
@@ -12,6 +13,7 @@
 //! per-node array (a live list, a node→ring map, the order table) into
 //! fresh memory would make them grow ten-fold between the two sizes.
 
+use hieras::chord::PathBuf;
 use hieras::rt::Executor;
 use hieras::serve::{CacheConfig, ServeConfig, ServeEngine, TelemetryConfig};
 use hieras::sim::{ChurnConfig, Experiment, ExperimentConfig, Lifetime, WorkloadModel};
@@ -178,4 +180,34 @@ fn delta_epochs_allocate_what_their_batch_touched() {
 #[ignore = "5 k and 50 k peers take minutes in a debug build; run with --release -- --ignored"]
 fn delta_epochs_allocate_what_their_batch_touched_at_5k_and_50k() {
     gate(5_000, 50_000, usize::MAX);
+}
+
+/// Every route clears the scratch it is given and refills it, so a
+/// scratch reused across lookups keeps the capacity its longest path
+/// needed: replaying the same lookups a second time, through the
+/// HIERAS m-loop and through plain Chord, allocates nothing.
+#[test]
+fn reused_route_scratch_allocates_nothing_once_warm() {
+    let mut world = ExperimentConfig::paper(2_000, 20_030_415);
+    world.requests = 1;
+    let exp = Experiment::build(world);
+    let pairs: Vec<_> = exp.replay_workload(2_000).iter().collect();
+    let mut scratch = PathBuf::new();
+    let mut pass = || {
+        let before = bytes_so_far();
+        let mut owners = 0u64;
+        for &(src, key) in &pairs {
+            let hieras = exp.hieras.route_with(src, key, &mut scratch, |_, _, _| {});
+            exp.chord.lookup_into(src, key, &mut scratch);
+            let chord = scratch.last().expect("a path holds at least its source");
+            assert_eq!(hieras, chord, "src {src} key {key:?}");
+            owners += u64::from(chord);
+        }
+        (bytes_so_far() - before, owners)
+    };
+    let (cold, owners) = pass();
+    let (warm, again) = pass();
+    assert_eq!(owners, again, "the second pass routed differently");
+    println!("route scratch: cold pass {cold} B, warm pass {warm} B");
+    assert_eq!(warm, 0, "a warm scratch allocated {warm} B over {} lookups", pairs.len());
 }
